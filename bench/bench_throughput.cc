@@ -4,12 +4,11 @@
 // (block_chained: trace widening + successor links + inline translate
 // cache), direct-threaded dispatch (block_threaded: per-op handler
 // pointers + flag-liveness elision on top of chaining), memfast
-// dispatch (block_memfast: software D-TLB on guest loads/stores +
-// trace formation widened past conditional branches on top of
-// threading), and the fastest mode with the forensics event trace
-// attached (PR 5's observational-overhead gate) — plus a worker-thread
-// scaling sweep (threads = 1/2/4/8) of the fastest mode over one
-// shared, prewarmed GoldenCache.
+// dispatch (block_memfast: trace formation widened past conditional
+// branches on top of threading), and the fastest mode with the
+// forensics event trace attached (the trace layer's observational-
+// overhead gate) — plus a worker-thread scaling sweep (threads =
+// 1/2/4/8) of the fastest mode over one shared, prewarmed GoldenCache.
 //
 // All modes and every sweep entry run the identical smoke-scale A/B/C
 // campaigns; the result vectors are required to be bit-identical (exit
@@ -150,8 +149,6 @@ void print_mode(std::FILE* out, const ModeResult& mode, bool last) {
       "      \"avg_trace_len\": %.2f,\n"
       "      \"threaded_ops\": %llu,\n"
       "      \"flag_elisions\": %llu,\n"
-      "      \"dtlb_hits\": %llu,\n"
-      "      \"dtlb_misses\": %llu,\n"
       "      \"cond_widened\": %llu,\n"
       "      \"side_exits\": %llu,\n"
       "      \"trace_events\": %llu,\n"
@@ -193,8 +190,6 @@ void print_mode(std::FILE* out, const ModeResult& mode, bool last) {
                                    static_cast<double>(perf.block_builds),
       static_cast<unsigned long long>(perf.threaded_ops),
       static_cast<unsigned long long>(perf.flag_elisions),
-      static_cast<unsigned long long>(perf.dtlb_hits),
-      static_cast<unsigned long long>(perf.dtlb_misses),
       static_cast<unsigned long long>(perf.cond_widened),
       static_cast<unsigned long long>(perf.side_exits),
       static_cast<unsigned long long>(perf.trace_events),
@@ -327,11 +322,9 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Memfast leg: threaded dispatch plus the data-side fast paths —
-  // software D-TLB in front of guest loads/stores and trace formation
-  // widened past conditional branches with a guarded side exit.  Same
-  // hard gate: a D-TLB hit or widened edge that changed any result bit
-  // would fail right here.
+  // Memfast leg: threaded dispatch plus trace formation widened past
+  // conditional branches with a guarded side exit.  Same hard gate: a
+  // widened edge that changed any result bit would fail right here.
   inject::InjectorOptions memfast_options;
   memfast_options.exec_engine = machine::ExecEngine::Memfast;
   const ModeResult memfast = run_mode("block_memfast", memfast_options);
@@ -421,15 +414,10 @@ int main(int argc, char** argv) {
       threaded.seconds, static_cast<double>(threaded.runs) / threaded.seconds,
       static_cast<unsigned long long>(threaded.stats.perf.threaded_ops),
       static_cast<unsigned long long>(threaded.stats.perf.flag_elisions));
-  const std::uint64_t dtlb_total =
-      memfast.stats.perf.dtlb_hits + memfast.stats.perf.dtlb_misses;
   std::printf(
-      "block_memfast:%6.2f s  (%.2f runs/s, %.1f%% dtlb hit rate, "
+      "block_memfast:%6.2f s  (%.2f runs/s, "
       "%llu cond edges widened, %llu side exits, %llu flag writes elided)\n",
       memfast.seconds, static_cast<double>(memfast.runs) / memfast.seconds,
-      dtlb_total == 0 ? 0.0
-                      : 100.0 * static_cast<double>(memfast.stats.perf.dtlb_hits) /
-                            static_cast<double>(dtlb_total),
       static_cast<unsigned long long>(memfast.stats.perf.cond_widened),
       static_cast<unsigned long long>(memfast.stats.perf.side_exits),
       static_cast<unsigned long long>(memfast.stats.perf.flag_elisions));

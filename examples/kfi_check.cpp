@@ -136,16 +136,9 @@ void print_campaign_stats(const inject::CampaignStats& cs) {
                 static_cast<unsigned long long>(stats.threaded_ops),
                 static_cast<unsigned long long>(stats.flag_elisions));
   }
-  if (stats.dtlb_hits + stats.dtlb_misses + stats.cond_widened > 0) {
-    const std::uint64_t probes = stats.dtlb_hits + stats.dtlb_misses;
+  if (stats.cond_widened > 0) {
     std::printf(
-        "perf: memfast D-TLB %llu hits / %llu misses (%.2f%%), "
-        "%llu traces widened past Jcc, %llu side exits\n",
-        static_cast<unsigned long long>(stats.dtlb_hits),
-        static_cast<unsigned long long>(stats.dtlb_misses),
-        probes == 0 ? 0.0
-                    : 100.0 * static_cast<double>(stats.dtlb_hits) /
-                          static_cast<double>(probes),
+        "perf: memfast %llu traces widened past Jcc, %llu side exits\n",
         static_cast<unsigned long long>(stats.cond_widened),
         static_cast<unsigned long long>(stats.side_exits));
   }

@@ -63,9 +63,15 @@ std::optional<inject::CampaignRun> load_campaign(const std::string& path) {
   inject::CampaignRun run;
   run.campaign = static_cast<inject::Campaign>(reader.u32());
   run.functions_targeted = static_cast<std::size_t>(reader.u64());
+  // The count is untrusted: a file cannot hold more records than its
+  // remaining bytes fit at the minimum record size, so anything larger
+  // is rejected before the reserve can ask for an absurd allocation.
   const std::uint64_t count = reader.u64();
-  if (!reader.ok() || count > 100'000'000) return std::nullopt;
-  run.results.reserve(count);
+  if (!reader.ok() ||
+      count > reader.remaining() / min_result_bytes(extended)) {
+    return std::nullopt;
+  }
+  run.results.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count && reader.ok(); ++i) {
     inject::InjectionResult r;
     if (!read_result(reader, r, extended)) break;

@@ -61,6 +61,14 @@ void write_result(ByteWriter& writer, const inject::InjectionResult& r,
 bool read_result(ByteReader& reader, inject::InjectionResult& out,
                  bool extended = false);
 
+// Encoded size of the smallest possible record (every string empty):
+// 20 u32 fields (four of them string lengths) and 2 u64s, plus 8 u32s
+// in the extended layout.  Readers bound an untrusted record count by
+// remaining bytes / this before they reserve anything.
+constexpr std::size_t min_result_bytes(bool extended) {
+  return 20 * 4 + 2 * 8 + (extended ? 8 * 4 : 0);
+}
+
 // True when `r` carries fault-model fields the v4/v1 record layouts
 // cannot represent (any model other than InstrBit).
 bool result_is_extended(const inject::InjectionResult& r);

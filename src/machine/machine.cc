@@ -498,8 +498,6 @@ PerfStats Machine::perf_stats() const {
   stats.trace_len = cpu_->trace_len();
   stats.threaded_ops = cpu_->threaded_ops();
   stats.flag_elisions = cpu_->flag_elisions();
-  stats.dtlb_hits = cpu_->dtlb_hits();
-  stats.dtlb_misses = cpu_->dtlb_misses();
   stats.cond_widened = cpu_->cond_widened();
   stats.side_exits = cpu_->side_exits();
   return stats;
@@ -728,8 +726,6 @@ PerfStats& PerfStats::operator+=(const PerfStats& o) {
   trace_len += o.trace_len;
   threaded_ops += o.threaded_ops;
   flag_elisions += o.flag_elisions;
-  dtlb_hits += o.dtlb_hits;
-  dtlb_misses += o.dtlb_misses;
   cond_widened += o.cond_widened;
   side_exits += o.side_exits;
   trace_events += o.trace_events;
@@ -756,8 +752,6 @@ PerfStats& PerfStats::operator-=(const PerfStats& o) {
   trace_len -= o.trace_len;
   threaded_ops -= o.threaded_ops;
   flag_elisions -= o.flag_elisions;
-  dtlb_hits -= o.dtlb_hits;
-  dtlb_misses -= o.dtlb_misses;
   cond_widened -= o.cond_widened;
   side_exits -= o.side_exits;
   trace_events -= o.trace_events;

@@ -63,11 +63,10 @@ struct RunResult {
 // proven-hit fetch translations.  Threaded builds on Chained with
 // direct-threaded micro-op dispatch (per-op handler pointers resolved
 // at trace-build time) and flag-liveness elision (provably dead ALU
-// flag writes skipped).  Memfast builds on Threaded with data-side
-// fast paths: a software D-TLB in front of guest loads/stores (a
-// provably-still-hit translation skips the mmu call) and trace
-// formation widened past conditional branches with a guarded side
-// exit.  All engines are bit-identical for every run-visible outcome.
+// flag writes skipped).  Memfast builds on Threaded with trace
+// formation widened past conditional branches and a guarded side
+// exit.  All engines share the CPU's inline TLB-hit data path and are
+// bit-identical for every run-visible outcome.
 enum class ExecEngine : std::uint8_t { Step, Block, Chained, Threaded,
                                        Memfast };
 
@@ -186,13 +185,9 @@ struct PerfStats {
   // writes skipped by the liveness elision.
   std::uint64_t threaded_ops = 0;
   std::uint64_t flag_elisions = 0;
-  // Memfast dispatch (all zero unless ExecEngine::Memfast): guest
-  // loads/stores resolved through the software D-TLB vs ones that paid
-  // the full translate, conditional edges widened into traces at build
-  // time, and dispatches that left a widened trace through the guarded
-  // side exit.
-  std::uint64_t dtlb_hits = 0;
-  std::uint64_t dtlb_misses = 0;
+  // Memfast dispatch (all zero unless ExecEngine::Memfast): conditional
+  // edges widened into traces at build time, and dispatches that left a
+  // widened trace through the guarded side exit.
   std::uint64_t cond_widened = 0;
   std::uint64_t side_exits = 0;
   // Forensics trace layer (all zero when no sink is attached).  Filled

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <set>
@@ -123,6 +124,26 @@ bool write_manifest(const std::string& dir, const std::string& bundle_dir,
   return atomic_write_file(manifest_path(dir), writer.buffer());
 }
 
+// The shard table and target counts lie outside the config-echo hash,
+// so they are checked here: the ranges must be non-inverted, follow
+// each other without gap or overlap from 0, and end at exactly the sum
+// of target_counts.  Otherwise an end < begin range would underflow
+// execute_range's reserve and a range past the plan would index
+// plan.orders out of bounds.
+bool shard_ranges_valid(const Manifest& manifest) {
+  std::uint64_t total = 0;
+  for (const std::uint64_t count : manifest.target_counts) {
+    if (count > UINT64_MAX - total) return false;
+    total += count;
+  }
+  std::uint64_t next = 0;
+  for (const auto& [begin, end] : manifest.shard_ranges) {
+    if (begin != next || end < begin) return false;
+    next = end;
+  }
+  return next == total;
+}
+
 // The manifest plus the bundle directory recorded inside it.
 std::optional<std::pair<Manifest, std::string>> load_manifest_full(
     const std::string& dir) {
@@ -169,7 +190,7 @@ std::optional<std::pair<Manifest, std::string>> load_manifest_full(
     begin = reader.u64();
     end = reader.u64();
   }
-  if (!reader.ok()) return std::nullopt;
+  if (!reader.ok() || !shard_ranges_valid(manifest)) return std::nullopt;
   return std::make_pair(std::move(manifest), bundle_dir);
 }
 
@@ -419,6 +440,17 @@ WorkerReport run_worker(const std::string& dir, unsigned worker_id,
       adopt_bundles(*cache, manifest, bundle_dir, verbose);
   inject::Injector injector(cache);
   const CampaignPlan plan = build_plan(injector, manifest.campaigns);
+  // The shard table indexes this plan only if the manifest's counts
+  // (checked against the table on load) match what was re-derived.
+  for (std::size_t slot = 0; slot < plan.targets.size(); ++slot) {
+    if (plan.targets[slot].size() != manifest.target_counts[slot]) {
+      std::fprintf(stderr,
+                   "[kfi-serve] worker %u: manifest target counts do not "
+                   "match the campaign plan in %s\n",
+                   worker_id, dir.c_str());
+      return report;
+    }
+  }
   const analysis::ShardStore store(shards_dir(dir));
 
   // Owned shards first (index % workers), then steal whatever lagging

@@ -142,47 +142,13 @@ bool Cpu::deliver_interrupt(Trap trap) {
 // Guest memory access
 // ---------------------------------------------------------------------
 
-void Cpu::dtlb_fill(std::uint32_t vaddr, std::uint32_t paddr, Access access) {
-  const std::uint32_t vpn = vaddr >> 12;
-  DtlbEntry& e = dtlb_[vpn & (kDtlbSize - 1)];
-  // A read fill must not downgrade a still-valid write-proven entry for
-  // the same page: write permission, once proven at this epoch/cpl,
-  // stays proven until the next TLB mutation.
-  const bool keep_write = e.tag == vpn && e.epoch == mmu_.epoch() &&
-                          e.cpl == static_cast<std::uint8_t>(cpl_) &&
-                          e.write_ok;
-  e.tag = vpn;
-  e.frame = paddr & ~kPageMask;
-  e.epoch = mmu_.epoch();
-  e.cpl = static_cast<std::uint8_t>(cpl_);
-  e.write_ok = access == Access::Write || keep_write;
-}
-
-bool Cpu::read_v(std::uint32_t vaddr, std::uint32_t size,
-                 std::uint32_t& value) {
-  if (memfast_) {
-    // D-TLB fast path: a hit proves the filling translate below would
-    // succeed as a side-effect-free TLB hit with this frame (see the
-    // DtlbEntry invariant), so skipping it is unobservable.  Anything
-    // unproven — page-crossing access, MMIO, stale epoch, other cpl —
-    // falls closed into the exact stepper path.
-    const DtlbEntry& e = dtlb_[(vaddr >> 12) & (kDtlbSize - 1)];
-    if (e.tag == vaddr >> 12 && e.epoch == mmu_.epoch() &&
-        e.cpl == static_cast<std::uint8_t>(cpl_) &&
-        (size == 1 || (vaddr & kPageMask) <= kPageSize - 4)) {
-      ++dtlb_hits_;
-      const std::uint32_t paddr = e.frame | (vaddr & kPageMask);
-      value = size == 1 ? memory_.read8(paddr) : memory_.read32(paddr);
-      return true;
-    }
-    ++dtlb_misses_;
-  }
+bool Cpu::read_v_slow(std::uint32_t vaddr, std::uint32_t size,
+                      std::uint32_t& value) {
   std::uint32_t paddr = 0;
   const TranslateStatus status =
       mmu_.translate(vaddr, Access::Read, cpl_, paddr);
   switch (status) {
     case TranslateStatus::Ok:
-      if (memfast_) dtlb_fill(vaddr, paddr, Access::Read);
       break;
     case TranslateStatus::Mmio: {
       if (size != 4 || (vaddr & 3) != 0) {
@@ -241,35 +207,13 @@ bool Cpu::read_v(std::uint32_t vaddr, std::uint32_t size,
   return true;
 }
 
-bool Cpu::write_v(std::uint32_t vaddr, std::uint32_t size,
-                  std::uint32_t value) {
-  if (memfast_) {
-    // Same proof as in read_v, plus write permission: `write_ok` means
-    // a full translate with Access::Write succeeded at this epoch/cpl.
-    // Stores still go through PhysicalMemory, so page write versions
-    // bump exactly as on the slow path (SMC and flip detection intact).
-    const DtlbEntry& e = dtlb_[(vaddr >> 12) & (kDtlbSize - 1)];
-    if (e.tag == vaddr >> 12 && e.epoch == mmu_.epoch() && e.write_ok &&
-        e.cpl == static_cast<std::uint8_t>(cpl_) &&
-        (size == 1 || (vaddr & kPageMask) <= kPageSize - 4)) {
-      ++dtlb_hits_;
-      const std::uint32_t paddr = e.frame | (vaddr & kPageMask);
-      note_write(paddr, size);
-      if (size == 1) {
-        memory_.write8(paddr, static_cast<std::uint8_t>(value));
-      } else {
-        memory_.write32(paddr, value);
-      }
-      return true;
-    }
-    ++dtlb_misses_;
-  }
+bool Cpu::write_v_slow(std::uint32_t vaddr, std::uint32_t size,
+                       std::uint32_t value) {
   std::uint32_t paddr = 0;
   const TranslateStatus status =
       mmu_.translate(vaddr, Access::Write, cpl_, paddr);
   switch (status) {
     case TranslateStatus::Ok:
-      if (memfast_) dtlb_fill(vaddr, paddr, Access::Write);
       break;
     case TranslateStatus::Mmio: {
       if (size != 4 || (vaddr & 3) != 0) {
@@ -370,28 +314,11 @@ bool Cpu::peek8(std::uint32_t vaddr, std::uint8_t& value) {
 // Operand helpers
 // ---------------------------------------------------------------------
 
-bool Cpu::operand_addr(const Operand& op, std::uint32_t& addr) {
-  addr = static_cast<std::uint32_t>(op.mem.disp);
-  if (op.mem.has_base) addr += regs_[static_cast<int>(op.mem.base)];
-  return true;
-}
-
-bool Cpu::read_operand(const Operand& op, std::uint32_t& value) {
+bool Cpu::read_operand_slow(const Operand& op, std::uint32_t& value) {
   switch (op.kind) {
-    case OperandKind::Reg:
-      value = regs_[static_cast<int>(op.reg)];
-      return true;
     case OperandKind::Reg8:
       value = regs_[static_cast<int>(op.reg)] & 0xFF;
       return true;
-    case OperandKind::Imm:
-      value = static_cast<std::uint32_t>(op.imm);
-      return true;
-    case OperandKind::Mem: {
-      std::uint32_t addr = 0;
-      operand_addr(op, addr);
-      return read_v(addr, 4, value);
-    }
     case OperandKind::Mem8: {
       std::uint32_t addr = 0;
       operand_addr(op, addr);
@@ -399,27 +326,18 @@ bool Cpu::read_operand(const Operand& op, std::uint32_t& value) {
       value &= 0xFF;
       return true;
     }
-    case OperandKind::None:
+    default:  // None (Reg, Imm and Mem are resolved inline)
       value = 0;
       return true;
   }
-  return true;
 }
 
-bool Cpu::write_operand(const Operand& op, std::uint32_t value) {
+bool Cpu::write_operand_slow(const Operand& op, std::uint32_t value) {
   switch (op.kind) {
-    case OperandKind::Reg:
-      regs_[static_cast<int>(op.reg)] = value;
-      return true;
     case OperandKind::Reg8: {
       std::uint32_t& r = regs_[static_cast<int>(op.reg)];
       r = (r & 0xFFFFFF00u) | (value & 0xFF);
       return true;
-    }
-    case OperandKind::Mem: {
-      std::uint32_t addr = 0;
-      operand_addr(op, addr);
-      return write_v(addr, 4, value);
     }
     case OperandKind::Mem8: {
       std::uint32_t addr = 0;

@@ -138,32 +138,21 @@ class Cpu {
   // dispatch mode are never executed under another (the cache is
   // dropped on any mode change).
   void set_threaded(bool enabled) {
-    if (threaded_ != enabled) {
-      drop_all_blocks();
-      drop_dtlb();
-    }
+    if (threaded_ != enabled) drop_all_blocks();
     threaded_ = enabled;
   }
   bool threaded() const { return threaded_; }
 
-  // Enables the data-side fast paths (ExecEngine::Memfast; implies
-  // threaded+chained, which the machine layer turns on alongside):
-  //   - a software D-TLB in front of read_v/write_v, so loads and
-  //     stores whose translation is provably still a TLB hit (same
-  //     page, same cpl, Mmu epoch unchanged since the fill, write
-  //     permission proven for stores) skip the mmu_.translate call;
-  //   - trace formation widened past conditional branches — the
-  //     decoder follows the statically predicted edge (backward taken,
-  //     forward fall-through) and the dispatch loop side-exits fail-
-  //     closed when execution leaves the predecoded path.
-  // Both are pure fast paths: any miss falls back to the exact
-  // stepping-engine code, so trap delivery, TLB-fill histories, and
-  // campaign digests are bit-identical to every other engine.
+  // Enables conditional-edge trace widening (ExecEngine::Memfast;
+  // implies threaded+chained, which the machine layer turns on
+  // alongside): trace formation follows the statically predicted edge
+  // of a conditional branch (backward taken, forward fall-through) and
+  // the dispatch loop side-exits fail-closed when execution leaves the
+  // predecoded path.  A pure fast path: trap delivery, TLB-fill
+  // histories, and campaign digests are bit-identical to every other
+  // engine.
   void set_memfast(bool enabled) {
-    if (memfast_ != enabled) {
-      drop_all_blocks();
-      drop_dtlb();
-    }
+    if (memfast_ != enabled) drop_all_blocks();
     memfast_ = enabled;
   }
   bool memfast() const { return memfast_; }
@@ -227,14 +216,9 @@ class Cpu {
   // the liveness elision (a fully elided add counts 5: CF PF ZF SF OF).
   std::uint64_t threaded_ops() const { return threaded_ops_; }
   std::uint64_t flag_elisions() const { return flag_elisions_; }
-  // Memfast telemetry: loads/stores resolved through the D-TLB vs ones
-  // that paid the full translate (misses also count fail-closed
-  // fallbacks: page-crossing, MMIO, unproven write permission),
-  // conditional edges widened into traces at build time, and dispatches
-  // that left a widened trace through the guarded side exit.  All four
-  // stay zero under every other engine.
-  std::uint64_t dtlb_hits() const { return dtlb_hits_; }
-  std::uint64_t dtlb_misses() const { return dtlb_misses_; }
+  // Memfast telemetry: conditional edges widened into traces at build
+  // time, and dispatches that left a widened trace through the guarded
+  // side exit.  Both stay zero under every other engine.
   std::uint64_t cond_widened() const { return cond_widened_; }
   std::uint64_t side_exits() const { return side_exits_; }
 
@@ -257,6 +241,9 @@ class Cpu {
   // through the full-flag handler table, so step() and the threaded
   // engine share a single implementation of every opcode.
   friend struct OpHandlers;
+  // Test access to the data path: the unit suite runs the inline and
+  // the out-of-line accessors side by side (tests/vm/dtlb_test.cc).
+  friend struct CpuDataPath;
   using HandlerFn = bool (*)(Cpu&, const isa::Instruction&);
 
   // Raises a trap against the current instruction (eip_ points at it).
@@ -266,15 +253,85 @@ class Cpu {
                int depth);
 
   // Guest memory access; on failure raises #PF/#GP and returns false.
-  bool read_v(std::uint32_t vaddr, std::uint32_t size, std::uint32_t& value);
-  bool write_v(std::uint32_t vaddr, std::uint32_t size, std::uint32_t value);
+  // Shared by every engine (they all execute through OpHandlers).  The
+  // inline part takes only an access that Mmu::probe proves is a
+  // permitted TLB hit and that stays inside one page: exactly the case
+  // in which translate() would return the same frame with no side
+  // effect, so skipping it leaves TLB fills, Mmu::epoch() and cycles
+  // untouched.  Stores still go through PhysicalMemory (page versions
+  // bump, SMC stays coherent) and note_write.  Everything else — TLB
+  // misses and fills, protection faults, MMIO, page-crossing words —
+  // takes the out-of-line *_slow path.
+  bool read_v(std::uint32_t vaddr, std::uint32_t size, std::uint32_t& value) {
+    std::uint32_t paddr = 0;
+    if (mmu_.probe(vaddr, Access::Read, cpl_, paddr) &&
+        (size == 1 || (vaddr & kPageMask) <= kPageSize - 4)) {
+      value = size == 1 ? memory_.read8(paddr) : memory_.read32(paddr);
+      return true;
+    }
+    return read_v_slow(vaddr, size, value);
+  }
+  bool write_v(std::uint32_t vaddr, std::uint32_t size, std::uint32_t value) {
+    std::uint32_t paddr = 0;
+    if (mmu_.probe(vaddr, Access::Write, cpl_, paddr) &&
+        (size == 1 || (vaddr & kPageMask) <= kPageSize - 4)) {
+      note_write(paddr, size);
+      if (size == 1) {
+        memory_.write8(paddr, static_cast<std::uint8_t>(value));
+      } else {
+        memory_.write32(paddr, value);
+      }
+      return true;
+    }
+    return write_v_slow(vaddr, size, value);
+  }
+  bool read_v_slow(std::uint32_t vaddr, std::uint32_t size,
+                   std::uint32_t& value);
+  bool write_v_slow(std::uint32_t vaddr, std::uint32_t size,
+                    std::uint32_t value);
   bool push32(std::uint32_t value);
   bool pop32(std::uint32_t& value);
 
-  // Operand helpers.
-  bool operand_addr(const isa::Operand& op, std::uint32_t& addr);
-  bool read_operand(const isa::Operand& op, std::uint32_t& value);
-  bool write_operand(const isa::Operand& op, std::uint32_t value);
+  // Operand helpers.  Reg, Imm and Mem operands are resolved inline;
+  // Reg8, Mem8 and None go through the out-of-line *_slow helpers.
+  bool operand_addr(const isa::Operand& op, std::uint32_t& addr) const {
+    addr = static_cast<std::uint32_t>(op.mem.disp);
+    if (op.mem.has_base) addr += regs_[static_cast<int>(op.mem.base)];
+    return true;
+  }
+  bool read_operand(const isa::Operand& op, std::uint32_t& value) {
+    switch (op.kind) {
+      case isa::OperandKind::Reg:
+        value = regs_[static_cast<int>(op.reg)];
+        return true;
+      case isa::OperandKind::Imm:
+        value = static_cast<std::uint32_t>(op.imm);
+        return true;
+      case isa::OperandKind::Mem: {
+        std::uint32_t addr = 0;
+        operand_addr(op, addr);
+        return read_v(addr, 4, value);
+      }
+      default:
+        return read_operand_slow(op, value);
+    }
+  }
+  bool write_operand(const isa::Operand& op, std::uint32_t value) {
+    switch (op.kind) {
+      case isa::OperandKind::Reg:
+        regs_[static_cast<int>(op.reg)] = value;
+        return true;
+      case isa::OperandKind::Mem: {
+        std::uint32_t addr = 0;
+        operand_addr(op, addr);
+        return write_v(addr, 4, value);
+      }
+      default:
+        return write_operand_slow(op, value);
+    }
+  }
+  bool read_operand_slow(const isa::Operand& op, std::uint32_t& value);
+  bool write_operand_slow(const isa::Operand& op, std::uint32_t value);
 
   void set_logic_flags32(std::uint32_t result);
   void set_logic_flags8(std::uint8_t result);
@@ -435,45 +492,12 @@ class Cpu {
   // Drops the whole trace cache (dispatch-mode changes).
   void drop_all_blocks();
 
-  // Invalidates every D-TLB entry (engine toggles; epoch bumps from
-  // flushes, fills, and cr3 loads — including every snapshot and
-  // checkpoint-rung restore — invalidate entries implicitly).
-  void drop_dtlb() {
-    for (DtlbEntry& e : dtlb_) e.tag = 0xFFFFFFFF;
-  }
-
   // The dispatch loop, templated on the engine so the threaded hot
   // path pays no per-op mode branches; kWidened adds the memfast
   // side-exit guard for traces predecoded past conditional branches.
   template <bool kThreaded, bool kWidened>
   std::size_t run_block_impl(std::uint64_t max_instructions, const bool* stop,
                              CpuEvent& event);
-
-  // Software D-TLB for guest data accesses (memfast mode only).
-  // Direct-mapped on the virtual page number.  An entry proves "a full
-  // mmu_.translate of this page succeeded for `cpl` (with write
-  // permission iff write_ok) at Mmu epoch `epoch`".  While the epoch is
-  // unchanged the hardware TLB still holds that entry, so the skipped
-  // translate would have been a side-effect-free hit with the same
-  // frame — fill histories and trap points cannot diverge.  Any epoch
-  // bump (fill, flush, cr3 load — every snapshot/rung restore flushes)
-  // makes every entry stale at once; data freshness is automatic
-  // because hits still read/write through PhysicalMemory, which bumps
-  // page write versions as usual (guest SMC stays coherent).
-  struct DtlbEntry {
-    std::uint32_t tag = 0xFFFFFFFF;  // vpn; 0xFFFFFFFF = invalid
-    std::uint32_t frame = 0;
-    std::uint64_t epoch = 0;
-    std::uint8_t cpl = 0;
-    bool write_ok = false;
-  };
-  static constexpr std::uint32_t kDtlbSize = 256;  // power of two
-  DtlbEntry dtlb_[kDtlbSize];
-
-  // Fills the slot for `vaddr`'s page after a successful translate
-  // (called with the post-fill epoch).  A write-proven entry is never
-  // downgraded by a read fill of the same still-valid page.
-  void dtlb_fill(std::uint32_t vaddr, std::uint32_t paddr, Access access);
 
   std::vector<Block> block_cache_;
   bool chain_enabled_ = false;
@@ -489,8 +513,6 @@ class Cpu {
   std::uint64_t trace_len_ = 0;
   std::uint64_t threaded_ops_ = 0;
   std::uint64_t flag_elisions_ = 0;
-  std::uint64_t dtlb_hits_ = 0;
-  std::uint64_t dtlb_misses_ = 0;
   std::uint64_t cond_widened_ = 0;
   std::uint64_t side_exits_ = 0;
 

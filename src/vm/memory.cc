@@ -14,17 +14,6 @@ void PhysicalMemory::bump_range(std::uint32_t paddr, std::uint32_t len) {
   for (std::uint32_t page = first; page <= last; ++page) ++versions_[page];
 }
 
-std::uint32_t PhysicalMemory::read32(std::uint32_t paddr) const {
-  std::uint32_t v;
-  std::memcpy(&v, bytes_.data() + paddr, 4);
-  return v;
-}
-
-void PhysicalMemory::write32(std::uint32_t paddr, std::uint32_t v) {
-  std::memcpy(bytes_.data() + paddr, &v, 4);
-  bump_range(paddr, 4);
-}
-
 void PhysicalMemory::fill(std::uint32_t paddr, std::uint32_t len,
                           std::uint8_t value) {
   assert(contains(paddr, len));

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "vm/snapshot.h"
@@ -41,8 +42,18 @@ class PhysicalMemory {
     bytes_[paddr] = v;
     ++versions_[paddr >> 12];
   }
-  std::uint32_t read32(std::uint32_t paddr) const;
-  void write32(std::uint32_t paddr, std::uint32_t v);
+  std::uint32_t read32(std::uint32_t paddr) const {
+    std::uint32_t v;
+    std::memcpy(&v, bytes_.data() + paddr, 4);
+    return v;
+  }
+  // Bumps the version of every page the word touches (two when it
+  // straddles a page boundary).
+  void write32(std::uint32_t paddr, std::uint32_t v) {
+    std::memcpy(bytes_.data() + paddr, &v, 4);
+    ++versions_[paddr >> 12];
+    if (((paddr + 3) >> 12) != (paddr >> 12)) ++versions_[(paddr + 3) >> 12];
+  }
 
   std::uint8_t* raw(std::uint32_t paddr) { return bytes_.data() + paddr; }
   const std::uint8_t* raw(std::uint32_t paddr) const {

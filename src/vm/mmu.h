@@ -39,24 +39,31 @@ class Mmu {
   TranslateStatus translate(std::uint32_t vaddr, Access access, int cpl,
                             std::uint32_t& paddr);
 
-  // Same result as translate() with the TLB-hit path inlined; falls
-  // through to the full (filling) walk on a miss.  The block engine's
-  // per-micro-op fetch verification sits on this.
-  TranslateStatus translate_fast(std::uint32_t vaddr, Access access, int cpl,
-                                 std::uint32_t& paddr) {
-    if (vaddr >= kMmioBase) {
-      return cpl == 0 ? TranslateStatus::Mmio : TranslateStatus::Protection;
-    }
+  // TLB-hit probe: true (with `paddr` filled) exactly when translate()
+  // would return Ok straight from the TLB — a permitted hit, which
+  // translate() serves without a walk, a fill or an epoch bump.  Const
+  // and side-effect-free; false (miss, protection, MMIO) means "ask
+  // translate()", which then produces the exact status and fill.  The
+  // CPU's inline data path and the block engine's fetch verification
+  // sit on this.
+  bool probe(std::uint32_t vaddr, Access access, int cpl,
+             std::uint32_t& paddr) const {
+    if (vaddr >= kMmioBase) return false;
     const std::uint32_t vpn = vaddr >> 12;
     const TlbEntry& entry = tlb_[vpn & (kTlbSize - 1)];
-    if (entry.tag == vpn) {
-      if (cpl != 0 && !entry.user) return TranslateStatus::Protection;
-      if (access == Access::Write && !entry.writable) {
-        return TranslateStatus::Protection;
-      }
-      paddr = entry.frame | (vaddr & kPageMask);
-      return TranslateStatus::Ok;
+    if (entry.tag != vpn || (cpl != 0 && !entry.user) ||
+        (access == Access::Write && !entry.writable)) {
+      return false;
     }
+    paddr = entry.frame | (vaddr & kPageMask);
+    return true;
+  }
+
+  // Same result as translate() with the TLB-hit path inlined; falls
+  // through to the full (filling) walk otherwise.
+  TranslateStatus translate_fast(std::uint32_t vaddr, Access access, int cpl,
+                                 std::uint32_t& paddr) {
+    if (probe(vaddr, access, cpl, paddr)) return TranslateStatus::Ok;
     return translate(vaddr, access, cpl, paddr);
   }
 

@@ -6,6 +6,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
+
+#include "analysis/store.h"
+#include "support/serial.h"
 
 namespace kfi::analysis {
 namespace {
@@ -139,6 +143,43 @@ TEST(CampaignIo, EmptyRunRoundTrips) {
   EXPECT_EQ(loaded->campaign, Campaign::RandomBranch);
   EXPECT_TRUE(loaded->results.empty());
   std::remove(path.c_str());
+}
+
+// Overwrites the u64 record count in a saved .kfi (after the magic,
+// version, campaign and functions_targeted fields).
+void patch_record_count(const std::string& path, std::uint64_t count) {
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  f.seekp(20);
+  f.write(reinterpret_cast<const char*>(&count), sizeof(count));
+}
+
+TEST(CampaignIo, InflatedRecordCountRejectedWithoutAllocating) {
+  // A corrupted count used to be capped only at a fixed 100M and then
+  // reserved: 99,999,999 records asked for tens of GB and aborted with
+  // std::bad_alloc.  The count is now bounded by the bytes left in the
+  // file, so the load fails cleanly before any reserve.
+  const std::string path = temp_path("kfi_io_inflated.kfi");
+  for (const std::uint64_t count :
+       {std::uint64_t{3}, std::uint64_t{99'999'999},
+        ~std::uint64_t{0}}) {
+    SCOPED_TRACE(count);
+    ASSERT_TRUE(save_campaign(sample_run(), path));
+    patch_record_count(path, count);
+    std::optional<CampaignRun> loaded;
+    EXPECT_NO_THROW(loaded = load_campaign(path));
+    EXPECT_FALSE(loaded.has_value());
+  }
+  std::remove(path.c_str());
+}
+
+TEST(CampaignIo, MinimumRecordSizeMatchesEncoding) {
+  // The count bound is only sound if no record encodes smaller than
+  // min_result_bytes: an all-empty record is exactly that size.
+  for (const bool extended : {false, true}) {
+    ByteWriter writer;
+    write_result(writer, InjectionResult{}, extended);
+    EXPECT_EQ(writer.size(), min_result_bytes(extended)) << extended;
+  }
 }
 
 TEST(CampaignIo, BenchOptionDefaults) {

@@ -281,10 +281,10 @@ TEST(Injector, ThreadedEngineFlipInvalidatesHandlersAndMatchesStep) {
 }
 
 TEST(Injector, MemfastEngineFlipMatchesStepOnDataAndBranchSites) {
-  // Same contract against the memfast engine, on both hazards it adds:
-  // a flip landing on a page whose translation sits in the data-side
-  // D-TLB (the version bump must still invalidate the cached trace —
-  // the D-TLB caches translations, never bytes), and a reversed
+  // Same contract against the memfast engine, on two hazards: a flip
+  // landing on a page whose translation sits in the TLB the inline
+  // data path reads (the version bump must still invalidate the cached
+  // trace — the TLB caches translations, never bytes), and a reversed
   // conditional branch inside a widened trace (the flipped direction
   // must side-exit the predecoded edge, not follow it), re-deriving
   // exactly the stepper's outcome, activation cycle, and fault
@@ -328,12 +328,10 @@ TEST(Injector, MemfastEngineFlipMatchesStepOnDataAndBranchSites) {
     EXPECT_EQ(a.propagated, b.propagated);
   }
 
-  EXPECT_GT(fast_inj.perf_stats().dtlb_hits, 0u);
   EXPECT_GT(fast_inj.perf_stats().cond_widened, 0u);
   EXPECT_GT(fast_inj.perf_stats().side_exits, 0u);
   EXPECT_GE(fast_inj.perf_stats().block_invalidations, 1u)
       << "the flip site must invalidate the widened trace under it";
-  EXPECT_EQ(step_inj.perf_stats().dtlb_hits, 0u);
 }
 
 TEST(Campaign, SmallCampaignCProducesPlausibleMix) {

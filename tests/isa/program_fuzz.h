@@ -219,7 +219,7 @@ enum class Shape {
   CallRet,      // call/ret webs — CallInd-free but stack-driven successors
   DeadFlags,    // long dead-flag ALU runs ended by a live cmp + jcc
   FlagEdge,     // flag producer/consumer pairs straddling chain edges
-  MemMix,       // dense loads/stores, incl. page-crossing pointers (D-TLB)
+  MemMix,       // dense loads/stores, incl. page-crossing pointers
   CondEdge,     // both-way conditional diamonds — widened-trace side exits
 };
 
@@ -579,12 +579,12 @@ inline void gen_flag_edge(Asm& a, Rng& rng) {
 }
 
 inline void gen_mem_mix(Asm& a, Rng& rng, std::uint32_t data_virt) {
-  // Dense loads and stores inside a countdown loop: the memfast D-TLB
-  // must serve repeat accesses to the same pages without changing any
-  // run-visible state, and the page-crossing pointers (esi parked a
-  // few bytes shy of a page boundary) drive every 32-bit access
-  // through the two-page translate path on some iterations.  Stores
-  // are interleaved with reads of the same slots so a stale D-TLB
+  // Dense loads and stores inside a countdown loop: the inline TLB-hit
+  // data path must serve repeat accesses to the same pages without
+  // changing any run-visible state, and the page-crossing pointers
+  // (esi parked a few bytes shy of a page boundary) drive every 32-bit
+  // access through the two-page translate path on some iterations.  Stores
+  // are interleaved with reads of the same slots so a stale TLB
   // frame or a missed write-permission check shows up as a wrong
   // value, not just a wrong counter.
   static constexpr Reg kSpare[] = {Reg::Eax, Reg::Edx, Reg::Ebx};
@@ -614,7 +614,7 @@ inline void gen_mem_mix(Asm& a, Rng& rng, std::uint32_t data_virt) {
       case 3:  // page-crossing (or boundary-adjacent) load
         a.add(mem_op(Op::Mov, r, Reg::Edi, 0, true));
         break;
-      case 4:  // second page, far slot: a distinct D-TLB set
+      case 4:  // second page, far slot: a distinct TLB set
         a.add(mem_op(Op::Mov, r, Reg::Esi,
                      static_cast<std::int32_t>(kFuzzPageSize +
                                                4 * rng.below(16)),

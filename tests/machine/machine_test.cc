@@ -32,6 +32,11 @@ struct WorkloadCase {
   const char* expect_in_output;
 };
 
+// Print the case by workload name. Without this gtest prints the raw bytes
+// of the two pointers, so the listed test name changed with every address
+// layout and no two builds agreed on it.
+void PrintTo(const WorkloadCase& c, std::ostream* os) { *os << c.name; }
+
 class WorkloadRuns : public ::testing::TestWithParam<WorkloadCase> {};
 
 TEST_P(WorkloadRuns, RunsToCleanCompletion) {

@@ -9,9 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/store.h"
@@ -320,6 +324,92 @@ TEST(Service, DifferentConfigInvalidatesTheManifest) {
   EXPECT_EQ(second.shards_resumed, 0u);
   EXPECT_EQ(second.shards_executed, second.shard_count);
   EXPECT_NE(second.digest, first.digest);
+}
+
+// ---- manifest shard-table validation ----
+//
+// The shard table sits outside the config-echo hash, so load_manifest
+// checks it on its own: ranges must be non-inverted, contiguous from 0
+// and cover exactly the sum of target_counts.  Each test below plants
+// one violation in an otherwise valid manifest and expects a clean
+// rejection from both the loader and a worker.
+
+using ShardTable = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+
+// A valid prepared manifest's bytes and shard table, made once.
+const std::pair<std::string, ShardTable>& prepared_manifest() {
+  static const std::pair<std::string, ShardTable> prepared = [] {
+    const ServiceConfig config =
+        base_config(fresh_dir("kfi_service_test_manifest"));
+    const std::optional<Manifest> manifest = prepare_campaign(config);
+    EXPECT_TRUE(manifest.has_value());
+    std::ifstream in(config.dir + "/manifest.kfim", std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    return std::make_pair(std::move(bytes), manifest.has_value()
+                                                ? manifest->shard_ranges
+                                                : ShardTable{});
+  }();
+  return prepared;
+}
+
+// Writes the prepared manifest with its shard table (the last 16 bytes
+// per shard) replaced by `table` into a fresh directory.
+std::string manifest_with_table(const std::string& name,
+                                const ShardTable& table) {
+  const std::string dir = fresh_dir(name);
+  std::string bytes = prepared_manifest().first;
+  const std::size_t at = bytes.size() - 16 * table.size();
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    std::memcpy(&bytes[at + 16 * i], &table[i].first, 8);
+    std::memcpy(&bytes[at + 16 * i + 8], &table[i].second, 8);
+  }
+  std::ofstream(dir + "/manifest.kfim", std::ios::binary) << bytes;
+  return dir;
+}
+
+TEST(Service, ManifestShardTableRoundTrips) {
+  const ShardTable& table = prepared_manifest().second;
+  ASSERT_GE(table.size(), 3u);
+  const auto loaded =
+      load_manifest(manifest_with_table("kfi_service_test_table_ok", table));
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->shard_ranges, table);
+}
+
+TEST(Service, ManifestWithInvertedShardRangeIsRejected) {
+  // Contiguous and exactly covering, but shard 1 ends before it
+  // begins: execute_range's reserve(end - begin) would underflow.
+  ShardTable table = prepared_manifest().second;
+  ASSERT_GE(table.size(), 3u);
+  table[1].second = table[1].first - 1;
+  table[2].first = table[1].second;
+  const std::string dir =
+      manifest_with_table("kfi_service_test_table_inverted", table);
+  EXPECT_FALSE(load_manifest(dir).has_value());
+  EXPECT_FALSE(run_worker(dir, 0, 1).ok);
+}
+
+TEST(Service, ManifestWithShardRangeGapIsRejected) {
+  ShardTable table = prepared_manifest().second;
+  ASSERT_GE(table.size(), 3u);
+  table[1].first += 1;  // position table[0].second is never executed
+  const std::string dir =
+      manifest_with_table("kfi_service_test_table_gap", table);
+  EXPECT_FALSE(load_manifest(dir).has_value());
+  EXPECT_FALSE(run_worker(dir, 0, 1).ok);
+}
+
+TEST(Service, ManifestWithShardRangePastThePlanIsRejected) {
+  // The last shard runs past the sum of target_counts: a worker would
+  // index plan.orders out of bounds.
+  ShardTable table = prepared_manifest().second;
+  ASSERT_GE(table.size(), 3u);
+  table.back().second += 5;
+  const std::string dir =
+      manifest_with_table("kfi_service_test_table_past", table);
+  EXPECT_FALSE(load_manifest(dir).has_value());
+  EXPECT_FALSE(run_worker(dir, 0, 1).ok);
 }
 
 }  // namespace
