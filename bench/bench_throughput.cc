@@ -1,14 +1,10 @@
-// bench_throughput — end-to-end campaign throughput of seven execution
-// paths: full-restore baseline, checkpoint ladder (PR 2), checkpoint
-// ladder + superblock engine (PR 3), chained superblock dispatch
-// (block_chained: trace widening + successor links + inline translate
-// cache), direct-threaded dispatch (block_threaded: per-op handler
-// pointers + flag-liveness elision on top of chaining), memfast
-// dispatch (block_memfast: trace formation widened past conditional
-// branches on top of threading), and the fastest mode with the
-// forensics event trace attached (the trace layer's observational-
-// overhead gate) — plus a worker-thread scaling sweep (threads =
-// 1/2/4/8) of the fastest mode over one shared, prewarmed GoldenCache.
+// bench_throughput — end-to-end campaign throughput of four execution
+// paths: full-restore baseline, checkpoint ladder, the chained trace
+// engine (block_chained: trace widening + successor links + inline
+// translate cache), and the chained engine with the forensics event
+// trace attached (the trace layer's observational-overhead gate) —
+// plus a worker-thread scaling sweep (threads = 1/2/4/8) of the chained
+// engine over one shared, prewarmed GoldenCache.
 //
 // All modes and every sweep entry run the identical smoke-scale A/B/C
 // campaigns; the result vectors are required to be bit-identical (exit
@@ -147,10 +143,6 @@ void print_mode(std::FILE* out, const ModeResult& mode, bool last) {
       "      \"chain_follows\": %llu,\n"
       "      \"chain_breaks\": %llu,\n"
       "      \"avg_trace_len\": %.2f,\n"
-      "      \"threaded_ops\": %llu,\n"
-      "      \"flag_elisions\": %llu,\n"
-      "      \"cond_widened\": %llu,\n"
-      "      \"side_exits\": %llu,\n"
       "      \"trace_events\": %llu,\n"
       "      \"trace_dropped\": %llu\n"
       "    }%s\n",
@@ -188,10 +180,6 @@ void print_mode(std::FILE* out, const ModeResult& mode, bool last) {
       perf.block_builds == 0 ? 0.0
                              : static_cast<double>(perf.trace_len) /
                                    static_cast<double>(perf.block_builds),
-      static_cast<unsigned long long>(perf.threaded_ops),
-      static_cast<unsigned long long>(perf.flag_elisions),
-      static_cast<unsigned long long>(perf.cond_widened),
-      static_cast<unsigned long long>(perf.side_exits),
       static_cast<unsigned long long>(perf.trace_events),
       static_cast<unsigned long long>(perf.trace_dropped),
       last ? "" : ",");
@@ -233,12 +221,7 @@ int main(int argc, char** argv) {
   ladder_options.exec_engine = machine::ExecEngine::Step;
   const ModeResult ladder = run_mode("checkpoint_ladder", ladder_options);
 
-  inject::InjectorOptions block_options;
-  block_options.exec_engine = machine::ExecEngine::Block;
-  const ModeResult block =
-      run_mode("checkpoint_ladder+block", block_options);
-
-  // Hard gate: neither optimization may change a single result.
+  // Hard gate: the ladder may not change a single result.
   for (std::size_t i = 0; i < ladder.campaigns.size(); ++i) {
     const check::RunComparison vs_ladder =
         check::compare_runs(baseline.campaigns[i], ladder.campaigns[i]);
@@ -249,29 +232,12 @@ int main(int argc, char** argv) {
                    i, vs_ladder.mismatches.size(), vs_ladder.compared);
       return 1;
     }
-    const check::RunComparison vs_block =
-        check::compare_runs(baseline.campaigns[i], block.campaigns[i]);
-    if (!vs_block.identical()) {
-      std::fprintf(stderr,
-                   "FAIL: campaign %zu diverged between baseline and block "
-                   "engine (%zu mismatches of %zu)\n",
-                   i, vs_block.mismatches.size(), vs_block.compared);
-      return 1;
-    }
   }
   const std::uint64_t digest = results_digest(ladder.campaigns);
-  const std::uint64_t block_digest = results_digest(block.campaigns);
-  if (block_digest != digest) {
-    std::fprintf(stderr,
-                 "FAIL: block-engine result digest %016llx != %016llx\n",
-                 static_cast<unsigned long long>(block_digest),
-                 static_cast<unsigned long long>(digest));
-    return 1;
-  }
 
   // Chained dispatch leg: trace widening + block-to-block successor
   // links + the inline translate cache, under the same hard gate — the
-  // campaign digest must be bit-identical to every prior mode.
+  // campaign digest must be bit-identical to the stepper's.
   inject::InjectorOptions chained_options;
   chained_options.exec_engine = machine::ExecEngine::Chained;
   const ModeResult chained = run_mode("block_chained", chained_options);
@@ -295,63 +261,10 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Direct-threaded leg: chained dispatch with per-op handler pointers
-  // and dead-flag elision.  Same hard gate — the whole point of the
-  // liveness proof is that skipping flag writes is invisible in every
-  // result bit.
-  inject::InjectorOptions threaded_options;
-  threaded_options.exec_engine = machine::ExecEngine::Threaded;
-  const ModeResult threaded = run_mode("block_threaded", threaded_options);
-  for (std::size_t i = 0; i < threaded.campaigns.size(); ++i) {
-    const check::RunComparison vs_threaded =
-        check::compare_runs(baseline.campaigns[i], threaded.campaigns[i]);
-    if (!vs_threaded.identical()) {
-      std::fprintf(stderr,
-                   "FAIL: campaign %zu diverged between baseline and threaded "
-                   "dispatch (%zu mismatches of %zu)\n",
-                   i, vs_threaded.mismatches.size(), vs_threaded.compared);
-      return 1;
-    }
-  }
-  const std::uint64_t threaded_digest = results_digest(threaded.campaigns);
-  if (threaded_digest != digest) {
-    std::fprintf(stderr,
-                 "FAIL: threaded-dispatch result digest %016llx != %016llx\n",
-                 static_cast<unsigned long long>(threaded_digest),
-                 static_cast<unsigned long long>(digest));
-    return 1;
-  }
-
-  // Memfast leg: threaded dispatch plus trace formation widened past
-  // conditional branches with a guarded side exit.  Same hard gate: a
-  // widened edge that changed any result bit would fail right here.
-  inject::InjectorOptions memfast_options;
-  memfast_options.exec_engine = machine::ExecEngine::Memfast;
-  const ModeResult memfast = run_mode("block_memfast", memfast_options);
-  for (std::size_t i = 0; i < memfast.campaigns.size(); ++i) {
-    const check::RunComparison vs_memfast =
-        check::compare_runs(baseline.campaigns[i], memfast.campaigns[i]);
-    if (!vs_memfast.identical()) {
-      std::fprintf(stderr,
-                   "FAIL: campaign %zu diverged between baseline and memfast "
-                   "dispatch (%zu mismatches of %zu)\n",
-                   i, vs_memfast.mismatches.size(), vs_memfast.compared);
-      return 1;
-    }
-  }
-  const std::uint64_t memfast_digest = results_digest(memfast.campaigns);
-  if (memfast_digest != digest) {
-    std::fprintf(stderr,
-                 "FAIL: memfast-dispatch result digest %016llx != %016llx\n",
-                 static_cast<unsigned long long>(memfast_digest),
-                 static_cast<unsigned long long>(digest));
-    return 1;
-  }
-
-  // Trace-on leg: same fastest mode with the forensics trace attached.
+  // Trace-on leg: the chained engine with the forensics trace attached.
   // The trace layer's observational contract is gated here — recording
   // may cost wall clock, but not a single result bit.
-  inject::InjectorOptions trace_options = memfast_options;
+  inject::InjectorOptions trace_options = chained_options;
   trace_options.trace_capacity = trace::TraceBuffer::kDefaultCapacity;
   const ModeResult traced = run_mode("trace", trace_options);
   for (std::size_t i = 0; i < traced.campaigns.size(); ++i) {
@@ -376,16 +289,10 @@ int main(int argc, char** argv) {
 
   const double speedup =
       ladder.seconds > 0.0 ? baseline.seconds / ladder.seconds : 0.0;
-  const double block_speedup =
-      block.seconds > 0.0 ? ladder.seconds / block.seconds : 0.0;
   const double chained_speedup =
       chained.seconds > 0.0 ? ladder.seconds / chained.seconds : 0.0;
-  const double threaded_speedup =
-      threaded.seconds > 0.0 ? ladder.seconds / threaded.seconds : 0.0;
-  const double memfast_speedup =
-      memfast.seconds > 0.0 ? ladder.seconds / memfast.seconds : 0.0;
   const double total_speedup =
-      memfast.seconds > 0.0 ? baseline.seconds / memfast.seconds : 0.0;
+      chained.seconds > 0.0 ? baseline.seconds / chained.seconds : 0.0;
   // The component the ladder optimizes: pre-trigger replay simulated per
   // run.  Post-trigger simulation is inherent to the injected fault and
   // dominates wall clock on this population (hot-function targets
@@ -400,8 +307,6 @@ int main(int argc, char** argv) {
               static_cast<double>(baseline.runs) / baseline.seconds);
   std::printf("ladder:       %6.2f s  (%.2f runs/s)\n", ladder.seconds,
               static_cast<double>(ladder.runs) / ladder.seconds);
-  std::printf("ladder+block: %6.2f s  (%.2f runs/s)\n", block.seconds,
-              static_cast<double>(block.runs) / block.seconds);
   std::printf("block_chained:%6.2f s  (%.2f runs/s, %llu chain follows, "
               "%llu breaks)\n",
               chained.seconds,
@@ -409,43 +314,28 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(chained.stats.perf.chain_follows),
               static_cast<unsigned long long>(chained.stats.perf.chain_breaks));
   std::printf(
-      "block_threaded:%5.2f s  (%.2f runs/s, %llu threaded ops, "
-      "%llu flag writes elided)\n",
-      threaded.seconds, static_cast<double>(threaded.runs) / threaded.seconds,
-      static_cast<unsigned long long>(threaded.stats.perf.threaded_ops),
-      static_cast<unsigned long long>(threaded.stats.perf.flag_elisions));
-  std::printf(
-      "block_memfast:%6.2f s  (%.2f runs/s, "
-      "%llu cond edges widened, %llu side exits, %llu flag writes elided)\n",
-      memfast.seconds, static_cast<double>(memfast.runs) / memfast.seconds,
-      static_cast<unsigned long long>(memfast.stats.perf.cond_widened),
-      static_cast<unsigned long long>(memfast.stats.perf.side_exits),
-      static_cast<unsigned long long>(memfast.stats.perf.flag_elisions));
-  std::printf(
-      "speedup: ladder %.2fx, block-over-ladder %.2fx, chained-over-ladder "
-      "%.2fx, threaded-over-ladder %.2fx, memfast-over-ladder %.2fx, total "
-      "%.2fx   result digest %016llx (identical)\n",
-      speedup, block_speedup, chained_speedup, threaded_speedup,
-      memfast_speedup, total_speedup,
+      "speedup: ladder %.2fx, chained-over-ladder %.2fx, total %.2fx   "
+      "result digest %016llx (identical)\n",
+      speedup, chained_speedup, total_speedup,
       static_cast<unsigned long long>(digest));
   std::printf("pre-trigger replay: %.1fM -> %.1fM cycles (%.1fx less)\n",
               static_cast<double>(baseline.stats.pre_trigger_cycles) / 1e6,
               static_cast<double>(ladder.stats.pre_trigger_cycles) / 1e6,
               setup_speedup);
   const double trace_overhead =
-      memfast.seconds > 0.0 ? traced.seconds / memfast.seconds : 0.0;
-  std::printf("trace-on:     %6.2f s  (%.2fx of block_memfast, %llu events, "
+      chained.seconds > 0.0 ? traced.seconds / chained.seconds : 0.0;
+  std::printf("trace-on:     %6.2f s  (%.2fx of block_chained, %llu events, "
               "%llu dropped, digest identical)\n",
               traced.seconds, trace_overhead,
               static_cast<unsigned long long>(traced.stats.perf.trace_events),
               static_cast<unsigned long long>(traced.stats.perf.trace_dropped));
 
-  // Worker-thread scaling sweep of the fastest mode.  One GoldenCache
+  // Worker-thread scaling sweep of the chained engine.  One GoldenCache
   // is prewarmed (golden runs + ladders for every workload the
   // campaigns touch) before the clock starts, so each entry times pure
   // injection work — and proves golden warm-up happens once per
   // workload total, not once per thread.
-  auto sweep_cache = std::make_shared<inject::GoldenCache>(memfast_options);
+  auto sweep_cache = std::make_shared<inject::GoldenCache>(chained_options);
   {
     std::set<std::string> workloads;
     for (const inject::Campaign campaign : kCampaigns) {
@@ -465,7 +355,7 @@ int main(int argc, char** argv) {
   const bool scaling_valid = hardware > 1;
   std::vector<ModeResult> sweep;
   for (const unsigned threads : sweep_counts) {
-    sweep.push_back(run_mode("t" + std::to_string(threads), memfast_options,
+    sweep.push_back(run_mode("t" + std::to_string(threads), chained_options,
                              threads, sweep_cache));
     const ModeResult& entry = sweep.back();
     for (std::size_t i = 0; i < entry.campaigns.size(); ++i) {
@@ -494,7 +384,7 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(sweep_cache->golden_builds()));
     return 1;
   }
-  std::printf("threads sweep (block_memfast, shared golden cache, "
+  std::printf("threads sweep (block_chained, shared golden cache, "
               "%u hardware threads%s):\n", hardware,
               scaling_valid ? "" : ", scaling not valid on 1 core");
   for (const ModeResult& entry : sweep) {
@@ -524,7 +414,7 @@ int main(int argc, char** argv) {
     for (const inject::Campaign campaign : kCampaigns) {
       service.campaigns.push_back(check::smoke_config(campaign));
     }
-    service.options = memfast_options;
+    service.options = chained_options;
     service.dir = serve_root + "/w" + std::to_string(workers);
     service.bundle_dir = serve_root + "/bundles";  // shared: built once
     service.workers = workers;
@@ -564,7 +454,7 @@ int main(int argc, char** argv) {
 
   // Fault-model leg: campaigns D (register-file bit flips), E (kernel
   // data bit flips), F (syscall errno injection) under the same hard
-  // gates as A/B/C — the stepper and the fastest engine must agree bit
+  // gates as A/B/C — the stepper and the chained engine must agree bit
   // for bit, and the sharded service must reproduce the in-process
   // digest at every worker count.
   constexpr inject::Campaign kFaultModelCampaigns[] = {
@@ -576,7 +466,7 @@ int main(int argc, char** argv) {
   std::vector<inject::CampaignRun> fm_fast;
   {
     inject::Injector step_injector(baseline_options);
-    inject::Injector fast_injector(memfast_options);
+    inject::Injector fast_injector(chained_options);
     for (const inject::Campaign campaign : kFaultModelCampaigns) {
       const inject::CampaignConfig config = check::smoke_config(campaign);
       fm_step.push_back(inject::run_campaign(
@@ -592,7 +482,7 @@ int main(int argc, char** argv) {
         check::compare_runs(fm_step[i], fm_fast[i]);
     if (!cmp.identical()) {
       std::fprintf(stderr,
-                   "FAIL: campaign %c diverged between stepper and memfast "
+                   "FAIL: campaign %c diverged between stepper and chained "
                    "(%zu mismatches of %zu)\n",
                    letter, cmp.mismatches.size(), cmp.compared);
       return 1;
@@ -607,7 +497,7 @@ int main(int argc, char** argv) {
     for (const inject::Campaign campaign : kFaultModelCampaigns) {
       service.campaigns.push_back(check::smoke_config(campaign));
     }
-    service.options = memfast_options;
+    service.options = chained_options;
     service.dir = serve_root + "/def-w" + std::to_string(workers);
     service.bundle_dir = serve_root + "/bundles";  // shared with A/B/C
     service.workers = workers;
@@ -627,7 +517,7 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("fault models: D %016llx, E %016llx, F %016llx "
-              "(stepper == memfast == sharded, fold %016llx)\n",
+              "(stepper == chained == sharded, fold %016llx)\n",
               static_cast<unsigned long long>(fm_campaign_digest[0]),
               static_cast<unsigned long long>(fm_campaign_digest[1]),
               static_cast<unsigned long long>(fm_campaign_digest[2]),
@@ -641,26 +531,16 @@ int main(int argc, char** argv) {
   std::fprintf(out, "{\n  \"benchmark\": \"throughput\",\n  \"modes\": {\n");
   print_mode(out, baseline, false);
   print_mode(out, ladder, false);
-  print_mode(out, block, false);
   print_mode(out, chained, false);
-  print_mode(out, threaded, false);
-  print_mode(out, memfast, false);
   print_mode(out, traced, true);
   std::fprintf(out,
                "  },\n"
                "  \"speedup\": %.3f,\n"
-               "  \"block_speedup\": %.3f,\n"
                "  \"chained_speedup\": %.3f,\n"
-               "  \"threaded_speedup\": %.3f,\n"
-               "  \"memfast_speedup\": %.3f,\n"
                "  \"total_speedup\": %.3f,\n"
                "  \"pre_trigger_speedup\": %.3f,\n"
                "  \"trace_overhead\": %.3f,\n"
                "  \"chained_gate\": {\"chained_identical\": true, "
-               "\"result_digest\": \"%016llx\"},\n"
-               "  \"threaded_gate\": {\"threaded_identical\": true, "
-               "\"result_digest\": \"%016llx\"},\n"
-               "  \"memfast_gate\": {\"memfast_identical\": true, "
                "\"result_digest\": \"%016llx\"},\n"
                "  \"trace_gate\": {\"trace_identical\": true, "
                "\"result_digest\": \"%016llx\"},\n"
@@ -668,11 +548,8 @@ int main(int argc, char** argv) {
                "  \"scaling_valid\": %s,\n"
                "  \"sweep_golden_builds\": %llu,\n"
                "  \"threads_sweep\": [\n",
-               speedup, block_speedup, chained_speedup, threaded_speedup,
-               memfast_speedup, total_speedup, setup_speedup, trace_overhead,
-               static_cast<unsigned long long>(chained_digest),
-               static_cast<unsigned long long>(threaded_digest),
-               static_cast<unsigned long long>(memfast_digest),
+               speedup, chained_speedup, total_speedup, setup_speedup,
+               trace_overhead, static_cast<unsigned long long>(chained_digest),
                static_cast<unsigned long long>(trace_digest), hardware,
                scaling_valid ? "true" : "false",
                static_cast<unsigned long long>(golden_builds));

@@ -131,17 +131,6 @@ void print_campaign_stats(const inject::CampaignStats& cs) {
                      : static_cast<double>(stats.block_ops) /
                            static_cast<double>(entries));
   }
-  if (stats.threaded_ops > 0) {
-    std::printf("perf: threaded %llu ops dispatched, %llu flag writes elided\n",
-                static_cast<unsigned long long>(stats.threaded_ops),
-                static_cast<unsigned long long>(stats.flag_elisions));
-  }
-  if (stats.cond_widened > 0) {
-    std::printf(
-        "perf: memfast %llu traces widened past Jcc, %llu side exits\n",
-        static_cast<unsigned long long>(stats.cond_widened),
-        static_cast<unsigned long long>(stats.side_exits));
-  }
   if (stats.trace_events + stats.trace_dropped > 0) {
     std::printf("perf: trace %llu events recorded, %llu dropped\n",
                 static_cast<unsigned long long>(stats.trace_events),

@@ -327,12 +327,9 @@ StreamingFold::StreamingFold(std::vector<std::uint64_t> counts,
                              bool materialize)
     : counts_(std::move(counts)), materialize_(materialize) {
   for (const std::uint64_t c : counts_) total_ += c;
-  if (materialize_) {
-    slots_.resize(counts_.size());
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-      slots_[i].reserve(static_cast<std::size_t>(counts_[i]));
-    }
-  }
+  // No reserve: the counts come from an untrusted manifest, so the
+  // slots grow only with records actually read from verified shards.
+  if (materialize_) slots_.resize(counts_.size());
 }
 
 bool StreamingFold::add(const ShardRecord& record) {

@@ -1,6 +1,7 @@
 #include "machine/machine.h"
 
 #include <cassert>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -98,21 +99,24 @@ class Machine::TlbDevice : public vm::Device {
 // Root disk
 // ---------------------------------------------------------------------
 
+std::optional<ExecEngine> parse_exec_engine(const char* value) {
+  const std::string_view name = value == nullptr ? "" : value;
+  if (name.empty() || name == "step") return ExecEngine::Step;
+  if (name == "chained") return ExecEngine::Chained;
+  return std::nullopt;
+}
+
 ExecEngine default_exec_engine() {
   const char* env = std::getenv("KFI_EXEC");
-  if (env != nullptr && std::string_view(env) == "block") {
-    return ExecEngine::Block;
+  const std::optional<ExecEngine> engine = parse_exec_engine(env);
+  if (!engine) {
+    std::fprintf(stderr,
+                 "KFI_EXEC=%s is not an execution engine; use \"step\" or "
+                 "\"chained\"\n",
+                 env);
+    std::exit(2);
   }
-  if (env != nullptr && std::string_view(env) == "chained") {
-    return ExecEngine::Chained;
-  }
-  if (env != nullptr && std::string_view(env) == "threaded") {
-    return ExecEngine::Threaded;
-  }
-  if (env != nullptr && std::string_view(env) == "memfast") {
-    return ExecEngine::Memfast;
-  }
-  return ExecEngine::Step;
+  return *engine;
 }
 
 std::uint64_t fnv1a_mix_bytes(std::uint64_t h, const void* data,
@@ -211,12 +215,6 @@ Machine::Machine(const KernelImage& kernel_image,
   memory_ = std::make_unique<vm::PhysicalMemory>(vm::kRamSize);
   bus_ = std::make_unique<vm::Bus>();
   cpu_ = std::make_unique<vm::Cpu>(*memory_, *bus_);
-  cpu_->set_chaining(options_.exec_engine == ExecEngine::Chained ||
-                     options_.exec_engine == ExecEngine::Threaded ||
-                     options_.exec_engine == ExecEngine::Memfast);
-  cpu_->set_threaded(options_.exec_engine == ExecEngine::Threaded ||
-                     options_.exec_engine == ExecEngine::Memfast);
-  cpu_->set_memfast(options_.exec_engine == ExecEngine::Memfast);
   disk_image_ = std::make_unique<disk::DiskImage>(root_disk);
   disk_device_ = std::make_unique<disk::DiskDevice>(*disk_image_, *memory_);
   console_device_ = std::make_unique<ConsoleDevice>(*this);
@@ -496,10 +494,6 @@ PerfStats Machine::perf_stats() const {
   stats.chain_follows = cpu_->chain_follows();
   stats.chain_breaks = cpu_->chain_breaks();
   stats.trace_len = cpu_->trace_len();
-  stats.threaded_ops = cpu_->threaded_ops();
-  stats.flag_elisions = cpu_->flag_elisions();
-  stats.cond_widened = cpu_->cond_widened();
-  stats.side_exits = cpu_->side_exits();
   return stats;
 }
 
@@ -724,10 +718,6 @@ PerfStats& PerfStats::operator+=(const PerfStats& o) {
   chain_follows += o.chain_follows;
   chain_breaks += o.chain_breaks;
   trace_len += o.trace_len;
-  threaded_ops += o.threaded_ops;
-  flag_elisions += o.flag_elisions;
-  cond_widened += o.cond_widened;
-  side_exits += o.side_exits;
   trace_events += o.trace_events;
   trace_dropped += o.trace_dropped;
   return *this;
@@ -750,10 +740,6 @@ PerfStats& PerfStats::operator-=(const PerfStats& o) {
   chain_follows -= o.chain_follows;
   chain_breaks -= o.chain_breaks;
   trace_len -= o.trace_len;
-  threaded_ops -= o.threaded_ops;
-  flag_elisions -= o.flag_elisions;
-  cond_widened -= o.cond_widened;
-  side_exits -= o.side_exits;
   trace_events -= o.trace_events;
   trace_dropped -= o.trace_dropped;
   return *this;

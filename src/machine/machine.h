@@ -55,26 +55,26 @@ struct RunResult {
 };
 
 // Which execution engine run() drives.  Step is the reference
-// single-dispatch path; Block routes straight-line runs through the
-// CPU's superblock trace cache when no host event (timer tick,
-// checkpoint rung, deadline, trace sink) can fire inside the block.
-// Chained additionally widens blocks into traces, follows patched
-// block-to-block successor links inside one dispatch, and shortcuts
-// proven-hit fetch translations.  Threaded builds on Chained with
-// direct-threaded micro-op dispatch (per-op handler pointers resolved
-// at trace-build time) and flag-liveness elision (provably dead ALU
-// flag writes skipped).  Memfast builds on Threaded with trace
-// formation widened past conditional branches and a guarded side
-// exit.  All engines share the CPU's inline TLB-hit data path and are
-// bit-identical for every run-visible outcome.
-enum class ExecEngine : std::uint8_t { Step, Block, Chained, Threaded,
-                                       Memfast };
+// single-dispatch path and the semantic oracle.  Chained routes
+// straight-line runs through the CPU's trace cache when no host event
+// (timer tick, checkpoint rung, deadline, trace sink) can fire inside
+// the dispatch: traces widen across direct jmp/call, patched
+// block-to-block successor links are followed inside one dispatch, and
+// proven-hit fetch translations are shortcut.  Both engines share the
+// CPU's inline TLB-hit data path and are bit-identical for every
+// run-visible outcome.
+enum class ExecEngine : std::uint8_t { Step, Chained };
 
-// Reads the KFI_EXEC environment variable once per call: "block"
-// selects ExecEngine::Block, "chained" ExecEngine::Chained, "threaded"
-// ExecEngine::Threaded, "memfast" ExecEngine::Memfast, anything else
-// (or unset) the stepper.  MachineOptions defaults from this so CI can
-// drive the whole test suite through any engine without code changes.
+// Parses a KFI_EXEC value: "step" or "chained"; nullptr or empty means
+// the stepper.  Any other value yields std::nullopt.
+std::optional<ExecEngine> parse_exec_engine(const char* value);
+
+// Reads the KFI_EXEC environment variable once per call (see
+// parse_exec_engine).  An unrecognised value prints an error naming the
+// accepted values and exits the process with status 2, so a stale
+// setting never silently selects the stepper.  MachineOptions defaults
+// from this so CI can drive the whole test suite through either engine
+// without code changes.
 ExecEngine default_exec_engine();
 
 struct MachineOptions {
@@ -168,28 +168,18 @@ struct PerfStats {
   std::uint64_t disk_blocks_restored = 0;
   std::uint64_t checkpoints_taken = 0;
   std::uint64_t checkpoint_restores = 0;
-  // Superblock engine (all zero under ExecEngine::Step).
+  // Trace cache (all zero under ExecEngine::Step).
   std::uint64_t block_builds = 0;
   std::uint64_t block_hits = 0;
   std::uint64_t block_fallbacks = 0;
   std::uint64_t block_invalidations = 0;
   std::uint64_t block_ops = 0;  // instructions retired through blocks
-  // Chained dispatch (all zero unless ExecEngine::Chained): successor
-  // links followed inside one dispatch, link validations that failed
-  // (severed or retargeted links), and micro-ops across built traces.
+  // Successor links followed inside one dispatch, link validations that
+  // failed (severed or retargeted links), and micro-ops across built
+  // traces.
   std::uint64_t chain_follows = 0;
   std::uint64_t chain_breaks = 0;
   std::uint64_t trace_len = 0;
-  // Threaded dispatch (all zero unless ExecEngine::Threaded): micro-ops
-  // retired through resolved handler pointers, and individual flag
-  // writes skipped by the liveness elision.
-  std::uint64_t threaded_ops = 0;
-  std::uint64_t flag_elisions = 0;
-  // Memfast dispatch (all zero unless ExecEngine::Memfast): conditional
-  // edges widened into traces at build time, and dispatches that left a
-  // widened trace through the guarded side exit.
-  std::uint64_t cond_widened = 0;
-  std::uint64_t side_exits = 0;
   // Forensics trace layer (all zero when no sink is attached).  Filled
   // at the Injector level from its per-worker TraceBuffer — a buffer is
   // shared by all of an injector's machines, so summing per-machine

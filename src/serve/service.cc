@@ -66,8 +66,11 @@ void write_config_echo(ByteWriter& writer, const Manifest& manifest) {
 bool read_config_echo(ByteReader& reader, Manifest& manifest) {
   manifest.options.checkpoints = static_cast<int>(reader.u32());
   manifest.options.full_restore = reader.u8() != 0;
-  manifest.options.exec_engine =
-      static_cast<machine::ExecEngine>(reader.u32());
+  const std::uint32_t engine = reader.u32();
+  if (engine > static_cast<std::uint32_t>(machine::ExecEngine::Chained)) {
+    return false;
+  }
+  manifest.options.exec_engine = static_cast<machine::ExecEngine>(engine);
   manifest.options.budget_factor = reader.f64();
   manifest.options.budget_slack = reader.u64();
   manifest.kernel_fp = reader.u64();

@@ -548,28 +548,6 @@ bool block_terminator(const Instruction& in) {
   }
 }
 
-// True when executing the instruction can store to guest RAM (and so
-// bump a code-page write version mid-trace).  In threaded mode the op
-// immediately after each such store is an SMC gate that re-validates
-// every code page the trace spans; everything else is covered by the
-// whole-trace prevalidation at dispatch entry.
-// Trap-frame pushes don't count: a trap ends the dispatch immediately,
-// so no later op can observe the version bump.
-bool may_write_memory(const Instruction& in) {
-  switch (in.op) {
-    case Op::Push:
-    case Op::Call:
-    case Op::CallInd:
-      return true;  // stack store
-    case Op::Cmp:
-    case Op::Test:
-      return false;  // read-only even with a memory "destination"
-    default:
-      return in.dst.kind == OperandKind::Mem ||
-             in.dst.kind == OperandKind::Mem8;
-  }
-}
-
 }  // namespace
 
 bool Cpu::build_block(std::uint32_t entry_paddr, Block& blk) {
@@ -578,19 +556,12 @@ bool Cpu::build_block(std::uint32_t entry_paddr, Block& blk) {
   blk.links[0] = ChainLink{};
   blk.links[1] = ChainLink{};
   blk.ops.clear();
-  blk.threaded = false;
-  blk.memfast = widen_mode();
-  blk.elided_writes = 0;
-  blk.elided_cum.clear();
-  blk.pages.clear();
 
-  const std::size_t max_ops = chain_enabled_ ? kMaxTraceOps : kMaxBlockOps;
-  std::size_t cond_edges = 0;
   std::uint32_t vaddr = eip_;
   std::uint32_t paddr = entry_paddr;
   std::uint32_t vmin = eip_;
   std::uint32_t vmax = eip_;
-  while (blk.ops.size() < max_ops) {
+  while (blk.ops.size() < kMaxTraceOps) {
     // Decode only from bytes within the instruction's page: an
     // instruction whose fetch identity spans two pages cannot be
     // verified with one translation, so it is left to the stepper.
@@ -604,12 +575,8 @@ bool Cpu::build_block(std::uint32_t entry_paddr, Block& blk) {
     Instruction instr;
     if (isa::decode(buf, take, instr) != DecodeStatus::Ok) break;
 
-    MicroOp op;
-    op.vaddr = vaddr;
-    op.paddr = paddr;
-    op.instr = instr;
-    op.version = memory_.page_version(paddr);
-    blk.ops.push_back(op);
+    blk.ops.push_back(
+        MicroOp{vaddr, paddr, memory_.page_version(paddr), instr});
     if (vaddr < vmin) vmin = vaddr;
     const std::uint32_t last_byte = vaddr + instr.length - 1;
     if (last_byte > vmax) vmax = last_byte;
@@ -618,27 +585,14 @@ bool Cpu::build_block(std::uint32_t entry_paddr, Block& blk) {
       // Trace widening: direct jmp/call have statically known targets
       // (next + rel), so the decode can continue there.  The branch op
       // itself stays in the trace and executes normally — widening
-      // changes predecode layout only, never execution.  In memfast
-      // mode the decode also continues past conditional branches along
-      // the statically predicted edge (backward taken — loops; forward
-      // fall-through); the dispatch loop guards every op with a
-      // `vaddr == eip` check and side-exits fail-closed on a
-      // misprediction.  Everything else (indirect, IF-changing,
-      // trapping) ends the trace; chaining handles those transitions
-      // at runtime.
-      if (!chain_enabled_ || blk.ops.size() >= max_ops) break;
-      if (instr.op == Op::Jmp || instr.op == Op::Call) {
-        vaddr = vaddr + instr.length + static_cast<std::uint32_t>(instr.rel);
-      } else if (blk.memfast && instr.op == Op::Jcc &&
-                 cond_edges < kMaxCondEdges) {
-        ++cond_edges;
-        ++cond_widened_;
-        vaddr = instr.rel < 0 ? vaddr + instr.length +
-                                    static_cast<std::uint32_t>(instr.rel)
-                              : vaddr + instr.length;
-      } else {
+      // changes predecode layout only, never execution.  Everything
+      // else (conditional, indirect, IF-changing, trapping) ends the
+      // trace; chaining handles those transitions at runtime.
+      if (blk.ops.size() >= kMaxTraceOps ||
+          (instr.op != Op::Jmp && instr.op != Op::Call)) {
         break;
       }
+      vaddr = vaddr + instr.length + static_cast<std::uint32_t>(instr.rel);
     } else {
       vaddr += instr.length;
     }
@@ -652,50 +606,20 @@ bool Cpu::build_block(std::uint32_t entry_paddr, Block& blk) {
   blk.vmin = vmin;
   blk.vmax = vmax;
   trace_len_ += blk.ops.size();
-  if (threaded_) thread_block(blk);
   return true;
 }
 
 Cpu::Block* Cpu::lookup_block(std::uint32_t paddr) {
   Block& blk = block_cache_[block_index(paddr)];
-  // A threaded block's elision proof assumes every spanned code page is
-  // unchanged at dispatch entry (pages_fresh), so a version bump on any
-  // page — not just the entry page — forces a rebuild here.  Blocks
-  // built under the other dispatch mode are rebuilt too: their fn /
-  // elided / verify state is unresolved or unsound for this mode.
   if (blk.entry_paddr != paddr || blk.entry_vaddr != eip_ ||
       blk.ops.empty() ||
-      blk.ops[0].version != memory_.page_version(paddr) ||
-      blk.threaded != threaded_ || blk.memfast != widen_mode() ||
-      (threaded_ && !pages_fresh(blk))) {
+      blk.ops[0].version != memory_.page_version(paddr)) {
     if (!build_block(paddr, blk)) return nullptr;
     ++blocks_built_;
   } else {
     ++block_hits_;
   }
   return &blk;
-}
-
-void Cpu::drop_all_blocks() {
-  for (Block& blk : block_cache_) {
-    blk.entry_paddr = kNoBlock;
-    blk.links[0] = ChainLink{};
-    blk.links[1] = ChainLink{};
-  }
-}
-
-std::vector<std::uint8_t> Cpu::block_elision_masks(std::uint32_t vaddr) const {
-  for (const Block& blk : block_cache_) {
-    if (blk.entry_paddr == kNoBlock || !blk.threaded ||
-        blk.entry_vaddr != vaddr) {
-      continue;
-    }
-    std::vector<std::uint8_t> masks;
-    masks.reserve(blk.ops.size());
-    for (const MicroOp& op : blk.ops) masks.push_back(op.elided);
-    return masks;
-  }
-  return {};
 }
 
 bool Cpu::breakpoints_clear(const Block& blk) const {
@@ -713,19 +637,6 @@ bool Cpu::breakpoints_clear(const Block& blk) const {
 
 std::size_t Cpu::run_block(std::uint64_t max_instructions, const bool* stop,
                            CpuEvent& event) {
-  if (widen_mode()) {
-    return run_block_impl<true, true>(max_instructions, stop, event);
-  }
-  return threaded_ ? run_block_impl<true, false>(max_instructions, stop, event)
-                   : run_block_impl<false, false>(max_instructions, stop,
-                                                  event);
-}
-
-template <bool kThreaded, bool kWidened>
-std::size_t Cpu::run_block_impl(std::uint64_t max_instructions,
-                                const bool* stop, CpuEvent& event) {
-  static_assert(kThreaded || !kWidened,
-                "widened dispatch requires threaded blocks");
   event = CpuEvent{};
   if (dead_ || halted_ || max_instructions == 0) return 0;
 
@@ -765,25 +676,14 @@ std::size_t Cpu::run_block_impl(std::uint64_t max_instructions,
     const std::size_t limit =
         blk->ops.size() < remaining ? blk->ops.size()
                                     : static_cast<std::size_t>(remaining);
-    // A truncated dispatch (the budget — a timer tick, checkpoint
-    // rung, or run deadline — lands mid-block) can stop after ANY op,
-    // and whatever observes the stop (tick delivery pushes EFLAGS, a
-    // rung capture digests them) must see the stepper's exact flags.
-    // The liveness proof only covers exits it modeled, so a truncated
-    // pass runs every op through its full-flag handler instead.
-    const bool elide = kThreaded && limit == blk->ops.size();
     std::size_t executed = 0;
     bool broke = false;
-    [[maybe_unused]] bool side_exit = false;
     while (executed < limit) {
       const MicroOp& op = blk->ops[executed];
       if (executed != 0) {
         // Re-verify the fetch translation exactly where the stepper
         // would fetch: same call, same TLB fills, same result — or a
-        // proven-hit shortcut with no call at all.  The shortcut keys
-        // on the live eip, so a widened trace's mispredicted jcc
-        // surfaces below as a single mismatch branch — no separate
-        // per-op side-exit guard.
+        // proven-hit shortcut with no call at all.
         const std::uint32_t vpn = eip_ >> 12;
         std::uint32_t paddr = 0;
         if (vpn == cached_vpn && mmu_.epoch() == cached_epoch) {
@@ -797,46 +697,12 @@ std::size_t Cpu::run_block_impl(std::uint64_t max_instructions,
           broke = true;
           break;
         }
-        bool mismatch = paddr != op.paddr;
-        // The vaddr compare keeps aliased mappings honest: two virtual
-        // pages onto one frame would match on paddr alone, and the
-        // trace's breakpoint prefilter (vmin/vmax) only covers the
-        // build-time vaddrs.
-        if constexpr (kWidened) mismatch |= op.vaddr != eip_;
-        if (mismatch) {
-          if constexpr (kWidened) {
-            // Side exit: ops past a widened conditional edge run only
-            // while execution follows the predicted path.  A
-            // mispredicted jcc leaves eip off-trace; every op before
-            // it ran exactly as the stepper would, and thread_block
-            // marks mid-trace jccs as liveness boundaries, so no
-            // elided flag write is observable here.
-            if (op.vaddr != eip_) {
-              ++side_exits_;
-              side_exit = true;
-              break;
-            }
-          }
+        if (paddr != op.paddr) {
           broke = true;
           break;
         }
       }
-      // Threaded mode checks all spanned pages once at dispatch entry
-      // (pages_fresh); only the op right after an in-trace store is an
-      // SMC gate that re-runs that whole-trace check, since only a
-      // store can bump a code-page version mid-dispatch.  Exiting at
-      // the gate is stepper-identical: the gate is a liveness
-      // boundary, and the stepper re-decodes everything downstream.
-      bool stale;
-      if constexpr (kThreaded) {
-        stale = op.verify &&
-                (memory_.page_version(blk->ops[0].paddr) !=
-                     blk->ops[0].version ||
-                 !pages_fresh(*blk));
-      } else {
-        stale = memory_.page_version(op.paddr) != op.version;
-      }
-      if (stale) {
+      if (memory_.page_version(op.paddr) != op.version) {
         // Self-modified (or flipped) code page: drop the block and let
         // the stepper re-decode this instruction.
         blk->entry_paddr = kNoBlock;
@@ -846,15 +712,7 @@ std::size_t Cpu::run_block_impl(std::uint64_t max_instructions,
       }
       cycles_ += 1;
       ++executed;
-      bool ok;
-      if constexpr (kThreaded) {
-        // Direct-threaded dispatch: the handler pointer was resolved
-        // at build time (a no-flags variant where elision is proven).
-        ok = elide ? op.fn(*this, op.instr) : execute(op.instr);
-      } else {
-        ok = execute(op.instr);
-      }
-      if (!ok) {
+      if (!execute(op.instr)) {
         event.trap_taken = true;
         event.trap = last_trap_.trap;
         broke = true;
@@ -867,42 +725,9 @@ std::size_t Cpu::run_block_impl(std::uint64_t max_instructions,
     }
     block_ops_ += executed;
     total += executed;
-    if constexpr (kThreaded) {
-      threaded_ops_ += executed;
-      if (elide) flag_elisions_ += blk->elided_cum[executed];
+    if (broke || executed < blk->ops.size() || total >= max_instructions) {
+      break;
     }
-
-    if (broke || !chain_enabled_ || total >= max_instructions) break;
-
-    if constexpr (kWidened) {
-      if (side_exit) {
-        // Execution left the predecoded path at a widened conditional
-        // edge.  Fail closed into an ordinary probe at the real eip —
-        // no link slot is patched: terminator links stay monomorphic
-        // per edge, while side exits are polymorphic across trace
-        // positions.  The entry translation below is the same filling
-        // translate the stepper's fetch would do, unless provably
-        // already a hit.
-        const std::uint32_t next_vpn = eip_ >> 12;
-        std::uint32_t next_paddr = 0;
-        if (next_vpn == cached_vpn && mmu_.epoch() == cached_epoch) {
-          next_paddr = cached_frame | (eip_ & kPageMask);
-        } else if (mmu_.translate(eip_, Access::Execute, cpl_, next_paddr) ==
-                   TranslateStatus::Ok) {
-          cached_vpn = next_vpn;
-          cached_frame = next_paddr & ~kPageMask;
-          cached_epoch = mmu_.epoch();
-        } else {
-          break;
-        }
-        Block* next = lookup_block(next_paddr);
-        if (next == nullptr || !breakpoints_clear(*next)) break;
-        blk = next;
-        continue;
-      }
-    }
-
-    if (executed < blk->ops.size()) break;
 
     // The block ran to completion below budget.  Chain to the
     // successor unless the terminator can enable interrupts: sti and
@@ -941,14 +766,9 @@ std::size_t Cpu::run_block_impl(std::uint64_t max_instructions,
     Block* next = nullptr;
     if (link.index != kNoBlock) {
       Block& cand = block_cache_[link.index];
-      // Threaded successors get the same whole-trace prevalidation a
-      // cache-probe entry would (pages_fresh): a chain follow is a
-      // dispatch entry for the elision proof.
       if (link.vaddr == eip_ && cand.entry_paddr == next_paddr &&
           cand.entry_vaddr == eip_ && !cand.ops.empty() &&
-          cand.ops[0].version == memory_.page_version(next_paddr) &&
-          cand.threaded == kThreaded && cand.memfast == kWidened &&
-          (!kThreaded || pages_fresh(cand))) {
+          cand.ops[0].version == memory_.page_version(next_paddr)) {
         next = &cand;
         ++block_hits_;
       } else {
@@ -1002,18 +822,12 @@ void Cpu::invalidate_blocks(std::uint32_t paddr) {
 }
 
 // ---------------------------------------------------------------------
-// Opcode handlers (direct-threaded dispatch targets)
+// Opcode handlers
 // ---------------------------------------------------------------------
 //
-// One static handler per opcode — the bodies of the former execute()
-// switch, so step() and every block engine share a single
-// implementation of each instruction.  Flag-writing ALU ops are
-// additionally templated on kFlags: the <false> instantiations skip
-// the arithmetic flag computation and exist only as targets for the
-// trace builder's liveness elision (isa::flag_liveness proves the
-// writes dead before any observer — trap frame, chain edge, digest —
-// can see them).  A handler returns false when it raised a trap (eip_
-// already redirected).
+// One static handler per opcode, so step() and the block engine share a
+// single implementation of each instruction.  A handler returns false
+// when it raised a trap (eip_ already redirected).
 
 struct OpHandlers {
   // ----- data movement -----
@@ -1040,7 +854,7 @@ struct OpHandlers {
   }
 
   // ----- ALU -----
-  template <Op O, bool kFlags>
+  template <Op O>
   static bool alu(Cpu& c, const Instruction& in) {
     static_assert(O == Op::Add || O == Op::Or || O == Op::And ||
                   O == Op::Sub || O == Op::Xor || O == Op::Cmp ||
@@ -1060,16 +874,12 @@ struct OpHandlers {
       if constexpr (O == Op::Add) {
         const unsigned wide = unsigned(a8) + unsigned(b8);
         r8 = static_cast<std::uint8_t>(wide);
-        if constexpr (kFlags) {
-          c.flags_.cf = wide > 0xFF;
-          c.flags_.of = ((a8 ^ r8) & (b8 ^ r8) & 0x80) != 0;
-        }
+        c.flags_.cf = wide > 0xFF;
+        c.flags_.of = ((a8 ^ r8) & (b8 ^ r8) & 0x80) != 0;
       } else if constexpr (O == Op::Sub || O == Op::Cmp) {
         r8 = static_cast<std::uint8_t>(a8 - b8);
-        if constexpr (kFlags) {
-          c.flags_.cf = a8 < b8;
-          c.flags_.of = ((a8 ^ b8) & (a8 ^ r8) & 0x80) != 0;
-        }
+        c.flags_.cf = a8 < b8;
+        c.flags_.of = ((a8 ^ b8) & (a8 ^ r8) & 0x80) != 0;
       } else if constexpr (O == Op::Or) {
         r8 = a8 | b8;
       } else if constexpr (O == Op::And || O == Op::Test) {
@@ -1077,30 +887,24 @@ struct OpHandlers {
       } else {
         r8 = a8 ^ b8;
       }
-      if constexpr (kFlags) {
-        if constexpr (O == Op::Or || O == Op::And || O == Op::Xor ||
-                      O == Op::Test) {
-          c.set_logic_flags8(r8);
-        } else {
-          c.flags_.zf = r8 == 0;
-          c.flags_.sf = (r8 & 0x80) != 0;
-          c.flags_.pf = parity_even(r8);
-        }
+      if constexpr (O == Op::Or || O == Op::And || O == Op::Xor ||
+                    O == Op::Test) {
+        c.set_logic_flags8(r8);
+      } else {
+        c.flags_.zf = r8 == 0;
+        c.flags_.sf = (r8 & 0x80) != 0;
+        c.flags_.pf = parity_even(r8);
       }
       result = r8;
     } else {
       if constexpr (O == Op::Add) {
         result = a + b;
-        if constexpr (kFlags) {
-          c.flags_.cf = result < a;
-          c.flags_.of = (((a ^ result) & (b ^ result)) >> 31) != 0;
-        }
+        c.flags_.cf = result < a;
+        c.flags_.of = (((a ^ result) & (b ^ result)) >> 31) != 0;
       } else if constexpr (O == Op::Sub || O == Op::Cmp) {
         result = a - b;
-        if constexpr (kFlags) {
-          c.flags_.cf = a < b;
-          c.flags_.of = (((a ^ b) & (a ^ result)) >> 31) != 0;
-        }
+        c.flags_.cf = a < b;
+        c.flags_.of = (((a ^ b) & (a ^ result)) >> 31) != 0;
       } else if constexpr (O == Op::Or) {
         result = a | b;
       } else if constexpr (O == Op::And || O == Op::Test) {
@@ -1108,15 +912,13 @@ struct OpHandlers {
       } else {
         result = a ^ b;
       }
-      if constexpr (kFlags) {
-        if constexpr (O == Op::Or || O == Op::And || O == Op::Xor ||
-                      O == Op::Test) {
-          c.set_logic_flags32(result);
-        } else {
-          c.flags_.zf = result == 0;
-          c.flags_.sf = (result >> 31) != 0;
-          c.flags_.pf = parity_even(static_cast<std::uint8_t>(result));
-        }
+      if constexpr (O == Op::Or || O == Op::And || O == Op::Xor ||
+                    O == Op::Test) {
+        c.set_logic_flags32(result);
+      } else {
+        c.flags_.zf = result == 0;
+        c.flags_.sf = (result >> 31) != 0;
+        c.flags_.pf = parity_even(static_cast<std::uint8_t>(result));
       }
     }
     if constexpr (O != Op::Cmp && O != Op::Test) {
@@ -1126,23 +928,21 @@ struct OpHandlers {
     return true;
   }
 
-  template <Op O, bool kFlags>
+  template <Op O>
   static bool inc_dec(Cpu& c, const Instruction& in) {
     static_assert(O == Op::Inc || O == Op::Dec);
     std::uint32_t a = 0;
     if (!c.read_operand(in.dst, a)) return false;
     const std::uint32_t result = O == Op::Inc ? a + 1 : a - 1;
-    if constexpr (kFlags) {
-      // CF unchanged (IA-32 semantics).
-      if constexpr (O == Op::Inc) {
-        c.flags_.of = result == 0x80000000u;
-      } else {
-        c.flags_.of = a == 0x80000000u;
-      }
-      c.flags_.zf = result == 0;
-      c.flags_.sf = (result >> 31) != 0;
-      c.flags_.pf = parity_even(static_cast<std::uint8_t>(result));
+    // CF unchanged (IA-32 semantics).
+    if constexpr (O == Op::Inc) {
+      c.flags_.of = result == 0x80000000u;
+    } else {
+      c.flags_.of = a == 0x80000000u;
     }
+    c.flags_.zf = result == 0;
+    c.flags_.sf = (result >> 31) != 0;
+    c.flags_.pf = parity_even(static_cast<std::uint8_t>(result));
     if (!c.write_operand(in.dst, result)) return false;
     c.eip_ += in.length;
     return true;
@@ -1156,24 +956,20 @@ struct OpHandlers {
     return true;
   }
 
-  template <bool kFlags>
   static bool neg(Cpu& c, const Instruction& in) {
     std::uint32_t a = 0;
     if (!c.read_operand(in.dst, a)) return false;
     const std::uint32_t result = 0u - a;
-    if constexpr (kFlags) {
-      c.flags_.cf = a != 0;
-      c.flags_.of = a == 0x80000000u;
-      c.flags_.zf = result == 0;
-      c.flags_.sf = (result >> 31) != 0;
-      c.flags_.pf = parity_even(static_cast<std::uint8_t>(result));
-    }
+    c.flags_.cf = a != 0;
+    c.flags_.of = a == 0x80000000u;
+    c.flags_.zf = result == 0;
+    c.flags_.sf = (result >> 31) != 0;
+    c.flags_.pf = parity_even(static_cast<std::uint8_t>(result));
     if (!c.write_operand(in.dst, result)) return false;
     c.eip_ += in.length;
     return true;
   }
 
-  template <bool kFlags>
   static bool mul(Cpu& c, const Instruction& in) {
     std::uint32_t src = 0;
     if (!c.read_operand(in.src, src)) return false;
@@ -1181,16 +977,13 @@ struct OpHandlers {
     c.regs_[0] = static_cast<std::uint32_t>(wide);
     c.regs_[static_cast<int>(Reg::Edx)] =
         static_cast<std::uint32_t>(wide >> 32);
-    if constexpr (kFlags) {
-      c.flags_.cf = c.flags_.of = c.regs_[static_cast<int>(Reg::Edx)] != 0;
-      c.flags_.zf = c.regs_[0] == 0;
-      c.flags_.sf = (c.regs_[0] >> 31) != 0;
-    }
+    c.flags_.cf = c.flags_.of = c.regs_[static_cast<int>(Reg::Edx)] != 0;
+    c.flags_.zf = c.regs_[0] == 0;
+    c.flags_.sf = (c.regs_[0] >> 31) != 0;
     c.eip_ += in.length;
     return true;
   }
 
-  template <bool kFlags>
   static bool imul(Cpu& c, const Instruction& in) {
     std::uint32_t a = 0;
     std::uint32_t b = 0;
@@ -1200,9 +993,7 @@ struct OpHandlers {
         static_cast<std::int64_t>(static_cast<std::int32_t>(a)) *
         static_cast<std::int32_t>(b);
     const std::int32_t low = static_cast<std::int32_t>(wide);
-    if constexpr (kFlags) {
-      c.flags_.cf = c.flags_.of = wide != low;
-    }
+    c.flags_.cf = c.flags_.of = wide != low;
     if (!c.write_operand(in.dst, static_cast<std::uint32_t>(low))) {
       return false;
     }
@@ -1257,7 +1048,7 @@ struct OpHandlers {
     return true;
   }
 
-  template <Op O, bool kFlags>
+  template <Op O>
   static bool shift(Cpu& c, const Instruction& in) {
     static_assert(O == Op::Shl || O == Op::Shr || O == Op::Sar);
     std::uint32_t a = 0;
@@ -1272,29 +1063,21 @@ struct OpHandlers {
     std::uint32_t result = 0;
     if constexpr (O == Op::Shl) {
       result = a << count;
-      if constexpr (kFlags) {
-        c.flags_.cf = ((a >> (32 - count)) & 1) != 0;
-        if (count == 1) c.flags_.of = ((result >> 31) != 0) != c.flags_.cf;
-      }
+      c.flags_.cf = ((a >> (32 - count)) & 1) != 0;
+      if (count == 1) c.flags_.of = ((result >> 31) != 0) != c.flags_.cf;
     } else if constexpr (O == Op::Shr) {
       result = a >> count;
-      if constexpr (kFlags) {
-        c.flags_.cf = ((a >> (count - 1)) & 1) != 0;
-        if (count == 1) c.flags_.of = (a >> 31) != 0;
-      }
+      c.flags_.cf = ((a >> (count - 1)) & 1) != 0;
+      if (count == 1) c.flags_.of = (a >> 31) != 0;
     } else {
       result =
           static_cast<std::uint32_t>(static_cast<std::int32_t>(a) >> count);
-      if constexpr (kFlags) {
-        c.flags_.cf = ((a >> (count - 1)) & 1) != 0;
-        if (count == 1) c.flags_.of = false;
-      }
+      c.flags_.cf = ((a >> (count - 1)) & 1) != 0;
+      if (count == 1) c.flags_.of = false;
     }
-    if constexpr (kFlags) {
-      c.flags_.zf = result == 0;
-      c.flags_.sf = (result >> 31) != 0;
-      c.flags_.pf = parity_even(static_cast<std::uint8_t>(result));
-    }
+    c.flags_.zf = result == 0;
+    c.flags_.sf = (result >> 31) != 0;
+    c.flags_.pf = parity_even(static_cast<std::uint8_t>(result));
     if (!c.write_operand(in.dst, result)) return false;
     c.eip_ += in.length;
     return true;
@@ -1459,32 +1242,31 @@ struct OpHandlers {
     return true;
   }
 
-  // Full-flag handler table, indexed by Op (the dispatch every
-  // execution mode uses when elision is off or unproven).
-  static constexpr Cpu::HandlerFn kFull[isa::kOpCount] = {
-      alu<Op::Add, true>,   // Add
-      alu<Op::Or, true>,    // Or
-      alu<Op::And, true>,   // And
-      alu<Op::Sub, true>,   // Sub
-      alu<Op::Xor, true>,   // Xor
-      alu<Op::Cmp, true>,   // Cmp
-      alu<Op::Test, true>,  // Test
+  // Handler table, indexed by Op.
+  static constexpr Cpu::HandlerFn kHandlers[isa::kOpCount] = {
+      alu<Op::Add>,         // Add
+      alu<Op::Or>,          // Or
+      alu<Op::And>,         // And
+      alu<Op::Sub>,         // Sub
+      alu<Op::Xor>,         // Xor
+      alu<Op::Cmp>,         // Cmp
+      alu<Op::Test>,        // Test
       mov,                  // Mov
       lea,                  // Lea
       movzx8,               // Movzx8
-      imul<true>,           // Imul
+      imul,                 // Imul
       push,                 // Push
       pop,                  // Pop
-      inc_dec<Op::Inc, true>,  // Inc
-      inc_dec<Op::Dec, true>,  // Dec
+      inc_dec<Op::Inc>,     // Inc
+      inc_dec<Op::Dec>,     // Dec
       not_,                 // Not
-      neg<true>,            // Neg
-      mul<true>,            // Mul
+      neg,                  // Neg
+      mul,                  // Mul
       div,                  // Div
       idiv,                 // Idiv
-      shift<Op::Shl, true>,  // Shl
-      shift<Op::Shr, true>,  // Shr
-      shift<Op::Sar, true>,  // Sar
+      shift<Op::Shl>,       // Shl
+      shift<Op::Shr>,       // Shr
+      shift<Op::Sar>,       // Sar
       jcc,                  // Jcc
       setcc,                // Setcc
       jmp,                  // Jmp
@@ -1509,102 +1291,11 @@ struct OpHandlers {
       sti,                  // Sti
       ud,                   // Invalid
   };
-
-  // No-flags variant for ops whose flag writes the liveness pass can
-  // elide; nullptr when the op has no such variant (elision is then
-  // skipped even if the writes are dead — e.g. iret, whose flag write
-  // is the restore itself).
-  static Cpu::HandlerFn noflags(Op op) {
-    switch (op) {
-      case Op::Add: return alu<Op::Add, false>;
-      case Op::Or: return alu<Op::Or, false>;
-      case Op::And: return alu<Op::And, false>;
-      case Op::Sub: return alu<Op::Sub, false>;
-      case Op::Xor: return alu<Op::Xor, false>;
-      case Op::Cmp: return alu<Op::Cmp, false>;
-      case Op::Test: return alu<Op::Test, false>;
-      case Op::Inc: return inc_dec<Op::Inc, false>;
-      case Op::Dec: return inc_dec<Op::Dec, false>;
-      case Op::Neg: return neg<false>;
-      case Op::Mul: return mul<false>;
-      case Op::Imul: return imul<false>;
-      case Op::Shl: return shift<Op::Shl, false>;
-      case Op::Shr: return shift<Op::Shr, false>;
-      case Op::Sar: return shift<Op::Sar, false>;
-      default: return nullptr;
-    }
-  }
 };
 
 // Returns false when a trap was raised (eip already redirected).
 bool Cpu::execute(const Instruction& in) {
-  return OpHandlers::kFull[static_cast<int>(in.op)](*this, in);
-}
-
-// Resolves the threaded-dispatch state of a freshly built block: the
-// per-op handler pointer, the page prevalidation set, which ops keep
-// their per-op version guard, and the flag-liveness elision.  (Defined
-// after OpHandlers so the handler table is complete.)
-void Cpu::thread_block(Block& blk) {
-  blk.threaded = true;
-
-  // Distinct (code page, build-time version) pairs the trace spans
-  // beyond the entry page; the entry page is validated by every cache
-  // probe and chain-link check already, so single-page traces — the
-  // overwhelming majority — keep pages_fresh() at an empty loop.
-  const std::uint32_t entry_page = blk.ops[0].paddr & ~kPageMask;
-  for (const MicroOp& op : blk.ops) {
-    const std::uint32_t page = op.paddr & ~kPageMask;
-    if (page == entry_page) continue;
-    bool seen = false;
-    for (const auto& [p, v] : blk.pages) seen = seen || p == page;
-    if (!seen) blk.pages.emplace_back(page, op.version);
-  }
-
-  // Liveness boundaries: any op whose pre-execution guard can fail at
-  // runtime hands control back to the stepper *before* the op, so all
-  // earlier flag writes are observable there.  That is (a) SMC gates —
-  // the op right after each in-trace store re-validates the whole page
-  // set, and a failed gate exits there (sound even though the stale op
-  // may be further downstream: the stepper resumes at the gate op,
-  // re-decodes, and diverges exactly where the bytes changed), (b) the
-  // first op on each new page of a widened trace (its translate guard
-  // can fail if the page was remapped or unmapped since the build —
-  // page versions track writes, not mappings), and (c) mid-trace
-  // conditional branches (memfast widening): a mispredicted jcc takes
-  // the side exit right after it, where every flag is observable (the
-  // jcc itself writes none, so boundary-at-the-jcc covers the exit).
-  // Ops that may trap are boundaries too; flag_liveness derives that
-  // from the effects.
-  std::vector<isa::LiveOp> lops(blk.ops.size());
-  for (std::size_t i = 0; i < blk.ops.size(); ++i) {
-    MicroOp& op = blk.ops[i];
-    lops[i].fx = isa::flag_effects(op.instr);
-    op.verify = i > 0 && may_write_memory(blk.ops[i - 1].instr);
-    const bool new_page =
-        i > 0 && (op.paddr & ~kPageMask) != (blk.ops[i - 1].paddr & ~kPageMask);
-    const bool mid_jcc = op.instr.op == Op::Jcc && i + 1 < blk.ops.size();
-    lops[i].boundary = op.verify || new_page || mid_jcc;
-  }
-
-  const isa::Liveness lv = isa::flag_liveness(lops);
-  blk.elided_cum.resize(blk.ops.size() + 1);
-  blk.elided_cum[0] = 0;
-  for (std::size_t i = 0; i < blk.ops.size(); ++i) {
-    MicroOp& op = blk.ops[i];
-    op.fn = OpHandlers::kFull[static_cast<int>(op.instr.op)];
-    op.elided = 0;
-    if (lv.elidable[i] != 0) {
-      if (const HandlerFn nf = OpHandlers::noflags(op.instr.op)) {
-        op.fn = nf;
-        op.elided = lv.elidable[i];
-      }
-    }
-    blk.elided_cum[i + 1] =
-        blk.elided_cum[i] +
-        static_cast<unsigned>(__builtin_popcount(op.elided));
-  }
-  blk.elided_writes = blk.elided_cum[blk.ops.size()];
+  return OpHandlers::kHandlers[static_cast<int>(in.op)](*this, in);
 }
 
 }  // namespace kfi::vm

@@ -6,11 +6,9 @@
 
 #include <cstdint>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "isa/decode.h"
-#include "isa/flags_meta.h"
 #include "isa/instruction.h"
 #include "isa/isa.h"
 #include "vm/bus.h"
@@ -94,11 +92,11 @@ class Cpu {
   CpuEvent step();
 
   // Superblock engine: executes up to `max_instructions` predecoded
-  // straight-line micro-ops starting at the current eip with a single
-  // dispatch, and returns the number retired (0 = the caller must
-  // single-step via step()).  Guards hoisted out of the inner loop:
+  // micro-ops starting at the current eip with a single dispatch, and
+  // returns the number retired (0 = the caller must single-step via
+  // step()).  Guards hoisted out of the inner loop:
   //   - the caller bounds `max_instructions` so no timer tick,
-  //     checkpoint rung, or run deadline can fall inside the block;
+  //     checkpoint rung, or run deadline can fall inside the dispatch;
   //   - a block containing an instruction whose address matches an
   //     armed debug register is refused (single-step delivers the
   //     Breakpoint event at the exact instruction);
@@ -109,53 +107,18 @@ class Cpu {
   //   - `stop` (the host's crash-port latch) aborts the block after
   //     the instruction that sets it, and traps/hlt/double faults end
   //     it exactly as step() would surface them.
-  // Executing N micro-ops is bit-identical to N step() calls.
-  //
-  // With chaining enabled (set_chaining), a fully executed block whose
-  // terminator cannot enable interrupts follows a per-terminator
-  // successor link (taken / fall-through slots) to the next block and
-  // keeps executing inside this one dispatch, up to `max_instructions`.
-  // Links are monomorphic inline caches validated on every follow
-  // against the successor's entry paddr/vaddr and code-page version,
-  // so the page-version invalidation scheme (and invalidate_blocks()
-  // at injection flip sites) severs stale chains automatically.
+  // Blocks widen into traces across direct jmp and call.  A fully
+  // executed block whose terminator cannot enable interrupts follows a
+  // per-terminator successor link (taken / fall-through slots) to the
+  // next block and keeps executing inside this one dispatch, up to
+  // `max_instructions`.  Links are monomorphic inline caches validated
+  // on every follow against the successor's entry paddr/vaddr and
+  // code-page version, so the page-version invalidation scheme (and
+  // invalidate_blocks() at injection flip sites) severs stale chains
+  // automatically.  Executing N micro-ops is bit-identical to N step()
+  // calls.
   std::size_t run_block(std::uint64_t max_instructions, const bool* stop,
                         CpuEvent& event);
-
-  // Enables block chaining + trace widening + the per-dispatch inline
-  // translate cache (ExecEngine::Chained).  Off by default: plain
-  // ExecEngine::Block keeps the PR 3 one-block-per-dispatch behavior.
-  void set_chaining(bool enabled) {
-    if (chain_enabled_ != enabled) drop_all_blocks();
-    chain_enabled_ = enabled;
-  }
-  bool chaining() const { return chain_enabled_; }
-
-  // Enables direct-threaded dispatch with flag-liveness elision
-  // (ExecEngine::Threaded; implies chaining, which the machine layer
-  // turns on alongside).  Each micro-op's handler pointer and elision
-  // mask are resolved at trace-build time; blocks built under one
-  // dispatch mode are never executed under another (the cache is
-  // dropped on any mode change).
-  void set_threaded(bool enabled) {
-    if (threaded_ != enabled) drop_all_blocks();
-    threaded_ = enabled;
-  }
-  bool threaded() const { return threaded_; }
-
-  // Enables conditional-edge trace widening (ExecEngine::Memfast;
-  // implies threaded+chained, which the machine layer turns on
-  // alongside): trace formation follows the statically predicted edge
-  // of a conditional branch (backward taken, forward fall-through) and
-  // the dispatch loop side-exits fail-closed when execution leaves the
-  // predecoded path.  A pure fast path: trap delivery, TLB-fill
-  // histories, and campaign digests are bit-identical to every other
-  // engine.
-  void set_memfast(bool enabled) {
-    if (memfast_ != enabled) drop_all_blocks();
-    memfast_ = enabled;
-  }
-  bool memfast() const { return memfast_; }
 
   // Drops every cached block containing a micro-op on the page holding
   // `paddr`.  The injector calls this on its bit flip; the per-op
@@ -211,22 +174,6 @@ class Cpu {
   std::uint64_t chain_follows() const { return chain_follows_; }
   std::uint64_t chain_breaks() const { return chain_breaks_; }
   std::uint64_t trace_len() const { return trace_len_; }
-  // Threaded-dispatch telemetry: micro-ops retired through resolved
-  // handler pointers, and individual flag-register writes skipped by
-  // the liveness elision (a fully elided add counts 5: CF PF ZF SF OF).
-  std::uint64_t threaded_ops() const { return threaded_ops_; }
-  std::uint64_t flag_elisions() const { return flag_elisions_; }
-  // Memfast telemetry: conditional edges widened into traces at build
-  // time, and dispatches that left a widened trace through the guarded
-  // side exit.  Both stay zero under every other engine.
-  std::uint64_t cond_widened() const { return cond_widened_; }
-  std::uint64_t side_exits() const { return side_exits_; }
-
-  // Test hook: per-op elided-flag masks (isa::kFlag* bits) of the
-  // cached threaded block entered at `vaddr`, empty when no such block
-  // is cached.  Lets the liveness unit suite pin exact masks against
-  // blocks the real trace builder produced.
-  std::vector<std::uint8_t> block_elision_masks(std::uint32_t vaddr) const;
 
   // Virtual-memory accessors for the host (debugger/loader view).
   // They use the current privilege translation but never trap; failures
@@ -235,11 +182,9 @@ class Cpu {
   bool peek8(std::uint32_t vaddr, std::uint8_t& value);
 
  private:
-  // The per-opcode handler functions live in cpu.cc; each one is the
-  // body of the old execute() switch case, templated on whether the
-  // arithmetic flag computation is performed.  `execute` dispatches
-  // through the full-flag handler table, so step() and the threaded
-  // engine share a single implementation of every opcode.
+  // The per-opcode handler functions live in cpu.cc; `execute`
+  // dispatches through their table, so step() and the block engine
+  // share a single implementation of every opcode.
   friend struct OpHandlers;
   // Test access to the data path: the unit suite runs the inline and
   // the out-of-line accessors side by side (tests/vm/dtlb_test.cc).
@@ -377,27 +322,14 @@ class Cpu {
   // entry instruction's physical address.  Micro-ops live in one
   // contiguous array per block, so execution walks memory linearly
   // instead of re-probing the direct-mapped decode cache per step.
-  // With chaining enabled, blocks widen into traces across direct jmp
-  // and call (statically known targets), so op addresses need not be
-  // contiguous — every op carries its own vaddr.
-  // Field order keeps the struct at 72 bytes (fn before instr avoids
-  // alignment padding) with the threaded hot path's fields — fn, the
-  // instruction, and the guard flags — packed up front.
+  // Blocks widen into traces across direct jmp and call (statically
+  // known targets), so op addresses need not be contiguous — every op
+  // carries its own vaddr.
   struct MicroOp {
     std::uint32_t vaddr = 0;     // instruction-start virtual address
     std::uint32_t paddr = 0;     // fetch identity: physical address...
-    // Threaded dispatch (resolved at build time, unused otherwise):
-    // the handler pointer (a no-flags variant when `elided` != 0), the
-    // isa::kFlag* mask of elided flag writes, and whether the op is an
-    // SMC gate (set on the op right after each in-trace memory write —
-    // the only event that can bump a code-page version mid-dispatch).
-    // A gate re-validates the trace's whole page set; everything else
-    // is covered by the whole-trace prevalidation at entry.
-    HandlerFn fn = nullptr;
+    std::uint64_t version = 0;   // ...and code-page version at decode
     isa::Instruction instr;
-    std::uint8_t elided = 0;
-    bool verify = false;
-    std::uint64_t version = 0;   // code-page version at decode
   };
   // A monomorphic successor link: the last observed branch target and
   // the cache slot it resolved to.  Never trusted blind — every follow
@@ -415,50 +347,21 @@ class Cpu {
     std::uint32_t vmax = 0;
     ChainLink links[2];             // [0] taken/target, [1] fall-through
     std::vector<MicroOp> ops;
-    // Threaded-mode state.  `threaded` marks that fn/elided/verify are
-    // resolved (a block built under one mode never runs under the
-    // other).  `pages` holds the distinct (code page, version) pairs
-    // the trace spans BEYOND the entry page — the entry page is
-    // already version-checked by every cache probe and chain-link
-    // validation, and most traces span only it, so the common-case
-    // pages_fresh() is an empty-vector check.  Re-validated at every
-    // entry and chain follow: a flip or restore-driven version bump
-    // anywhere in the trace forces a rebuild before any elided op can
-    // run, because the elision proof assumes all guards hold at
-    // dispatch entry.
-    bool threaded = false;
-    // Built with conditional-edge widening (memfast mode): ops after a
-    // mid-trace jcc sit on the statically predicted edge and the
-    // dispatch loop runs the per-op `vaddr == eip` side-exit guard.
-    // Like `threaded`, a block built under one mode never runs under
-    // the other.
-    bool memfast = false;
-    std::uint64_t elided_writes = 0;  // popcount sum over ops[].elided
-    // elided_cum[i] = popcount sum over ops[0..i-1].elided, so a
-    // dispatch that stops after `executed` ops (side exit, trap,
-    // truncation) accounts its elisions in O(1) instead of rescanning
-    // the executed prefix.  elided_cum[ops.size()] == elided_writes.
-    std::vector<std::uint32_t> elided_cum;
-    std::vector<std::pair<std::uint32_t, std::uint64_t>> pages;
   };
   static constexpr std::uint32_t kNoBlock = 0xFFFFFFFF;
   static constexpr std::uint32_t kBlockCacheSize = 4096;  // power of two
-  static constexpr std::size_t kMaxBlockOps = 32;
-  // Widened traces may join several basic blocks; a larger cap lets a
-  // hot loop body with direct calls stay in one trace.
+  // A trace may join several basic blocks; the cap lets a hot loop
+  // body with direct calls stay in one trace.
   static constexpr std::size_t kMaxTraceOps = 64;
-  // Conditional edges a single memfast trace may predecode past; keeps
-  // the misprediction cost (side exit + fresh probe) bounded.
-  static constexpr std::size_t kMaxCondEdges = 4;
 
   static std::uint32_t block_index(std::uint32_t paddr) {
     return (paddr ^ (paddr >> 12)) & (kBlockCacheSize - 1);
   }
 
   // Decodes a block starting at eip_ (entry already translated to
-  // `entry_paddr`).  Pure lookahead: reads memory and page versions
-  // only, never fills the TLB (Mmu::peek).  With chaining enabled the
-  // decode continues across direct jmp/call into a widened trace.
+  // `entry_paddr`), continuing across direct jmp/call into a widened
+  // trace.  Pure lookahead: reads memory and page versions only, never
+  // fills the TLB (Mmu::peek).
   bool build_block(std::uint32_t entry_paddr, Block& blk);
 
   // Cache probe + rebuild for the block entered at eip_ (translated to
@@ -469,40 +372,7 @@ class Cpu {
   // address in the block (the stepper only triggers on exact starts).
   bool breakpoints_clear(const Block& blk) const;
 
-  // Threaded-mode whole-trace prevalidation: every code page the block
-  // spans past the entry page (checked separately by the caller) still
-  // holds its build-time write version.
-  bool pages_fresh(const Block& blk) const {
-    for (const auto& [page, version] : blk.pages) {
-      if (memory_.page_version(page) != version) return false;
-    }
-    return true;
-  }
-
-  // Conditional-edge widening is active only with the full memfast
-  // stack: chaining (widened traces), threaded dispatch (the side
-  // exit leans on the jcc liveness boundaries thread_block plants),
-  // and the memfast flag itself.
-  bool widen_mode() const { return chain_enabled_ && threaded_ && memfast_; }
-
-  // Resolves handler pointers, verify guards, and the flag-liveness
-  // elision for a freshly built block (threaded mode only).
-  void thread_block(Block& blk);
-
-  // Drops the whole trace cache (dispatch-mode changes).
-  void drop_all_blocks();
-
-  // The dispatch loop, templated on the engine so the threaded hot
-  // path pays no per-op mode branches; kWidened adds the memfast
-  // side-exit guard for traces predecoded past conditional branches.
-  template <bool kThreaded, bool kWidened>
-  std::size_t run_block_impl(std::uint64_t max_instructions, const bool* stop,
-                             CpuEvent& event);
-
   std::vector<Block> block_cache_;
-  bool chain_enabled_ = false;
-  bool threaded_ = false;
-  bool memfast_ = false;
   std::uint64_t blocks_built_ = 0;
   std::uint64_t block_hits_ = 0;
   std::uint64_t block_fallbacks_ = 0;
@@ -511,10 +381,6 @@ class Cpu {
   std::uint64_t chain_follows_ = 0;
   std::uint64_t chain_breaks_ = 0;
   std::uint64_t trace_len_ = 0;
-  std::uint64_t threaded_ops_ = 0;
-  std::uint64_t flag_elisions_ = 0;
-  std::uint64_t cond_widened_ = 0;
-  std::uint64_t side_exits_ = 0;
 
   TrapRecord last_trap_;
 

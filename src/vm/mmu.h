@@ -74,7 +74,7 @@ class Mmu {
   // the same page (a skipped call is then provably a side-effect-free
   // TLB hit), and the cross-engine TLB-determinism tests assert equal
   // epochs after equal runs — any divergence in fill history between
-  // the stepper and the block engines shows up here.
+  // the stepper and the block engine shows up here.
   std::uint64_t epoch() const { return epoch_; }
 
   // Translation without side effects: identical result to translate()

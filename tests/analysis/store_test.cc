@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -245,6 +246,20 @@ TEST(Store, StreamingFoldRejectsGapsDuplicatesAndOverruns) {
     EXPECT_TRUE(fold.complete());
     EXPECT_FALSE(fold.add({1, sample_result(1)}));  // overrun
   }
+}
+
+// The per-campaign counts come from an untrusted manifest: an inflated
+// count must not size an allocation up front.  Slots grow only with
+// records actually folded, so a short stream is simply incomplete.
+TEST(Store, StreamingFoldDoesNotReserveManifestCounts) {
+  std::unique_ptr<StreamingFold> fold;
+  ASSERT_NO_THROW(fold = std::make_unique<StreamingFold>(
+                      std::vector<std::uint64_t>{std::uint64_t{1} << 40},
+                      /*materialize=*/true));
+  EXPECT_TRUE(fold->add({0, sample_result(0)}));
+  EXPECT_FALSE(fold->complete());
+  ASSERT_EQ(fold->slots().size(), 1u);
+  EXPECT_EQ(fold->slots()[0].size(), 1u);
 }
 
 }  // namespace

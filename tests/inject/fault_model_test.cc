@@ -152,27 +152,21 @@ TEST(FaultModel, EflagsFlipTargetsAModeledBit) {
 
 TEST(FaultModel, RegisterFlipRederivesIdenticallyAcrossAllEngines) {
   // The cross-engine identity contract extends to the register model:
-  // whatever the stepper concludes, every accelerated engine must
-  // re-derive bit for bit.
+  // whatever the stepper concludes, the chained engine must re-derive
+  // bit for bit.
   const InjectionSpec spec = register_spec(/*target_reg=*/2, /*bit=*/7);
   InjectorOptions step_options;
   step_options.exec_engine = machine::ExecEngine::Step;
+  InjectorOptions chain_options;
+  chain_options.exec_engine = machine::ExecEngine::Chained;
   Injector step_inj(step_options);
+  Injector chain_inj(chain_options);
   const InjectionResult ref = step_inj.run_one(spec);
-
-  for (const machine::ExecEngine engine :
-       {machine::ExecEngine::Block, machine::ExecEngine::Chained,
-        machine::ExecEngine::Threaded, machine::ExecEngine::Memfast}) {
-    InjectorOptions options;
-    options.exec_engine = engine;
-    Injector injector(options);
-    const InjectionResult got = injector.run_one(spec);
-    SCOPED_TRACE(static_cast<int>(engine));
-    EXPECT_EQ(got.outcome, ref.outcome) << outcome_name(got.outcome);
-    EXPECT_EQ(got.activation_cycle, ref.activation_cycle);
-    EXPECT_EQ(got.cause, ref.cause);
-    EXPECT_EQ(got.latency_cycles, ref.latency_cycles);
-  }
+  const InjectionResult got = chain_inj.run_one(spec);
+  EXPECT_EQ(got.outcome, ref.outcome) << outcome_name(got.outcome);
+  EXPECT_EQ(got.activation_cycle, ref.activation_cycle);
+  EXPECT_EQ(got.cause, ref.cause);
+  EXPECT_EQ(got.latency_cycles, ref.latency_cycles);
 }
 
 TEST(FaultModel, DataFlipOutsideTheFootprintDoesNotManifest) {
@@ -225,12 +219,12 @@ TEST(FaultModel, ErrnoInjectionForcesTheFailureAndCountsTheCascade) {
   EXPECT_EQ(again.cascade_syscalls, result.cascade_syscalls);
 }
 
-TEST(FaultModel, ErrnoInjectionMatchesAcrossStepAndMemfast) {
+TEST(FaultModel, ErrnoInjectionMatchesAcrossStepAndChained) {
   const InjectionSpec spec = errno_spec(kernel::KE_ENOMEM, /*data_index=*/0);
   InjectorOptions step_options;
   step_options.exec_engine = machine::ExecEngine::Step;
   InjectorOptions fast_options;
-  fast_options.exec_engine = machine::ExecEngine::Memfast;
+  fast_options.exec_engine = machine::ExecEngine::Chained;
   Injector step_inj(step_options);
   Injector fast_inj(fast_options);
   const InjectionResult a = step_inj.run_one(spec);

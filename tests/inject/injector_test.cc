@@ -246,50 +246,16 @@ TEST(Injector, ChainedEngineFlipSeversChainsAndMatchesStep) {
   EXPECT_EQ(step_inj.perf_stats().block_ops, 0u);
 }
 
-TEST(Injector, ThreadedEngineFlipInvalidatesHandlersAndMatchesStep) {
-  // Same contract as the chained test, but against the direct-threaded
-  // engine: a flip landing inside a trace whose micro-ops already
-  // carry resolved handler pointers and elided flag masks must
-  // invalidate that cached state (the page-version bump forces a
-  // rebuild, so stale no-flags handlers can never run over patched
-  // bytes) and re-derive exactly the stepper's outcome, activation
-  // cycle, and fault latency.
-  const kernel::KernelFunction* fn = image().function("pipe_read");
-  ASSERT_NE(fn, nullptr);
-  const auto sites = enumerate_function(image(), *fn);
-  const InjectionSpec spec = spec_for("pipe_read", sites[2], 0, 5, "pipe",
-                                      Campaign::RandomNonBranch);
-  InjectorOptions step_options;
-  step_options.exec_engine = machine::ExecEngine::Step;
-  InjectorOptions thread_options;
-  thread_options.exec_engine = machine::ExecEngine::Threaded;
-  Injector step_inj(step_options);
-  Injector thread_inj(thread_options);
-
-  const InjectionResult a = step_inj.run_one(spec);
-  const InjectionResult b = thread_inj.run_one(spec);
-  EXPECT_EQ(a.outcome, b.outcome) << outcome_name(b.outcome);
-  EXPECT_EQ(a.activation_cycle, b.activation_cycle);
-  EXPECT_EQ(a.cause, b.cause);
-  EXPECT_EQ(a.latency_cycles, b.latency_cycles);
-  EXPECT_EQ(a.propagated, b.propagated);
-
-  EXPECT_GT(thread_inj.perf_stats().threaded_ops, 0u);
-  EXPECT_GT(thread_inj.perf_stats().flag_elisions, 0u);
-  EXPECT_GE(thread_inj.perf_stats().block_invalidations, 1u)
-      << "the flip site must invalidate the threaded trace under it";
-}
-
 TEST(Injector, MemfastEngineFlipMatchesStepOnDataAndBranchSites) {
-  // Same contract against the memfast engine, on two hazards: a flip
-  // landing on a page whose translation sits in the TLB the inline
-  // data path reads (the version bump must still invalidate the cached
-  // trace — the TLB caches translations, never bytes), and a reversed
-  // conditional branch inside a widened trace (the flipped direction
-  // must side-exit the predecoded edge, not follow it), re-deriving
-  // exactly the stepper's outcome, activation cycle, and fault
-  // latency — which includes the EFLAGS-driven branch decisions after
-  // the flip.
+  // The inline ("memfast") guest data path now lives in the chained
+  // engine; this checks it on two hazards: a data-site flip landing on
+  // a page whose translation sits in the TLB the inline data path
+  // reads (the version bump must still invalidate the cached trace —
+  // the TLB caches translations, never bytes), and a reversed
+  // conditional branch whose flipped direction must take the other
+  // chain-link slot.  The chained injector must land on exactly the
+  // stepper's outcome, activation cycle, and fault latency — which
+  // includes the EFLAGS-driven branch decisions after the flip.
   const kernel::KernelFunction* fn = image().function("pipe_read");
   ASSERT_NE(fn, nullptr);
   const auto sites = enumerate_function(image(), *fn);
@@ -311,16 +277,16 @@ TEST(Injector, MemfastEngineFlipMatchesStepOnDataAndBranchSites) {
   };
   InjectorOptions step_options;
   step_options.exec_engine = machine::ExecEngine::Step;
-  InjectorOptions fast_options;
-  fast_options.exec_engine = machine::ExecEngine::Memfast;
+  InjectorOptions chain_options;
+  chain_options.exec_engine = machine::ExecEngine::Chained;
   Injector step_inj(step_options);
-  Injector fast_inj(fast_options);
+  Injector chain_inj(chain_options);
 
   for (const InjectionSpec& spec : specs) {
     SCOPED_TRACE(spec.campaign == Campaign::IncorrectBranch ? "branch"
                                                             : "data");
     const InjectionResult a = step_inj.run_one(spec);
-    const InjectionResult b = fast_inj.run_one(spec);
+    const InjectionResult b = chain_inj.run_one(spec);
     EXPECT_EQ(a.outcome, b.outcome) << outcome_name(b.outcome);
     EXPECT_EQ(a.activation_cycle, b.activation_cycle);
     EXPECT_EQ(a.cause, b.cause);
@@ -328,10 +294,11 @@ TEST(Injector, MemfastEngineFlipMatchesStepOnDataAndBranchSites) {
     EXPECT_EQ(a.propagated, b.propagated);
   }
 
-  EXPECT_GT(fast_inj.perf_stats().cond_widened, 0u);
-  EXPECT_GT(fast_inj.perf_stats().side_exits, 0u);
-  EXPECT_GE(fast_inj.perf_stats().block_invalidations, 1u)
-      << "the flip site must invalidate the widened trace under it";
+  EXPECT_GT(chain_inj.perf_stats().chain_follows, 0u);
+  EXPECT_GE(chain_inj.perf_stats().block_invalidations, 1u)
+      << "the flip site must invalidate the cached block under it";
+  EXPECT_EQ(step_inj.perf_stats().chain_follows, 0u);
+  EXPECT_EQ(step_inj.perf_stats().block_ops, 0u);
 }
 
 TEST(Campaign, SmallCampaignCProducesPlausibleMix) {

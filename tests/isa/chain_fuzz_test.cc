@@ -1,21 +1,19 @@
 // Differential fuzz battery guarding the engine identity contract.
 //
 // Every seeded program from the shape generator (program_fuzz.h) runs
-// five times — through the stepping engine, the one-block-per-dispatch
-// superblock engine, the chained engine, the direct-threaded engine
-// with flag-liveness elision, and the memfast engine (conditional-edge
-// trace widening) — and every run-visible outcome must be
-// bit-identical: registers, the full Flags word at every trap delivery
-// and at the end of the run, eip, cpl, cycle count, halt/dead state,
-// the trap delivery sequence, every RAM page any engine dirtied, and
-// the MMU's TLB-mutation epoch (the chained engine's inline translate
-// cache may only skip translations that are provably TLB hits, so fill
-// histories must match the stepper's).
+// twice — through the stepping engine (the semantic oracle) and the
+// chained engine — and every run-visible outcome must be bit-identical:
+// registers, the full Flags word at every trap delivery and at the end
+// of the run, eip, cpl, cycle count, halt/dead state, the trap delivery
+// sequence, every RAM page either engine dirtied, and the MMU's
+// TLB-mutation epoch (the chained engine's inline translate cache may
+// only skip translations that are provably TLB hits, so fill histories
+// must match the stepper's).
 //
-// The five rigs are reused across seeds: a pristine post-setup
-// snapshot is restored before each program (O(dirtied pages), and the
-// restore bumps page versions, which invalidates stale cached blocks),
-// so the 1600-seed battery stays cheap enough for tier-1.
+// The two rigs are reused across seeds: a pristine post-setup snapshot
+// is restored before each program (O(dirtied pages), and the restore
+// bumps page versions, which invalidates stale cached blocks), so the
+// 2000-seed battery stays cheap enough for tier-1.
 //
 // Failing seeds are appended to chain_fuzz_failures.txt in the working
 // directory; CI uploads that file as an artifact on failure so a
@@ -45,19 +43,6 @@ constexpr std::uint32_t kCodeVirt = 0xC0105000;  // page-aligned kernel text
 constexpr std::uint32_t kDataVirt = 0xC0200000;
 constexpr std::uint32_t kHandlerVirt = 0xC0110000;
 
-enum class Engine { Step, Block, Chained, Threaded, Memfast };
-
-const char* engine_name(Engine e) {
-  switch (e) {
-    case Engine::Step: return "step";
-    case Engine::Block: return "block";
-    case Engine::Chained: return "chained";
-    case Engine::Threaded: return "threaded";
-    case Engine::Memfast: return "memfast";
-  }
-  return "?";
-}
-
 // One reusable differential rig.  Construction (16 MiB zero fill, page
 // tables, snapshot capture) happens once per battery; reset() restores
 // the pristine image and re-seeds architectural state per program.
@@ -65,11 +50,12 @@ struct FuzzRig {
   PhysicalMemory memory;
   Bus bus;
   Cpu cpu;
-  Engine engine;
+  bool chained;
   ChunkedSnapshot pristine;
   std::vector<std::uint64_t> memo;
 
-  explicit FuzzRig(Engine e) : memory(kRamSize), cpu(memory, bus), engine(e) {
+  explicit FuzzRig(bool chained_engine)
+      : memory(kRamSize), cpu(memory, bus), chained(chained_engine) {
     HostMapper mapper(memory, kBootPgdPhys, kKernelPtePhys);
     mapper.map_range(kKernelBase, 0, kRamSize, kPteWrite);
     cpu.mmu().set_cr3(kBootPgdPhys);
@@ -78,12 +64,6 @@ struct FuzzRig {
     cpu.set_vector(0x80, kHandlerVirt);
     cpu.set_vector(0x20, kHandlerVirt);
     memory.fill(phys_of_virt(kHandlerVirt), 64, 0xF4);  // hlt
-    cpu.set_chaining(engine == Engine::Chained ||
-                     engine == Engine::Threaded ||
-                     engine == Engine::Memfast);
-    cpu.set_threaded(engine == Engine::Threaded ||
-                     engine == Engine::Memfast);
-    cpu.set_memfast(engine == Engine::Memfast);
     pristine = memory.snapshot_pages();
   }
 
@@ -107,8 +87,8 @@ struct TrapSeen {
   Trap trap;
   std::uint64_t cycle;
   std::uint32_t faulting_eip;
-  // Full flags word right after delivery: the threaded engine's elision
-  // must never leave a stale flag visible at any trap stop.
+  // Full flags word right after delivery: no engine may leave a stale
+  // flag visible at any trap stop.
   std::uint32_t flags_word;
 
   bool operator==(const TrapSeen&) const = default;
@@ -123,7 +103,7 @@ Outcome run_engine(FuzzRig& rig, std::uint64_t max_cycles) {
   Outcome out;
   while (rig.cpu.cycles() < max_cycles) {
     CpuEvent event;
-    if (rig.engine == Engine::Step) {
+    if (!rig.chained) {
       event = rig.cpu.step();
     } else if (rig.cpu.run_block(max_cycles - rig.cpu.cycles(), nullptr,
                                  event) == 0) {
@@ -195,13 +175,8 @@ std::string compare_rigs(FuzzRig& a, FuzzRig& b, const Outcome& oa,
 }
 
 void run_battery(Shape shape, int num_seeds) {
-  FuzzRig step_rig(Engine::Step);
-  FuzzRig block_rig(Engine::Block);
-  FuzzRig chain_rig(Engine::Chained);
-  FuzzRig thread_rig(Engine::Threaded);
-  FuzzRig memfast_rig(Engine::Memfast);
-  FuzzRig* rigs[5] = {&step_rig, &block_rig, &chain_rig, &thread_rig,
-                      &memfast_rig};
+  FuzzRig step_rig(/*chained_engine=*/false);
+  FuzzRig chain_rig(/*chained_engine=*/true);
 
   std::vector<std::uint64_t> failures;
   for (std::uint64_t seed = 1;
@@ -213,25 +188,21 @@ void run_battery(Shape shape, int num_seeds) {
         << ": generator produced an unencodable program";
     ASSERT_LT(prog.bytes.size(), 2u * kPageSize);
 
-    Outcome outs[5];
-    std::vector<std::uint64_t> base[5];
-    for (int i = 0; i < 5; ++i) {
-      rigs[i]->reset(prog.bytes);
-      base[i] = rigs[i]->memory.page_versions();
-      outs[i] = run_engine(*rigs[i], prog.max_cycles);
-    }
-    for (int i = 1; i < 5; ++i) {
-      const std::string err = compare_rigs(step_rig, *rigs[i], outs[0],
-                                           outs[i], base[0], base[i]);
-      if (!err.empty()) {
-        if (failures.empty() || failures.back() != seed) {
-          failures.push_back(seed);
-        }
-        if (failures.size() <= 10) {
-          ADD_FAILURE() << isa::fuzz::shape_name(shape) << " seed " << seed
-                        << " (step vs " << engine_name(rigs[i]->engine)
-                        << "): " << err;
-        }
+    step_rig.reset(prog.bytes);
+    chain_rig.reset(prog.bytes);
+    const std::vector<std::uint64_t> step_base =
+        step_rig.memory.page_versions();
+    const std::vector<std::uint64_t> chain_base =
+        chain_rig.memory.page_versions();
+    const Outcome step_out = run_engine(step_rig, prog.max_cycles);
+    const Outcome chain_out = run_engine(chain_rig, prog.max_cycles);
+    const std::string err = compare_rigs(step_rig, chain_rig, step_out,
+                                         chain_out, step_base, chain_base);
+    if (!err.empty()) {
+      failures.push_back(seed);
+      if (failures.size() <= 10) {
+        ADD_FAILURE() << isa::fuzz::shape_name(shape) << " seed " << seed
+                      << " (step vs chained): " << err;
       }
     }
   }
@@ -251,31 +222,13 @@ void run_battery(Shape shape, int num_seeds) {
   }
 
   // The battery must actually exercise the machinery it guards.
-  EXPECT_GT(block_rig.cpu.block_ops(), 0u);
   EXPECT_GT(chain_rig.cpu.block_ops(), 0u);
-  EXPECT_GT(thread_rig.cpu.threaded_ops(), 0u)
-      << "threaded rig never dispatched through handler pointers";
-  EXPECT_GT(memfast_rig.cpu.threaded_ops(), 0u);
   EXPECT_EQ(step_rig.cpu.block_ops(), 0u);
-  // Widening is memfast-only: no other rig may ever touch its
-  // counters.
-  EXPECT_EQ(chain_rig.cpu.cond_widened(), 0u);
-  EXPECT_EQ(chain_rig.cpu.side_exits(), 0u);
   if (shape == Shape::TightLoops || shape == Shape::BranchLadder ||
       shape == Shape::SmcChain || shape == Shape::DeadFlags ||
-      shape == Shape::FlagEdge) {
+      shape == Shape::FlagEdge || shape == Shape::CondEdge) {
     EXPECT_GT(chain_rig.cpu.chain_follows(), 0u)
         << "shape never followed a chain link";
-  }
-  if (shape == Shape::DeadFlags) {
-    EXPECT_GT(thread_rig.cpu.flag_elisions(), 0u)
-        << "dead-flag runs never tripped the liveness elision";
-  }
-  if (shape == Shape::CondEdge) {
-    EXPECT_GT(memfast_rig.cpu.cond_widened(), 0u)
-        << "diamond shape never widened past a conditional edge";
-    EXPECT_GT(memfast_rig.cpu.side_exits(), 0u)
-        << "alternating branches never forced a side exit";
   }
 }
 

@@ -6,8 +6,8 @@
 // back-edge links re-followed in tight loops, branch-to-branch ladders,
 // self-modifying code that rewrites an already-chained successor,
 // fall-through chains that cross a page boundary, and call/ret webs.
-// The battery runs every program through the stepping, block, and
-// chained engines and requires bit-identical outcomes, so the generator
+// The battery runs every program through the stepping and chained
+// engines and requires bit-identical outcomes, so the generator
 // only has to produce *deterministic* programs — it never needs to know
 // what the right answer is.
 //
@@ -220,7 +220,7 @@ enum class Shape {
   DeadFlags,    // long dead-flag ALU runs ended by a live cmp + jcc
   FlagEdge,     // flag producer/consumer pairs straddling chain edges
   MemMix,       // dense loads/stores, incl. page-crossing pointers
-  CondEdge,     // both-way conditional diamonds — widened-trace side exits
+  CondEdge,     // both-way conditional diamonds — both jcc link slots
 };
 
 inline constexpr Shape kAllShapes[] = {
@@ -502,10 +502,8 @@ inline void gen_dead_flags(Asm& a, Rng& rng) {
   // are all dead — each op's flags are clobbered by a later op before
   // any consumer reads them — closed by a cmp/jcc pair whose flags ARE
   // live, all inside a countdown loop so chained traces re-follow the
-  // run.  The threaded engine's liveness pass should elide almost the
-  // whole run; the differential battery proves the elision is
-  // invisible.  Inc/Dec (CF preserved) and Neg are mixed in so partial
-  // kill masks get exercised, not just the all-five ALU kills.
+  // run.  Inc/Dec (CF preserved) and Neg are mixed in so partial flag
+  // updates get exercised, not just the all-five ALU writes.
   static constexpr Op kAlu[] = {Op::Add, Op::Sub, Op::Xor, Op::Or, Op::And};
   static constexpr Reg kSpare[] = {Reg::Eax, Reg::Ecx, Reg::Edx, Reg::Ebx};
   a.add(mov_ri(Reg::Edi, 2 + static_cast<std::int32_t>(rng.below(4))));
@@ -542,11 +540,9 @@ inline void gen_dead_flags(Asm& a, Rng& rng) {
 inline void gen_flag_edge(Asm& a, Rng& rng) {
   // Segments where the flag producer is the LAST op before a chain edge
   // and the consumer (setcc or jcc) is the FIRST op of the successor
-  // block: if chain edges were not treated as full-liveness boundaries,
-  // the producer's flags would look dead inside its own block and be
-  // elided, and the successor would branch on stale flags.  A countdown
-  // loop re-follows the patched links so the second pass runs through
-  // already-threaded traces.
+  // block: the flags must cross every chain edge exactly as the
+  // stepper leaves them.  A countdown loop re-follows the patched links
+  // so the second pass runs through already-chained traces.
   a.add(mov_ri(Reg::Edi, 2 + static_cast<std::int32_t>(rng.below(3))));
   a.add(mov_ri(Reg::Esi, 0));
   const int top = a.next_index();
@@ -631,12 +627,12 @@ inline void gen_mem_mix(Asm& a, Rng& rng, std::uint32_t data_virt) {
 
 inline void gen_cond_edge(Asm& a, Rng& rng) {
   // Conditional diamonds whose direction alternates across iterations
-  // of an enclosing countdown loop: a widened memfast trace predecodes
-  // one edge of each jcc and must side-exit cleanly whenever the other
-  // edge is taken — half the iterations, by construction, since the
-  // branch keys on low bits of the loop counter.  Each path writes a
-  // different accumulator delta so a wrongly-followed predecoded edge
-  // changes run-visible state.
+  // of an enclosing countdown loop: each jcc takes both edges — half
+  // the iterations each, by construction, since the branch keys on low
+  // bits of the loop counter — so both of its chain-link slots (taken
+  // and fall-through) are patched and re-validated.  Each path writes a
+  // different accumulator delta so a wrongly-followed link changes
+  // run-visible state.
   static constexpr Reg kSpare[] = {Reg::Eax, Reg::Edx, Reg::Ebx};
   a.add(mov_ri(Reg::Edi, 4 + static_cast<std::int32_t>(rng.below(10))));
   a.add(mov_ri(Reg::Esi, 0));

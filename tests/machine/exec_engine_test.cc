@@ -1,20 +1,17 @@
 // Machine-level cross-engine identity: whole golden runs, checkpoint
 // ladders, and a smoke injection campaign executed under
-// ExecEngine::Step, ExecEngine::Block, ExecEngine::Chained,
-// ExecEngine::Threaded, and ExecEngine::Memfast must produce
-// bit-identical run-visible state — state_digest(), console, cycle
-// counts, exits — plus identical TLB-fill histories (the chained
-// engine's inline translate cache and the CPU's inline data path may
-// only skip provable TLB hits) and bit-exact timer delivery under
-// adversarial tick periods.  Threaded additionally elides provably
-// dead flag writes, and memfast widens traces past conditional edges,
-// so these comparisons are also the machine-level proof that neither
-// optimization is observable.
+// ExecEngine::Step and ExecEngine::Chained must produce bit-identical
+// run-visible state — state_digest(), console, cycle counts, exits —
+// plus identical TLB-fill histories (the chained engine's inline
+// translate cache and the CPU's inline data path may only skip
+// provable TLB hits) and bit-exact timer delivery under adversarial
+// tick periods.  Also pins the strict KFI_EXEC parser.
 #include "machine/machine.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <optional>
 
 #include "check/expectations.h"
 #include "check/replay.h"
@@ -25,17 +22,6 @@ namespace kfi::machine {
 namespace {
 
 constexpr std::uint64_t kRunBudget = 30'000'000;
-
-const char* engine_name(ExecEngine engine) {
-  switch (engine) {
-    case ExecEngine::Step: return "step";
-    case ExecEngine::Block: return "block";
-    case ExecEngine::Chained: return "chained";
-    case ExecEngine::Threaded: return "threaded";
-    case ExecEngine::Memfast: return "memfast";
-  }
-  return "?";
-}
 
 std::unique_ptr<Machine> make_machine(const std::string& workload,
                                       ExecEngine engine) {
@@ -54,49 +40,23 @@ TEST(ExecEngine, GoldenRunIdenticalAcrossEngines) {
   ASSERT_EQ(a.exit, RunExit::Completed);
   EXPECT_EQ(step_m->perf_stats().block_ops, 0u);
 
-  for (const ExecEngine engine :
-       {ExecEngine::Block, ExecEngine::Chained, ExecEngine::Threaded,
-        ExecEngine::Memfast}) {
-    SCOPED_TRACE(engine_name(engine));
-    auto block_m = make_machine("syscall", engine);
-    ASSERT_TRUE(block_m->boot()) << block_m->console_output();
-    const RunResult b = block_m->run(kRunBudget);
-    ASSERT_EQ(b.exit, RunExit::Completed);
-    EXPECT_EQ(a.exit_code, b.exit_code);
-    EXPECT_EQ(step_m->cpu().cycles(), block_m->cpu().cycles());
-    EXPECT_EQ(step_m->console_output(), block_m->console_output());
-    EXPECT_EQ(step_m->state_digest(), block_m->state_digest());
-    // The block machines actually used their engines.
-    const PerfStats stats = block_m->perf_stats();
-    EXPECT_GT(stats.block_ops, 0u);
-    if (engine == ExecEngine::Block) {
-      EXPECT_EQ(stats.chain_follows, 0u);
-    } else {
-      EXPECT_GT(stats.chain_follows, 0u);
-    }
-    if (engine == ExecEngine::Threaded || engine == ExecEngine::Memfast) {
-      // Direct-threaded dispatch retired ops through handler pointers
-      // and the liveness pass actually elided dead flag writes.
-      EXPECT_GT(stats.threaded_ops, 0u);
-      EXPECT_GT(stats.flag_elisions, 0u);
-    } else {
-      EXPECT_EQ(stats.threaded_ops, 0u);
-      EXPECT_EQ(stats.flag_elisions, 0u);
-    }
-    if (engine == ExecEngine::Memfast) {
-      // Trace formation actually widened past conditional edges.
-      EXPECT_GT(stats.cond_widened, 0u);
-      EXPECT_GT(stats.side_exits, 0u);
-    } else {
-      EXPECT_EQ(stats.cond_widened, 0u);
-      EXPECT_EQ(stats.side_exits, 0u);
-    }
-    // TLB-fill determinism: the MMU epoch counts every TLB mutation
-    // (fills and flushes).  The chained engine's inline translate cache
-    // and the block builder's non-filling Mmu::peek must leave the fill
-    // history bit-identical to the stepper's.
-    EXPECT_EQ(step_m->cpu().mmu().epoch(), block_m->cpu().mmu().epoch());
-  }
+  auto chain_m = make_machine("syscall", ExecEngine::Chained);
+  ASSERT_TRUE(chain_m->boot()) << chain_m->console_output();
+  const RunResult b = chain_m->run(kRunBudget);
+  ASSERT_EQ(b.exit, RunExit::Completed);
+  EXPECT_EQ(a.exit_code, b.exit_code);
+  EXPECT_EQ(step_m->cpu().cycles(), chain_m->cpu().cycles());
+  EXPECT_EQ(step_m->console_output(), chain_m->console_output());
+  EXPECT_EQ(step_m->state_digest(), chain_m->state_digest());
+  // The chained machine actually used its engine.
+  const PerfStats stats = chain_m->perf_stats();
+  EXPECT_GT(stats.block_ops, 0u);
+  EXPECT_GT(stats.chain_follows, 0u);
+  // TLB-fill determinism: the MMU epoch counts every TLB mutation
+  // (fills and flushes).  The chained engine's inline translate cache
+  // and the block builder's non-filling Mmu::peek must leave the fill
+  // history bit-identical to the stepper's.
+  EXPECT_EQ(step_m->cpu().mmu().epoch(), chain_m->cpu().mmu().epoch());
 }
 
 TEST(ExecEngine, CheckpointLadderIdenticalAcrossEngines) {
@@ -113,42 +73,37 @@ TEST(ExecEngine, CheckpointLadderIdenticalAcrossEngines) {
       base + total / 8, base + total / 3, base + (2 * total) / 3};
   auto cks_a = step_m->capture_checkpoints(rungs, kRunBudget);
 
-  for (const ExecEngine engine :
-       {ExecEngine::Block, ExecEngine::Chained, ExecEngine::Threaded,
-        ExecEngine::Memfast}) {
-    SCOPED_TRACE(engine_name(engine));
-    auto block_m = make_machine("syscall", engine);
-    ASSERT_TRUE(block_m->boot());
-    // With chaining on, every rung cycle falls mid-chain somewhere in
-    // the hot loop: the dispatch must still stop on the exact cycle.
-    auto cks_b = block_m->capture_checkpoints(rungs, kRunBudget);
-    ASSERT_EQ(cks_a.size(), cks_b.size());
-    for (std::size_t i = 0; i < cks_a.size(); ++i) {
-      // Rungs land on the identical loop-top cycle, with identical
-      // register file and deltas, regardless of engine.
-      EXPECT_EQ(cks_a[i].cycle, cks_b[i].cycle) << "rung " << i;
-      EXPECT_EQ(cks_a[i].eip, cks_b[i].eip) << "rung " << i;
-      EXPECT_EQ(cks_a[i].flags, cks_b[i].flags) << "rung " << i;
-      EXPECT_EQ(cks_a[i].timer_pending, cks_b[i].timer_pending)
-          << "rung " << i;
-      for (int r = 0; r < 8; ++r) {
-        EXPECT_EQ(cks_a[i].regs[r], cks_b[i].regs[r]) << "rung " << i;
-      }
+  auto chain_m = make_machine("syscall", ExecEngine::Chained);
+  ASSERT_TRUE(chain_m->boot());
+  // Every rung cycle falls mid-chain somewhere in the hot loop: the
+  // dispatch must still stop on the exact cycle.
+  auto cks_b = chain_m->capture_checkpoints(rungs, kRunBudget);
+  ASSERT_EQ(cks_a.size(), cks_b.size());
+  for (std::size_t i = 0; i < cks_a.size(); ++i) {
+    // Rungs land on the identical loop-top cycle, with identical
+    // register file and deltas, regardless of engine.
+    EXPECT_EQ(cks_a[i].cycle, cks_b[i].cycle) << "rung " << i;
+    EXPECT_EQ(cks_a[i].eip, cks_b[i].eip) << "rung " << i;
+    EXPECT_EQ(cks_a[i].flags, cks_b[i].flags) << "rung " << i;
+    EXPECT_EQ(cks_a[i].timer_pending, cks_b[i].timer_pending)
+        << "rung " << i;
+    for (int r = 0; r < 8; ++r) {
+      EXPECT_EQ(cks_a[i].regs[r], cks_b[i].regs[r]) << "rung " << i;
     }
-
-    // Resuming the step machine from a rung the block machine captured
-    // (and vice versa) continues on the same timeline — the mid-chain
-    // rung restore severs any stale chains via the page-version bumps.
-    ASSERT_GE(cks_a.size(), 2u);
-    CheckpointMemo memo_a;
-    CheckpointMemo memo_b;
-    step_m->restore_checkpoint(cks_a[1], memo_a);
-    block_m->restore_checkpoint(cks_b[1], memo_b);
-    const RunResult ra = step_m->run(kRunBudget);
-    const RunResult rb = block_m->run(kRunBudget);
-    EXPECT_EQ(ra.exit, rb.exit);
-    EXPECT_EQ(step_m->state_digest(), block_m->state_digest());
   }
+
+  // Resuming each machine from its own mid-run rung continues on the
+  // same timeline — the mid-chain rung restore severs any stale chains
+  // via the page-version bumps.
+  ASSERT_GE(cks_a.size(), 2u);
+  CheckpointMemo memo_a;
+  CheckpointMemo memo_b;
+  step_m->restore_checkpoint(cks_a[1], memo_a);
+  chain_m->restore_checkpoint(cks_b[1], memo_b);
+  const RunResult ra = step_m->run(kRunBudget);
+  const RunResult rb = chain_m->run(kRunBudget);
+  EXPECT_EQ(ra.exit, rb.exit);
+  EXPECT_EQ(step_m->state_digest(), chain_m->state_digest());
 }
 
 TEST(ExecEngine, SmokeCampaignIdenticalAcrossEngines) {
@@ -159,39 +114,26 @@ TEST(ExecEngine, SmokeCampaignIdenticalAcrossEngines) {
       step_inj, profile::default_profile(),
       check::smoke_config(inject::Campaign::RandomNonBranch));
 
-  for (const ExecEngine engine :
-       {ExecEngine::Block, ExecEngine::Chained, ExecEngine::Threaded,
-        ExecEngine::Memfast}) {
-    SCOPED_TRACE(engine_name(engine));
-    inject::InjectorOptions block_options;
-    block_options.exec_engine = engine;
-    inject::Injector block_inj(block_options);
-    const inject::CampaignRun b = inject::run_campaign(
-        block_inj, profile::default_profile(),
-        check::smoke_config(inject::Campaign::RandomNonBranch));
+  inject::InjectorOptions chain_options;
+  chain_options.exec_engine = ExecEngine::Chained;
+  inject::Injector chain_inj(chain_options);
+  const inject::CampaignRun b = inject::run_campaign(
+      chain_inj, profile::default_profile(),
+      check::smoke_config(inject::Campaign::RandomNonBranch));
 
-    const check::RunComparison cmp = check::compare_runs(a, b);
-    EXPECT_TRUE(cmp.identical())
-        << cmp.mismatches.size() << " mismatches of " << cmp.compared;
-    std::size_t shown = 0;
-    for (const auto& [index, diffs] : cmp.mismatches) {
-      for (const check::FieldDiff& d : diffs) {
-        ADD_FAILURE() << "result " << index << " field " << d.field
-                      << ": step=" << d.recorded << " block=" << d.replayed;
-      }
-      if (++shown == 3) break;
+  const check::RunComparison cmp = check::compare_runs(a, b);
+  EXPECT_TRUE(cmp.identical())
+      << cmp.mismatches.size() << " mismatches of " << cmp.compared;
+  std::size_t shown = 0;
+  for (const auto& [index, diffs] : cmp.mismatches) {
+    for (const check::FieldDiff& d : diffs) {
+      ADD_FAILURE() << "result " << index << " field " << d.field
+                    << ": step=" << d.recorded << " chained=" << d.replayed;
     }
-    EXPECT_GT(block_inj.perf_stats().block_ops, 0u);
-    if (engine != ExecEngine::Block) {
-      EXPECT_GT(block_inj.perf_stats().chain_follows, 0u);
-    }
-    if (engine == ExecEngine::Threaded || engine == ExecEngine::Memfast) {
-      EXPECT_GT(block_inj.perf_stats().threaded_ops, 0u);
-    }
-    if (engine == ExecEngine::Memfast) {
-      EXPECT_GT(block_inj.perf_stats().cond_widened, 0u);
-    }
+    if (++shown == 3) break;
   }
+  EXPECT_GT(chain_inj.perf_stats().block_ops, 0u);
+  EXPECT_GT(chain_inj.perf_stats().chain_follows, 0u);
 }
 
 // Timer ticks must be delivered on bit-identical cycles even when a
@@ -202,12 +144,10 @@ TEST(ExecEngine, TimerPeriodSweepChainedMatchesStep) {
   static const disk::DiskImage root_disk = make_root_disk();
   for (const std::uint32_t period : {977u, 1361u}) {
     SCOPED_TRACE(period);
-    std::uint64_t digests[4];
-    std::uint64_t cycles[4];
+    std::uint64_t digests[2];
+    std::uint64_t cycles[2];
     int i = 0;
-    for (const ExecEngine engine :
-         {ExecEngine::Step, ExecEngine::Chained, ExecEngine::Threaded,
-          ExecEngine::Memfast}) {
+    for (const ExecEngine engine : {ExecEngine::Step, ExecEngine::Chained}) {
       MachineOptions options;
       options.exec_engine = engine;
       options.timer_period = period;
@@ -222,31 +162,41 @@ TEST(ExecEngine, TimerPeriodSweepChainedMatchesStep) {
       }
       ++i;
     }
-    for (int j = 1; j < 4; ++j) {
-      EXPECT_EQ(digests[0], digests[j])
-          << "state diverged at period " << period << " engine " << j;
-      EXPECT_EQ(cycles[0], cycles[j])
-          << "cycles diverged at period " << period << " engine " << j;
-    }
+    EXPECT_EQ(digests[0], digests[1]) << "state diverged at period " << period;
+    EXPECT_EQ(cycles[0], cycles[1]) << "cycles diverged at period " << period;
   }
 }
 
 TEST(ExecEngine, DefaultsFromEnvironment) {
   // The KFI_EXEC matrix legs in CI rely on this default.
-  const ExecEngine def = default_exec_engine();
-  const char* env = std::getenv("KFI_EXEC");
-  if (env != nullptr && std::string_view(env) == "block") {
-    EXPECT_EQ(def, ExecEngine::Block);
-  } else if (env != nullptr && std::string_view(env) == "chained") {
-    EXPECT_EQ(def, ExecEngine::Chained);
-  } else if (env != nullptr && std::string_view(env) == "threaded") {
-    EXPECT_EQ(def, ExecEngine::Threaded);
-  } else if (env != nullptr && std::string_view(env) == "memfast") {
-    EXPECT_EQ(def, ExecEngine::Memfast);
-  } else {
-    EXPECT_EQ(def, ExecEngine::Step);
+  const std::optional<ExecEngine> expected =
+      parse_exec_engine(std::getenv("KFI_EXEC"));
+  ASSERT_TRUE(expected.has_value());
+  EXPECT_EQ(default_exec_engine(), *expected);
+  EXPECT_EQ(MachineOptions{}.exec_engine, *expected);
+}
+
+TEST(ExecEngine, ParserAcceptsOnlyStepAndChained) {
+  EXPECT_EQ(parse_exec_engine(nullptr), ExecEngine::Step);
+  EXPECT_EQ(parse_exec_engine(""), ExecEngine::Step);
+  EXPECT_EQ(parse_exec_engine("step"), ExecEngine::Step);
+  EXPECT_EQ(parse_exec_engine("chained"), ExecEngine::Chained);
+  // Engine names from older builds and near-misses are rejected, never
+  // silently mapped to the stepper.
+  for (const char* bad : {"block", "threaded", "memfast", "Chained", "step ",
+                          "chain", "1", "garbage"}) {
+    EXPECT_FALSE(parse_exec_engine(bad).has_value()) << bad;
   }
-  EXPECT_EQ(MachineOptions{}.exec_engine, def);
+}
+
+TEST(ExecEngine, UnknownEnvironmentValueStopsTheProcess) {
+  EXPECT_EXIT(
+      {
+        setenv("KFI_EXEC", "memfast", 1);
+        default_exec_engine();
+      },
+      ::testing::ExitedWithCode(2),
+      "KFI_EXEC=memfast.*\"step\".*\"chained\"");
 }
 
 }  // namespace

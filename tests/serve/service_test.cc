@@ -23,6 +23,7 @@
 #include "check/replay.h"
 #include "inject/injector.h"
 #include "profile/profile.h"
+#include "support/serial.h"
 
 namespace kfi::serve {
 namespace {
@@ -408,6 +409,31 @@ TEST(Service, ManifestWithShardRangePastThePlanIsRejected) {
   table.back().second += 5;
   const std::string dir =
       manifest_with_table("kfi_service_test_table_past", table);
+  EXPECT_FALSE(load_manifest(dir).has_value());
+  EXPECT_FALSE(run_worker(dir, 0, 1).ok);
+}
+
+TEST(Service, ManifestWithUnknownEngineIsRejected) {
+  // The config echo is hash-protected, but a manifest written by a
+  // build with more execution engines carries a valid hash over an
+  // engine value this build does not have.  Rewrite the echo's engine
+  // field (after the u32 checkpoint count and the u8 full-restore flag)
+  // and re-hash it: the loader and a worker must refuse it.
+  std::string bytes = prepared_manifest().first;
+  std::uint32_t bundle_len = 0;
+  std::memcpy(&bundle_len, &bytes[8], 4);  // after magic and version
+  const std::size_t hash_at = 12 + bundle_len;
+  const std::size_t echo_at = hash_at + 16;  // hash, then echo size
+  std::uint64_t echo_size = 0;
+  std::memcpy(&echo_size, &bytes[hash_at + 8], 8);
+  const std::uint32_t engine = 4;
+  std::memcpy(&bytes[echo_at + 5], &engine, 4);
+  const std::uint64_t hash =
+      fnv1a_bytes(&bytes[echo_at], static_cast<std::size_t>(echo_size));
+  std::memcpy(&bytes[hash_at], &hash, 8);
+
+  const std::string dir = fresh_dir("kfi_service_test_unknown_engine");
+  std::ofstream(dir + "/manifest.kfim", std::ios::binary) << bytes;
   EXPECT_FALSE(load_manifest(dir).has_value());
   EXPECT_FALSE(run_worker(dir, 0, 1).ok);
 }

@@ -1,6 +1,7 @@
 // Unit tests for block chaining: link following, link severing through
 // both invalidation paths (the injector's explicit invalidate_blocks()
-// hint and the bare page-version bump), guest self-modifying code that
+// hint and the bare page-version bump), a mid-block injection flip
+// re-derived against the stepper, guest self-modifying code that
 // rewrites an already-chained successor, cross-page fall-through chains
 // and their TLB-fill determinism, exact cycle-limit stops mid-chain,
 // and snapshot-restore severing (the checkpoint-rung case).
@@ -45,7 +46,7 @@ struct Rig {
   Bus bus;
   Cpu cpu;
 
-  explicit Rig(bool chained = true) : memory(kRamSize), cpu(memory, bus) {
+  Rig() : memory(kRamSize), cpu(memory, bus) {
     HostMapper mapper(memory, kBootPgdPhys, kKernelPtePhys);
     mapper.map_range(kKernelBase, 0, kRamSize, kPteWrite);
     cpu.mmu().set_cr3(kBootPgdPhys);
@@ -56,7 +57,6 @@ struct Rig {
     memory.fill(phys_of_virt(kHandlerVirt), 64, 0xF4);
     cpu.set_reg(Reg::Esp, kBootStackTop);
     cpu.set_eip(kCodeVirt);
-    cpu.set_chaining(chained);
   }
 
   void load(const std::vector<std::uint8_t>& bytes) {
@@ -73,6 +73,16 @@ struct Rig {
         event = cpu.step();
       }
       if (event.kind != CpuEventKind::Executed) break;
+    }
+    return event;
+  }
+
+  // Single-steps until a non-Executed event or the cycle budget: the
+  // stepper reference every chained run is compared against.
+  CpuEvent step_to_stop(std::uint64_t max_cycles) {
+    CpuEvent event{};
+    while (cpu.cycles() < max_cycles &&
+           (event = cpu.step()).kind == CpuEventKind::Executed) {
     }
     return event;
   }
@@ -100,16 +110,6 @@ TEST(ChainEngine, LoopFollowsBackEdgeLinks) {
   // back edge is a patched link followed without re-dispatch.
   EXPECT_GT(rig.cpu.chain_follows(), 40u);
   EXPECT_EQ(rig.cpu.block_fallbacks(), 0u);
-}
-
-TEST(ChainEngine, ChainingOffNeverFollows) {
-  Rig rig(/*chained=*/false);
-  rig.load(loop_program(50));
-  const CpuEvent event = rig.run(1000);
-  EXPECT_EQ(event.kind, CpuEventKind::Halted);
-  EXPECT_EQ(rig.cpu.reg(Reg::Eax), 50u * 51u / 2u);
-  EXPECT_EQ(rig.cpu.chain_follows(), 0u);
-  EXPECT_EQ(rig.cpu.chain_breaks(), 0u);
 }
 
 // Two chained blocks; the successor's bytes change between runs.
@@ -174,6 +174,50 @@ TEST(ChainEngine, VersionBumpAloneSeversChain) {
   EXPECT_EQ(rig.cpu.reg(Reg::Ebx), 9u) << "stale chained block executed";
 }
 
+TEST(ChainEngine, MidBlockFlipMatchesStepperFlagsAndLatency) {
+  // The injector contract at the cpu level: run once through chained
+  // traces, host-flip an immediate in the middle of a cached block,
+  // invalidate, and re-run.  The result must match a stepper doing the
+  // identical flip — same registers, same full flags word, same cycle
+  // count (fault latency is measured in cycles).
+  Asm a;
+  a.add(mov_ri(Reg::Eax, 7));
+  a.add(alu_rr(Op::Cmp, Reg::Eax, Reg::Eax));  // zf = 1
+  const int hop = a.branch(jcc(Cond::E), 0);   // always taken
+  a.add(nullary(Op::Hlt));                     // dead fall-through
+  a.set_target(hop, a.next_index());
+  const int marker = a.add(mov_ri(Reg::Ebx, 1));
+  a.add(alu_rr(Op::Add, Reg::Ecx, Reg::Ebx));
+  a.add(nullary(Op::Hlt));
+  const std::vector<std::uint8_t> program = a.assemble(kCodeVirt);
+  const std::uint32_t flip_phys =
+      phys_of_virt(kCodeVirt) +
+      static_cast<std::uint32_t>(a.offset_of(marker) + 1);
+
+  Rig chained, stepper;
+  chained.load(program);
+  stepper.load(program);
+  ASSERT_EQ(chained.run(100).kind, CpuEventKind::Halted);
+  ASSERT_EQ(stepper.step_to_stop(100).kind, CpuEventKind::Halted);
+  for (Rig* rig : {&chained, &stepper}) {
+    rig->memory.write8(flip_phys, 5);
+    rig->cpu.invalidate_blocks(flip_phys);
+    rig->cpu.reset_fault_state();
+    rig->cpu.set_eip(kCodeVirt);
+  }
+  ASSERT_EQ(chained.run(200).kind, CpuEventKind::Halted);
+  ASSERT_EQ(stepper.step_to_stop(200).kind, CpuEventKind::Halted);
+
+  EXPECT_EQ(chained.cpu.reg(Reg::Ebx), 5u) << "stale chained block executed";
+  for (int r = 0; r < isa::kRegCount; ++r) {
+    EXPECT_EQ(chained.cpu.reg(static_cast<Reg>(r)),
+              stepper.cpu.reg(static_cast<Reg>(r)));
+  }
+  EXPECT_EQ(chained.cpu.flags().to_word(), stepper.cpu.flags().to_word());
+  EXPECT_EQ(chained.cpu.cycles(), stepper.cpu.cycles());
+  EXPECT_GE(chained.cpu.block_invalidations(), 1u);
+}
+
 TEST(ChainEngine, GuestSmcRewritesChainedTarget) {
   // The guest itself rewrites the chained successor's immediate on each
   // trip around a loop: head (store) -> jmp -> marker -> jne head.
@@ -196,14 +240,10 @@ TEST(ChainEngine, GuestSmcRewritesChainedTarget) {
   const std::vector<std::uint8_t> program = a.assemble(kCodeVirt);
   ASSERT_FALSE(program.empty());
 
-  Rig stepper(/*chained=*/false), chained;
+  Rig stepper, chained;
   stepper.load(program);
   chained.load(program);
-  CpuEvent event{};
-  while (stepper.cpu.cycles() < 500 &&
-         (event = stepper.cpu.step()).kind == CpuEventKind::Executed) {
-  }
-  ASSERT_EQ(event.kind, CpuEventKind::Halted);
+  ASSERT_EQ(stepper.step_to_stop(500).kind, CpuEventKind::Halted);
   ASSERT_EQ(chained.run(500).kind, CpuEventKind::Halted);
 
   EXPECT_EQ(chained.cpu.reg(Reg::Esi), stepper.cpu.reg(Reg::Esi));
@@ -231,14 +271,10 @@ TEST(ChainEngine, CrossPageFallthroughChainsWithIdenticalTlbFills) {
   const std::vector<std::uint8_t> program = a.assemble(kCodeVirt);
   ASSERT_GT(program.size(), static_cast<std::size_t>(kPageSize));
 
-  Rig stepper(/*chained=*/false), chained;
+  Rig stepper, chained;
   stepper.load(program);
   chained.load(program);
-  CpuEvent event{};
-  while (stepper.cpu.cycles() < 3 * kPageSize &&
-         (event = stepper.cpu.step()).kind == CpuEventKind::Executed) {
-  }
-  ASSERT_EQ(event.kind, CpuEventKind::Halted);
+  ASSERT_EQ(stepper.step_to_stop(3 * kPageSize).kind, CpuEventKind::Halted);
   ASSERT_EQ(chained.run(3 * kPageSize).kind, CpuEventKind::Halted);
 
   EXPECT_EQ(chained.cpu.reg(Reg::Eax), 0x3000u);
@@ -261,7 +297,7 @@ TEST(ChainEngine, CycleLimitStopsExactlyMidChain) {
   EXPECT_EQ(rig.cpu.cycles(), 14u);
   // 14 = setup + 4 full iterations + dangling add: eip sits at dec.
   EXPECT_GT(rig.cpu.chain_follows(), 0u);
-  Rig stepper(/*chained=*/false);
+  Rig stepper;
   stepper.load(loop_program(50));
   for (int i = 0; i < 14; ++i) stepper.cpu.step();
   EXPECT_EQ(rig.cpu.eip(), stepper.cpu.eip());
@@ -292,6 +328,13 @@ TEST(ChainEngine, SnapshotRestoreSeversChains) {
   ASSERT_EQ(rig.run(400).kind, CpuEventKind::Halted);
   EXPECT_EQ(rig.cpu.reg(Reg::Eax), 10u * 11u / 2u);
   EXPECT_NE(rig.cpu.reg(Reg::Eax), eax_first);
+
+  // A stepper over the same patched program agrees on the flags word.
+  Rig stepper;
+  stepper.load(loop_program(20));
+  stepper.memory.write8(phys_of_virt(kCodeVirt) + 1, 10);
+  ASSERT_EQ(stepper.step_to_stop(400).kind, CpuEventKind::Halted);
+  EXPECT_EQ(rig.cpu.flags().to_word(), stepper.cpu.flags().to_word());
 }
 
 }  // namespace

@@ -71,7 +71,7 @@ struct Rig {
   Bus bus;
   Cpu cpu;
 
-  explicit Rig(bool memfast = true) : memory(kRamSize), cpu(memory, bus) {
+  Rig() : memory(kRamSize), cpu(memory, bus) {
     HostMapper mapper(memory, kBootPgdPhys, kKernelPtePhys);
     mapper.map_range(kKernelBase, 0, kRamSize, kPteWrite);
     cpu.mmu().set_cr3(kBootPgdPhys);
@@ -82,9 +82,6 @@ struct Rig {
     memory.fill(phys_of_virt(kHandlerVirt), 64, 0xF4);
     cpu.set_reg(Reg::Esp, kBootStackTop);
     cpu.set_eip(kCodeVirt);
-    cpu.set_chaining(memfast);
-    cpu.set_threaded(memfast);
-    cpu.set_memfast(memfast);
   }
 
   void load(const std::vector<std::uint8_t>& bytes) {
@@ -118,15 +115,13 @@ std::vector<std::uint8_t> same_page_program(int accesses) {
   return a.assemble(kCodeVirt);
 }
 
-TEST(Dtlb, MemfastMatchesStepperAndHitsDtlb) {
+TEST(Dtlb, ChainedMatchesStepperAndHitsDtlb) {
   // 24 loads and stores to one data page: after the first access fills
   // the TLB, every later one is a permitted hit the inline path serves
   // without a walk.  Both engines must leave the same registers,
   // cycles and fill history (Mmu::epoch counts every fill).
-  Rig fast(/*memfast=*/true);
-  Rig step(/*memfast=*/false);
-  step.cpu.set_chaining(false);
-  step.cpu.set_threaded(false);
+  Rig fast;
+  Rig step;
   const auto program = same_page_program(24);
   fast.load(program);
   step.load(program);
@@ -207,7 +202,7 @@ struct DataRig : Rig {
   EchoDevice device;
   std::unordered_set<std::uint32_t> write_trace;
 
-  DataRig() : Rig(/*memfast=*/false) {
+  DataRig() {
     HostMapper mapper(memory, kBootPgdPhys, kKernelPtePhys);
     mapper.map(kRoVirt, phys_of_virt(kRoVirt), 0);
     mapper.map(kUserVirt, phys_of_virt(kUserVirt), kPteWrite | kPteUser);
@@ -375,7 +370,7 @@ TEST(Dtlb, GuestSmcThroughCachedPointerReDecodes) {
   // The store's target page is TLB-warmed by an earlier store, and
   // the target is the imm32 of an instruction later in the SAME
   // widened trace: the inline fast path must still bump the page
-  // version, and the SMC gate after the store must hand control back
+  // version, and the next op's version check must hand control back
   // so the rewritten bytes are re-decoded — exactly what the stepper
   // does.
   Asm a;
@@ -387,10 +382,8 @@ TEST(Dtlb, GuestSmcThroughCachedPointerReDecodes) {
   a.set_imm_target(ptr, marker, 1);  // &imm32 of the marker mov
   a.add(nullary(Op::Hlt));
 
-  Rig fast(/*memfast=*/true);
-  Rig step(/*memfast=*/false);
-  step.cpu.set_chaining(false);
-  step.cpu.set_threaded(false);
+  Rig fast;
+  Rig step;
   const auto program = a.assemble(kCodeVirt);
   ASSERT_FALSE(program.empty());
   fast.load(program);
@@ -403,7 +396,7 @@ TEST(Dtlb, GuestSmcThroughCachedPointerReDecodes) {
   EXPECT_EQ(event.kind, CpuEventKind::Halted);
   EXPECT_EQ(step.cpu.reg(Reg::Ebx), 0xAABBCCDDu) << "stepper baseline";
   EXPECT_EQ(fast.cpu.reg(Reg::Ebx), 0xAABBCCDDu)
-      << "memfast ran the stale predecoded marker";
+      << "the chained engine ran the stale predecoded marker";
   EXPECT_EQ(fast.cpu.cycles(), step.cpu.cycles());
 }
 
@@ -423,10 +416,8 @@ TEST(Dtlb, PageCrossingAccessMatchesStepper) {
     a.add(nullary(Op::Hlt));
     const auto program = a.assemble(kCodeVirt);
 
-    Rig fast(/*memfast=*/true);
-    Rig step(/*memfast=*/false);
-    step.cpu.set_chaining(false);
-    step.cpu.set_threaded(false);
+    Rig fast;
+    Rig step;
     fast.load(program);
     step.load(program);
     EXPECT_EQ(fast.run(1000).kind, CpuEventKind::Halted);
