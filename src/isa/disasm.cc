@@ -23,7 +23,9 @@ std::string operand_text(const Operand& op) {
       std::string out;
       if (m.disp != 0) {
         if (m.disp < 0) {
-          out += "-0x" + kfi::format("%x", -m.disp);
+          // Negated in uint32_t: -INT32_MIN overflows int32_t.
+          out += "-0x" + kfi::format("%x",
+                                     0u - static_cast<std::uint32_t>(m.disp));
         } else {
           out += "0x" + kfi::format("%x", m.disp);
         }
@@ -32,7 +34,9 @@ std::string operand_text(const Operand& op) {
       return out;
     }
     case OperandKind::Imm:
-      if (op.imm < 0) return kfi::format("$-0x%x", -op.imm);
+      if (op.imm < 0) {
+        return kfi::format("$-0x%x", 0u - static_cast<std::uint32_t>(op.imm));
+      }
       return kfi::format("$0x%x", op.imm);
   }
   return "";

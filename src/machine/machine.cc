@@ -101,8 +101,8 @@ class Machine::TlbDevice : public vm::Device {
 
 std::optional<ExecEngine> parse_exec_engine(const char* value) {
   const std::string_view name = value == nullptr ? "" : value;
-  if (name.empty() || name == "step") return ExecEngine::Step;
-  if (name == "chained") return ExecEngine::Chained;
+  if (name.empty() || name == "chained") return ExecEngine::Chained;
+  if (name == "step") return ExecEngine::Step;
   return std::nullopt;
 }
 

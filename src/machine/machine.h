@@ -66,13 +66,13 @@ struct RunResult {
 enum class ExecEngine : std::uint8_t { Step, Chained };
 
 // Parses a KFI_EXEC value: "step" or "chained"; nullptr or empty means
-// the stepper.  Any other value yields std::nullopt.
+// the chained engine.  Any other value yields std::nullopt.
 std::optional<ExecEngine> parse_exec_engine(const char* value);
 
 // Reads the KFI_EXEC environment variable once per call (see
 // parse_exec_engine).  An unrecognised value prints an error naming the
 // accepted values and exits the process with status 2, so a stale
-// setting never silently selects the stepper.  MachineOptions defaults
+// setting never silently selects an engine.  MachineOptions defaults
 // from this so CI can drive the whole test suite through either engine
 // without code changes.
 ExecEngine default_exec_engine();

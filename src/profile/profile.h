@@ -52,7 +52,7 @@ struct ProfileResult {
 struct ProfileOptions {
   std::uint32_t sample_period = 97;       // cycles between PC samples
   std::uint64_t run_budget = 40'000'000;  // per-workload watchdog
-  std::vector<std::string> workload_names;  // empty = all eight
+  std::vector<std::string> workload_names;  // empty = all nine
 };
 
 // Runs every workload on a fresh machine, sampling the kernel PC.

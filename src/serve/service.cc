@@ -63,6 +63,16 @@ void write_config_echo(ByteWriter& writer, const Manifest& manifest) {
   }
 }
 
+std::uint64_t config_hash(const Manifest& manifest) {
+  ByteWriter echo;
+  write_config_echo(echo, manifest);
+  return fnv1a_bytes(echo.buffer().data(), echo.size());
+}
+
+const char* engine_name(machine::ExecEngine engine) {
+  return engine == machine::ExecEngine::Step ? "step" : "chained";
+}
+
 bool read_config_echo(ByteReader& reader, Manifest& manifest) {
   manifest.options.checkpoints = static_cast<int>(reader.u32());
   manifest.options.full_restore = reader.u8() != 0;
@@ -328,20 +338,35 @@ std::optional<Manifest> prepare_campaign(const ServiceConfig& config,
   manifest.options = config.options;
   manifest.options.trace_capacity = 0;  // never part of campaign identity
   manifest.kernel_fp = analysis::kernel_fingerprint(kernel::built_kernel());
-  {
-    ByteWriter echo;
-    write_config_echo(echo, manifest);
-    manifest.config_hash = fnv1a_bytes(echo.buffer().data(), echo.size());
-  }
+  manifest.config_hash = config_hash(manifest);
 
   // An existing manifest for the same config is the resume case: keep
-  // it (and every completed shard).  A different config, or --fresh,
+  // it (and every completed shard).  A different config, or `fresh`,
   // wipes shards and claims; bundles are keyed and content-verified,
   // so they always survive.
   if (auto existing = load_manifest_full(config.dir)) {
-    if (!config.fresh &&
-        existing->first.config_hash == manifest.config_hash) {
-      return std::move(existing->first);
+    Manifest& old = existing->first;
+    if (!config.fresh && old.config_hash == manifest.config_hash) {
+      return std::move(old);
+    }
+    // The same campaign under the other execution engine.  The engines
+    // are result-identical, but the engine is part of the campaign
+    // identity, so going on would wipe every completed shard (e.g. a
+    // directory begun by a build whose default engine was the stepper).
+    // Stop and name the setting that resumes it.
+    const machine::ExecEngine prepared_with = old.options.exec_engine;
+    old.options.exec_engine = manifest.options.exec_engine;
+    if (!config.fresh && config_hash(old) == manifest.config_hash) {
+      std::fprintf(stderr,
+                   "[kfi-serve] %s was prepared with the %s engine; resume "
+                   "it with KFI_EXEC=%s, or prepare it fresh\n",
+                   config.dir.c_str(), engine_name(prepared_with),
+                   engine_name(prepared_with));
+      if (result != nullptr) {
+        result->error = "campaign prepared with KFI_EXEC=" +
+                        std::string(engine_name(prepared_with));
+      }
+      return std::nullopt;
     }
   }
   if (std::filesystem::exists(manifest_path(config.dir), ec) ||
@@ -572,7 +597,7 @@ ServiceResult run_service(const ServiceConfig& config, bool materialize) {
   const std::optional<Manifest> manifest =
       prepare_campaign(config, &result);
   if (!manifest.has_value()) {
-    result.error = "prepare failed";
+    if (result.error.empty()) result.error = "prepare failed";
     return result;
   }
   const analysis::ShardStore store(shards_dir(config.dir));

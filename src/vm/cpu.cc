@@ -548,6 +548,56 @@ bool block_terminator(const Instruction& in) {
   }
 }
 
+// Whether executing `in` may write guest memory or MMIO, or halt: the
+// only ways a trace op can move a code-page version, set the host's
+// stop latch or set halted_ (dead_ needs a failing handler, which ends
+// the trace anyway).  Conservative by construction: only the
+// whitelisted ops with a register destination are store-free, so every
+// Mem/Mem8 destination, push, call, int and hlt counts as a store.
+bool may_store(const Instruction& in) {
+  if (in.dst.kind == OperandKind::Mem || in.dst.kind == OperandKind::Mem8) {
+    return true;
+  }
+  switch (in.op) {
+    case Op::Add:
+    case Op::Or:
+    case Op::And:
+    case Op::Sub:
+    case Op::Xor:
+    case Op::Cmp:
+    case Op::Test:
+    case Op::Mov:
+    case Op::Lea:
+    case Op::Movzx8:
+    case Op::Imul:
+    case Op::Pop:
+    case Op::Inc:
+    case Op::Dec:
+    case Op::Not:
+    case Op::Neg:
+    case Op::Mul:
+    case Op::Div:
+    case Op::Idiv:
+    case Op::Shl:
+    case Op::Shr:
+    case Op::Sar:
+    case Op::Jcc:
+    case Op::Setcc:
+    case Op::Jmp:
+    case Op::JmpInd:
+    case Op::Ret:
+    case Op::Leave:
+    case Op::Nop:
+    case Op::Cdq:
+    case Op::In:
+    case Op::Cli:
+    case Op::Sti:
+      return false;
+    default:
+      return true;
+  }
+}
+
 }  // namespace
 
 bool Cpu::build_block(std::uint32_t entry_paddr, Block& blk) {
@@ -575,8 +625,17 @@ bool Cpu::build_block(std::uint32_t entry_paddr, Block& blk) {
     Instruction instr;
     if (isa::decode(buf, take, instr) != DecodeStatus::Ok) break;
 
-    blk.ops.push_back(
-        MicroOp{vaddr, paddr, memory_.page_version(paddr), instr});
+    MicroOp uop;
+    uop.fn = select_handler(instr);
+    uop.vaddr = vaddr;
+    uop.paddr = paddr;
+    uop.version = memory_.page_version(paddr);
+    uop.same_page = !blk.ops.empty() &&
+                    (blk.ops.back().vaddr >> 12) == (vaddr >> 12) &&
+                    (blk.ops.back().paddr >> 12) == (paddr >> 12);
+    uop.may_store = may_store(instr);
+    uop.instr = instr;
+    blk.ops.push_back(uop);
     if (vaddr < vmin) vmin = vaddr;
     const std::uint32_t last_byte = vaddr + instr.length - 1;
     if (last_byte > vmax) vmax = last_byte;
@@ -661,7 +720,9 @@ std::size_t Cpu::run_block(std::uint64_t max_instructions, const bool* stop,
   // skipped only when it is provably a TLB hit: the page was verified
   // present at `cached_epoch` and no TLB mutation (fill, flush, cr3
   // load) has happened since, so the skipped call could neither fail
-  // differently nor change TLB state the stepper would have.
+  // differently nor change TLB state the stepper would have.  Inside a
+  // trace the cached page is always the previous op's, so a same_page
+  // op only has to compare the epoch.
   std::uint32_t cached_vpn = eip_ >> 12;
   std::uint32_t cached_frame = entry_paddr & ~kPageMask;
   std::uint64_t cached_epoch = mmu_.epoch();
@@ -678,31 +739,29 @@ std::size_t Cpu::run_block(std::uint64_t max_instructions, const bool* stop,
                                     : static_cast<std::size_t>(remaining);
     std::size_t executed = 0;
     bool broke = false;
+    // Set after a may_store op.  Op 0 needs no flag: it is never
+    // same_page, so its version is checked like any page change.
+    bool check_version = false;
     while (executed < limit) {
       const MicroOp& op = blk->ops[executed];
-      if (executed != 0) {
-        // Re-verify the fetch translation exactly where the stepper
-        // would fetch: same call, same TLB fills, same result — or a
-        // proven-hit shortcut with no call at all.
-        const std::uint32_t vpn = eip_ >> 12;
+      if (executed != 0 && (!op.same_page || mmu_.epoch() != cached_epoch)) {
+        // Re-verify the fetch translation where the stepper's fetch
+        // could differ from the cached frame: a new page, or any TLB
+        // mutation since the last verified hit.  Same call, same TLB
+        // fills, same result.
         std::uint32_t paddr = 0;
-        if (vpn == cached_vpn && mmu_.epoch() == cached_epoch) {
-          paddr = cached_frame | (eip_ & kPageMask);
-        } else if (mmu_.translate_fast(eip_, Access::Execute, cpl_, paddr) ==
-                   TranslateStatus::Ok) {
-          cached_vpn = vpn;
-          cached_frame = paddr & ~kPageMask;
-          cached_epoch = mmu_.epoch();
-        } else {
+        if (mmu_.translate_fast(eip_, Access::Execute, cpl_, paddr) !=
+                TranslateStatus::Ok ||
+            paddr != op.paddr) {
           broke = true;
           break;
         }
-        if (paddr != op.paddr) {
-          broke = true;
-          break;
-        }
+        cached_vpn = eip_ >> 12;
+        cached_frame = paddr & ~kPageMask;
+        cached_epoch = mmu_.epoch();
       }
-      if (memory_.page_version(op.paddr) != op.version) {
+      if ((check_version || !op.same_page) &&
+          memory_.page_version(op.paddr) != op.version) {
         // Self-modified (or flipped) code page: drop the block and let
         // the stepper re-decode this instruction.
         blk->entry_paddr = kNoBlock;
@@ -712,13 +771,15 @@ std::size_t Cpu::run_block(std::uint64_t max_instructions, const bool* stop,
       }
       cycles_ += 1;
       ++executed;
-      if (!execute(op.instr)) {
+      if (!op.fn(*this, op.instr)) {
         event.trap_taken = true;
         event.trap = last_trap_.trap;
         broke = true;
         break;
       }
-      if (halted_ || dead_ || (stop != nullptr && *stop)) {
+      check_version = op.may_store;
+      if (op.may_store &&
+          (halted_ || dead_ || (stop != nullptr && *stop))) {
         broke = true;
         break;
       }
@@ -825,9 +886,10 @@ void Cpu::invalidate_blocks(std::uint32_t paddr) {
 // Opcode handlers
 // ---------------------------------------------------------------------
 //
-// One static handler per opcode, so step() and the block engine share a
-// single implementation of each instruction.  A handler returns false
-// when it raised a trap (eip_ already redirected).
+// One generic static handler per opcode (kHandlers; all step() ever
+// runs), plus operand-form specializations of the hottest ones that
+// trace micro-ops run instead (select).  A handler returns false when
+// it raised a trap (eip_ already redirected).
 
 struct OpHandlers {
   // ----- data movement -----
@@ -854,6 +916,36 @@ struct OpHandlers {
   }
 
   // ----- ALU -----
+  // The 32-bit result and flags of a two-operand ALU op.
+  template <Op O>
+  static std::uint32_t alu32(Cpu& c, std::uint32_t a, std::uint32_t b) {
+    std::uint32_t result = 0;
+    if constexpr (O == Op::Add) {
+      result = a + b;
+      c.flags_.cf = result < a;
+      c.flags_.of = (((a ^ result) & (b ^ result)) >> 31) != 0;
+    } else if constexpr (O == Op::Sub || O == Op::Cmp) {
+      result = a - b;
+      c.flags_.cf = a < b;
+      c.flags_.of = (((a ^ b) & (a ^ result)) >> 31) != 0;
+    } else if constexpr (O == Op::Or) {
+      result = a | b;
+    } else if constexpr (O == Op::And || O == Op::Test) {
+      result = a & b;
+    } else {
+      result = a ^ b;
+    }
+    if constexpr (O == Op::Or || O == Op::And || O == Op::Xor ||
+                  O == Op::Test) {
+      c.set_logic_flags32(result);
+    } else {
+      c.flags_.zf = result == 0;
+      c.flags_.sf = (result >> 31) != 0;
+      c.flags_.pf = parity_even(static_cast<std::uint8_t>(result));
+    }
+    return result;
+  }
+
   template <Op O>
   static bool alu(Cpu& c, const Instruction& in) {
     static_assert(O == Op::Add || O == Op::Or || O == Op::And ||
@@ -897,29 +989,7 @@ struct OpHandlers {
       }
       result = r8;
     } else {
-      if constexpr (O == Op::Add) {
-        result = a + b;
-        c.flags_.cf = result < a;
-        c.flags_.of = (((a ^ result) & (b ^ result)) >> 31) != 0;
-      } else if constexpr (O == Op::Sub || O == Op::Cmp) {
-        result = a - b;
-        c.flags_.cf = a < b;
-        c.flags_.of = (((a ^ b) & (a ^ result)) >> 31) != 0;
-      } else if constexpr (O == Op::Or) {
-        result = a | b;
-      } else if constexpr (O == Op::And || O == Op::Test) {
-        result = a & b;
-      } else {
-        result = a ^ b;
-      }
-      if constexpr (O == Op::Or || O == Op::And || O == Op::Xor ||
-                    O == Op::Test) {
-        c.set_logic_flags32(result);
-      } else {
-        c.flags_.zf = result == 0;
-        c.flags_.sf = (result >> 31) != 0;
-        c.flags_.pf = parity_even(static_cast<std::uint8_t>(result));
-      }
+      result = alu32<O>(c, a, b);
     }
     if constexpr (O != Op::Cmp && O != Op::Test) {
       if (!c.write_operand(in.dst, result)) return false;
@@ -1291,11 +1361,129 @@ struct OpHandlers {
       sti,                  // Sti
       ud,                   // Invalid
   };
+
+  // ----- operand-form specializations -----
+  //
+  // Trace micro-ops only (select_handler).  Each is its generic
+  // handler with the operand-kind switches resolved at build time:
+  // same reads and writes in the same order, same traps.
+  static std::uint32_t& reg(Cpu& c, const Operand& op) {
+    return c.regs_[static_cast<int>(op.reg)];
+  }
+  static bool mov_rr(Cpu& c, const Instruction& in) {
+    reg(c, in.dst) = reg(c, in.src);
+    c.eip_ += in.length;
+    return true;
+  }
+  static bool mov_ri(Cpu& c, const Instruction& in) {
+    reg(c, in.dst) = static_cast<std::uint32_t>(in.src.imm);
+    c.eip_ += in.length;
+    return true;
+  }
+  static bool mov_rm(Cpu& c, const Instruction& in) {
+    std::uint32_t addr = 0;
+    c.operand_addr(in.src, addr);
+    std::uint32_t value = 0;
+    if (!c.read_v(addr, 4, value)) return false;
+    reg(c, in.dst) = value;
+    c.eip_ += in.length;
+    return true;
+  }
+  static bool mov_mr(Cpu& c, const Instruction& in) {
+    const std::uint32_t value = reg(c, in.src);
+    std::uint32_t addr = 0;
+    c.operand_addr(in.dst, addr);
+    if (!c.write_v(addr, 4, value)) return false;
+    c.eip_ += in.length;
+    return true;
+  }
+  static bool movzx_rr8(Cpu& c, const Instruction& in) {
+    reg(c, in.dst) = reg(c, in.src) & 0xFF;
+    c.eip_ += in.length;
+    return true;
+  }
+  template <Op O>
+  static bool alu_rr(Cpu& c, const Instruction& in) {
+    const std::uint32_t result = alu32<O>(c, reg(c, in.dst), reg(c, in.src));
+    if constexpr (O != Op::Cmp && O != Op::Test) reg(c, in.dst) = result;
+    c.eip_ += in.length;
+    return true;
+  }
+  static bool setcc_r8(Cpu& c, const Instruction& in) {
+    std::uint32_t& r = reg(c, in.dst);
+    r = (r & 0xFFFFFF00u) | (cond_holds(in.cond, c.flags_) ? 1 : 0);
+    c.eip_ += in.length;
+    return true;
+  }
+  static bool push_r(Cpu& c, const Instruction& in) {
+    if (!c.push32(reg(c, in.src))) return false;
+    c.eip_ += in.length;
+    return true;
+  }
+  static bool pop_r(Cpu& c, const Instruction& in) {
+    std::uint32_t value = 0;
+    if (!c.pop32(value)) return false;
+    reg(c, in.dst) = value;
+    c.eip_ += in.length;
+    return true;
+  }
+
+  static Cpu::HandlerFn select(const Instruction& in) {
+    const OperandKind d = in.dst.kind;
+    const OperandKind s = in.src.kind;
+    const bool rr = d == OperandKind::Reg && s == OperandKind::Reg;
+    switch (in.op) {
+      case Op::Mov:
+        if (rr) return mov_rr;
+        if (d == OperandKind::Reg && s == OperandKind::Imm) return mov_ri;
+        if (d == OperandKind::Reg && s == OperandKind::Mem) return mov_rm;
+        if (d == OperandKind::Mem && s == OperandKind::Reg) return mov_mr;
+        break;
+      case Op::Add:
+        if (rr) return alu_rr<Op::Add>;
+        break;
+      case Op::And:
+        if (rr) return alu_rr<Op::And>;
+        break;
+      case Op::Sub:
+        if (rr) return alu_rr<Op::Sub>;
+        break;
+      case Op::Cmp:
+        if (rr) return alu_rr<Op::Cmp>;
+        break;
+      case Op::Test:
+        if (rr) return alu_rr<Op::Test>;
+        break;
+      case Op::Movzx8:
+        if (d == OperandKind::Reg && s == OperandKind::Reg8) return movzx_rr8;
+        break;
+      case Op::Setcc:
+        if (d == OperandKind::Reg8) return setcc_r8;
+        break;
+      case Op::Push:
+        if (s == OperandKind::Reg) return push_r;
+        break;
+      case Op::Pop:
+        if (d == OperandKind::Reg) return pop_r;
+        break;
+      default:
+        break;
+    }
+    return kHandlers[static_cast<int>(in.op)];
+  }
 };
+
+Cpu::HandlerFn Cpu::generic_handler(Op op) {
+  return OpHandlers::kHandlers[static_cast<int>(op)];
+}
+
+Cpu::HandlerFn Cpu::select_handler(const Instruction& in) {
+  return OpHandlers::select(in);
+}
 
 // Returns false when a trap was raised (eip already redirected).
 bool Cpu::execute(const Instruction& in) {
-  return OpHandlers::kHandlers[static_cast<int>(in.op)](*this, in);
+  return generic_handler(in.op)(*this, in);
 }
 
 }  // namespace kfi::vm

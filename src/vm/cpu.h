@@ -100,13 +100,16 @@ class Cpu {
   //   - a block containing an instruction whose address matches an
   //     armed debug register is refused (single-step delivers the
   //     Breakpoint event at the exact instruction);
-  //   - each micro-op re-verifies its fetch translation and code-page
-  //     write version before executing, so self-modifying code, page
-  //     remaps, and injection flips break out of the block exactly
-  //     where the stepping engine would re-decode;
-  //   - `stop` (the host's crash-port latch) aborts the block after
-  //     the instruction that sets it, and traps/hlt/double faults end
-  //     it exactly as step() would surface them.
+  //   - the fetch translation is re-verified at every page change and
+  //     after every TLB mutation, and the code-page write version at
+  //     trace entry, at every page change and after every op that may
+  //     store, so self-modifying code, page remaps, and injection flips
+  //     break out of the block exactly where the stepping engine would
+  //     re-decode;
+  //   - `stop` (the host's crash-port latch, set only by an MMIO store)
+  //     aborts the block after the instruction that sets it, and
+  //     traps/hlt/double faults end it exactly as step() would surface
+  //     them.
   // Blocks widen into traces across direct jmp and call.  A fully
   // executed block whose terminator cannot enable interrupts follows a
   // per-terminator successor link (taken / fall-through slots) to the
@@ -116,7 +119,9 @@ class Cpu {
   // code-page version, so the page-version invalidation scheme (and
   // invalidate_blocks() at injection flip sites) severs stale chains
   // automatically.  Executing N micro-ops is bit-identical to N step()
-  // calls.
+  // calls.  Trace micro-ops run operand-form-specialized handlers
+  // (select_handler); step() always runs the generic per-opcode ones,
+  // so each engine checks the other.
   std::size_t run_block(std::uint64_t max_instructions, const bool* stop,
                         CpuEvent& event);
 
@@ -182,14 +187,26 @@ class Cpu {
   bool peek8(std::uint32_t vaddr, std::uint8_t& value);
 
  private:
-  // The per-opcode handler functions live in cpu.cc; `execute`
-  // dispatches through their table, so step() and the block engine
-  // share a single implementation of every opcode.
+  // The opcode handlers live in cpu.cc.  step() dispatches through the
+  // generic per-opcode table (`execute`); trace micro-ops call the
+  // handler build_block stored in them (select_handler).
   friend struct OpHandlers;
   // Test access to the data path: the unit suite runs the inline and
   // the out-of-line accessors side by side (tests/vm/dtlb_test.cc).
   friend struct CpuDataPath;
+  // Test access to the handler tables: the unit suite runs every
+  // specialized handler against the generic one (tests/vm/op_form_test.cc).
+  friend struct CpuOpForms;
   using HandlerFn = bool (*)(Cpu&, const isa::Instruction&);
+
+  // The handler step() runs for `op`: one generic function per opcode
+  // that switches on the operand kinds at run time.
+  static HandlerFn generic_handler(isa::Op op);
+  // The handler a trace micro-op runs: a specialization for the hot
+  // operand forms (mov, push/pop, add/and/sub/cmp/test on registers,
+  // setcc r8, movzx r<-r8, mov to and from memory), else
+  // generic_handler(in.op).  Both compute identical results.
+  static HandlerFn select_handler(const isa::Instruction& in);
 
   // Raises a trap against the current instruction (eip_ points at it).
   // Returns false if delivery escalated into a dead CPU.
@@ -325,10 +342,24 @@ class Cpu {
   // Blocks widen into traces across direct jmp and call (statically
   // known targets), so op addresses need not be contiguous — every op
   // carries its own vaddr.
+  //
+  // Two build-time marks place the exactness guards.  Within a trace,
+  // eip_ equals the op's vaddr (only direct jmp/call widen it), so an
+  // op on the previous op's virtual and physical page (`same_page`)
+  // needs no fetch re-translation while Mmu::epoch() is unchanged: the
+  // stepper's translate would be a side-effect-free hit on the same
+  // frame.  Code-page versions move only through stores (MMU walks
+  // and MMIO reads write nothing), so the version is re-checked at
+  // trace entry, on a page change and after a `may_store` op; the
+  // stop latch (an MMIO store) and halted_ (hlt) are tested only
+  // after a `may_store` op.
   struct MicroOp {
+    HandlerFn fn = nullptr;      // select_handler(instr)
     std::uint32_t vaddr = 0;     // instruction-start virtual address
     std::uint32_t paddr = 0;     // fetch identity: physical address...
     std::uint64_t version = 0;   // ...and code-page version at decode
+    bool same_page = false;      // same vpage and frame as the previous op
+    bool may_store = true;       // may write memory or MMIO, or halt
     isa::Instruction instr;
   };
   // A monomorphic successor link: the last observed branch target and

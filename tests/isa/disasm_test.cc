@@ -54,6 +54,16 @@ TEST(Disasm, InInstruction) {
   EXPECT_EQ(disasm({0xEC}), "in (%dx),%al");
 }
 
+TEST(Disasm, Int32MinDisplacementAndImmediate) {
+  // A flipped instruction can carry disp32 or imm32 = INT32_MIN, whose
+  // magnitude does not fit in int32_t.
+  // mov %eax,-0x80000000(%ebx): 89 /r, mod=10 rm=ebx, disp32.
+  EXPECT_EQ(disasm({0x89, 0x83, 0x00, 0x00, 0x00, 0x80}),
+            "mov %eax,-0x80000000(%ebx)");
+  // mov $-0x80000000,%eax: B8+r imm32.
+  EXPECT_EQ(disasm({0xB8, 0x00, 0x00, 0x00, 0x80}), "mov $-0x80000000,%eax");
+}
+
 TEST(Disasm, BadBytes) {
   EXPECT_EQ(disasm({0xF1}), "(bad)");
 }

@@ -177,12 +177,14 @@ TEST(ExecEngine, DefaultsFromEnvironment) {
 }
 
 TEST(ExecEngine, ParserAcceptsOnlyStepAndChained) {
-  EXPECT_EQ(parse_exec_engine(nullptr), ExecEngine::Step);
-  EXPECT_EQ(parse_exec_engine(""), ExecEngine::Step);
+  // Unset or empty selects the chained engine; the stepper (the
+  // semantic oracle) only by name.
+  EXPECT_EQ(parse_exec_engine(nullptr), ExecEngine::Chained);
+  EXPECT_EQ(parse_exec_engine(""), ExecEngine::Chained);
   EXPECT_EQ(parse_exec_engine("step"), ExecEngine::Step);
   EXPECT_EQ(parse_exec_engine("chained"), ExecEngine::Chained);
   // Engine names from older builds and near-misses are rejected, never
-  // silently mapped to the stepper.
+  // silently mapped to an engine.
   for (const char* bad : {"block", "threaded", "memfast", "Chained", "step ",
                           "chain", "1", "garbage"}) {
     EXPECT_FALSE(parse_exec_engine(bad).has_value()) << bad;

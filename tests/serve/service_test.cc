@@ -18,6 +18,8 @@
 #include <utility>
 #include <vector>
 
+#include <unistd.h>
+
 #include "analysis/store.h"
 #include "check/expectations.h"
 #include "check/replay.h"
@@ -327,6 +329,37 @@ TEST(Service, DifferentConfigInvalidatesTheManifest) {
   EXPECT_NE(second.digest, first.digest);
 }
 
+TEST(Service, ResumeUnderTheOtherEngineStopsAndKeepsShards) {
+  // A partial campaign prepared under the stepper (the default of older
+  // builds), then resumed under the chained engine: the config hashes
+  // differ only in the engine, so the service must stop with the
+  // setting that resumes it instead of wiping the completed shard.
+  const std::string dir = fresh_dir("kfi_service_test_engine_resume");
+  ServiceConfig config = base_config(dir);
+  config.options.exec_engine = machine::ExecEngine::Step;
+  ServiceConfig killed = config;
+  killed.max_shards_per_worker = 1;
+  killed.max_attempts = 1;
+  EXPECT_FALSE(run_service(killed).ok);
+  std::ifstream in(dir + "/manifest.kfim", std::ios::binary);
+  const std::string manifest_bytes{std::istreambuf_iterator<char>(in), {}};
+
+  ServiceConfig other = config;
+  other.options.exec_engine = machine::ExecEngine::Chained;
+  const ServiceResult refused = run_service(other);
+  EXPECT_FALSE(refused.ok);
+  EXPECT_NE(refused.error.find("KFI_EXEC=step"), std::string::npos)
+      << refused.error;
+  std::ifstream again(dir + "/manifest.kfim", std::ios::binary);
+  EXPECT_EQ(std::string(std::istreambuf_iterator<char>(again), {}),
+            manifest_bytes);
+
+  const ServiceResult resumed = run_service(config);
+  ASSERT_TRUE(resumed.ok) << resumed.error;
+  EXPECT_EQ(resumed.shards_resumed, 1u);
+  EXPECT_EQ(resumed.digest, reference_digest());
+}
+
 // ---- manifest shard-table validation ----
 //
 // The shard table sits outside the config-echo hash, so load_manifest
@@ -337,11 +370,13 @@ TEST(Service, DifferentConfigInvalidatesTheManifest) {
 
 using ShardTable = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
 
-// A valid prepared manifest's bytes and shard table, made once.
+// A valid prepared manifest's bytes and shard table, made once per
+// process.  Several tests run this in parallel processes, so each
+// prepares into a directory of its own.
 const std::pair<std::string, ShardTable>& prepared_manifest() {
   static const std::pair<std::string, ShardTable> prepared = [] {
-    const ServiceConfig config =
-        base_config(fresh_dir("kfi_service_test_manifest"));
+    const ServiceConfig config = base_config(fresh_dir(
+        "kfi_service_test_manifest_" + std::to_string(::getpid())));
     const std::optional<Manifest> manifest = prepare_campaign(config);
     EXPECT_TRUE(manifest.has_value());
     std::ifstream in(config.dir + "/manifest.kfim", std::ios::binary);

@@ -4,7 +4,10 @@
 // re-derived against the stepper, guest self-modifying code that
 // rewrites an already-chained successor, cross-page fall-through chains
 // and their TLB-fill determinism, exact cycle-limit stops mid-chain,
-// and snapshot-restore severing (the checkpoint-rung case).
+// snapshot-restore severing (the checkpoint-rung case), and where the
+// in-trace guards sit: a store into a later op of the same trace (on
+// the store's page and on the next page), a crash-port store and a TLB
+// flush mid-trace, each against the stepper.
 //
 // The differential shapes live in the isa fuzz battery; these tests pin
 // the *mechanism* — counters, cache slots, and the exact severing
@@ -335,6 +338,212 @@ TEST(ChainEngine, SnapshotRestoreSeversChains) {
   stepper.memory.write8(phys_of_virt(kCodeVirt) + 1, 10);
   ASSERT_EQ(stepper.step_to_stop(400).kind, CpuEventKind::Halted);
   EXPECT_EQ(rig.cpu.flags().to_word(), stepper.cpu.flags().to_word());
+}
+
+// ---- guard placement: the per-op guards run only at page changes,
+// after TLB mutations and after ops that may store ----
+
+// Equal registers, flags word, eip, cycles and MMU epoch.
+void expect_same_state(Rig& a, Rig& b) {
+  for (int r = 0; r < isa::kRegCount; ++r) {
+    EXPECT_EQ(a.cpu.reg(static_cast<Reg>(r)), b.cpu.reg(static_cast<Reg>(r)))
+        << "reg " << r;
+  }
+  EXPECT_EQ(a.cpu.flags().to_word(), b.cpu.flags().to_word());
+  EXPECT_EQ(a.cpu.eip(), b.cpu.eip());
+  EXPECT_EQ(a.cpu.cycles(), b.cpu.cycles());
+  EXPECT_EQ(a.cpu.mmu().epoch(), b.cpu.mmu().epoch());
+}
+
+enum class StoreForm { Mov32, Byte, Push, Call };
+
+TEST(ChainEngine, StoreIntoLaterOpOfSameTraceInvalidatesAtTheNextOp) {
+  // One trace on one page: set-up, a store into the imm32 of a later
+  // marker op, two non-store ops on the same page, the marker, hlt.
+  // Only the op right after a may-store op re-checks the code-page
+  // version, so that op must be where the trace is dropped — exactly
+  // where the stepper re-decodes — and the marker must run its new
+  // bytes.  Each kind of may-store form gets its own run.
+  for (const StoreForm form :
+       {StoreForm::Mov32, StoreForm::Byte, StoreForm::Push, StoreForm::Call}) {
+    SCOPED_TRACE(static_cast<int>(form));
+    Asm a;
+    const bool via_stack = form == StoreForm::Push || form == StoreForm::Call;
+    // edi = &imm32, or esp = &imm32 + 4 so the push lands on it.
+    const int ptr =
+        a.addr_imm(mov_ri(via_stack ? Reg::Esp : Reg::Edi, 0), 0, 0);
+    a.add(mov_ri(Reg::Eax, 0x55667788));
+    int store = -1;
+    switch (form) {
+      case StoreForm::Mov32:
+        store = a.add(mem_op(Op::Mov, Reg::Eax, Reg::Edi, 0, false));
+        break;
+      case StoreForm::Byte: {
+        Instruction in = mem_op(Op::Mov, Reg::Eax, Reg::Edi, 0, false);
+        in.dst = isa::Operand::make_mem(in.dst.mem, /*byte=*/true);
+        in.src = isa::Operand::make_reg8(Reg::Eax);
+        store = a.add(in);
+        break;
+      }
+      case StoreForm::Push: {
+        Instruction in;
+        in.op = Op::Push;
+        in.src = isa::Operand::make_reg(Reg::Eax);
+        store = a.add(in);
+        break;
+      }
+      case StoreForm::Call:
+        // Pushes the address of the next op; widening continues there.
+        store = a.branch(isa::fuzz::call(), 0);
+        a.set_target(store, a.next_index());
+        break;
+    }
+    a.add(mov_ri(Reg::Edx, 1));
+    a.add(alu_rr(Op::Add, Reg::Edx, Reg::Edx));
+    const int marker = a.add(mov_ri(Reg::Ebx, 0x11111111));
+    a.set_imm_target(ptr, marker, via_stack ? 5 : 1);
+    a.add(nullary(Op::Hlt));
+    const std::vector<std::uint8_t> program = a.assemble(kCodeVirt);
+    ASSERT_FALSE(program.empty());
+
+    Rig chained, stepper;
+    chained.load(program);
+    stepper.load(program);
+    CpuEvent event{};
+    EXPECT_EQ(chained.cpu.run_block(100, nullptr, event), 3u)
+        << "the trace ran past the op after the store";
+    EXPECT_EQ(chained.cpu.block_invalidations(), 1u);
+    for (int i = 0; i < 3; ++i) stepper.cpu.step();
+    EXPECT_EQ(chained.cpu.eip(), kCodeVirt + a.offset_of(store + 1));
+    expect_same_state(chained, stepper);
+
+    ASSERT_EQ(chained.run(100).kind, CpuEventKind::Halted);
+    ASSERT_EQ(stepper.step_to_stop(100).kind, CpuEventKind::Halted);
+    EXPECT_NE(chained.cpu.reg(Reg::Ebx), 0x11111111u)
+        << "the stale predecoded marker ran";
+    expect_same_state(chained, stepper);
+  }
+}
+
+TEST(ChainEngine, StoreIntoLaterPageOfSameTraceInvalidatesAtThePageChange) {
+  // The store hits an op on the trace's second page, so the ops right
+  // after it (on the first page) pass their version check; the page
+  // change is the first place the stepper re-decodes changed bytes.
+  Asm a;
+  const int ptr = a.addr_imm(mov_ri(Reg::Edi, 0), 0, 0);
+  a.add(mov_ri(Reg::Eax, 0x55667788));
+  a.add(mem_op(Op::Mov, Reg::Eax, Reg::Edi, 0, false));
+  a.add(mov_ri(Reg::Edx, 1));
+  a.add(alu_rr(Op::Add, Reg::Edx, Reg::Edx));
+  const int hop = a.branch(jmp(), 0);  // widened onto the next page
+  a.pad_to_page();
+  const int marker = a.add(mov_ri(Reg::Ebx, 0x11111111));
+  a.set_target(hop, marker);
+  a.set_imm_target(ptr, marker, 1);
+  a.add(nullary(Op::Hlt));
+  const std::vector<std::uint8_t> program = a.assemble(kCodeVirt);
+  ASSERT_EQ(a.offset_of(marker), static_cast<std::size_t>(kPageSize));
+
+  Rig chained, stepper;
+  chained.load(program);
+  stepper.load(program);
+  CpuEvent event{};
+  EXPECT_EQ(chained.cpu.run_block(100, nullptr, event), 6u)
+      << "the trace ran the marker from stale predecode";
+  EXPECT_EQ(chained.cpu.block_invalidations(), 1u);
+  for (int i = 0; i < 6; ++i) stepper.cpu.step();
+  EXPECT_EQ(chained.cpu.eip(), kCodeVirt + kPageSize);
+  expect_same_state(chained, stepper);
+
+  ASSERT_EQ(chained.run(100).kind, CpuEventKind::Halted);
+  ASSERT_EQ(stepper.step_to_stop(100).kind, CpuEventKind::Halted);
+  EXPECT_EQ(chained.cpu.reg(Reg::Ebx), 0x55667788u);
+  expect_same_state(chained, stepper);
+}
+
+// Sets `*latch` on a write to offset 0, like the machine's crash port.
+class LatchDevice : public Device {
+ public:
+  explicit LatchDevice(bool& latch) : latch_(latch) {}
+  std::uint32_t mmio_read(std::uint32_t) override { return 0; }
+  void mmio_write(std::uint32_t offset, std::uint32_t) override {
+    if (offset == 0) latch_ = true;
+  }
+
+ private:
+  bool& latch_;
+};
+
+TEST(ChainEngine, CrashPortStoreStopsMidTraceAtTheStepperCycle) {
+  Asm a;
+  a.add(mov_ri(Reg::Ecx, static_cast<std::int32_t>(kCrashMmio)));
+  a.add(mov_ri(Reg::Eax, 7));
+  a.add(mov_ri(Reg::Edx, 3));
+  a.add(mem_op(Op::Mov, Reg::Eax, Reg::Ecx, 0, false));  // sets the latch
+  a.add(alu_rr(Op::Add, Reg::Edx, Reg::Edx));
+  a.add(mov_ri(Reg::Ebx, 9));
+  a.add(nullary(Op::Hlt));
+  const std::vector<std::uint8_t> program = a.assemble(kCodeVirt);
+
+  Rig chained, stepper;
+  bool chained_stop = false;
+  bool stepper_stop = false;
+  LatchDevice chained_port(chained_stop);
+  LatchDevice stepper_port(stepper_stop);
+  chained.bus.attach(kCrashMmio, kPageSize, &chained_port);
+  stepper.bus.attach(kCrashMmio, kPageSize, &stepper_port);
+  chained.load(program);
+  stepper.load(program);
+
+  CpuEvent event{};
+  EXPECT_EQ(chained.cpu.run_block(100, &chained_stop, event), 4u);
+  EXPECT_TRUE(chained_stop);
+  EXPECT_EQ(event.kind, CpuEventKind::Executed);
+  while (!stepper_stop) stepper.cpu.step();
+  EXPECT_EQ(stepper.cpu.cycles(), 4u);
+  EXPECT_EQ(chained.cpu.reg(Reg::Edx), 3u) << "ran past the stop";
+  expect_same_state(chained, stepper);
+}
+
+// Flushes the whole TLB on any write, like the machine's TLB port.
+class FlushDevice : public Device {
+ public:
+  explicit FlushDevice(Mmu& mmu) : mmu_(mmu) {}
+  std::uint32_t mmio_read(std::uint32_t) override { return 0; }
+  void mmio_write(std::uint32_t, std::uint32_t) override { mmu_.flush_tlb(); }
+
+ private:
+  Mmu& mmu_;
+};
+
+TEST(ChainEngine, TlbFlushStoreMidTraceForcesTheNextFetchTranslation) {
+  // After the flush the next op sits on the same page, so only the
+  // epoch check can send it through translate: the stepper's fetch
+  // refills the code page right there, and so must the trace.
+  Asm a;
+  a.add(mov_ri(Reg::Ecx, static_cast<std::int32_t>(kTlbMmio)));
+  a.add(mem_op(Op::Mov, Reg::Eax, Reg::Ecx, 0, false));  // flush
+  a.add(mov_ri(Reg::Edx, 1));
+  a.add(alu_rr(Op::Add, Reg::Edx, Reg::Edx));
+  a.add(nullary(Op::Hlt));
+  const std::vector<std::uint8_t> program = a.assemble(kCodeVirt);
+
+  Rig chained, stepper;
+  FlushDevice chained_tlb(chained.cpu.mmu());
+  FlushDevice stepper_tlb(stepper.cpu.mmu());
+  chained.bus.attach(kTlbMmio, kPageSize, &chained_tlb);
+  stepper.bus.attach(kTlbMmio, kPageSize, &stepper_tlb);
+  chained.load(program);
+  stepper.load(program);
+
+  CpuEvent event{};
+  EXPECT_EQ(chained.cpu.run_block(100, nullptr, event), 5u);
+  EXPECT_EQ(event.kind, CpuEventKind::Halted);
+  ASSERT_EQ(stepper.step_to_stop(100).kind, CpuEventKind::Halted);
+  std::uint32_t paddr = 0;
+  EXPECT_TRUE(chained.cpu.mmu().probe(kCodeVirt, Access::Execute, 0, paddr))
+      << "the code page was not refilled after the flush";
+  expect_same_state(chained, stepper);
 }
 
 }  // namespace
