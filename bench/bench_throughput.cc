@@ -130,6 +130,10 @@ void print_mode(std::FILE* out, const ModeResult& mode, bool last) {
       "      \"checkpoint_misses\": %llu,\n"
       "      \"checkpoint_hit_rate\": %.4f,\n"
       "      \"reconverged\": %llu,\n"
+      "      \"ticks_dropped\": %llu,\n"
+      "      \"shadow_builds\": %llu,\n"
+      "      \"shadow_build_cycles\": %llu,\n"
+      "      \"shadow_reconverged\": %llu,\n"
       "      \"pre_trigger_cycles\": %llu,\n"
       "      \"post_trigger_cycles\": %llu,\n"
       "      \"decode_hit_rate\": %.4f,\n"
@@ -158,6 +162,10 @@ void print_mode(std::FILE* out, const ModeResult& mode, bool last) {
                    : static_cast<double>(mode.stats.checkpoint_hits) /
                          static_cast<double>(resumes),
       static_cast<unsigned long long>(mode.stats.reconverged),
+      static_cast<unsigned long long>(mode.stats.ticks_dropped),
+      static_cast<unsigned long long>(mode.stats.shadow_builds),
+      static_cast<unsigned long long>(mode.stats.shadow_build_cycles),
+      static_cast<unsigned long long>(mode.stats.shadow_reconverged),
       static_cast<unsigned long long>(mode.stats.pre_trigger_cycles),
       static_cast<unsigned long long>(mode.stats.post_trigger_cycles),
       decode_total == 0 ? 0.0

@@ -17,6 +17,7 @@
 #include "analysis/aggregate.h"
 #include "analysis/io.h"
 #include "analysis/render.h"
+#include "analysis/store.h"
 #include "check/expectations.h"
 #include "check/replay.h"
 #include "inject/campaign.h"
@@ -64,7 +65,8 @@ int usage() {
       "  shape extended [--threads N | --jobs N]\n"
       "                            run the fault-model smoke campaigns\n"
       "                            (D registers, E kernel data, F syscall\n"
-      "                            errno) and evaluate their oracles\n"
+      "                            errno), evaluate their oracles and\n"
+      "                            print their result fold\n"
       "  shape full [--scale N --seed N --cache DIR --no-cache --quiet\n"
       "              --threads N]\n"
       "                            evaluate the EXPERIMENTS.md oracles on\n"
@@ -113,6 +115,15 @@ void print_campaign_stats(const inject::CampaignStats& cs) {
       static_cast<double>(cs.pre_trigger_cycles) / 1e6,
       static_cast<double>(cs.post_trigger_cycles) / 1e6,
       static_cast<unsigned long long>(cs.reconverged));
+  if (cs.ticks_dropped > 0) {
+    std::printf(
+        "perf: %llu triggers dropped a tick, %llu shadow ladders built "
+        "(%.1fM cycles), %llu reconverged onto a shadow\n",
+        static_cast<unsigned long long>(cs.ticks_dropped),
+        static_cast<unsigned long long>(cs.shadow_builds),
+        static_cast<double>(cs.shadow_build_cycles) / 1e6,
+        static_cast<unsigned long long>(cs.shadow_reconverged));
+  }
   if (cs.threads_used > 1) {
     std::printf("perf: %u threads, %llu chunks, %llu steals\n",
                 cs.threads_used, static_cast<unsigned long long>(cs.chunks),
@@ -211,6 +222,8 @@ int cmd_shape(int argc, char** argv) {
     std::fputs(
         analysis::render_cascade(analysis::make_cascade(runs[2])).c_str(),
         stdout);
+    std::printf("D/E/F result fold: %016llx\n",
+                static_cast<unsigned long long>(analysis::results_digest(runs)));
     inject::CampaignStats totals = runs[0].stats;
     totals += runs[1].stats;
     totals += runs[2].stats;

@@ -16,6 +16,10 @@ CampaignStats& CampaignStats::operator+=(const CampaignStats& o) {
   checkpoint_hits += o.checkpoint_hits;
   checkpoint_misses += o.checkpoint_misses;
   reconverged += o.reconverged;
+  ticks_dropped += o.ticks_dropped;
+  shadow_builds += o.shadow_builds;
+  shadow_build_cycles += o.shadow_build_cycles;
+  shadow_reconverged += o.shadow_reconverged;
   pre_trigger_cycles += o.pre_trigger_cycles;
   post_trigger_cycles += o.post_trigger_cycles;
   perf += o.perf;
@@ -27,6 +31,10 @@ CampaignStats& CampaignStats::operator-=(const CampaignStats& o) {
   checkpoint_hits -= o.checkpoint_hits;
   checkpoint_misses -= o.checkpoint_misses;
   reconverged -= o.reconverged;
+  ticks_dropped -= o.ticks_dropped;
+  shadow_builds -= o.shadow_builds;
+  shadow_build_cycles -= o.shadow_build_cycles;
+  shadow_reconverged -= o.shadow_reconverged;
   pre_trigger_cycles -= o.pre_trigger_cycles;
   post_trigger_cycles -= o.post_trigger_cycles;
   perf -= o.perf;
@@ -43,6 +51,10 @@ CampaignStats injector_counters(const Injector& injector) {
   s.checkpoint_hits = injector.checkpoint_hits();
   s.checkpoint_misses = injector.checkpoint_misses();
   s.reconverged = injector.reconverged();
+  s.ticks_dropped = injector.ticks_dropped();
+  s.shadow_builds = injector.shadow_builds();
+  s.shadow_build_cycles = injector.shadow_build_cycles();
+  s.shadow_reconverged = injector.shadow_reconverged();
   s.pre_trigger_cycles = injector.pre_trigger_cycles();
   s.post_trigger_cycles = injector.post_trigger_cycles();
   s.perf = injector.perf_stats();

@@ -51,7 +51,11 @@ struct CampaignStats {
   std::uint64_t runs = 0;
   std::uint64_t checkpoint_hits = 0;
   std::uint64_t checkpoint_misses = 0;
-  std::uint64_t reconverged = 0;
+  std::uint64_t reconverged = 0;  // golden and shadow rungs
+  std::uint64_t ticks_dropped = 0;
+  std::uint64_t shadow_builds = 0;
+  std::uint64_t shadow_build_cycles = 0;  // inside post_trigger_cycles
+  std::uint64_t shadow_reconverged = 0;
   std::uint64_t pre_trigger_cycles = 0;
   std::uint64_t post_trigger_cycles = 0;
   machine::PerfStats perf;

@@ -1,5 +1,6 @@
 #include "inject/injector.h"
 
+#include <cassert>
 #include <stdexcept>
 #include <utility>
 
@@ -77,21 +78,55 @@ InjectionResult Injector::run_one(const InjectionSpec& spec) {
   return run_triggered(spec, std::move(result));
 }
 
+namespace {
+
+// RAM byte index that masks nothing out of a reconvergence compare.
+constexpr std::size_t kNoMask = static_cast<std::size_t>(-1);
+
+// A shadow rung records no dirty-tracking memo: only the machine's own
+// boot memo (inside state_matches) skips its comparisons.
+const machine::CheckpointMemo kNoMemo;
+
+// The record of a run proven to replay the golden run's remainder.
+void take_golden_outcome(InjectionResult& result, const GoldenRun& ref) {
+  result.outcome = Outcome::NotManifested;
+  result.bootable = ref.bootable;
+  result.fs_damaged = ref.fs_damaged;
+  result.repair_verified = ref.repair_verified;
+  if (result.fs_damaged) {
+    result.severity = !ref.bootable || ref.fsck_unrepairable
+                          ? Severity::MostSevere
+                          : Severity::Severe;
+  }
+}
+
+// The fields of a DumpedCrash record that depend on the faulted spec
+// and its activation, not only on how the run ended.
+void attribute_crash(InjectionResult& result, const machine::CrashInfo& crash,
+                     std::uint64_t start) {
+  result.propagated = result.crash_subsystem != result.spec.subsystem;
+  const std::uint64_t activation_abs = start + result.activation_cycle;
+  if (crash.trap_cycle >= activation_abs) {
+    result.latency_cycles = crash.trap_cycle - activation_abs;
+  } else {
+    result.latency_cycles = crash.report_cycle - activation_abs;
+  }
+}
+
+}  // namespace
+
+const ShadowLadder* Injector::shadow(const std::string& workload,
+                                     std::uint64_t next_timer) const {
+  const auto state = states_.find(workload);
+  if (state == states_.end()) return nullptr;
+  const auto it = state->second->shadows.find(next_timer);
+  return it == state->second->shadows.end() ? nullptr : &it->second;
+}
+
 InjectionResult Injector::run_triggered(const InjectionSpec& spec,
                                         InjectionResult result) {
-  const GoldenRun& ref = golden(spec.workload);
-  // The coverage prune is sound only for the instruction model: a text
-  // byte outside the executed set can never activate.  Register and
-  // data faults trigger on execution of a *site*, so an uncovered site
-  // simply runs to completion and classifies as NotActivated honestly.
-  if (spec.model == FaultModel::InstrBit &&
-      coverage(spec.workload).count(spec.instr_addr) == 0) {
-    result.outcome = Outcome::NotActivated;
-    return result;
-  }
-  WorkloadState& state = state_for(spec.workload);
-  machine::Machine& machine = *state.machine;
-  const std::vector<machine::Checkpoint>& rungs = state.artifact->ladder;
+  const WorkloadGolden& artifact = cache_->workload(spec.workload);
+  const GoldenRun& ref = artifact.golden;
 
   // Campaign E resolves its data-fault address up front: either the
   // spec pins a physical byte, or data_index samples the golden run's
@@ -101,8 +136,7 @@ InjectionResult Injector::run_triggered(const InjectionSpec& spec,
     if (spec.data_addr != 0) {
       data_phys = spec.data_addr;
     } else {
-      const std::vector<std::uint32_t>& footprint =
-          state.artifact->write_footprint;
+      const std::vector<std::uint32_t>& footprint = artifact.write_footprint;
       if (footprint.empty()) {
         result.outcome = Outcome::NotActivated;
         return result;
@@ -112,13 +146,26 @@ InjectionResult Injector::run_triggered(const InjectionSpec& spec,
     result.data_addr = data_phys;
   }
 
+  // Coverage prune, sound for every trigger-at-instruction model:
+  // nothing is modified before the trigger, so up to it the run replays
+  // the golden run, and a site the golden run never executes can never
+  // trigger.  The record is the one a full replay would produce (E's
+  // data_addr is resolved above).
+  if (artifact.coverage.count(spec.instr_addr) == 0) {
+    result.outcome = Outcome::NotActivated;
+    return result;
+  }
+  WorkloadState& state = state_for(spec.workload);
+  machine::Machine& machine = *state.machine;
+  const std::vector<machine::Checkpoint>& rungs = artifact.ladder;
+
   // Resume from the latest ladder checkpoint the target's first
   // execution still lies ahead of; fall back to the post-boot snapshot.
   // Execution up to the trigger is identical either way — the rung is a
   // state this exact run passes through — so only the replay cost
   // changes, never the result.
   std::size_t rung_idx = rungs.size();
-  const auto& touch = state.artifact->first_touch;
+  const auto& touch = artifact.first_touch;
   const auto touched = touch.find(spec.instr_addr);
   if (!rungs.empty() && touched != touch.end()) {
     for (std::size_t i = 0; i < rungs.size(); ++i) {
@@ -127,10 +174,8 @@ InjectionResult Injector::run_triggered(const InjectionSpec& spec,
     }
   }
   if (rung_idx < rungs.size()) {
-    machine.restore_checkpoint(rungs[rung_idx], state.rung_memos[rung_idx]);
     ++ckpt_hits_;
   } else {
-    machine.restore();
     ++ckpt_misses_;
   }
 
@@ -142,13 +187,21 @@ InjectionResult Injector::run_triggered(const InjectionSpec& spec,
   // the watchdog deadline (and every derived latency) is bit-identical
   // to a straight-line run.
   const std::uint64_t start = machine.snapshot_cycles();
-  const std::uint64_t resumed = machine.cpu().cycles() - start;
-  const std::uint64_t entry = machine.cpu().cycles();
-
-  // Arm the trigger and run until the target instruction is reached.
-  machine.cpu().arm_breakpoint(0, spec.instr_addr);
-  machine::RunResult run =
-      machine.run(budget > resumed ? budget - resumed : 1);
+  std::uint64_t entry = 0;
+  // Restores the resume point, arms the trigger and runs until the
+  // target instruction is reached.
+  const auto reach_trigger = [&] {
+    if (rung_idx < rungs.size()) {
+      machine.restore_checkpoint(rungs[rung_idx], state.rung_memos[rung_idx]);
+    } else {
+      machine.restore();
+    }
+    entry = machine.cpu().cycles();
+    const std::uint64_t resumed = entry - start;
+    machine.cpu().arm_breakpoint(0, spec.instr_addr);
+    return machine.run(budget > resumed ? budget - resumed : 1);
+  };
+  machine::RunResult run = reach_trigger();
   pre_trigger_cycles_ += machine.cpu().cycles() - entry;
   if (run.exit != machine::RunExit::Breakpoint) {
     machine.cpu().disarm_breakpoint(0);
@@ -156,18 +209,50 @@ InjectionResult Injector::run_triggered(const InjectionSpec& spec,
     return result;
   }
   const std::uint64_t trigger_abs = machine.cpu().cycles();
+  const std::uint64_t spent = trigger_abs - start;
+  const std::uint64_t deadline =
+      trigger_abs + (budget > spent ? budget - spent : 1);
+
+  // The trigger dropped the in-flight tick, so a register or data fault
+  // injected here can never reconverge onto the golden ladder: compare
+  // against the shadow ladder of the tick-dropped timeline instead,
+  // building it on first use.  The build runs untraced and then
+  // replays back to this trigger, so the run's result and trace window
+  // do not depend on whether it built the ladder or found it.
+  const ShadowLadder* shadow = nullptr;
+  if (run.tick_dropped) {
+    ++ticks_dropped_;
+    if (spec.model != FaultModel::InstrBit) {
+      const auto [it, fresh] = state.shadows.try_emplace(machine.next_timer());
+      if (fresh) {
+        machine.set_event_trace(nullptr);
+        machine.cpu().disarm_breakpoint(0);
+        it->second.built_at = trigger_abs;
+        build_shadow(state, ref, deadline, it->second);
+        std::uint64_t cycles = machine.cpu().cycles() - trigger_abs;
+        run = reach_trigger();
+        assert(run.exit == machine::RunExit::Breakpoint &&
+               machine.cpu().cycles() == trigger_abs);
+        cycles += machine.cpu().cycles() - entry;
+        machine.set_event_trace(trace_.get());
+        shadow_build_cycles_ += cycles;
+        post_trigger_cycles_ += cycles;
+      }
+      shadow = &it->second;
+    }
+  }
   if (trace_ != nullptr) {
     trace_->record(trace::EventKind::InjectTrigger, trigger_abs,
                    spec.instr_addr);
   }
 
   // Apply the model's fault at the trigger point and resume.
-  result.activation_cycle = machine.cpu().cycles() - start;
+  result.activation_cycle = trigger_abs - start;
   // RAM byte masked out of reconvergence comparison: only the
   // instruction model leaves a persistent divergence (the corrupted
   // text byte); register and data faults compare the full state — a
   // match proves the fault was overwritten back or absorbed.
-  std::size_t masked = static_cast<std::size_t>(-1);
+  std::size_t masked = kNoMask;
   switch (spec.model) {
     case FaultModel::InstrBit: {
       const std::uint32_t flip_phys =
@@ -258,77 +343,122 @@ InjectionResult Injector::run_triggered(const InjectionSpec& spec,
   // run never executes the corrupted instruction again (the rung lies
   // past its last golden execution), then the remainder of the run can
   // only replay the golden timeline.  The golden outcome is taken
-  // without simulating it.  A run that never reconverges (or has no
+  // without simulating it; a shadow rung match takes the shadow's
+  // outcome the same way.  A run that never reconverges (or has no
   // safe rung ahead) executes to its watchdog deadline exactly as a
   // single continuous run would — segment boundaries preserve the
   // in-flight timer tick, so the timeline is bit-identical either way.
-  const std::uint64_t spent = machine.cpu().cycles() - start;
-  const std::uint64_t deadline =
-      machine.cpu().cycles() + (budget > spent ? budget - spent : 1);
-  bool reconverged = false;
-  bool finished = false;
-  if (!rungs.empty() && touched != touch.end()) {
-    // Rungs at or before the corrupted instruction's last golden
-    // execution are unsafe for the instruction model — the golden
-    // timeline would re-execute the (still corrupted) byte past them.
-    // Register and data faults never corrupt text, so any future rung
-    // that full-compares equal is conclusive.
-    const std::uint64_t last_exec = spec.model == FaultModel::InstrBit
-                                        ? touched->second.last
-                                        : 0;
-    std::size_t idx = 0;
-    while (!reconverged) {
-      while (idx < rungs.size() &&
-             (rungs[idx].cycle <= machine.cpu().cycles() ||
-              rungs[idx].cycle <= last_exec)) {
-        ++idx;
-      }
-      if (idx >= rungs.size() || rungs[idx].cycle >= deadline) break;
-      const machine::Checkpoint& ck = rungs[idx];
-      run = machine.run(ck.cycle - machine.cpu().cycles(), /*resumable=*/true);
-      if (run.exit != machine::RunExit::Hung ||
-          machine.cpu().cycles() < ck.cycle) {
-        // Completed, crashed, died, or deadlocked inside the segment:
-        // the run is over, classified below as usual.
-        finished = true;
-        break;
-      }
-      if (machine.state_matches(ck, state.rung_memos[idx], masked)) {
-        reconverged = true;
-        if (trace_ != nullptr) {
-          trace_->record(trace::EventKind::Reconverged, machine.cpu().cycles(),
-                         static_cast<std::uint32_t>(idx));
-        }
-      } else {
-        ++idx;
-      }
-    }
+  //
+  // Rungs at or before the corrupted instruction's last golden
+  // execution are unsafe for the instruction model — the golden
+  // timeline would re-execute the (still corrupted) byte past them.
+  // Register and data faults never corrupt text, so any future rung
+  // that full-compares equal is conclusive.
+  std::uint64_t last_exec = 0;
+  if (touched == touch.end()) {
+    last_exec = ~std::uint64_t{0};
+  } else if (spec.model == FaultModel::InstrBit) {
+    last_exec = touched->second.last;
   }
-  if (reconverged) {
-    ++reconverged_;
-    post_trigger_cycles_ += machine.cpu().cycles() - trigger_abs;
-    result.outcome = Outcome::NotManifested;
-    result.bootable = ref.bootable;
-    result.fs_damaged = ref.fs_damaged;
-    result.repair_verified = ref.repair_verified;
-    if (result.fs_damaged) {
-      result.severity = !ref.bootable || ref.fsck_unrepairable
-                            ? Severity::MostSevere
-                            : Severity::Severe;
-    }
+  const Ending ending =
+      run_out(state, deadline, last_exec, masked, shadow, nullptr);
+  post_trigger_cycles_ += machine.cpu().cycles() - trigger_abs;
+  if (ending.onto == Ending::Onto::Nothing) {
+    classify(result, ending.run, machine, ref);
     return result;
   }
-  if (!finished) {
-    run = machine.run(deadline - machine.cpu().cycles());
+  ++reconverged_;
+  const bool onto_shadow = ending.onto == Ending::Onto::Shadow;
+  if (trace_ != nullptr) {
+    trace_->record(trace::EventKind::Reconverged, machine.cpu().cycles(),
+                   static_cast<std::uint32_t>(ending.rung),
+                   onto_shadow ? 1u : 0u);
   }
-  post_trigger_cycles_ += machine.cpu().cycles() - trigger_abs;
-  classify(result, run, machine, ref);
+  if (!onto_shadow) {
+    take_golden_outcome(result, ref);
+    return result;
+  }
+  ++shadow_reconverged_;
+  const InjectionResult& end = shadow->end;
+  result.outcome = end.outcome;
+  result.cause = end.cause;
+  result.crash_eip = end.crash_eip;
+  result.crash_addr = end.crash_addr;
+  result.crash_subsystem = end.crash_subsystem;
+  result.severity = end.severity;
+  result.fs_damaged = end.fs_damaged;
+  result.bootable = end.bootable;
+  result.repair_verified = end.repair_verified;
+  if (result.outcome == Outcome::DumpedCrash) {
+    attribute_crash(result, shadow->crash, start);
+  }
   return result;
+}
+
+Injector::Ending Injector::run_out(WorkloadState& state,
+                                   std::uint64_t deadline,
+                                   std::uint64_t last_exec, std::size_t masked,
+                                   const ShadowLadder* compare,
+                                   ShadowLadder* capture) {
+  machine::Machine& machine = *state.machine;
+  const std::vector<machine::Checkpoint>& rungs = state.artifact->ladder;
+  Ending ending;
+  std::size_t idx = 0;
+  for (;;) {
+    while (idx < rungs.size() &&
+           (rungs[idx].cycle <= machine.cpu().cycles() ||
+            rungs[idx].cycle <= last_exec)) {
+      ++idx;
+    }
+    if (idx >= rungs.size() || rungs[idx].cycle >= deadline) break;
+    const machine::Checkpoint& ck = rungs[idx];
+    ending.run =
+        machine.run(ck.cycle - machine.cpu().cycles(), /*resumable=*/true);
+    if (ending.run.exit != machine::RunExit::Hung ||
+        machine.cpu().cycles() < ck.cycle) {
+      // Completed, crashed, died, or deadlocked inside the segment:
+      // the run is over, classified by the caller as usual.
+      return ending;
+    }
+    ending.rung = idx;
+    if (machine.state_matches(ck, state.rung_memos[idx], masked)) {
+      ending.onto = Ending::Onto::Golden;
+      return ending;
+    }
+    if (compare != nullptr) {
+      const auto it = compare->rungs.find(idx);
+      if (it != compare->rungs.end() &&
+          machine.state_matches(it->second, kNoMemo, masked)) {
+        ending.onto = Ending::Onto::Shadow;
+        return ending;
+      }
+    }
+    if (capture != nullptr) {
+      capture->rungs.emplace(idx, machine.capture_state());
+    }
+    ++idx;
+  }
+  ending.run = machine.run(deadline - machine.cpu().cycles());
+  return ending;
+}
+
+void Injector::build_shadow(WorkloadState& state, const GoldenRun& ref,
+                            std::uint64_t deadline, ShadowLadder& shadow) {
+  ++shadow_builds_;
+  const Ending ending =
+      run_out(state, deadline, /*last_exec=*/0, kNoMask, nullptr, &shadow);
+  if (ending.onto == Ending::Onto::Golden) {
+    // The tick-dropped timeline itself rejoined the golden one, so the
+    // rungs past this one are golden rungs, compared first anyway.
+    take_golden_outcome(shadow.end, ref);
+    return;
+  }
+  classify(shadow.end, ending.run, *state.machine, ref);
+  shadow.crash = ending.run.crash;
 }
 
 void Injector::classify(InjectionResult& result, const machine::RunResult& run,
                         machine::Machine& machine, const GoldenRun& ref) {
-  const InjectionSpec& spec = result.spec;
   const std::uint64_t start = machine.snapshot_cycles();
 
   // Post-run disk state (before the next restore wipes it).
@@ -361,13 +491,7 @@ void Injector::classify(InjectionResult& result, const machine::RunResult& run,
       result.crash_eip = run.crash.eip;
       result.crash_addr = run.crash.fault_addr;
       result.crash_subsystem = kernel::subsystem_of_addr(run.crash.eip);
-      result.propagated = result.crash_subsystem != spec.subsystem;
-      const std::uint64_t activation_abs = start + result.activation_cycle;
-      if (run.crash.trap_cycle >= activation_abs) {
-        result.latency_cycles = run.crash.trap_cycle - activation_abs;
-      } else {
-        result.latency_cycles = run.crash.report_cycle - activation_abs;
-      }
+      attribute_crash(result, run.crash, start);
       break;
     }
     case machine::RunExit::Hung:

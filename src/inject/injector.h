@@ -36,6 +36,26 @@ class TraceBuffer;
 
 namespace kfi::inject {
 
+// The fault-free continuation of a tick-dropped trigger (DESIGN.md
+// §7): a non-resumable breakpoint exit discards an in-flight timer tick
+// the golden run later delivers, so a register or data fault injected
+// there can never reconverge onto a golden rung.  Its runs compare
+// against this ladder instead.  Every dropped trigger that sees the
+// same next_timer() shares one continuation, whichever trigger built
+// it.
+struct ShadowLadder {
+  // The continuation's state at each ladder rung it stopped at (by
+  // ladder index; sparse captures, Machine::capture_state), up to its
+  // end or to the rung where it reconverged onto the golden ladder.
+  std::map<std::size_t, machine::Checkpoint> rungs;
+  // Its end-of-run record, classified as if activated at cycle 0, and
+  // the crash timing a DumpedCrash end is re-attributed from.
+  InjectionResult end;
+  machine::CrashInfo crash;
+  // Trigger cycle of the run that built the ladder.
+  std::uint64_t built_at = 0;
+};
+
 class Injector {
  public:
   // Standalone construction: builds a private GoldenCache.  `image`
@@ -91,9 +111,21 @@ class Injector {
   // snapshot, and substrate counters summed over all workload machines.
   std::uint64_t checkpoint_hits() const { return ckpt_hits_; }
   std::uint64_t checkpoint_misses() const { return ckpt_misses_; }
-  // Runs whose post-trigger state was proven identical to a golden rung
-  // and took the golden outcome without simulating the remainder.
+  // Runs whose post-trigger state was proven identical to a golden or
+  // shadow rung and took that timeline's outcome without simulating
+  // the remainder (shadow hits included).
   std::uint64_t reconverged() const { return reconverged_; }
+  // Triggers whose breakpoint exit dropped a timer tick (every fault
+  // model); shadow ladders built, the cycles they took (also counted
+  // in post_trigger_cycles()), and runs that reconverged onto one.
+  std::uint64_t ticks_dropped() const { return ticks_dropped_; }
+  std::uint64_t shadow_builds() const { return shadow_builds_; }
+  std::uint64_t shadow_build_cycles() const { return shadow_build_cycles_; }
+  std::uint64_t shadow_reconverged() const { return shadow_reconverged_; }
+  // The shadow ladder this injector built for `workload`'s dropped
+  // triggers at `next_timer`, or nullptr.
+  const ShadowLadder* shadow(const std::string& workload,
+                             std::uint64_t next_timer) const;
   // Cycles simulated before the trigger fired (the replay the ladder
   // shrinks from O(golden) to O(rung spacing)) and after it (inherent
   // fault simulation no restore scheme can skip), summed over all runs.
@@ -116,9 +148,32 @@ class Injector {
     const WorkloadGolden* artifact = nullptr;
     std::unique_ptr<machine::Machine> machine;
     std::vector<machine::CheckpointMemo> rung_memos;  // parallel to ladder
+    // Built lazily, keyed by next_timer() at the dropped trigger.
+    std::map<std::uint64_t, ShadowLadder> shadows;
   };
 
   WorkloadState& state_for(const std::string& workload);
+
+  // Where a post-trigger continuation ended: its final exit, or the
+  // ladder rung at which it reconverged.
+  struct Ending {
+    enum class Onto : std::uint8_t { Nothing, Golden, Shadow };
+    Onto onto = Onto::Nothing;
+    std::size_t rung = 0;
+    machine::RunResult run;
+  };
+  // Runs the workload machine from its current post-trigger state to
+  // `deadline` in segments that stop at every ladder rung past
+  // `last_exec`.  At each stop the state is compared with the golden
+  // rung and then with `compare`'s rung, if it has one; `capture`
+  // instead records every stop that matched neither.
+  Ending run_out(WorkloadState& state, std::uint64_t deadline,
+                 std::uint64_t last_exec, std::size_t masked,
+                 const ShadowLadder* compare, ShadowLadder* capture);
+  // Builds `shadow` from the fault-free, tick-dropped trigger state the
+  // machine is stopped at, running it out to `deadline`.
+  void build_shadow(WorkloadState& state, const GoldenRun& ref,
+                    std::uint64_t deadline, ShadowLadder& shadow);
 
   // Trigger-at-instruction models (InstrBit / RegisterBit / DataBit):
   // arm a breakpoint on the target instruction, apply the model's fault
@@ -143,6 +198,10 @@ class Injector {
   std::uint64_t ckpt_hits_ = 0;
   std::uint64_t ckpt_misses_ = 0;
   std::uint64_t reconverged_ = 0;
+  std::uint64_t ticks_dropped_ = 0;
+  std::uint64_t shadow_builds_ = 0;
+  std::uint64_t shadow_build_cycles_ = 0;
+  std::uint64_t shadow_reconverged_ = 0;
   std::uint64_t pre_trigger_cycles_ = 0;
   std::uint64_t post_trigger_cycles_ = 0;
 };

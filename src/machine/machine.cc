@@ -400,10 +400,16 @@ void Machine::take_checkpoint(bool timer_pending) {
   // The delta's version filter compares against the capture versions of
   // boot_->mem/disk, which is sound only on the arrays that captured
   // them — enforced by the owns_boot_ assert in capture_checkpoints().
-  Checkpoint ck;
-  ck.cycle = cpu_->cycles();
+  Checkpoint ck = cpu_checkpoint(timer_pending);
   ck.mem = memory_->snapshot_delta(boot_->mem, &boot_mem_memo_);
   ck.disk = disk_image_->snapshot_delta(boot_->disk, &boot_disk_memo_);
+  ckpt_out_->push_back(std::move(ck));
+  ++checkpoints_taken_;
+}
+
+Checkpoint Machine::cpu_checkpoint(bool timer_pending) const {
+  Checkpoint ck;
+  ck.cycle = cpu_->cycles();
   ck.console = console_;
   for (int i = 0; i < 8; ++i) {
     ck.regs[i] = cpu_->reg(static_cast<isa::Reg>(i));
@@ -415,8 +421,19 @@ void Machine::take_checkpoint(bool timer_pending) {
   ck.next_timer = next_timer_;
   ck.timer_pending = timer_pending;
   ck.halted = cpu_->halted();
-  ckpt_out_->push_back(std::move(ck));
-  ++checkpoints_taken_;
+  return ck;
+}
+
+Checkpoint Machine::capture_state() const {
+  assert(booted_);
+  Checkpoint ck = cpu_checkpoint(timer_pending_resume_);
+  ck.mem = vm::ChunkedSnapshot::sparse(memory_->raw(0), memory_->size(),
+                                       memory_->page_versions(), boot_->mem,
+                                       boot_mem_memo_);
+  ck.disk = vm::ChunkedSnapshot::sparse(
+      disk_image_->bytes().data(), disk_image_->bytes().size(),
+      disk_image_->block_versions(), boot_->disk, boot_disk_memo_);
+  return ck;
 }
 
 std::vector<Checkpoint> Machine::capture_checkpoints(
@@ -637,8 +654,15 @@ RunResult Machine::run_loop(std::uint64_t max_cycles, bool resumable) {
         // the in-flight tick so the segmented timeline stays
         // bit-identical to an unsegmented run even when the breakpoint
         // fires with interrupts off.  Non-resumable exits keep the
-        // historical behavior (the A/B/C trigger path's pinned digest).
-        if (resumable) timer_pending_resume_ = timer_pending;
+        // historical behavior (both pinned digests depend on it) and
+        // report the drop: the injector reconverges D/E runs that took
+        // it onto a shadow ladder of the tick-dropped timeline instead
+        // of the golden one (DESIGN.md §7).
+        if (resumable) {
+          timer_pending_resume_ = timer_pending;
+        } else {
+          result.tick_dropped = timer_pending;
+        }
         result.exit = RunExit::Breakpoint;
         result.breakpoint_index = event.breakpoint_index;
         return result;

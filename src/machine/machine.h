@@ -52,6 +52,10 @@ struct RunResult {
   std::uint32_t exit_code = 0;
   CrashInfo crash;
   int breakpoint_index = -1;
+  // A non-resumable Breakpoint exit discarded an in-flight timer tick
+  // (fired, not yet deliverable): the run continues off the
+  // uninterrupted timeline, which never drops it.
+  bool tick_dropped = false;
 };
 
 // Which execution engine run() drives.  Step is the reference
@@ -284,6 +288,19 @@ class Machine {
   bool state_matches(const Checkpoint& checkpoint, const CheckpointMemo& memo,
                      std::size_t masked_phys) const;
 
+  // Captures the current state as a compare-only checkpoint, at the
+  // same kind of segment boundary state_matches() requires.  Any
+  // boot-sharing machine may call it: RAM and disk are stored as sparse
+  // deltas against boot_state() (vm::ChunkedSnapshot::sparse), filtered
+  // only by this machine's own boot memos, so the result carries
+  // neither dense chunk tables nor capture versions.  Compare it with
+  // an empty CheckpointMemo.
+  Checkpoint capture_state() const;
+
+  // Cycle at which the next timer tick fires.  Constant between two
+  // points of one run exactly when no tick fired in between.
+  std::uint64_t next_timer() const { return next_timer_; }
+
   vm::Cpu& cpu() { return *cpu_; }
   vm::PhysicalMemory& memory() { return *memory_; }
   disk::DiskImage& disk_image() { return *disk_image_; }
@@ -362,6 +379,8 @@ class Machine {
   CrashInfo crash_;
 
   void take_checkpoint(bool timer_pending);
+  // Everything of a checkpoint but its RAM and disk deltas.
+  Checkpoint cpu_checkpoint(bool timer_pending) const;
 
   // Post-boot state: captured by boot() (owns_boot_) or shared in by
   // adopt_boot().  The memos are this machine's dirty-tracking state

@@ -1,5 +1,6 @@
 #include "machine/state_io.h"
 
+#include <cassert>
 #include <cstring>
 #include <utility>
 
@@ -9,6 +10,7 @@ namespace {
 // One ChunkedSnapshot: geometry, capture versions, the delta slot table
 // when applicable, then the raw payload (full bytes or packed chunks).
 void write_snapshot(ByteWriter& w, const vm::ChunkedSnapshot& snap) {
+  assert(!snap.is_sparse());
   w.u32(snap.chunk_size());
   w.u64(snap.size());
   w.u8(snap.is_delta() ? 1 : 0);

@@ -187,7 +187,8 @@ std::string describe(const Event& event, const SymbolResolver& resolve) {
     case EventKind::CheckpointRestore:
       return format("checkpoint rung restored (rung cycle %u)", event.a);
     case EventKind::Reconverged:
-      return format("reconverged onto golden rung %u", event.a);
+      return format("reconverged onto %s rung %u",
+                    event.b != 0 ? "shadow" : "golden", event.a);
     case EventKind::BlockInvalidate:
       return format("superblock cache invalidated (%u blocks) at paddr ",
                     event.b) +

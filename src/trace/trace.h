@@ -48,7 +48,7 @@ enum class EventKind : std::uint8_t {
   InjectFlip,         // a=addr, b=byte<<8|bit, c=byte before, d=byte after
   SnapshotRestore,    // post-boot snapshot restore ("reboot")
   CheckpointRestore,  // a=rung cycle (low 32); cycle = rung cycle
-  Reconverged,        // a=rung index, post-trigger state proven golden
+  Reconverged,        // a=rung index, b=1 onto a shadow rung, else golden
   BlockInvalidate,    // a=paddr, b=blocks dropped from the trace cache
   CrashReport,        // a=cause code, b=fault addr, c=eip (the oops)
   ChunkRun,           // a=worker, b=order begin, c=order end

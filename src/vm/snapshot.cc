@@ -1,5 +1,6 @@
 #include "vm/snapshot.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -61,11 +62,46 @@ ChunkedSnapshot ChunkedSnapshot::delta(
   return snap;
 }
 
+ChunkedSnapshot ChunkedSnapshot::sparse(
+    const std::uint8_t* data, std::size_t size,
+    const std::vector<std::uint64_t>& versions, const ChunkedSnapshot& base,
+    const std::vector<std::uint64_t>& base_memo) {
+  assert(base.valid() && !base.is_delta());
+  assert(size == base.size_);
+  ChunkedSnapshot snap;
+  snap.chunk_size_ = base.chunk_size_;
+  snap.size_ = size;
+  snap.chunk_count_ = base.chunk_count_;
+  assert(versions.size() >= snap.chunk_count_);
+  snap.base_ = &base;
+  for (std::uint32_t i = 0; i < snap.chunk_count_; ++i) {
+    if (i < base_memo.size() && versions[i] == base_memo[i]) continue;
+    const std::uint32_t len = snap.chunk_len(i);
+    const std::uint8_t* live = data + static_cast<std::size_t>(i) * snap.chunk_size_;
+    if (std::memcmp(live, base.chunk(i), len) == 0) continue;
+    snap.index_.push_back(i);
+    const std::size_t at = snap.data_.size();
+    snap.data_.resize(at + snap.chunk_size_, 0);
+    std::memcpy(snap.data_.data() + at, live, len);
+  }
+  snap.index_.shrink_to_fit();
+  snap.data_.shrink_to_fit();
+  return snap;
+}
+
+std::int32_t ChunkedSnapshot::slot_of(std::uint32_t index) const {
+  if (!slot_.empty()) return slot_[index];
+  const auto it = std::lower_bound(index_.begin(), index_.end(), index);
+  return it != index_.end() && *it == index
+             ? static_cast<std::int32_t>(it - index_.begin())
+             : -1;
+}
+
 const std::uint8_t* ChunkedSnapshot::chunk(std::uint32_t index) const {
   if (base_ == nullptr) {
     return payload() + static_cast<std::size_t>(index) * chunk_size_;
   }
-  const std::int32_t slot = slot_[index];
+  const std::int32_t slot = slot_of(index);
   if (slot < 0) return base_->chunk(index);
   return payload() + static_cast<std::size_t>(slot) * chunk_size_;
 }
@@ -142,7 +178,7 @@ std::uint32_t ChunkedSnapshot::restore_into(
     ++versions[i];
     memo[i] = versions[i];
     // A base-resolved chunk now also equals the base at this version.
-    if (base_ != nullptr && slot_[i] < 0 && base_memo != nullptr &&
+    if (base_ != nullptr && slot_of(i) < 0 && base_memo != nullptr &&
         i < base_memo->size()) {
       (*base_memo)[i] = versions[i];
     }

@@ -66,6 +66,19 @@ class ChunkedSnapshot {
                                const ChunkedSnapshot& base,
                                const std::vector<std::uint64_t>* base_memo);
 
+  // Sparse capture against `base`, sound on any array whose caller
+  // keeps a memo for `base` (a machine that adopted a shared boot
+  // image): only `base_memo` may skip a comparison, never base's
+  // capture versions.  The differing chunks are indexed by a sorted
+  // list instead of a dense per-chunk table, and no capture versions
+  // are kept, so the snapshot costs its payload plus a few bytes per
+  // stored chunk.  It can be compared and restored like a dense delta
+  // but not serialized, and its capture_memo() is empty.
+  static ChunkedSnapshot sparse(const std::uint8_t* data, std::size_t size,
+                                const std::vector<std::uint64_t>& versions,
+                                const ChunkedSnapshot& base,
+                                const std::vector<std::uint64_t>& base_memo);
+
   // The memo asserting "every chunk equals this snapshot at its capture
   // version" — valid ONLY for the array the snapshot was captured from,
   // at capture time.  Any other machine must start from fresh_memo().
@@ -115,6 +128,7 @@ class ChunkedSnapshot {
   std::uint64_t payload_size() const {
     return view_ != nullptr ? view_size_ : data_.size();
   }
+  // Dense layouts only (full and dense delta snapshots).
   const std::vector<std::uint64_t>& versions() const { return versions_; }
   const std::vector<std::int32_t>& slots() const { return slot_; }
 
@@ -138,6 +152,8 @@ class ChunkedSnapshot {
   std::uint32_t chunk_size() const { return chunk_size_; }
   std::size_t size() const { return size_; }
   bool is_delta() const { return base_ != nullptr; }
+  // A sparse() capture (a dense delta always has a slot per chunk).
+  bool is_sparse() const { return is_delta() && slot_.empty(); }
   // The full snapshot a delta resolves through (nullptr for full
   // snapshots).  Lets machines assert a shared checkpoint really was
   // captured against their own boot image.
@@ -163,9 +179,12 @@ class ChunkedSnapshot {
     if (index < memo.size() && version == memo[index]) return true;
     // A chunk the delta does not store equals the base; equality with
     // the base is equality with this snapshot.
-    return base_ != nullptr && slot_[index] < 0 && base_memo != nullptr &&
+    return base_ != nullptr && slot_of(index) < 0 && base_memo != nullptr &&
            index < base_memo->size() && version == (*base_memo)[index];
   }
+  // Delta snapshots: the packed payload index of a stored chunk, or -1
+  // when the chunk resolves through the base.
+  std::int32_t slot_of(std::uint32_t index) const;
 
   std::uint32_t chunk_size_ = 0;
   std::uint32_t chunk_count_ = 0;
@@ -178,6 +197,7 @@ class ChunkedSnapshot {
   const std::uint8_t* view_ = nullptr;
   std::size_t view_size_ = 0;
   std::vector<std::int32_t> slot_;    // delta: chunk -> packed index, -1=base
+  std::vector<std::uint32_t> index_;  // sparse: stored chunks, ascending
   std::vector<std::uint64_t> versions_;  // capture-time versions
 };
 

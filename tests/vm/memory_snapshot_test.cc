@@ -2,7 +2,8 @@
 // bit-identical to a full-image copy under arbitrary write patterns,
 // including repeated restores from the same snapshot, sparse delta
 // snapshots layered over a full base, and one immutable snapshot shared
-// between several memories each holding a private equality memo.
+// between several memories each holding a private equality memo (which
+// may also capture sparse deltas against it).
 #include "vm/memory.h"
 #include "vm/snapshot.h"
 
@@ -197,6 +198,53 @@ TEST(MemorySnapshot, SharedSnapshotAcrossMemoriesWithPrivateMemos) {
   scribble(capturer, rng, 20);
   capturer.restore_pages(base, cap_base_memo);
   ASSERT_EQ(contents(capturer), base_state);
+}
+
+// A machine that adopted a shared boot image captures shadow rungs
+// with ChunkedSnapshot::sparse: its page versions mean nothing against
+// the base's capture versions, so only its own base memo may skip a
+// comparison.
+TEST(MemorySnapshot, SparseCaptureOnForeignMemoryTrustsOnlyItsOwnMemo) {
+  PhysicalMemory capturer(kSize);
+  for (int i = 0; i < 500; ++i) {
+    capturer.write8(0, static_cast<std::uint8_t>(i));
+  }
+  const ChunkedSnapshot base = capturer.snapshot_pages();
+
+  PhysicalMemory foreign(kSize);
+  std::vector<std::uint64_t> base_memo;
+  foreign.restore_pages_full(base, &base_memo);
+  // Page 0 ends at exactly base's capture version, holding other bytes.
+  while (foreign.page_version(0) + 1 < base.versions()[0]) {
+    foreign.write8(1, 0x11);
+  }
+  foreign.write8(2, 0x5A);
+  ASSERT_EQ(foreign.page_version(0), base.versions()[0]);
+  foreign.write8(3 * 4096 + 7, 0x77);
+
+  // The dense delta's version filter is fooled on this array...
+  const ChunkedSnapshot trusting = foreign.snapshot_delta(base, &base_memo);
+  EXPECT_FALSE(trusting.matches(foreign.raw(0), foreign.page_versions(), {},
+                                &base_memo));
+  // ...the sparse capture is not, and stores just the two pages.
+  const ChunkedSnapshot sparse = ChunkedSnapshot::sparse(
+      foreign.raw(0), foreign.size(), foreign.page_versions(), base,
+      base_memo);
+  EXPECT_TRUE(sparse.is_sparse());
+  EXPECT_TRUE(sparse.slots().empty());
+  EXPECT_EQ(sparse.storage_bytes(), 2u * 4096);
+  EXPECT_TRUE(sparse.matches(foreign.raw(0), foreign.page_versions(), {},
+                             &base_memo));
+
+  PhysicalMemory copy(kSize);
+  std::vector<std::uint64_t> copy_memo;
+  std::vector<std::uint64_t> copy_base_memo;
+  copy.restore_pages(sparse, copy_memo, &copy_base_memo);
+  EXPECT_EQ(contents(copy), contents(foreign));
+
+  foreign.write8(5 * 4096, 0x01);
+  EXPECT_FALSE(sparse.matches(foreign.raw(0), foreign.page_versions(), {},
+                              &base_memo));
 }
 
 TEST(MemorySnapshot, FromPartsViewRestoresIdenticallyToOwnedCopy) {
