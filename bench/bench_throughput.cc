@@ -134,6 +134,7 @@ void print_mode(std::FILE* out, const ModeResult& mode, bool last) {
       "      \"shadow_builds\": %llu,\n"
       "      \"shadow_build_cycles\": %llu,\n"
       "      \"shadow_reconverged\": %llu,\n"
+      "      \"dead_byte_reconverged\": %llu,\n"
       "      \"pre_trigger_cycles\": %llu,\n"
       "      \"post_trigger_cycles\": %llu,\n"
       "      \"decode_hit_rate\": %.4f,\n"
@@ -166,6 +167,7 @@ void print_mode(std::FILE* out, const ModeResult& mode, bool last) {
       static_cast<unsigned long long>(mode.stats.shadow_builds),
       static_cast<unsigned long long>(mode.stats.shadow_build_cycles),
       static_cast<unsigned long long>(mode.stats.shadow_reconverged),
+      static_cast<unsigned long long>(mode.stats.dead_byte_reconverged),
       static_cast<unsigned long long>(mode.stats.pre_trigger_cycles),
       static_cast<unsigned long long>(mode.stats.post_trigger_cycles),
       decode_total == 0 ? 0.0

@@ -97,7 +97,8 @@ void print_campaign_stats(const inject::CampaignStats& cs) {
   std::printf(
       "perf: %llu restores (%.1f KiB RAM + %llu disk blocks per restore), "
       "%llu checkpoints, hit rate %.1f%%, decode cache %.2f%%, "
-      "pre/post-trigger %.1fM/%.1fM cycles, %llu reconverged\n",
+      "pre/post-trigger %.1fM/%.1fM cycles, %llu reconverged "
+      "(%llu at a dead data byte)\n",
       static_cast<unsigned long long>(stats.restores),
       stats.restores == 0
           ? 0.0
@@ -114,7 +115,8 @@ void print_campaign_stats(const inject::CampaignStats& cs) {
                               static_cast<double>(decode_total),
       static_cast<double>(cs.pre_trigger_cycles) / 1e6,
       static_cast<double>(cs.post_trigger_cycles) / 1e6,
-      static_cast<unsigned long long>(cs.reconverged));
+      static_cast<unsigned long long>(cs.reconverged),
+      static_cast<unsigned long long>(cs.dead_byte_reconverged));
   if (cs.ticks_dropped > 0) {
     std::printf(
         "perf: %llu triggers dropped a tick, %llu shadow ladders built "
@@ -228,6 +230,10 @@ int cmd_shape(int argc, char** argv) {
     totals += runs[1].stats;
     totals += runs[2].stats;
     print_campaign_stats(totals);
+    std::printf("perf: %llu golden builds, %.2f s\n",
+                static_cast<unsigned long long>(
+                    injector.cache()->golden_builds()),
+                injector.cache()->build_seconds());
     return report.all_pass() ? 0 : 1;
   }
   if (scale != "full") return usage();

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "support/strings.h"
+#include "vm/layout.h"
 
 namespace kfi::analysis {
 namespace {
@@ -135,13 +136,21 @@ void write_result(ByteWriter& writer, const inject::InjectionResult& r,
 
 bool read_result(ByteReader& reader, inject::InjectionResult& out,
                  bool extended) {
+  // Byte-wide spec fields are stored as u32; a value that does not fit
+  // is corrupt, not something to truncate into range.
+  bool fits = true;
+  const auto byte_field = [&reader, &fits] {
+    const std::uint32_t value = reader.u32();
+    fits = fits && value <= 0xFF;
+    return static_cast<std::uint8_t>(value);
+  };
   out.spec.campaign = static_cast<inject::Campaign>(reader.u32());
   out.spec.function = reader.str();
   out.spec.subsystem = static_cast<kernel::Subsystem>(reader.u32());
   out.spec.instr_addr = reader.u32();
-  out.spec.instr_len = static_cast<std::uint8_t>(reader.u32());
-  out.spec.byte_index = static_cast<std::uint8_t>(reader.u32());
-  out.spec.bit_index = static_cast<std::uint8_t>(reader.u32());
+  out.spec.instr_len = byte_field();
+  out.spec.byte_index = byte_field();
+  out.spec.bit_index = byte_field();
   out.spec.workload = reader.str();
   out.outcome = static_cast<inject::Outcome>(reader.u32());
   out.activation_cycle = reader.u64();
@@ -158,8 +167,8 @@ bool read_result(ByteReader& reader, inject::InjectionResult& out,
   out.disasm_before = reader.str();
   out.disasm_after = reader.str();
   if (extended) {
-    out.spec.model = static_cast<inject::FaultModel>(reader.u32());
-    out.spec.target_reg = static_cast<std::uint8_t>(reader.u32());
+    out.spec.model = static_cast<inject::FaultModel>(byte_field());
+    out.spec.target_reg = byte_field();
     out.spec.data_addr = reader.u32();
     out.spec.data_index = reader.u32();
     out.spec.errno_value = reader.u32();
@@ -167,7 +176,14 @@ bool read_result(ByteReader& reader, inject::InjectionResult& out,
     out.syscalls_after = reader.u32();
     out.cascade_syscalls = reader.u32();
   }
-  return reader.ok();
+  // Records are replayed: reject fields that would index past RAM, a
+  // shift width or the register file there (Injector::run_one rejects
+  // the rest of inject::spec_defect).
+  const bool applicable = out.spec.model <= inject::FaultModel::SyscallErrno &&
+                          out.spec.bit_index < 32 &&
+                          out.spec.target_reg <= inject::kEflagsTarget &&
+                          out.spec.data_addr < vm::kRamSize;
+  return reader.ok() && fits && applicable;
 }
 
 std::string ShardStore::write_shard(std::uint64_t shard_index,

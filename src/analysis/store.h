@@ -58,6 +58,9 @@ std::uint64_t results_digest(const std::vector<inject::CampaignRun>& runs);
 // results are all InstrBit omit them so their bytes never change.
 void write_result(ByteWriter& writer, const inject::InjectionResult& r,
                   bool extended = false);
+// False for a truncated record and for one whose spec would drive the
+// machine out of bounds on replay (a data address outside RAM, a flip
+// bit past 31, a register past EFLAGS, an unknown fault model).
 bool read_result(ByteReader& reader, inject::InjectionResult& out,
                  bool extended = false);
 

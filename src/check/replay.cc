@@ -1,6 +1,7 @@
 #include "check/replay.h"
 
 #include <map>
+#include <stdexcept>
 
 #include "support/strings.h"
 
@@ -85,7 +86,14 @@ ReplayOutcome replay_one(inject::Injector& injector,
   ReplayOutcome outcome;
   outcome.index = index;
   outcome.recorded = run.results[index];
-  outcome.replayed = injector.run_one(outcome.recorded.spec);
+  // A record that loaded can still hold a spec the injector refuses
+  // (inject::spec_defect): it fails to reproduce, it does not abort.
+  try {
+    outcome.replayed = injector.run_one(outcome.recorded.spec);
+  } catch (const std::invalid_argument& rejected) {
+    outcome.diffs.push_back(FieldDiff{"spec", "recorded", rejected.what()});
+    return outcome;
+  }
   outcome.diffs = diff_results(outcome.recorded, outcome.replayed);
   return outcome;
 }

@@ -55,10 +55,12 @@ void DiskDevice::execute(std::uint32_t cmd) {
     // block dirty for snapshot purposes.
     memory_.write_block(phys_, std::as_const(image_).block(block_),
                         kBlockSize);
+    if (liveness_ != nullptr) liveness_->write(phys_, kBlockSize);
     ++reads_;
     status_ = 0;
   } else if (cmd == kCmdWrite) {
     memory_.read_block(phys_, image_.block(block_), kBlockSize);
+    if (liveness_ != nullptr) liveness_->read(phys_, kBlockSize);
     ++writes_;
     status_ = 0;
   } else {

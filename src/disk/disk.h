@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "vm/bus.h"
+#include "vm/liveness.h"
 #include "vm/memory.h"
 #include "vm/snapshot.h"
 
@@ -112,6 +113,9 @@ class DiskDevice : public vm::Device {
   std::uint64_t reads() const { return reads_; }
   std::uint64_t writes() const { return writes_; }
 
+  // Reports every DMA transfer's RAM side to `liveness` (nullptr = off).
+  void set_liveness(vm::ByteLiveness* liveness) { liveness_ = liveness; }
+
  private:
   void execute(std::uint32_t cmd);
 
@@ -122,6 +126,7 @@ class DiskDevice : public vm::Device {
   std::uint32_t status_ = 0;
   std::uint64_t reads_ = 0;
   std::uint64_t writes_ = 0;
+  vm::ByteLiveness* liveness_ = nullptr;
 };
 
 }  // namespace kfi::disk

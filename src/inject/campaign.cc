@@ -20,6 +20,7 @@ CampaignStats& CampaignStats::operator+=(const CampaignStats& o) {
   shadow_builds += o.shadow_builds;
   shadow_build_cycles += o.shadow_build_cycles;
   shadow_reconverged += o.shadow_reconverged;
+  dead_byte_reconverged += o.dead_byte_reconverged;
   pre_trigger_cycles += o.pre_trigger_cycles;
   post_trigger_cycles += o.post_trigger_cycles;
   perf += o.perf;
@@ -35,6 +36,7 @@ CampaignStats& CampaignStats::operator-=(const CampaignStats& o) {
   shadow_builds -= o.shadow_builds;
   shadow_build_cycles -= o.shadow_build_cycles;
   shadow_reconverged -= o.shadow_reconverged;
+  dead_byte_reconverged -= o.dead_byte_reconverged;
   pre_trigger_cycles -= o.pre_trigger_cycles;
   post_trigger_cycles -= o.post_trigger_cycles;
   perf -= o.perf;
@@ -55,6 +57,7 @@ CampaignStats injector_counters(const Injector& injector) {
   s.shadow_builds = injector.shadow_builds();
   s.shadow_build_cycles = injector.shadow_build_cycles();
   s.shadow_reconverged = injector.shadow_reconverged();
+  s.dead_byte_reconverged = injector.dead_byte_reconverged();
   s.pre_trigger_cycles = injector.pre_trigger_cycles();
   s.post_trigger_cycles = injector.post_trigger_cycles();
   s.perf = injector.perf_stats();

@@ -56,6 +56,7 @@ struct CampaignStats {
   std::uint64_t shadow_builds = 0;
   std::uint64_t shadow_build_cycles = 0;  // inside post_trigger_cycles
   std::uint64_t shadow_reconverged = 0;
+  std::uint64_t dead_byte_reconverged = 0;  // inside reconverged
   std::uint64_t pre_trigger_cycles = 0;
   std::uint64_t post_trigger_cycles = 0;
   machine::PerfStats perf;

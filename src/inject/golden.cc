@@ -1,11 +1,13 @@
 #include "inject/golden.h"
 
 #include <algorithm>
+#include <chrono>
 #include <stdexcept>
 #include <utility>
 
 #include "fsutil/kfs.h"
 #include "inject/targets.h"
+#include "vm/liveness.h"
 
 namespace kfi::inject {
 
@@ -51,7 +53,20 @@ bool GoldenCache::adopt_workload(const std::string& name,
   return adopted;
 }
 
+bool WorkloadGolden::dead_at(std::uint32_t phys, std::size_t rung) const {
+  const auto it =
+      std::lower_bound(write_footprint.begin(), write_footprint.end(), phys);
+  if (it == write_footprint.end() || *it != phys || rung >= ladder.size()) {
+    return false;
+  }
+  const std::size_t bit =
+      static_cast<std::size_t>(it - write_footprint.begin()) * ladder.size() +
+      rung;
+  return (dead_bits[bit / 64] >> (bit % 64) & 1) != 0;
+}
+
 void GoldenCache::build(const std::string& name, WorkloadGolden& out) {
+  const auto began = std::chrono::steady_clock::now();
   machine::MachineOptions machine_options;
   machine_options.full_restore = options_.full_restore;
   machine_options.exec_engine = options_.exec_engine;
@@ -61,22 +76,45 @@ void GoldenCache::build(const std::string& name, WorkloadGolden& out) {
     throw std::runtime_error("golden cache: workload '" + name +
                              "' failed to boot");
   }
+  const auto incomplete = [&name] {
+    return std::runtime_error("golden cache: golden run for '" + name +
+                              "' did not complete");
+  };
 
-  // Fault-free reference run, traced for coverage, touch windows, and
-  // the written-data footprint (campaign E's target population).  A
-  // breakpoint on the syscall-exit store additionally records every
+  // The fault-free run once, untraced on the configured engine, for its
+  // length: the capture pass below takes the checkpoint ladder at
+  // evenly spaced cycles of it.
+  constexpr std::uint64_t kGoldenBudget = 100'000'000;
+  machine.restore();
+  const std::uint64_t start = machine.cpu().cycles();
+  if (machine.run(kGoldenBudget).exit != machine::RunExit::Completed) {
+    throw incomplete();
+  }
+  const std::uint64_t length = machine.cpu().cycles() - start;
+  std::vector<std::uint64_t> at;
+  for (int k = 1; k <= options_.checkpoints; ++k) {
+    at.push_back(start + length * static_cast<std::uint64_t>(k) /
+                             (static_cast<std::uint64_t>(options_.checkpoints) + 1));
+  }
+
+  // The capture pass: the same run again, stepping, traced for touch
+  // windows (whose addresses are the coverage) and byte liveness (which
+  // also yields the written-data footprint, campaign E's target
+  // population), taking the checkpoint ladder as it passes the rung
+  // cycles.  Each rung is a state every injected run passes through
+  // before its trigger fires.
+  // A breakpoint on the syscall-exit store additionally records every
   // syscall return (campaign F's timeline); breakpoint stops consume
   // zero cycles and the resumable segments preserve the in-flight
   // timer tick, so the traced timeline — and every golden artifact —
-  // is bit-identical to the historical single-call run.
+  // is bit-identical to a single untraced run.
   machine.restore();
-  machine.set_trace(&out.coverage);
-  machine.set_touch_trace(&out.first_touch);
-  std::unordered_set<std::uint32_t> written;
-  machine.set_write_trace(&written);
+  machine::TouchTable touches;
+  machine.set_touch_trace(&touches);
+  vm::ByteLiveness liveness(machine.memory().size(), at.size());
+  machine.set_liveness(&liveness);
+  machine.arm_checkpoints(std::move(at), &out.ladder);
   const std::uint32_t sc_site = syscall_return_site(image_);
-  const std::uint64_t start = machine.cpu().cycles();
-  constexpr std::uint64_t kGoldenBudget = 100'000'000;
   machine::RunResult run;
   if (sc_site != 0) {
     machine.cpu().arm_breakpoint(0, sc_site);
@@ -93,11 +131,9 @@ void GoldenCache::build(const std::string& name, WorkloadGolden& out) {
   } else {
     run = machine.run(kGoldenBudget);
   }
-  machine.set_trace(nullptr);
+  machine.disarm_checkpoints();
   machine.set_touch_trace(nullptr);
-  machine.set_write_trace(nullptr);
-  out.write_footprint.assign(written.begin(), written.end());
-  std::sort(out.write_footprint.begin(), out.write_footprint.end());
+  machine.set_liveness(nullptr);
 
   GoldenRun& golden = out.golden;
   golden.ok = run.exit == machine::RunExit::Completed;
@@ -105,9 +141,25 @@ void GoldenCache::build(const std::string& name, WorkloadGolden& out) {
   golden.exit_code = run.exit_code;
   golden.fs_digest = fsutil::tree_digest(machine.disk_image());
   golden.cycles = machine.cpu().cycles() - start;
-  if (!golden.ok) {
-    throw std::runtime_error("golden cache: golden run for '" + name +
-                             "' did not complete");
+  if (!golden.ok) throw incomplete();
+  if (golden.cycles != length) {
+    throw std::runtime_error("golden cache: capture pass for '" + name +
+                             "' left the untraced timeline");
+  }
+
+  out.first_touch = touches.windows();
+  out.coverage.reserve(out.first_touch.size());
+  for (const auto& [addr, window] : out.first_touch) out.coverage.insert(addr);
+  out.write_footprint = liveness.footprint();
+  const std::size_t rungs = out.ladder.size();
+  out.dead_bits.assign(out.dead_words(), 0);
+  for (std::size_t i = 0; i < out.write_footprint.size(); ++i) {
+    for (std::size_t k = 0; k < rungs; ++k) {
+      if (liveness.dead(out.write_footprint[i], k)) {
+        const std::size_t bit = i * rungs + k;
+        out.dead_bits[bit / 64] |= std::uint64_t{1} << (bit % 64);
+      }
+    }
   }
 
   // Classify the golden end-of-run disk exactly as run_one() would, so
@@ -128,24 +180,16 @@ void GoldenCache::build(const std::string& name, WorkloadGolden& out) {
     }
   }
 
-  // Build the checkpoint ladder: replay the golden run once more,
-  // snapshotting at evenly spaced cycles.  The replay follows the same
-  // deterministic timeline, so each rung is a state every injected run
-  // passes through before its trigger fires.
-  if (options_.checkpoints > 0) {
-    std::vector<std::uint64_t> at;
-    at.reserve(static_cast<std::size_t>(options_.checkpoints));
-    for (int k = 1; k <= options_.checkpoints; ++k) {
-      at.push_back(start + golden.cycles * static_cast<std::uint64_t>(k) /
-                               (static_cast<std::uint64_t>(options_.checkpoints) + 1));
-    }
-    out.ladder = machine.capture_checkpoints(std::move(at), 100'000'000);
-  }
-
   // The BootState outlives this transient builder machine; worker
   // machines adopt it (and the ladder's deltas resolve through it).
   out.boot = machine.boot_state();
   builds_.fetch_add(1, std::memory_order_relaxed);
+  build_ns_.fetch_add(
+      static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - began)
+              .count()),
+      std::memory_order_relaxed);
 }
 
 bool GoldenCache::disk_bootable(const disk::DiskImage& image) const {

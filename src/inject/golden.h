@@ -102,6 +102,19 @@ struct WorkloadGolden {
   std::vector<std::uint32_t> write_footprint;
   // Every syscall exit in golden order (campaign F's timeline).
   std::vector<SyscallExit> syscalls;
+  // Campaign E's reconvergence input (DESIGN.md §7, layer 3): bit
+  // i * ladder.size() + k is set when write_footprint[i] is dead at
+  // rung k — the golden run's next access to the byte at or after the
+  // rung's cycle is a write, or there is none.
+  std::vector<std::uint64_t> dead_bits;
+
+  // Whether the RAM byte at `phys` is dead at ladder rung `rung`; false
+  // for bytes outside the footprint.
+  bool dead_at(std::uint32_t phys, std::size_t rung) const;
+  // Words dead_bits holds for this footprint and ladder.
+  std::size_t dead_words() const {
+    return (write_footprint.size() * ladder.size() + 63) / 64;
+  }
 };
 
 class GoldenCache {
@@ -142,6 +155,11 @@ class GoldenCache {
   std::uint64_t golden_builds() const {
     return builds_.load(std::memory_order_relaxed);
   }
+  // Host seconds those builds took, summed over workloads.
+  double build_seconds() const {
+    return static_cast<double>(build_ns_.load(std::memory_order_relaxed)) /
+           1e9;
+  }
 
   const InjectorOptions& options() const { return options_; }
   const kernel::KernelImage& image() const { return image_; }
@@ -173,6 +191,7 @@ class GoldenCache {
   std::mutex mutex_;  // guards entries_ (map structure only)
   std::map<std::string, std::unique_ptr<Entry>> entries_;
   std::atomic<std::uint64_t> builds_{0};
+  std::atomic<std::uint64_t> build_ns_{0};
   std::atomic<std::uint64_t> adoptions_{0};
 };
 

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "fsutil/kfs.h"
@@ -66,6 +67,9 @@ machine::PerfStats Injector::perf_stats() const {
 }
 
 InjectionResult Injector::run_one(const InjectionSpec& spec) {
+  if (const char* defect = spec_defect(spec)) {
+    throw std::invalid_argument(std::string("injector: ") + defect);
+  }
   InjectionResult result;
   result.spec = spec;
   ++runs_;
@@ -248,10 +252,9 @@ InjectionResult Injector::run_triggered(const InjectionSpec& spec,
 
   // Apply the model's fault at the trigger point and resume.
   result.activation_cycle = trigger_abs - start;
-  // RAM byte masked out of reconvergence comparison: only the
-  // instruction model leaves a persistent divergence (the corrupted
-  // text byte); register and data faults compare the full state — a
-  // match proves the fault was overwritten back or absorbed.
+  // The RAM byte the fault leaves different from the golden run: the
+  // corrupted text byte, or the flipped data byte.  Register faults
+  // leave none.
   std::size_t masked = kNoMask;
   switch (spec.model) {
     case FaultModel::InstrBit: {
@@ -317,6 +320,7 @@ InjectionResult Injector::run_triggered(const InjectionSpec& spec,
       break;
     }
     case FaultModel::DataBit: {
+      masked = data_phys;
       const std::uint8_t pristine = machine.memory().read8(data_phys);
       const std::uint8_t corrupted =
           static_cast<std::uint8_t>(pristine ^ (1u << spec.bit_index));
@@ -335,33 +339,42 @@ InjectionResult Injector::run_triggered(const InjectionSpec& spec,
   }
   machine.cpu().disarm_breakpoint(0);
 
-  // Post-trigger execution runs in segments that stop at each upcoming
-  // ladder rung and test for reconvergence: if the machine state is
+  // Post-trigger execution runs in segments that stop at upcoming
+  // ladder rungs and test for reconvergence: if the machine state is
   // bit-identical to the golden run's state at that cycle — every
-  // register, RAM page, disk block, console byte, and the timer phase,
-  // excepting only the flipped instruction byte itself — and the golden
-  // run never executes the corrupted instruction again (the rung lies
-  // past its last golden execution), then the remainder of the run can
-  // only replay the golden timeline.  The golden outcome is taken
-  // without simulating it; a shadow rung match takes the shadow's
-  // outcome the same way.  A run that never reconverges (or has no
-  // safe rung ahead) executes to its watchdog deadline exactly as a
-  // single continuous run would — segment boundaries preserve the
-  // in-flight timer tick, so the timeline is bit-identical either way.
+  // register, RAM page, disk block, console byte, and the timer phase —
+  // apart from the faulted byte where the golden run proves it dead,
+  // then the remainder of the run can only replay the golden timeline.
+  // The golden outcome is taken without simulating it; a shadow rung
+  // match takes the shadow's outcome the same way.  A run that never
+  // reconverges (or has no safe rung ahead) executes to its watchdog
+  // deadline exactly as a single continuous run would — segment
+  // boundaries preserve the in-flight timer tick, so the timeline is
+  // bit-identical either way.
   //
-  // Rungs at or before the corrupted instruction's last golden
-  // execution are unsafe for the instruction model — the golden
-  // timeline would re-execute the (still corrupted) byte past them.
-  // Register and data faults never corrupt text, so any future rung
-  // that full-compares equal is conclusive.
-  std::uint64_t last_exec = 0;
-  if (touched == touch.end()) {
-    last_exec = ~std::uint64_t{0};
-  } else if (spec.model == FaultModel::InstrBit) {
-    last_exec = touched->second.last;
-  }
-  const Ending ending =
-      run_out(state, deadline, last_exec, masked, shadow, nullptr);
+  // Dead means the golden run's next access to the byte is a write, or
+  // there is none.  For the corrupted text byte that holds past its
+  // instruction's last golden execution; before it, no compare can
+  // pass, so those rungs are skipped.  For the flipped data byte the
+  // golden capture pass recorded it per rung; at a rung where the byte
+  // is live a full compare can still pass (the run wrote it back).
+  // Register faults always compare the full state.
+  const bool never = touched == touch.end();
+  const std::uint64_t last_exec = never ? 0 : touched->second.last;
+  const auto plan = [&](std::size_t rung) {
+    if (never) return RungCompare::Skip;
+    switch (spec.model) {
+      case FaultModel::InstrBit:
+        return rungs[rung].cycle > last_exec ? RungCompare::Masked
+                                             : RungCompare::Skip;
+      case FaultModel::DataBit:
+        return artifact.dead_at(data_phys, rung) ? RungCompare::Masked
+                                                 : RungCompare::Full;
+      default:
+        return RungCompare::Full;
+    }
+  };
+  const Ending ending = run_out(state, deadline, plan, masked, shadow, nullptr);
   post_trigger_cycles_ += machine.cpu().cycles() - trigger_abs;
   if (ending.onto == Ending::Onto::Nothing) {
     classify(result, ending.run, machine, ref);
@@ -375,6 +388,14 @@ InjectionResult Injector::run_triggered(const InjectionSpec& spec,
                    onto_shadow ? 1u : 0u);
   }
   if (!onto_shadow) {
+    if (spec.model == FaultModel::DataBit) {
+      const vm::ChunkedSnapshot& mem = rungs[ending.rung].mem;
+      const std::uint8_t golden_byte =
+          mem.chunk(data_phys / mem.chunk_size())[data_phys % mem.chunk_size()];
+      if (machine.memory().read8(data_phys) != golden_byte) {
+        ++dead_byte_reconverged_;
+      }
+    }
     take_golden_outcome(result, ref);
     return result;
   }
@@ -395,9 +416,10 @@ InjectionResult Injector::run_triggered(const InjectionSpec& spec,
   return result;
 }
 
+template <typename Plan>
 Injector::Ending Injector::run_out(WorkloadState& state,
-                                   std::uint64_t deadline,
-                                   std::uint64_t last_exec, std::size_t masked,
+                                   std::uint64_t deadline, const Plan& plan,
+                                   std::size_t masked,
                                    const ShadowLadder* compare,
                                    ShadowLadder* capture) {
   machine::Machine& machine = *state.machine;
@@ -405,9 +427,10 @@ Injector::Ending Injector::run_out(WorkloadState& state,
   Ending ending;
   std::size_t idx = 0;
   for (;;) {
+    RungCompare how = RungCompare::Skip;
     while (idx < rungs.size() &&
            (rungs[idx].cycle <= machine.cpu().cycles() ||
-            rungs[idx].cycle <= last_exec)) {
+            (how = plan(idx)) == RungCompare::Skip)) {
       ++idx;
     }
     if (idx >= rungs.size() || rungs[idx].cycle >= deadline) break;
@@ -421,14 +444,15 @@ Injector::Ending Injector::run_out(WorkloadState& state,
       return ending;
     }
     ending.rung = idx;
-    if (machine.state_matches(ck, state.rung_memos[idx], masked)) {
+    if (machine.state_matches(ck, state.rung_memos[idx],
+                              how == RungCompare::Masked ? masked : kNoMask)) {
       ending.onto = Ending::Onto::Golden;
       return ending;
     }
     if (compare != nullptr) {
       const auto it = compare->rungs.find(idx);
       if (it != compare->rungs.end() &&
-          machine.state_matches(it->second, kNoMemo, masked)) {
+          machine.state_matches(it->second, kNoMemo, kNoMask)) {
         ending.onto = Ending::Onto::Shadow;
         return ending;
       }
@@ -446,7 +470,8 @@ void Injector::build_shadow(WorkloadState& state, const GoldenRun& ref,
                             std::uint64_t deadline, ShadowLadder& shadow) {
   ++shadow_builds_;
   const Ending ending =
-      run_out(state, deadline, /*last_exec=*/0, kNoMask, nullptr, &shadow);
+      run_out(state, deadline, [](std::size_t) { return RungCompare::Full; },
+              kNoMask, nullptr, &shadow);
   if (ending.onto == Ending::Onto::Golden) {
     // The tick-dropped timeline itself rejoined the golden one, so the
     // rungs past this one are golden rungs, compared first anyway.

@@ -122,6 +122,12 @@ class Injector {
   std::uint64_t shadow_builds() const { return shadow_builds_; }
   std::uint64_t shadow_build_cycles() const { return shadow_build_cycles_; }
   std::uint64_t shadow_reconverged() const { return shadow_reconverged_; }
+  // Golden reconvergences (inside reconverged()) at which the flipped
+  // data byte still differed from the rung, dead there in the golden
+  // run (DESIGN.md §7, layer 3).
+  std::uint64_t dead_byte_reconverged() const {
+    return dead_byte_reconverged_;
+  }
   // The shadow ladder this injector built for `workload`'s dropped
   // triggers at `next_timer`, or nullptr.
   const ShadowLadder* shadow(const std::string& workload,
@@ -154,6 +160,12 @@ class Injector {
 
   WorkloadState& state_for(const std::string& workload);
 
+  // How a post-trigger state is compared with one golden rung.
+  enum class RungCompare : std::uint8_t {
+    Skip,    // no compare can pass: run through without stopping
+    Full,    // the complete state
+    Masked,  // all but the faulted RAM byte, which is dead there
+  };
   // Where a post-trigger continuation ended: its final exit, or the
   // ladder rung at which it reconverged.
   struct Ending {
@@ -163,12 +175,14 @@ class Injector {
     machine::RunResult run;
   };
   // Runs the workload machine from its current post-trigger state to
-  // `deadline` in segments that stop at every ladder rung past
-  // `last_exec`.  At each stop the state is compared with the golden
-  // rung and then with `compare`'s rung, if it has one; `capture`
-  // instead records every stop that matched neither.
+  // `deadline` in segments that stop at every ladder rung `plan` does
+  // not skip.  At each stop the state is compared with the golden rung
+  // as `plan` says (masking the RAM byte `masked`) and then in full
+  // with `compare`'s rung, if it has one; `capture` instead records
+  // every stop that matched neither.
+  template <typename Plan>
   Ending run_out(WorkloadState& state, std::uint64_t deadline,
-                 std::uint64_t last_exec, std::size_t masked,
+                 const Plan& plan, std::size_t masked,
                  const ShadowLadder* compare, ShadowLadder* capture);
   // Builds `shadow` from the fault-free, tick-dropped trigger state the
   // machine is stopped at, running it out to `deadline`.
@@ -202,6 +216,7 @@ class Injector {
   std::uint64_t shadow_builds_ = 0;
   std::uint64_t shadow_build_cycles_ = 0;
   std::uint64_t shadow_reconverged_ = 0;
+  std::uint64_t dead_byte_reconverged_ = 0;
   std::uint64_t pre_trigger_cycles_ = 0;
   std::uint64_t post_trigger_cycles_ = 0;
 };

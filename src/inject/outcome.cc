@@ -1,6 +1,7 @@
 #include "inject/outcome.h"
 
 #include "kernel/koffsets.h"
+#include "vm/layout.h"
 
 namespace kfi::inject {
 
@@ -137,6 +138,19 @@ std::uint32_t severity_downtime_seconds(Severity severity) {
     case Severity::MostSevere: return 55 * 60;   // reformat + reinstall
   }
   return 0;
+}
+
+const char* spec_defect(const InjectionSpec& spec) {
+  if (spec.model > FaultModel::SyscallErrno) return "unknown fault model";
+  if (spec.target_reg > kEflagsTarget) return "target_reg out of range";
+  if (spec.data_addr >= vm::kRamSize) return "data_addr outside RAM";
+  const bool byte_flip =
+      spec.model == FaultModel::InstrBit || spec.model == FaultModel::DataBit;
+  if (spec.bit_index >= (byte_flip ? 8 : 32)) return "bit_index out of range";
+  if (spec.model == FaultModel::InstrBit && spec.byte_index >= spec.instr_len) {
+    return "byte_index outside the instruction";
+  }
+  return nullptr;
 }
 
 }  // namespace kfi::inject

@@ -120,6 +120,13 @@ struct InjectionSpec {
   std::uint32_t errno_value = 0;
 };
 
+// Why `spec` cannot be injected — a field outside the range its fault
+// model applies to the machine (a flip bit past the flipped unit, a
+// register past the file, a byte outside the instruction or RAM) — or
+// nullptr when it can.  Specs decoded from disk are untrusted: the
+// result readers reject such records and Injector::run_one throws.
+const char* spec_defect(const InjectionSpec& spec);
+
 // One injection run's full record.
 struct InjectionResult {
   InjectionSpec spec;

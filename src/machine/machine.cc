@@ -203,6 +203,20 @@ disk::DiskImage make_root_disk() {
   return image;
 }
 
+std::unordered_map<std::uint32_t, TouchWindow> TouchTable::windows() const {
+  std::unordered_map<std::uint32_t, TouchWindow> out;
+  for (std::size_t page = 0; page < pages_.size(); ++page) {
+    if (pages_[page] == nullptr) continue;
+    for (std::uint32_t i = 0; i < vm::kPageSize; ++i) {
+      if (pages_[page][i].last == 0) continue;
+      out.emplace(vm::kArchTextBase +
+                      static_cast<std::uint32_t>(page) * vm::kPageSize + i,
+                  pages_[page][i]);
+    }
+  }
+  return out;
+}
+
 // ---------------------------------------------------------------------
 // Machine
 // ---------------------------------------------------------------------
@@ -405,6 +419,7 @@ void Machine::take_checkpoint(bool timer_pending) {
   ck.disk = disk_image_->snapshot_delta(boot_->disk, &boot_disk_memo_);
   ckpt_out_->push_back(std::move(ck));
   ++checkpoints_taken_;
+  if (liveness_ != nullptr) liveness_->rung();
 }
 
 Checkpoint Machine::cpu_checkpoint(bool timer_pending) const {
@@ -442,14 +457,24 @@ std::vector<Checkpoint> Machine::capture_checkpoints(
   assert(owns_boot_ && "only the BootState's capturer may take checkpoints");
   std::vector<Checkpoint> out;
   restore();
+  arm_checkpoints(std::move(at), &out);
+  run(max_cycles);
+  disarm_checkpoints();
+  return out;
+}
+
+void Machine::arm_checkpoints(std::vector<std::uint64_t> at,
+                              std::vector<Checkpoint>* out) {
+  assert(owns_boot_ && "only the BootState's capturer may take checkpoints");
   ckpt_request_ = std::move(at);
   ckpt_next_ = 0;
-  ckpt_out_ = &out;
-  run(max_cycles);
+  ckpt_out_ = out;
+}
+
+void Machine::disarm_checkpoints() {
   ckpt_out_ = nullptr;
   ckpt_request_.clear();
   ckpt_next_ = 0;
-  return out;
 }
 
 void Machine::restore_checkpoint(const Checkpoint& checkpoint,
@@ -540,6 +565,12 @@ std::uint64_t Machine::state_digest() const {
   return h;
 }
 
+void Machine::set_liveness(vm::ByteLiveness* liveness) {
+  liveness_ = liveness;
+  cpu_->set_liveness(liveness);
+  disk_device_->set_liveness(liveness);
+}
+
 void Machine::set_event_trace(trace::TraceBuffer* sink) {
   events_ = sink;
   cpu_->set_trace_sink(sink);
@@ -574,7 +605,9 @@ RunResult Machine::run_loop(std::uint64_t max_cycles, bool resumable) {
   // capture saw; a plain restore()/boot() starts with none pending.
   bool timer_pending = timer_pending_resume_;
   timer_pending_resume_ = false;
-  const bool block_engine = options_.exec_engine != ExecEngine::Step;
+  // Touch and liveness capture observe every step.
+  const bool block_engine = options_.exec_engine != ExecEngine::Step &&
+                            touch_ == nullptr && liveness_ == nullptr;
 
   while (cpu_->cycles() < deadline) {
     // Checkpoint capture sits at the exact point a restored checkpoint
@@ -596,16 +629,10 @@ RunResult Machine::run_loop(std::uint64_t max_cycles, bool resumable) {
       timer_pending = false;
     }
 
-    if (trace_ != nullptr || touch_ != nullptr) {
+    if (touch_ != nullptr) {
       const std::uint32_t pc = cpu_->eip();
       if (pc >= vm::kArchTextBase && pc < vm::kTextEnd) {
-        if (trace_ != nullptr) trace_->insert(pc);
-        if (touch_ != nullptr) {
-          const std::uint64_t now = cpu_->cycles();
-          const auto [it, inserted] =
-              touch_->try_emplace(pc, TouchWindow{now, now});
-          if (!inserted) it->second.last = now;
-        }
+        touch_->record(pc, cpu_->cycles());
       }
     }
     vm::CpuEvent event;
@@ -615,8 +642,7 @@ RunResult Machine::run_loop(std::uint64_t max_cycles, bool resumable) {
     // off, and the only instruction that can re-enable delivery (sti)
     // terminates every block — the delivering loop top lands exactly
     // where the stepper has it.
-    if (block_engine && trace_ == nullptr && touch_ == nullptr &&
-        next_timer_ > cpu_->cycles()) {
+    if (block_engine && next_timer_ > cpu_->cycles()) {
       // Bound the block so the first loop top at or past any host
       // boundary (run deadline, timer arm, checkpoint rung) is reached
       // exactly as the stepper reaches it: no event can fire mid-block.

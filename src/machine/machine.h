@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <memory>
 #include <optional>
 #include <string>
@@ -161,6 +160,33 @@ struct TouchWindow {
   std::uint64_t last = 0;
 };
 
+// The touch windows a touch-traced run records (Machine::
+// set_touch_trace), kept in per-page tables allocated on a page's first
+// execution: each step costs one table update, not a hash-map lookup.
+class TouchTable {
+ public:
+  TouchTable()
+      : pages_((vm::kTextEnd - vm::kArchTextBase + vm::kPageMask) /
+               vm::kPageSize) {}
+
+  // The kernel-text address `pc` executes at cycle `now` (never 0: a
+  // traced run starts from the post-boot snapshot).
+  void record(std::uint32_t pc, std::uint64_t now) {
+    std::unique_ptr<TouchWindow[]>& page =
+        pages_[(pc - vm::kArchTextBase) / vm::kPageSize];
+    if (page == nullptr) page = std::make_unique<TouchWindow[]>(vm::kPageSize);
+    TouchWindow& window = page[(pc - vm::kArchTextBase) % vm::kPageSize];
+    if (window.last == 0) window.first = now;
+    window.last = now;
+  }
+
+  // Every executed address with its window.
+  std::unordered_map<std::uint32_t, TouchWindow> windows() const;
+
+ private:
+  std::vector<std::unique_ptr<TouchWindow[]>> pages_;
+};
+
 // Cumulative substrate performance counters (telemetry only; nothing
 // here feeds back into execution).
 struct PerfStats {
@@ -268,6 +294,15 @@ class Machine {
   std::vector<Checkpoint> capture_checkpoints(std::vector<std::uint64_t> at,
                                               std::uint64_t max_cycles);
 
+  // The schedule under capture_checkpoints(), for callers that drive
+  // the run themselves (the golden capture pass, which stops at
+  // breakpoints): until disarm_checkpoints(), every run() appends a
+  // checkpoint to *out at the first loop top at or after each cycle in
+  // `at` (ascending).  Same capturer-only rule.
+  void arm_checkpoints(std::vector<std::uint64_t> at,
+                       std::vector<Checkpoint>* out);
+  void disarm_checkpoints();
+
   // Restores a mid-run checkpoint.  `memo` is this machine's private
   // dirty-tracking state for this rung (start it empty; pass the same
   // object on every restore of the same rung to keep repeat restores
@@ -318,26 +353,18 @@ class Machine {
   // schedule-independence proofs.
   std::uint64_t state_digest() const;
 
-  // When set, every kernel-text instruction address executed during
-  // run() is inserted into *sink (instruction coverage for the
-  // injector's activation precheck).  Pass nullptr to disable.
-  void set_trace(std::unordered_set<std::uint32_t>* sink) { trace_ = sink; }
-
   // When set, records the first and last cycle at which each
-  // kernel-text address is executed (checkpoint placement and
-  // reconvergence bounds).  Pass nullptr to disable.
-  void set_touch_trace(std::unordered_map<std::uint32_t, TouchWindow>* sink) {
-    touch_ = sink;
-  }
+  // kernel-text address is executed (instruction coverage, checkpoint
+  // placement and reconvergence bounds).  Pass nullptr to disable.
+  void set_touch_trace(TouchTable* sink) { touch_ = sink; }
 
-  // When set, every physical byte address a cpl-0 store commits is
-  // inserted into *sink (the written-data footprint campaign E draws
-  // its fault targets from).  Observational only; used alongside
-  // set_trace during the golden capture run, which is a stepping run
-  // anyway.  Pass nullptr to disable.
-  void set_write_trace(std::unordered_set<std::uint32_t>* sink) {
-    cpu_->set_write_trace(sink);
-  }
+  // When set, every RAM access of run() — CPU data, instruction fetch,
+  // page-table walks and disk DMA — is reported to *liveness, and so is
+  // every checkpoint the armed schedule takes (ByteLiveness::rung).
+  // Observational only, and it turns the run into a stepping run (the
+  // golden capture pass, which touch tracing makes one anyway).
+  // Pass nullptr to disable.
+  void set_liveness(vm::ByteLiveness* liveness);
 
   // Attaches the forensics event trace (nullptr = off, the default):
   // run begin/end, snapshot and checkpoint-rung restores, and the crash
@@ -345,8 +372,8 @@ class Machine {
   // trap entry/exit, memory faults, and block-cache invalidations.
   // Strictly observational — every run-visible outcome (and the
   // campaign result digest) is bit-identical with tracing on or off;
-  // unlike set_trace()/set_touch_trace() it does not disable the
-  // superblock engine.
+  // unlike set_touch_trace() it does not disable the superblock
+  // engine.
   void set_event_trace(trace::TraceBuffer* sink);
 
   PerfStats perf_stats() const;
@@ -396,8 +423,7 @@ class Machine {
   // run() so it resumes with the captured loop state.
   bool timer_pending_resume_ = false;
 
-  // Checkpoint capture schedule, active only inside
-  // capture_checkpoints()'s run.
+  // Checkpoint capture schedule, active only while armed.
   std::vector<std::uint64_t> ckpt_request_;
   std::size_t ckpt_next_ = 0;
   std::vector<Checkpoint>* ckpt_out_ = nullptr;
@@ -406,8 +432,8 @@ class Machine {
   std::uint64_t checkpoints_taken_ = 0;
   std::uint64_t checkpoint_restores_ = 0;
 
-  std::unordered_set<std::uint32_t>* trace_ = nullptr;
-  std::unordered_map<std::uint32_t, TouchWindow>* touch_ = nullptr;
+  TouchTable* touch_ = nullptr;
+  vm::ByteLiveness* liveness_ = nullptr;
   trace::TraceBuffer* events_ = nullptr;
 
   RunResult run_loop(std::uint64_t max_cycles, bool resumable);

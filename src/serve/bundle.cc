@@ -15,7 +15,9 @@ namespace {
 constexpr std::uint32_t kBundleMagic = 0x4B464942;  // "KFIB"
 // v2: appends the written-data footprint and the golden syscall-exit
 // list (campaign E/F golden inputs) after the checkpoint ladder.
-constexpr std::uint32_t kBundleVersion = 2;
+// v3: appends the footprint's per-rung dead bits after the syscall
+// exits (campaign E's reconvergence input).
+constexpr std::uint32_t kBundleVersion = 3;
 
 // The option fields golden artifacts can depend on.  budget_* and
 // trace_capacity are run-time knobs applied by the Injector, never
@@ -101,6 +103,8 @@ std::optional<std::uint64_t> write_bundle(
     writer.u64(exit.cycle);
     writer.u32(exit.eax);
   }
+  writer.u64(artifact.dead_bits.size());
+  for (const std::uint64_t word : artifact.dead_bits) writer.u64(word);
 
   const std::string& payload = writer.buffer();
   if (!atomic_write_file(path, payload)) return std::nullopt;
@@ -185,7 +189,10 @@ std::optional<LoadedBundle> load_bundle(const std::string& path,
   artifact.write_footprint.reserve(
       static_cast<std::size_t>(footprint_count));
   for (std::uint64_t i = 0; i < footprint_count; ++i) {
-    artifact.write_footprint.push_back(reader.u32());
+    const std::uint32_t addr = reader.u32();
+    // Campaign E flips these bytes: each must lie in RAM.
+    if (addr >= boot->mem.size()) return std::nullopt;
+    artifact.write_footprint.push_back(addr);
   }
   const std::uint64_t syscall_count = reader.u64();
   if (!reader.ok() || syscall_count > reader.remaining() / 12) {
@@ -197,6 +204,16 @@ std::optional<LoadedBundle> load_bundle(const std::string& path,
     exit.cycle = reader.u64();
     exit.eax = reader.u32();
     artifact.syscalls.push_back(exit);
+  }
+  // Exactly one bit per (footprint byte, rung): dead_at() indexes it.
+  const std::uint64_t dead_count = reader.u64();
+  if (!reader.ok() || dead_count > reader.remaining() / 8 ||
+      dead_count != artifact.dead_words()) {
+    return std::nullopt;
+  }
+  artifact.dead_bits.reserve(static_cast<std::size_t>(dead_count));
+  for (std::uint64_t i = 0; i < dead_count; ++i) {
+    artifact.dead_bits.push_back(reader.u64());
   }
   if (!reader.ok()) return std::nullopt;
 

@@ -88,6 +88,7 @@ bool Cpu::deliver(Trap trap, std::uint32_t error_code, std::uint32_t addr,
       return false;
     }
     new_esp = memory_.read32(kTssPhys);
+    note_read(kTssPhys, 4);
   }
 
   const std::uint32_t old_esp = regs_[static_cast<int>(Reg::Esp)];
@@ -105,12 +106,18 @@ bool Cpu::deliver(Trap trap, std::uint32_t error_code, std::uint32_t addr,
     if ((new_esp & kPageMask) <= kPageSize - 4) {
       ok = mmu_.translate(new_esp, Access::Write, 0, paddr) ==
            TranslateStatus::Ok;
-      if (ok) memory_.write32(paddr, word);
+      if (ok) {
+        memory_.write32(paddr, word);
+        if (liveness_ != nullptr) liveness_->write(paddr, 4);
+      }
     } else {
       for (int i = 0; i < 4 && ok; ++i) {
         ok = mmu_.translate(new_esp + i, Access::Write, 0, paddr) ==
              TranslateStatus::Ok;
-        if (ok) memory_.write8(paddr, static_cast<std::uint8_t>(word >> (8 * i)));
+        if (ok) {
+          memory_.write8(paddr, static_cast<std::uint8_t>(word >> (8 * i)));
+          if (liveness_ != nullptr) liveness_->write(paddr, 1);
+        }
       }
     }
     if (!ok) {
@@ -168,10 +175,12 @@ bool Cpu::read_v_slow(std::uint32_t vaddr, std::uint32_t size,
 
   if (size == 1) {
     value = memory_.read8(paddr);
+    note_read(paddr, 1);
     return true;
   }
   if ((vaddr & kPageMask) <= kPageSize - 4) {
     value = memory_.read32(paddr);
+    note_read(paddr, 4);
     return true;
   }
   // Page-crossing 32-bit read: the first page's frame is already in
@@ -204,6 +213,8 @@ bool Cpu::read_v_slow(std::uint32_t vaddr, std::uint32_t size,
     value |= static_cast<std::uint32_t>(memory_.read8(paddr2 + (i - first)))
              << (8 * i);
   }
+  note_read(paddr, first);
+  note_read(paddr2, 4 - first);
   return true;
 }
 
@@ -399,6 +410,11 @@ CpuEvent Cpu::step() {
   std::uint8_t buf[isa::kMaxInstructionLength];
   std::size_t fetched = 0;
   std::uint32_t fault_vaddr = 0;
+  // Where the fetched bytes came from: `head` bytes at head_paddr, the
+  // rest (a cross-page tail) at tail_paddr.
+  std::uint32_t head_paddr = 0;
+  std::uint32_t tail_paddr = 0;
+  std::uint32_t head = 0;
   {
     std::uint32_t paddr = 0;
     const TranslateStatus status =
@@ -411,6 +427,8 @@ CpuEvent Cpu::step() {
           slot.version == memory_.page_version(paddr)) {
         ++decode_hits_;
         cycles_ += 1;
+        // The instruction's bytes execute without being re-read.
+        note_read(paddr, slot.instr.length);
         const bool cached_trap = !execute(slot.instr);
         if (cached_trap) {
           event.trap_taken = true;
@@ -429,6 +447,8 @@ CpuEvent Cpu::step() {
                                             : isa::kMaxInstructionLength;
       memory_.read_block(paddr, buf, take);
       fetched = take;
+      head_paddr = paddr;
+      head = take;
       // Cross-page tail.  Looked up with peek (no TLB fill): a fill
       // here would depend on decode-cache hit history — misses near a
       // page end would warm the next page's TLB slot while hits would
@@ -439,6 +459,7 @@ CpuEvent Cpu::step() {
         const TranslateStatus s2 =
             mmu_.peek(eip_ + fetched, Access::Execute, cpl_, paddr2);
         if (s2 == TranslateStatus::Ok) {
+          tail_paddr = paddr2;
           memory_.read_block(paddr2, buf + fetched,
                              isa::kMaxInstructionLength -
                                  static_cast<std::uint32_t>(fetched));
@@ -471,6 +492,15 @@ CpuEvent Cpu::step() {
   const DecodeStatus status = isa::decode(buf, fetched, instr);
   ++decode_misses_;
   cycles_ += 1;
+  if (liveness_ != nullptr) {
+    // A decoded instruction consumed its own bytes; a failed decode
+    // counts everything fetched.
+    const std::uint32_t used = status == DecodeStatus::Ok
+                                   ? instr.length
+                                   : static_cast<std::uint32_t>(fetched);
+    note_read(head_paddr, used < head ? used : head);
+    if (used > head) note_read(tail_paddr, used - head);
+  }
 
   if (status == DecodeStatus::Ok) {
     std::uint32_t paddr = 0;

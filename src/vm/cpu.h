@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "isa/decode.h"
@@ -13,6 +12,7 @@
 #include "isa/isa.h"
 #include "vm/bus.h"
 #include "vm/layout.h"
+#include "vm/liveness.h"
 #include "vm/memory.h"
 #include "vm/mmu.h"
 
@@ -144,14 +144,18 @@ class Cpu {
   // sink — tracing on and off are bit-identical.
   void set_trace_sink(kfi::trace::TraceBuffer* sink) { trace_sink_ = sink; }
 
-  // Attaches a kernel-store footprint sink (nullptr = off, the
-  // default): every physical byte address a cpl-0 store commits is
-  // inserted.  Purely observational — the golden-cache capture run
-  // (already a stepping run: coverage tracing disables the block
-  // engine) records the written-data footprint campaign E draws its
-  // fault addresses from.
-  void set_write_trace(std::unordered_set<std::uint32_t>* sink) {
-    write_trace_ = sink;
+  // Attaches a liveness recorder (nullptr = off, the default) that
+  // step() reports every RAM access to: data reads and writes (cpl-0
+  // stores as kernel_store, which builds campaign E's footprint),
+  // trap-frame pushes, the TSS read and each executed instruction's
+  // bytes, decode-cache hits included; the MMU reports its walks.
+  // Purely observational, and for stepping runs only (the golden
+  // capture pass, which touch tracing already makes one).  Attaching
+  // it makes Mmu::probe miss, so the inline TLB-hit accessors below
+  // are never taken while it is set and carry no hook.
+  void set_liveness(ByteLiveness* liveness) {
+    liveness_ = liveness;
+    mmu_.set_liveness(liveness);
   }
 
   // Whether the CPU is permanently stopped (double fault escalated).
@@ -221,7 +225,7 @@ class Cpu {
   // in which translate() would return the same frame with no side
   // effect, so skipping it leaves TLB fills, Mmu::epoch() and cycles
   // untouched.  Stores still go through PhysicalMemory (page versions
-  // bump, SMC stays coherent) and note_write.  Everything else — TLB
+  // bump, SMC stays coherent).  Everything else — TLB
   // misses and fills, protection faults, MMIO, page-crossing words —
   // takes the out-of-line *_slow path.
   bool read_v(std::uint32_t vaddr, std::uint32_t size, std::uint32_t& value) {
@@ -237,7 +241,6 @@ class Cpu {
     std::uint32_t paddr = 0;
     if (mmu_.probe(vaddr, Access::Write, cpl_, paddr) &&
         (size == 1 || (vaddr & kPageMask) <= kPageSize - 4)) {
-      note_write(paddr, size);
       if (size == 1) {
         memory_.write8(paddr, static_cast<std::uint8_t>(value));
       } else {
@@ -417,11 +420,19 @@ class Cpu {
 
   kfi::trace::TraceBuffer* trace_sink_ = nullptr;
 
-  // Kernel-store footprint capture (campaign E's golden-side input).
-  std::unordered_set<std::uint32_t>* write_trace_ = nullptr;
+  // The golden capture pass's access recorder (see set_liveness).
+  ByteLiveness* liveness_ = nullptr;
+  void note_read(std::uint32_t paddr, std::uint32_t size) {
+    if (liveness_ != nullptr) liveness_->read(paddr, size);
+  }
+  // A data-path store; cpl-0 stores form campaign E's footprint.
   void note_write(std::uint32_t paddr, std::uint32_t size) {
-    if (write_trace_ == nullptr || cpl_ != 0) return;
-    for (std::uint32_t i = 0; i < size; ++i) write_trace_->insert(paddr + i);
+    if (liveness_ == nullptr) return;
+    if (cpl_ == 0) {
+      liveness_->kernel_store(paddr, size);
+    } else {
+      liveness_->write(paddr, size);
+    }
   }
 };
 

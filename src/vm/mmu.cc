@@ -1,6 +1,20 @@
 #include "vm/mmu.h"
 
+#include "vm/liveness.h"
+
 namespace kfi::vm {
+
+void Mmu::set_liveness(ByteLiveness* liveness) {
+  liveness_ = liveness;
+  tag_mark_ = liveness != nullptr ? kObservedTag : 0;
+  for (TlbEntry& e : tlb_) {
+    if (e.tag != 0xFFFFFFFF) e.tag = (e.tag & ~kObservedTag) | tag_mark_;
+  }
+}
+
+void Mmu::note_walk(std::uint32_t slot) const {
+  if (liveness_ != nullptr) liveness_->walk(slot, 4);
+}
 
 void Mmu::flush_tlb() {
   for (TlbEntry& e : tlb_) e.tag = 0xFFFFFFFF;
@@ -21,7 +35,7 @@ TranslateStatus Mmu::peek(std::uint32_t vaddr, Access access, int cpl,
 
   const std::uint32_t vpn = vaddr >> 12;
   const TlbEntry& entry = tlb_[vpn & (kTlbSize - 1)];
-  if (entry.tag == vpn) {
+  if (tag_hit(entry, vpn)) {
     if (cpl != 0 && !entry.user) return TranslateStatus::Protection;
     if (access == Access::Write && !entry.writable) {
       return TranslateStatus::Protection;
@@ -33,12 +47,14 @@ TranslateStatus Mmu::peek(std::uint32_t vaddr, Access access, int cpl,
   const std::uint32_t pgd_slot = cr3_ + ((vaddr >> 22) << 2);
   if (!memory_.contains(pgd_slot, 4)) return TranslateStatus::BadPhysical;
   const std::uint32_t pgd_entry = memory_.read32(pgd_slot);
+  note_walk(pgd_slot);
   if ((pgd_entry & kPtePresent) == 0) return TranslateStatus::NotPresent;
 
   const std::uint32_t pte_base = pgd_entry & kPteFrameMask;
   const std::uint32_t pte_slot = pte_base + (((vaddr >> 12) & 0x3FF) << 2);
   if (!memory_.contains(pte_slot, 4)) return TranslateStatus::BadPhysical;
   const std::uint32_t pte = memory_.read32(pte_slot);
+  note_walk(pte_slot);
   if ((pte & kPtePresent) == 0) return TranslateStatus::NotPresent;
 
   const bool user_ok = (pgd_entry & kPteUser) && (pte & kPteUser);
@@ -61,7 +77,7 @@ TranslateStatus Mmu::translate(std::uint32_t vaddr, Access access, int cpl,
 
   const std::uint32_t vpn = vaddr >> 12;
   TlbEntry& entry = tlb_[vpn & (kTlbSize - 1)];
-  if (entry.tag == vpn) {
+  if (tag_hit(entry, vpn)) {
     if (cpl != 0 && !entry.user) return TranslateStatus::Protection;
     if (access == Access::Write && !entry.writable) {
       return TranslateStatus::Protection;
@@ -74,12 +90,14 @@ TranslateStatus Mmu::translate(std::uint32_t vaddr, Access access, int cpl,
   const std::uint32_t pgd_slot = cr3_ + ((vaddr >> 22) << 2);
   if (!memory_.contains(pgd_slot, 4)) return TranslateStatus::BadPhysical;
   const std::uint32_t pgd_entry = memory_.read32(pgd_slot);
+  note_walk(pgd_slot);
   if ((pgd_entry & kPtePresent) == 0) return TranslateStatus::NotPresent;
 
   const std::uint32_t pte_base = pgd_entry & kPteFrameMask;
   const std::uint32_t pte_slot = pte_base + (((vaddr >> 12) & 0x3FF) << 2);
   if (!memory_.contains(pte_slot, 4)) return TranslateStatus::BadPhysical;
   const std::uint32_t pte = memory_.read32(pte_slot);
+  note_walk(pte_slot);
   if ((pte & kPtePresent) == 0) return TranslateStatus::NotPresent;
 
   const bool user_ok = (pgd_entry & kPteUser) && (pte & kPteUser);
@@ -90,7 +108,7 @@ TranslateStatus Mmu::translate(std::uint32_t vaddr, Access access, int cpl,
   const std::uint32_t frame = pte & kPteFrameMask;
   if (!memory_.contains(frame, kPageSize)) return TranslateStatus::BadPhysical;
 
-  entry.tag = vpn;
+  entry.tag = vpn | tag_mark_;
   entry.frame = frame;
   entry.writable = writable;
   entry.user = user_ok;

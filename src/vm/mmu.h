@@ -14,6 +14,8 @@
 
 namespace kfi::vm {
 
+class ByteLiveness;
+
 enum class Access : std::uint8_t { Read, Write, Execute };
 
 enum class TranslateStatus : std::uint8_t {
@@ -45,7 +47,8 @@ class Mmu {
   // and side-effect-free; false (miss, protection, MMIO) means "ask
   // translate()", which then produces the exact status and fill.  The
   // CPU's inline data path and the block engine's fetch verification
-  // sit on this.
+  // sit on this.  While a liveness recorder is attached every tag
+  // carries kObservedTag, so it always misses.
   bool probe(std::uint32_t vaddr, Access access, int cpl,
              std::uint32_t& paddr) const {
     if (vaddr >= kMmioBase) return false;
@@ -87,6 +90,14 @@ class Mmu {
 
   void flush_tlb();
 
+  // Attaches a liveness recorder (nullptr = off).  Every walk then
+  // reports the entries it reads, and every TLB tag carries
+  // kObservedTag: translate() and peek() ignore the mark, so TLB
+  // contents, fills and epochs are unchanged, but probe() misses and
+  // the CPU takes its out-of-line data path, which reports accesses.
+  // The inline TLB-hit path thus needs no hook of its own.
+  void set_liveness(ByteLiveness* liveness);
+
   // Drops any cached translation for the page containing `vaddr`
   // (the kernel's invlpg; also called by the CPU after stores that hit
   // page-table pages is *not* modelled — the kernel flushes explicitly,
@@ -102,11 +113,23 @@ class Mmu {
   };
 
   static constexpr std::uint32_t kTlbSize = 256;  // power of two
+  // Tag mark while a liveness recorder is attached: above every vpn
+  // (20 bits), and the invalid tag stays invalid with it masked off.
+  static constexpr std::uint32_t kObservedTag = 0x80000000u;
+
+  // True when `entry` caches `vpn`, whatever its mark.
+  static bool tag_hit(const TlbEntry& entry, std::uint32_t vpn) {
+    return (entry.tag & ~kObservedTag) == vpn;
+  }
+  // A walk read the 4-byte entry at `slot`.
+  void note_walk(std::uint32_t slot) const;
 
   PhysicalMemory& memory_;
   std::uint32_t cr3_ = kBootPgdPhys;
   TlbEntry tlb_[kTlbSize];
   std::uint64_t epoch_ = 0;
+  ByteLiveness* liveness_ = nullptr;
+  std::uint32_t tag_mark_ = 0;  // kObservedTag while liveness_ is set
 };
 
 }  // namespace kfi::vm

@@ -2,8 +2,8 @@
 // kernel-data and syscall-errno faults at seed 2003) reproduces the
 // committed kfibench reference records one for one at threads 1 and 4,
 // folds to the pinned D/E/F digest, and on one thread takes the
-// coverage prune, the shadow ladders and golden reconvergence a pinned
-// number of times (DESIGN.md §7 and §15).
+// coverage prune, the shadow ladders, golden reconvergence and its
+// dead-byte masking a pinned number of times (DESIGN.md §7 and §15).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -79,7 +79,10 @@ TEST(FaultModelContract, SmokeTripleMatchesReferencesOnOneThread) {
   EXPECT_EQ(totals.ticks_dropped, 200u);
   EXPECT_EQ(totals.shadow_builds, 3u);
   EXPECT_EQ(totals.shadow_reconverged, 120u);
-  EXPECT_EQ(totals.reconverged - totals.shadow_reconverged, 310u);
+  EXPECT_EQ(totals.reconverged - totals.shadow_reconverged, 313u);
+  // Golden matches that masked a flipped data byte still differing
+  // from the rung, dead there in the golden run.
+  EXPECT_EQ(totals.dead_byte_reconverged, 161u);
   EXPECT_GT(totals.shadow_build_cycles, 0u);
   EXPECT_LT(totals.shadow_build_cycles, totals.post_trigger_cycles);
 }

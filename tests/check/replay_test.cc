@@ -6,11 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
+#include <cstdlib>
+#include <filesystem>
+#include <functional>
 #include <set>
+#include <string>
 
 #include "analysis/io.h"
 #include "check/expectations.h"
 #include "profile/profile.h"
+#include "vm/layout.h"
 
 #ifndef KFI_SOURCE_DIR
 #define KFI_SOURCE_DIR "."
@@ -127,6 +134,73 @@ TEST(check_replay, CommittedSpecsRegenerateFromSeed) {
         << "spec #" << i << " field '" << diffs[0].field << "': recorded "
         << diffs[0].recorded << ", regenerated " << diffs[0].replayed;
   }
+}
+
+// `kfi_check replay <file> --index 0`'s exit status.
+int replay_cli(const std::string& path) {
+  const std::string command =
+      std::string(KFI_CHECK_CLI) + " replay " + path + " --index 0 >/dev/null";
+  const int status = std::system(command.c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+// The committed campaign-E reference with record 0 mutated, saved under
+// `name` in the temp directory.
+std::string mutated_campaign_e(
+    const char* name, const std::function<void(inject::InjectionSpec&)>& mutate) {
+  auto run = analysis::load_campaign(std::string(KFI_SOURCE_DIR) +
+                                     "/kfibench/refs/campaign_E_r1_s2003_"
+                                     "kc6cb2604.kfi");
+  EXPECT_TRUE(run.has_value());
+  if (!run.has_value()) return "";
+  mutate(run->results[0].spec);
+  const std::string path =
+      (std::filesystem::temp_directory_path() / name).string();
+  EXPECT_TRUE(analysis::save_campaign(*run, path));
+  return path;
+}
+
+// A record's spec is replayed on a machine, so a field that would take
+// the machine out of bounds there — RAM, a shift width, the register
+// file — rejects the whole file at load, and the replay CLI exits 1
+// without running anything.
+TEST(check_replay, OutOfRangeSpecFieldsRejectTheFile) {
+  const std::pair<const char*, std::function<void(inject::InjectionSpec&)>>
+      mutations[] = {
+          {"kfi_mutated_data_addr.kfi",
+           [](inject::InjectionSpec& s) { s.data_addr = vm::kRamSize; }},
+          {"kfi_mutated_bit_index.kfi",
+           [](inject::InjectionSpec& s) { s.bit_index = 40; }},
+          {"kfi_mutated_target_reg.kfi",
+           [](inject::InjectionSpec& s) { s.target_reg = 200; }},
+      };
+  for (const auto& [name, mutate] : mutations) {
+    SCOPED_TRACE(name);
+    const std::string path = mutated_campaign_e(name, mutate);
+    EXPECT_FALSE(analysis::load_campaign(path).has_value());
+    EXPECT_EQ(replay_cli(path), 1);
+    std::filesystem::remove(path);
+  }
+}
+
+// Fields in bounds for the machine but outside what the fault model
+// can mean load, and the injector refuses them: the replay reports a
+// spec diff and the CLI exits 1.
+TEST(check_replay, SpecTheInjectorRefusesFailsToReproduce) {
+  const std::string path = mutated_campaign_e(
+      "kfi_mutated_data_bit.kfi", [](inject::InjectionSpec& s) {
+        ASSERT_EQ(s.model, inject::FaultModel::DataBit);
+        s.bit_index = 9;  // a data flip targets one byte
+      });
+  const auto run = analysis::load_campaign(path);
+  ASSERT_TRUE(run.has_value());
+  inject::Injector injector;
+  EXPECT_THROW(injector.run_one(run->results[0].spec), std::invalid_argument);
+  const ReplayOutcome replay = replay_one(injector, *run, 0);
+  ASSERT_EQ(replay.diffs.size(), 1u);
+  EXPECT_EQ(replay.diffs[0].field, "spec");
+  EXPECT_EQ(replay_cli(path), 1);
+  std::filesystem::remove(path);
 }
 
 }  // namespace

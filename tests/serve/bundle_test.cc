@@ -7,15 +7,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "analysis/io.h"
+#include "check/expectations.h"
 #include "inject/golden.h"
 #include "kernel/build.h"
+#include "serve/service.h"
 
 namespace kfi::serve {
 namespace {
@@ -92,6 +96,74 @@ TEST_F(BundleTest, RoundTripPreservesTheWholeArtifact) {
   for (std::size_t i = 0; i < back.ladder.size(); ++i) {
     EXPECT_EQ(back.ladder[i].cycle, original.ladder[i].cycle);
     EXPECT_EQ(back.ladder[i].eip, original.ladder[i].eip);
+  }
+  // The v2 tail (campaign E/F golden inputs) and the v3 dead bits.
+  EXPECT_EQ(back.write_footprint, original.write_footprint);
+  ASSERT_EQ(back.syscalls.size(), original.syscalls.size());
+  for (std::size_t i = 0; i < back.syscalls.size(); ++i) {
+    EXPECT_EQ(back.syscalls[i].cycle, original.syscalls[i].cycle);
+    EXPECT_EQ(back.syscalls[i].eax, original.syscalls[i].eax);
+  }
+  ASSERT_FALSE(original.dead_bits.empty());
+  EXPECT_EQ(back.dead_bits, original.dead_bits);
+}
+
+TEST_F(BundleTest, VersionTwoBundleIsRejectedAndReprepared) {
+  // A one-function campaign-E config: its workloads' bundles are the
+  // only golden artifacts the prepare step needs.
+  ServiceConfig config;
+  inject::CampaignConfig e = check::smoke_config(inject::Campaign::KernelData);
+  e.functions = {"pipe_read"};
+  config.campaigns = {e};
+  config.options = options();
+  config.dir = fresh_dir("kfi_bundle_test_v2");
+  config.bundle_dir = config.dir + "/bundles";
+  ServiceResult first;
+  ASSERT_TRUE(prepare_campaign(config, &first).has_value()) << first.error;
+  ASSERT_GT(first.bundles_built, 0u);
+  const auto manifest = load_manifest(config.dir);
+  ASSERT_TRUE(manifest.has_value());
+
+  // Rewrite every bundle as the v2 layout: the same bytes without the
+  // dead-bit tail, under version 2.
+  for (const std::string& workload : manifest->workloads) {
+    const std::string path =
+        bundle_path(config.bundle_dir, workload, options(), kernel_fp_);
+    std::size_t tail = 0;
+    {
+      const auto v3 = load_bundle(path, workload, options(), kernel_fp_);
+      ASSERT_TRUE(v3.has_value());
+      tail = 8 + 8 * v3->artifact.dead_bits.size();
+    }
+    std::string bytes;
+    {
+      std::ifstream in(path, std::ios::binary);
+      bytes.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    ASSERT_GT(bytes.size(), tail);
+    bytes.resize(bytes.size() - tail);
+    const std::uint32_t version = 2;
+    std::memcpy(bytes.data() + 4, &version, 4);
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    EXPECT_FALSE(load_bundle(path, workload, options(), kernel_fp_).has_value());
+  }
+
+  // Preparing again rebuilds each rejected bundle instead of adopting it.
+  config.fresh = true;
+  ServiceResult second;
+  ASSERT_TRUE(prepare_campaign(config, &second).has_value()) << second.error;
+  EXPECT_EQ(second.bundles_adopted, 0u);
+  EXPECT_EQ(second.bundles_built, manifest->workloads.size());
+  for (const std::string& workload : manifest->workloads) {
+    const auto loaded = load_bundle(
+        bundle_path(config.bundle_dir, workload, options(), kernel_fp_),
+        workload, options(), kernel_fp_);
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(loaded->artifact.dead_bits.size(),
+              loaded->artifact.dead_words());
   }
 }
 

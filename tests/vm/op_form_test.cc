@@ -23,7 +23,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -91,7 +90,6 @@ struct Rig {
   Bus bus;
   Cpu cpu;
   EchoDevice device;
-  std::unordered_set<std::uint32_t> write_trace;
   ChunkedSnapshot baseline;
   std::vector<std::uint64_t> memo;
 
@@ -103,7 +101,6 @@ struct Rig {
     memory.write32(kTssPhys, kBootStackTop);
     for (int v = 0; v < 32; ++v) cpu.set_vector(v, kHandlerVirt);
     bus.attach(kClaimedMmio, kPageSize, &device);
-    cpu.set_write_trace(&write_trace);
     // Distinct bytes everywhere an access below can land.
     for (std::uint32_t v : {kDataVirt, kRoVirt, kUserVirt,
                             kUserVirt + kPageSize,
@@ -127,7 +124,6 @@ struct Rig {
     cpu.set_cpl(0);
     cpu.set_cycles(0);
     device.writes.clear();
-    write_trace.clear();
   }
 };
 
@@ -154,7 +150,6 @@ struct Observed {
   TrapRecord trap;
   std::uint64_t epoch = 0;
   std::vector<std::uint64_t> versions;
-  std::vector<std::uint32_t> write_trace;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> mmio_writes;
 };
 
@@ -181,8 +176,6 @@ Observed run_form(Rig& rig, const Instruction& in, const Start& start,
   o.trap = rig.cpu.last_trap();
   o.epoch = rig.cpu.mmu().epoch();
   o.versions = rig.memory.page_versions();
-  o.write_trace.assign(rig.write_trace.begin(), rig.write_trace.end());
-  std::sort(o.write_trace.begin(), o.write_trace.end());
   o.mmio_writes = rig.device.writes;
   return o;
 }
@@ -212,7 +205,6 @@ void expect_same(Rigs& rigs, const Instruction& in, const Start& start) {
   EXPECT_EQ(a.trap.faulting_cpl, b.trap.faulting_cpl);
   EXPECT_EQ(a.trap.cycle, b.trap.cycle);
   EXPECT_EQ(a.epoch, b.epoch);
-  EXPECT_EQ(a.write_trace, b.write_trace);
   EXPECT_EQ(a.mmio_writes, b.mmio_writes);
   ASSERT_EQ(a.versions, b.versions);
   for (std::size_t page = 0; page < a.versions.size(); ++page) {
