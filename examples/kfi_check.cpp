@@ -68,7 +68,7 @@ int usage() {
       "                            errno), evaluate their oracles and\n"
       "                            print their result fold\n"
       "  shape full [--scale N --seed N --cache DIR --no-cache --quiet\n"
-      "              --threads N]\n"
+      "              --threads N | --jobs N]\n"
       "                            evaluate the EXPERIMENTS.md oracles on\n"
       "                            the full-scale A/B/C campaigns\n"
       "  replay <file.kfi> [--samples N]\n"

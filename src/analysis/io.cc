@@ -181,7 +181,7 @@ unsigned jobs_from_env() {
 
 BenchOptions parse_bench_options(int argc, char** argv) {
   BenchOptions options;
-  options.jobs = jobs_from_env();
+  options.threads = jobs_from_env();
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--scale" && i + 1 < argc) {
@@ -199,22 +199,18 @@ BenchOptions parse_bench_options(int argc, char** argv) {
       options.threads = static_cast<unsigned>(
           require_u64("--threads", argv[++i], 0, 1024));
     } else if (arg == "--jobs" && i + 1 < argc) {
-      unsigned jobs = 0;
-      if (!parse_jobs(argv[i + 1], jobs)) {
-        std::fprintf(stderr, "error: --jobs expects an integer in [1, 1024], "
-                             "got '%s'\n", argv[i + 1]);
-        std::exit(2);
-      }
-      ++i;
-      options.jobs = jobs;
+      // Unlike --threads 0, a job count of 0 is an error, not a request
+      // for hardware concurrency.
+      options.threads = static_cast<unsigned>(
+          require_u64("--jobs", argv[++i], 1, 1024));
     } else if (arg == "--help") {
       std::printf(
           "options: --scale N (repeat random campaigns N times)\n"
           "         --seed N  (campaign RNG seed)\n"
           "         --cache DIR | --no-cache\n"
-          "         --threads N (worker threads; 0 = hardware concurrency)\n"
-          "         --jobs N  (replace the 1/2/4/8 scaling sweeps with one\n"
-          "                    entry at N workers; also via KFI_JOBS)\n"
+          "         --threads N | --jobs N\n"
+          "                   (worker threads; default KFI_JOBS, else\n"
+          "                    0 = hardware concurrency; --jobs takes 1..1024)\n"
           "         --quiet\n");
       std::exit(0);
     }

@@ -44,18 +44,16 @@ struct BenchOptions {
   std::string cache_dir = "kfi-results";
   bool use_cache = true;
   bool verbose = true;
-  unsigned threads = 0;  // 0 = hardware concurrency
-  // Scaling-sweep override: when non-zero, sweeps run {1, jobs} instead
-  // of the hardcoded {1, 2, 4, 8} ladder.  Set by --jobs or KFI_JOBS
-  // (flag wins); both are strict parse_jobs inputs — 0, "4x", and
-  // anything above 1024 are rejected with exit(2), never silently
-  // coerced.  0 = no override.
-  unsigned jobs = 0;
+  // Campaign worker threads; 0 = hardware concurrency.  KFI_JOBS sets
+  // the default, and --threads N or --jobs N (synonyms; the last one
+  // wins) override it.  --jobs and KFI_JOBS are strict parse_jobs
+  // inputs: 0, "4x" and anything above 1024 exit(2).
+  unsigned threads = 0;
 };
 
 // KFI_JOBS from the environment (strict; exits(2) on garbage), or 0
-// when unset.  Exposed for binaries that do not use
-// parse_bench_options (bench_throughput's own flag handling).
+// when unset.  The default worker count of every front end that takes
+// --jobs.
 unsigned jobs_from_env();
 
 // All numeric flags are strict (support/strings parse_u64): a

@@ -34,9 +34,9 @@ namespace kfi::analysis {
 
 // Streaming fold of the campaign result digest: FNV-1a over every
 // outcome-identifying field of each result, in spec order across the
-// campaign sequence.  Must match bench_throughput's historical inline
-// implementation bit-for-bit — the pinned smoke digest
-// (54fdd95d1638c920) is this fold over campaigns A, B, C.
+// campaign sequence.  The pinned smoke digests are this fold:
+// 54fdd95d1638c920 over campaigns A, B, C and 9888393f152a05c3 over
+// D, E, F (tests/check/fault_model_contract_test.cc).
 class ResultDigest {
  public:
   void add(const inject::InjectionResult& r);

@@ -68,7 +68,6 @@ bool WorkloadGolden::dead_at(std::uint32_t phys, std::size_t rung) const {
 void GoldenCache::build(const std::string& name, WorkloadGolden& out) {
   const auto began = std::chrono::steady_clock::now();
   machine::MachineOptions machine_options;
-  machine_options.full_restore = options_.full_restore;
   machine_options.exec_engine = options_.exec_engine;
   machine::Machine machine(image_, workloads::built_workload(name),
                            root_disk_, machine_options);

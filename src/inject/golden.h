@@ -62,9 +62,6 @@ struct InjectorOptions {
   // replay from O(golden) to O(golden / checkpoints).  0 disables the
   // ladder (every run replays from the post-boot snapshot).
   int checkpoints = 24;
-  // Restore by full-image copy instead of dirty pages (the measurable
-  // pre-optimization baseline; results are bit-identical either way).
-  bool full_restore = false;
   // Execution engine for every machine built against this cache;
   // results are bit-identical between engines (defaults from KFI_EXEC).
   machine::ExecEngine exec_engine = machine::default_exec_engine();

@@ -39,7 +39,6 @@ Injector::WorkloadState& Injector::state_for(const std::string& workload) {
   // to the builder machine by construction.
   const WorkloadGolden& artifact = cache_->workload(workload);
   machine::MachineOptions machine_options;
-  machine_options.full_restore = cache_->options().full_restore;
   machine_options.exec_engine = cache_->options().exec_engine;
   auto state = std::make_unique<WorkloadState>();
   state->artifact = &artifact;

@@ -362,6 +362,10 @@ void Machine::adopt_boot(std::shared_ptr<const BootState> boot) {
   // restore() is O(dirty) exactly as on the capturing machine.
   memory_->restore_pages_full(boot_->mem, &boot_mem_memo_);
   disk_image_->restore_blocks_full(boot_->disk, &boot_disk_memo_);
+  load_boot_cpu_state();
+}
+
+void Machine::load_boot_cpu_state() {
   for (int i = 0; i < 8; ++i) {
     cpu_->set_reg(static_cast<isa::Reg>(i), boot_->regs[i]);
   }
@@ -382,32 +386,12 @@ void Machine::restore() {
   assert(booted_);
   if (events_ != nullptr) {
     events_->record(trace::EventKind::SnapshotRestore, cpu_->cycles(),
-                    static_cast<std::uint32_t>(boot_->cycles),
-                    options_.full_restore ? 1u : 0u, 0, 0);
+                    static_cast<std::uint32_t>(boot_->cycles));
   }
-  if (options_.full_restore) {
-    memory_->restore_pages_full(boot_->mem, &boot_mem_memo_);
-    disk_blocks_restored_ += disk_image_->block_count();
-    disk_image_->restore_blocks_full(boot_->disk, &boot_disk_memo_);
-  } else {
-    memory_->restore_pages(boot_->mem, boot_mem_memo_);
-    disk_blocks_restored_ +=
-        disk_image_->restore_blocks(boot_->disk, boot_disk_memo_);
-  }
-  for (int i = 0; i < 8; ++i) {
-    cpu_->set_reg(static_cast<isa::Reg>(i), boot_->regs[i]);
-  }
-  cpu_->set_eip(boot_->eip);
-  cpu_->flags() = isa::Flags::from_word(boot_->flags);
-  cpu_->set_cpl(boot_->cpl);
-  cpu_->mmu().set_cr3(boot_->cr3);  // also flushes the TLB
-  cpu_->set_cycles(boot_->cycles);
-  cpu_->reset_fault_state();
-  crash_fired_ = false;
-  crash_ = CrashInfo{};
-  console_ = boot_->console;
-  next_timer_ = boot_->cycles + options_.timer_period;
-  timer_pending_resume_ = false;
+  memory_->restore_pages(boot_->mem, boot_mem_memo_);
+  disk_blocks_restored_ +=
+      disk_image_->restore_blocks(boot_->disk, boot_disk_memo_);
+  load_boot_cpu_state();
 }
 
 void Machine::take_checkpoint(bool timer_pending) {

@@ -83,10 +83,6 @@ ExecEngine default_exec_engine();
 struct MachineOptions {
   std::uint32_t timer_period = kernel::kTimerPeriodCycles;
   std::uint64_t boot_budget = 4'000'000;
-  // Restore by copying all of RAM and the whole disk instead of only
-  // the dirty pages/blocks.  The two are bit-identical; the full copy
-  // is kept as the measurable pre-optimization baseline.
-  bool full_restore = false;
   ExecEngine exec_engine = default_exec_engine();
 };
 
@@ -408,6 +404,9 @@ class Machine {
   void take_checkpoint(bool timer_pending);
   // Everything of a checkpoint but its RAM and disk deltas.
   Checkpoint cpu_checkpoint(bool timer_pending) const;
+  // Registers, cycle counter, console, crash latch and timer phase of
+  // the BootState; restore() and adopt_boot() copy RAM and disk first.
+  void load_boot_cpu_state();
 
   // Post-boot state: captured by boot() (owns_boot_) or shared in by
   // adopt_boot().  The memos are this machine's dirty-tracking state

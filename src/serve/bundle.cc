@@ -17,7 +17,9 @@ constexpr std::uint32_t kBundleMagic = 0x4B464942;  // "KFIB"
 // list (campaign E/F golden inputs) after the checkpoint ladder.
 // v3: appends the footprint's per-rung dead bits after the syscall
 // exits (campaign E's reconvergence input).
-constexpr std::uint32_t kBundleVersion = 3;
+// v4: the options echo drops the full-restore flag byte that followed
+// the checkpoint count.
+constexpr std::uint32_t kBundleVersion = 4;
 
 // The option fields golden artifacts can depend on.  budget_* and
 // trace_capacity are run-time knobs applied by the Injector, never
@@ -25,18 +27,15 @@ constexpr std::uint32_t kBundleVersion = 3;
 void write_options_echo(ByteWriter& writer,
                         const inject::InjectorOptions& options) {
   writer.u32(static_cast<std::uint32_t>(options.checkpoints));
-  writer.u8(options.full_restore ? 1 : 0);
   writer.u32(static_cast<std::uint32_t>(options.exec_engine));
 }
 
 bool options_echo_matches(ByteReader& reader,
                           const inject::InjectorOptions& options) {
   const std::uint32_t checkpoints = reader.u32();
-  const bool full_restore = reader.u8() != 0;
   const std::uint32_t engine = reader.u32();
   return reader.ok() &&
          checkpoints == static_cast<std::uint32_t>(options.checkpoints) &&
-         full_restore == options.full_restore &&
          engine == static_cast<std::uint32_t>(options.exec_engine);
 }
 
@@ -225,10 +224,9 @@ std::optional<LoadedBundle> load_bundle(const std::string& path,
 std::string bundle_path(const std::string& dir, const std::string& workload,
                         const inject::InjectorOptions& options,
                         std::uint64_t kernel_fp) {
-  return format("%s/bundle_%s_k%08x_c%d%s_e%d.kfib", dir.c_str(),
+  return format("%s/bundle_%s_k%08x_c%d_e%d.kfib", dir.c_str(),
                 workload.c_str(), static_cast<std::uint32_t>(kernel_fp),
-                options.checkpoints, options.full_restore ? "_fr" : "",
-                static_cast<int>(options.exec_engine));
+                options.checkpoints, static_cast<int>(options.exec_engine));
 }
 
 }  // namespace kfi::serve

@@ -53,7 +53,7 @@ std::optional<LoadedBundle> load_bundle(
     std::uint64_t expect_hash = 0);
 
 // Canonical bundle file name:
-// "<dir>/bundle_<workload>_k<fp8>_c<checkpoints>[_fr]_e<engine>.kfib".
+// "<dir>/bundle_<workload>_k<fp8>_c<checkpoints>_e<engine>.kfib".
 // Everything the artifact bytes can depend on is in the name, so
 // option changes never alias onto a stale file.
 std::string bundle_path(const std::string& dir, const std::string& workload,

@@ -28,7 +28,9 @@ constexpr std::uint32_t kManifestMagic = 0x4B46494D;  // "KFIM"
 // so a resume against a directory whose manifest was produced under a
 // different fault model (or a tampered campaign/model pairing) fails
 // the config-hash comparison instead of silently mixing models.
-constexpr std::uint32_t kManifestVersion = 2;
+// v3: the config echo drops the full-restore flag byte that followed
+// the checkpoint count.
+constexpr std::uint32_t kManifestVersion = 3;
 
 std::string manifest_path(const std::string& dir) {
   return dir + "/manifest.kfim";
@@ -45,7 +47,6 @@ std::string claim_path(const std::string& dir, std::uint64_t shard) {
 // artifacts, and workers to one campaign identity.
 void write_config_echo(ByteWriter& writer, const Manifest& manifest) {
   writer.u32(static_cast<std::uint32_t>(manifest.options.checkpoints));
-  writer.u8(manifest.options.full_restore ? 1 : 0);
   writer.u32(static_cast<std::uint32_t>(manifest.options.exec_engine));
   writer.f64(manifest.options.budget_factor);
   writer.u64(manifest.options.budget_slack);
@@ -75,7 +76,6 @@ const char* engine_name(machine::ExecEngine engine) {
 
 bool read_config_echo(ByteReader& reader, Manifest& manifest) {
   manifest.options.checkpoints = static_cast<int>(reader.u32());
-  manifest.options.full_restore = reader.u8() != 0;
   const std::uint32_t engine = reader.u32();
   if (engine > static_cast<std::uint32_t>(machine::ExecEngine::Chained)) {
     return false;

@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 
@@ -15,9 +16,15 @@ namespace kfi {
 bool atomic_write_file(const std::string& path, const void* data,
                        std::size_t size) {
   // The temp file must live in the target's directory: rename() is
-  // atomic only within one filesystem, and landing next to the target
-  // means a crash leaves the debris where the next write cleans it up.
-  const std::string tmp = path + ".tmp";
+  // atomic only within one filesystem.  Its name is private to this
+  // writer (pid and a per-process sequence number): writers racing to
+  // land the same path, such as campaign services preparing one shared
+  // bundle directory, must not truncate each other's temp file or
+  // rename it away under them.  The last rename wins.
+  static std::atomic<std::uint64_t> sequence{0};
+  const std::string tmp =
+      path + ".tmp." + std::to_string(::getpid()) + "." +
+      std::to_string(sequence.fetch_add(1, std::memory_order_relaxed));
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return false;
 

@@ -5,7 +5,8 @@
 // atomic_write_file(): the bytes land in a same-directory temp file,
 // are fsync'd, and only then atomically renamed over the target, so a
 // reader can never observe a half-written artifact and a crash leaves
-// at worst a stray ".tmp" (which the next write replaces).  MappedFile
+// at worst a stray "<path>.tmp.<pid>.<n>".  Concurrent writers of one
+// path each use their own temp file; the last rename wins.  MappedFile
 // is the read side: a read-only mmap whose pages are shared through
 // the page cache between every process that maps the same bundle,
 // which is what makes N forked campaign workers restore from one

@@ -46,7 +46,7 @@ enum class EventKind : std::uint8_t {
   TimerIrq,           // a=vector
   InjectTrigger,      // a=target instruction address
   InjectFlip,         // a=addr, b=byte<<8|bit, c=byte before, d=byte after
-  SnapshotRestore,    // post-boot snapshot restore ("reboot")
+  SnapshotRestore,    // a=boot snapshot cycle (low 32); post-boot restore
   CheckpointRestore,  // a=rung cycle (low 32); cycle = rung cycle
   Reconverged,        // a=rung index, b=1 onto a shadow rung, else golden
   BlockInvalidate,    // a=paddr, b=blocks dropped from the trace cache

@@ -205,6 +205,13 @@ TEST(CampaignIo, BenchOptionParsing) {
   EXPECT_EQ(options.seed, 42u);
   EXPECT_FALSE(options.use_cache);
   EXPECT_FALSE(options.verbose);
+
+  // --jobs is a synonym of --threads: it sets the campaign's worker
+  // count, the one field every bench and `kfi_check shape full` read.
+  char jobs_flag[] = "--jobs";
+  char jobs_value[] = "3";
+  char* jobs_argv[] = {prog, jobs_flag, jobs_value};
+  EXPECT_EQ(parse_bench_options(3, jobs_argv).threads, 3u);
 }
 
 }  // namespace

@@ -65,7 +65,8 @@ TEST(check_determinism, ThreadCountDoesNotChangeResults) {
 // The stronger shared-cache contract: threads=1 and threads=4 borrowing
 // the *same* GoldenCache (so worker machines adopt one shared BootState
 // and resume from one shared ladder) produce identical result vectors,
-// under both execution engines.
+// under both execution engines, and the threads=4 run builds no golden
+// artifact the threads=1 run already built.
 TEST(check_determinism, SharedCacheThreadCountIdenticalBothEngines) {
   const auto& prof = profile::default_profile();
   inject::CampaignConfig config = smoke_config(Campaign::RandomNonBranch);
@@ -76,12 +77,20 @@ TEST(check_determinism, SharedCacheThreadCountIdenticalBothEngines) {
     inject::InjectorOptions options;
     options.exec_engine = engine;
     auto cache = std::make_shared<inject::GoldenCache>(options);
+    std::uint64_t golden_builds = 0;
     for (const unsigned threads : {1u, 4u}) {
       inject::Injector injector(cache);
       config.threads = threads;
       runs.push_back(inject::run_campaign(injector, prof, config));
       EXPECT_EQ(runs.back().stats.threads_used, threads);
       EXPECT_EQ(runs.back().stats.runs, runs.back().results.size());
+      if (threads == 1) {
+        golden_builds = cache->golden_builds();
+        EXPECT_GT(golden_builds, 0u);
+      } else {
+        EXPECT_EQ(cache->golden_builds(), golden_builds)
+            << "threads=" << threads << " rebuilt golden artifacts";
+      }
     }
   }
   ASSERT_EQ(runs.size(), 4u);

@@ -1,7 +1,10 @@
-// The smoke D/E/F contract: the fault-model smoke triple (register,
-// kernel-data and syscall-errno faults at seed 2003) reproduces the
-// committed kfibench reference records one for one at threads 1 and 4,
-// folds to the pinned D/E/F digest, and on one thread takes the
+// The smoke-triple contracts: the A/B/C instruction-bit triple and the
+// D/E/F fault-model triple (register, kernel-data and syscall-errno
+// faults), both at seed 2003, reproduce the committed kfibench
+// reference records one for one at threads 1 and 4, and fold to their
+// pinned digests.  A/B/C also matches them with the forensics trace
+// attached, and on one thread builds, enters and chains Chained-engine
+// traces a pinned number of times.  D/E/F on one thread takes the
 // coverage prune, the shadow ladders, golden reconvergence and its
 // dead-byte masking a pinned number of times (DESIGN.md §7 and §15).
 #include <gtest/gtest.h>
@@ -16,6 +19,7 @@
 #include "inject/campaign.h"
 #include "inject/injector.h"
 #include "profile/profile.h"
+#include "trace/trace.h"
 
 namespace kfi::check {
 namespace {
@@ -23,18 +27,34 @@ namespace {
 using inject::Campaign;
 using inject::CampaignRun;
 
+constexpr std::uint64_t kAbcFold = 0x54fdd95d1638c920ULL;
 constexpr std::uint64_t kDefFold = 0x9888393f152a05c3ULL;
+
+struct Triple {
+  Campaign campaigns[3];
+  char first_letter;
+  std::uint64_t fold;
+};
+
+constexpr Triple kAbc = {{Campaign::RandomNonBranch, Campaign::RandomBranch,
+                          Campaign::IncorrectBranch},
+                         'A',
+                         kAbcFold};
+constexpr Triple kDef = {{Campaign::RegisterFile, Campaign::KernelData,
+                          Campaign::SyscallErrno},
+                         'D',
+                         kDefFold};
 
 std::string reference_path(char letter) {
   return std::string(KFI_SOURCE_DIR) + "/kfibench/refs/campaign_" + letter +
          "_r1_s2003_kc6cb2604.kfi";
 }
 
-std::vector<CampaignRun> run_triple(inject::Injector& injector,
+std::vector<CampaignRun> run_triple(const Triple& triple,
+                                    inject::Injector& injector,
                                     unsigned threads) {
   std::vector<CampaignRun> runs;
-  for (const Campaign campaign :
-       {Campaign::RegisterFile, Campaign::KernelData, Campaign::SyscallErrno}) {
+  for (const Campaign campaign : triple.campaigns) {
     inject::CampaignConfig config = smoke_config(campaign);
     config.threads = threads;
     runs.push_back(
@@ -43,9 +63,10 @@ std::vector<CampaignRun> run_triple(inject::Injector& injector,
   return runs;
 }
 
-void expect_references(const std::vector<CampaignRun>& runs) {
+void expect_references(const Triple& triple,
+                       const std::vector<CampaignRun>& runs) {
   for (std::size_t i = 0; i < runs.size(); ++i) {
-    const char letter = static_cast<char>('D' + i);
+    const char letter = static_cast<char>(triple.first_letter + i);
     const auto reference = analysis::load_campaign(reference_path(letter));
     ASSERT_TRUE(reference.has_value()) << reference_path(letter);
     const RunComparison comparison = compare_runs(*reference, runs[i]);
@@ -54,13 +75,54 @@ void expect_references(const std::vector<CampaignRun>& runs) {
         << "campaign " << letter << ": " << comparison.mismatches.size()
         << " of " << comparison.compared << " records differ";
   }
-  EXPECT_EQ(analysis::results_digest(runs), kDefFold);
+  EXPECT_EQ(analysis::results_digest(runs), triple.fold);
+}
+
+TEST(FaultModelContract, SmokeAbcMatchesReferencesOnOneThread) {
+  inject::Injector injector;
+  const std::vector<CampaignRun> runs = run_triple(kAbc, injector, 1);
+  expect_references(kAbc, runs);
+
+  // Where the Chained engine builds, enters, invalidates and chains its
+  // traces is deterministic on any host, so a dispatch or guard change
+  // fails here even when every record survives.  The stepper builds no
+  // traces at all.
+  inject::CampaignStats totals;
+  for (const CampaignRun& run : runs) totals += run.stats;
+  const machine::PerfStats& perf = totals.perf;
+  const bool chained =
+      inject::InjectorOptions{}.exec_engine == machine::ExecEngine::Chained;
+  EXPECT_EQ(perf.block_builds, chained ? 81354u : 0u);
+  EXPECT_EQ(perf.block_hits, chained ? 18458282u : 0u);
+  EXPECT_EQ(perf.block_fallbacks, chained ? 12816u : 0u);
+  EXPECT_EQ(perf.block_invalidations, chained ? 65120u : 0u);
+  EXPECT_EQ(perf.block_ops, chained ? 514772046u : 0u);
+  EXPECT_EQ(perf.chain_follows, chained ? 18375649u : 0u);
+  EXPECT_EQ(perf.chain_breaks, chained ? 46398u : 0u);
+}
+
+TEST(FaultModelContract, SmokeAbcMatchesReferencesOnFourThreads) {
+  inject::Injector injector;
+  expect_references(kAbc, run_triple(kAbc, injector, 4));
+}
+
+// Recording is strictly observational: with a trace attached, every
+// record still equals the reference.
+TEST(FaultModelContract, SmokeAbcMatchesReferencesWithTraceAttached) {
+  inject::InjectorOptions options;
+  options.trace_capacity = trace::TraceBuffer::kDefaultCapacity;
+  inject::Injector injector(options);
+  const std::vector<CampaignRun> runs = run_triple(kAbc, injector, 1);
+  expect_references(kAbc, runs);
+  inject::CampaignStats totals;
+  for (const CampaignRun& run : runs) totals += run.stats;
+  EXPECT_GT(totals.perf.trace_events, 0u);
 }
 
 TEST(FaultModelContract, SmokeTripleMatchesReferencesOnOneThread) {
   inject::Injector injector;
-  const std::vector<CampaignRun> runs = run_triple(injector, 1);
-  expect_references(runs);
+  const std::vector<CampaignRun> runs = run_triple(kDef, injector, 1);
+  expect_references(kDef, runs);
 
   // D/E runs at sites the golden run never executes, pruned unrun.
   std::size_t pruned = 0;
@@ -89,7 +151,7 @@ TEST(FaultModelContract, SmokeTripleMatchesReferencesOnOneThread) {
 
 TEST(FaultModelContract, SmokeTripleMatchesReferencesOnFourThreads) {
   inject::Injector injector;
-  expect_references(run_triple(injector, 4));
+  expect_references(kDef, run_triple(kDef, injector, 4));
 }
 
 }  // namespace

@@ -20,13 +20,11 @@ namespace {
 
 constexpr std::uint64_t kBudget = 30'000'000;
 
-std::unique_ptr<Machine> make_machine(const std::string& workload,
-                                      const MachineOptions& options = {}) {
+std::unique_ptr<Machine> make_machine(const std::string& workload) {
   static const disk::DiskImage root_disk = make_root_disk();
-  auto machine = std::make_unique<Machine>(kernel::built_kernel(),
-                                           workloads::built_workload(workload),
-                                           root_disk, options);
-  return machine;
+  return std::make_unique<Machine>(kernel::built_kernel(),
+                                   workloads::built_workload(workload),
+                                   root_disk);
 }
 
 TEST(Checkpoint, EveryRungResumesBitIdentically) {
@@ -91,17 +89,16 @@ TEST(Checkpoint, RungToNextRungMatchesStraightLine) {
 }
 
 TEST(Checkpoint, DirtyAndFullRestoreDigestIdentically) {
+  // restore() copies back only the dirty pages and blocks; adopt_boot()
+  // on a fresh machine always copies the whole RAM and disk image.
   auto dirty = make_machine("fstime");
-  MachineOptions full_options;
-  full_options.full_restore = true;
-  auto full = make_machine("fstime", full_options);
   ASSERT_TRUE(dirty->boot());
-  ASSERT_TRUE(full->boot());
 
   for (const std::uint64_t budget :
        {std::uint64_t{50'000}, std::uint64_t{400'000}, kBudget}) {
     dirty->restore();
-    full->restore();
+    auto full = make_machine("fstime");
+    full->adopt_boot(dirty->boot_state());
     EXPECT_EQ(dirty->state_digest(), full->state_digest());
     dirty->run(budget);
     full->run(budget);
@@ -124,7 +121,6 @@ TEST(Checkpoint, LadderDoesNotChangeCampaignResults) {
 
   inject::InjectorOptions no_ladder;
   no_ladder.checkpoints = 0;
-  no_ladder.full_restore = true;
   inject::Injector baseline_injector(no_ladder);
   const inject::CampaignRun baseline =
       inject::run_campaign(baseline_injector, prof, config);

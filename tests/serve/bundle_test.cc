@@ -10,6 +10,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <memory>
 #include <string>
@@ -108,15 +109,31 @@ TEST_F(BundleTest, RoundTripPreservesTheWholeArtifact) {
   EXPECT_EQ(back.dead_bits, original.dead_bits);
 }
 
-TEST_F(BundleTest, VersionTwoBundleIsRejectedAndReprepared) {
-  // A one-function campaign-E config: its workloads' bundles are the
-  // only golden artifacts the prepare step needs.
+// Inserts the zero full-restore flag byte that bundles before v4 kept
+// in their options echo, after the u32 checkpoint count.
+void insert_restore_flag_byte(std::string& bytes, const std::string& workload) {
+  const std::size_t checkpoints_at = 8 + 4 + workload.size() + 8;
+  bytes.insert(checkpoints_at + 4, 1, '\0');
+}
+
+void set_version(std::string& bytes, std::uint32_t version) {
+  std::memcpy(bytes.data() + 4, &version, 4);
+}
+
+// Prepares a one-function campaign-E config, rewrites every bundle it
+// built with `rewrite` (an older layout), and requires each rewritten
+// bundle to be rejected at load and rebuilt by the next prepare.
+void expect_rewritten_bundles_reprepared(
+    const std::string& name, const inject::InjectorOptions& options,
+    std::uint64_t kernel_fp,
+    const std::function<void(std::string&, const inject::WorkloadGolden&,
+                             const std::string&)>& rewrite) {
   ServiceConfig config;
   inject::CampaignConfig e = check::smoke_config(inject::Campaign::KernelData);
   e.functions = {"pipe_read"};
   config.campaigns = {e};
-  config.options = options();
-  config.dir = fresh_dir("kfi_bundle_test_v2");
+  config.options = options;
+  config.dir = fresh_dir(name);
   config.bundle_dir = config.dir + "/bundles";
   ServiceResult first;
   ASSERT_TRUE(prepare_campaign(config, &first).has_value()) << first.error;
@@ -124,31 +141,24 @@ TEST_F(BundleTest, VersionTwoBundleIsRejectedAndReprepared) {
   const auto manifest = load_manifest(config.dir);
   ASSERT_TRUE(manifest.has_value());
 
-  // Rewrite every bundle as the v2 layout: the same bytes without the
-  // dead-bit tail, under version 2.
   for (const std::string& workload : manifest->workloads) {
     const std::string path =
-        bundle_path(config.bundle_dir, workload, options(), kernel_fp_);
-    std::size_t tail = 0;
-    {
-      const auto v3 = load_bundle(path, workload, options(), kernel_fp_);
-      ASSERT_TRUE(v3.has_value());
-      tail = 8 + 8 * v3->artifact.dead_bits.size();
-    }
+        bundle_path(config.bundle_dir, workload, options, kernel_fp);
     std::string bytes;
     {
       std::ifstream in(path, std::ios::binary);
       bytes.assign(std::istreambuf_iterator<char>(in), {});
     }
-    ASSERT_GT(bytes.size(), tail);
-    bytes.resize(bytes.size() - tail);
-    const std::uint32_t version = 2;
-    std::memcpy(bytes.data() + 4, &version, 4);
+    {
+      const auto current = load_bundle(path, workload, options, kernel_fp);
+      ASSERT_TRUE(current.has_value());
+      rewrite(bytes, current->artifact, workload);
+    }
     {
       std::ofstream out(path, std::ios::binary | std::ios::trunc);
       out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     }
-    EXPECT_FALSE(load_bundle(path, workload, options(), kernel_fp_).has_value());
+    EXPECT_FALSE(load_bundle(path, workload, options, kernel_fp).has_value());
   }
 
   // Preparing again rebuilds each rejected bundle instead of adopting it.
@@ -159,11 +169,65 @@ TEST_F(BundleTest, VersionTwoBundleIsRejectedAndReprepared) {
   EXPECT_EQ(second.bundles_built, manifest->workloads.size());
   for (const std::string& workload : manifest->workloads) {
     const auto loaded = load_bundle(
-        bundle_path(config.bundle_dir, workload, options(), kernel_fp_),
-        workload, options(), kernel_fp_);
+        bundle_path(config.bundle_dir, workload, options, kernel_fp),
+        workload, options, kernel_fp);
     ASSERT_TRUE(loaded.has_value());
     EXPECT_EQ(loaded->artifact.dead_bits.size(),
               loaded->artifact.dead_words());
+  }
+}
+
+TEST_F(BundleTest, VersionTwoBundleIsRejectedAndReprepared) {
+  // The v2 layout: no dead-bit tail, and the full-restore flag byte.
+  expect_rewritten_bundles_reprepared(
+      "kfi_bundle_test_v2", options(), kernel_fp_,
+      [](std::string& bytes, const inject::WorkloadGolden& artifact,
+         const std::string& workload) {
+        const std::size_t tail = 8 + 8 * artifact.dead_bits.size();
+        ASSERT_GT(bytes.size(), tail);
+        bytes.resize(bytes.size() - tail);
+        insert_restore_flag_byte(bytes, workload);
+        set_version(bytes, 2);
+      });
+}
+
+TEST_F(BundleTest, VersionThreeBundleIsRejectedAndReprepared) {
+  // The v3 layout: today's payload with the full-restore flag byte.
+  expect_rewritten_bundles_reprepared(
+      "kfi_bundle_test_v3", options(), kernel_fp_,
+      [](std::string& bytes, const inject::WorkloadGolden&,
+         const std::string& workload) {
+        insert_restore_flag_byte(bytes, workload);
+        set_version(bytes, 3);
+      });
+}
+
+TEST_F(BundleTest, TruncatedBundleIsRejected) {
+  // Every cut through the identity header (magic, version, workload
+  // name, kernel fingerprint, options echo), then cuts at a fixed
+  // stride through the payload, each on an otherwise valid bundle.
+  const inject::WorkloadGolden& artifact = cache_->workload("pipe");
+  const std::string dir = fresh_dir("kfi_bundle_test_truncated");
+  const std::string path = dir + "/bundle.kfib";
+  ASSERT_TRUE(
+      write_bundle(path, "pipe", artifact, options(), kernel_fp_).has_value());
+  const std::size_t size = std::filesystem::file_size(path);
+  const std::size_t header = 8 + 4 + std::string("pipe").size() + 8 + 8;
+  ASSERT_GT(size, header);
+  std::vector<std::size_t> cuts;
+  for (std::size_t cut = 0; cut <= header; ++cut) cuts.push_back(cut);
+  const std::size_t stride = std::max<std::size_t>(1, (size - header) / 256);
+  for (std::size_t cut = header + stride; cut < size; cut += stride) {
+    cuts.push_back(cut);
+  }
+  cuts.push_back(size - 1);
+  // Longest first, so one file shrinks in place.
+  std::sort(cuts.rbegin(), cuts.rend());
+  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+  for (const std::size_t cut : cuts) {
+    std::filesystem::resize_file(path, cut);
+    EXPECT_FALSE(load_bundle(path, "pipe", options(), kernel_fp_).has_value())
+        << "cut at " << cut << " of " << size;
   }
 }
 

@@ -2,9 +2,10 @@
 // bit-identical to the in-process run_campaign() path at every worker
 // count, a killed campaign resumes from exactly its completed shards,
 // and a corrupted shard artifact is rejected by content hash and
-// re-run.  These are the contracts kfi_campaignd and the CI sharded
-// smoke leg gate at full scale; here they run on a trimmed two-slot
-// campaign so the whole suite stays in tier-1 time.
+// re-run.  The campaignd_smoke_sharded and campaignd_smoke_def ctest
+// entries gate the same contracts on the full smoke triples through
+// kfi_campaignd; here they run on a trimmed two-slot campaign so the
+// whole suite stays in tier-1 time.
 #include "serve/service.h"
 
 #include <gtest/gtest.h>
@@ -448,29 +449,100 @@ TEST(Service, ManifestWithShardRangePastThePlanIsRejected) {
   EXPECT_FALSE(run_worker(dir, 0, 1).ok);
 }
 
+// Where a manifest's config echo sits: the stored hash, then the echo
+// size, then the echo itself.
+struct EchoAt {
+  std::size_t hash_at = 0;
+  std::size_t echo_at = 0;
+  std::uint64_t echo_size = 0;
+};
+
+EchoAt find_echo(const std::string& bytes) {
+  EchoAt at;
+  std::uint32_t bundle_len = 0;
+  std::memcpy(&bundle_len, &bytes[8], 4);  // after magic and version
+  at.hash_at = 12 + bundle_len;
+  at.echo_at = at.hash_at + 16;
+  std::memcpy(&at.echo_size, &bytes[at.hash_at + 8], 8);
+  return at;
+}
+
+void rehash_echo(std::string& bytes, const EchoAt& at) {
+  const std::uint64_t hash = fnv1a_bytes(
+      &bytes[at.echo_at], static_cast<std::size_t>(at.echo_size));
+  std::memcpy(&bytes[at.hash_at], &hash, 8);
+}
+
 TEST(Service, ManifestWithUnknownEngineIsRejected) {
   // The config echo is hash-protected, but a manifest written by a
   // build with more execution engines carries a valid hash over an
   // engine value this build does not have.  Rewrite the echo's engine
-  // field (after the u32 checkpoint count and the u8 full-restore flag)
-  // and re-hash it: the loader and a worker must refuse it.
+  // field (after the u32 checkpoint count) and re-hash it: the loader
+  // and a worker must refuse it.
   std::string bytes = prepared_manifest().first;
-  std::uint32_t bundle_len = 0;
-  std::memcpy(&bundle_len, &bytes[8], 4);  // after magic and version
-  const std::size_t hash_at = 12 + bundle_len;
-  const std::size_t echo_at = hash_at + 16;  // hash, then echo size
-  std::uint64_t echo_size = 0;
-  std::memcpy(&echo_size, &bytes[hash_at + 8], 8);
+  const EchoAt at = find_echo(bytes);
   const std::uint32_t engine = 4;
-  std::memcpy(&bytes[echo_at + 5], &engine, 4);
-  const std::uint64_t hash =
-      fnv1a_bytes(&bytes[echo_at], static_cast<std::size_t>(echo_size));
-  std::memcpy(&bytes[hash_at], &hash, 8);
+  std::memcpy(&bytes[at.echo_at + 4], &engine, 4);
+  rehash_echo(bytes, at);
 
   const std::string dir = fresh_dir("kfi_service_test_unknown_engine");
   std::ofstream(dir + "/manifest.kfim", std::ios::binary) << bytes;
   EXPECT_FALSE(load_manifest(dir).has_value());
   EXPECT_FALSE(run_worker(dir, 0, 1).ok);
+}
+
+TEST(Service, VersionTwoManifestIsRejectedAndReprepared) {
+  // A partial campaign, then its manifest rewritten in the v2 layout:
+  // version 2, and a zero full-restore flag byte after the echo's
+  // checkpoint count, re-hashed.  The service must not misread it as
+  // the current layout: it prepares afresh and resumes nothing.
+  const std::string dir = fresh_dir("kfi_service_test_v2_manifest");
+  ServiceConfig config = base_config(dir);
+  ServiceConfig killed = config;
+  killed.max_shards_per_worker = 1;
+  killed.max_attempts = 1;
+  EXPECT_FALSE(run_service(killed).ok);
+
+  std::string bytes;
+  {
+    std::ifstream in(dir + "/manifest.kfim", std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_TRUE(load_manifest(dir).has_value());
+  EchoAt at = find_echo(bytes);
+  const std::uint32_t version = 2;
+  std::memcpy(&bytes[4], &version, 4);
+  bytes.insert(at.echo_at + 4, 1, '\0');
+  ++at.echo_size;
+  std::memcpy(&bytes[at.hash_at + 8], &at.echo_size, 8);
+  rehash_echo(bytes, at);
+  std::ofstream(dir + "/manifest.kfim", std::ios::binary | std::ios::trunc)
+      << bytes;
+  EXPECT_FALSE(load_manifest(dir).has_value());
+  EXPECT_FALSE(run_worker(dir, 0, 1).ok);
+
+  const ServiceResult again = run_service(config);
+  ASSERT_TRUE(again.ok) << again.error;
+  EXPECT_EQ(again.shards_resumed, 0u);
+  EXPECT_EQ(again.shards_executed, again.shard_count);
+  EXPECT_EQ(again.digest, reference_digest());
+  EXPECT_TRUE(load_manifest(dir).has_value());
+}
+
+TEST(Service, ManifestTruncatedAtEveryOffsetIsRejected) {
+  // Every field of the manifest, up to the last shard range, is needed
+  // to run a shard, so each cut short of the whole file must be
+  // refused by the loader and by a worker.
+  const std::string& bytes = prepared_manifest().first;
+  ASSERT_FALSE(bytes.empty());
+  const std::string dir = fresh_dir("kfi_service_test_truncated_manifest");
+  const std::string path = dir + "/manifest.kfim";
+  std::ofstream(path, std::ios::binary) << bytes;
+  for (std::size_t cut = bytes.size(); cut-- > 0;) {
+    std::filesystem::resize_file(path, cut);
+    EXPECT_FALSE(load_manifest(dir).has_value()) << "cut at " << cut;
+    EXPECT_FALSE(run_worker(dir, 0, 1).ok) << "cut at " << cut;
+  }
 }
 
 }  // namespace
