@@ -135,14 +135,17 @@ void print_campaign_stats(const inject::CampaignStats& cs) {
     const std::uint64_t entries = stats.block_builds + stats.block_hits;
     std::printf(
         "perf: blocks %llu built, %llu hits, %llu fallbacks, "
-        "%llu invalidations, avg block len %.1f\n",
+        "%llu invalidations, avg block len %.1f, "
+        "%llu fused groups, %llu fused declines\n",
         static_cast<unsigned long long>(stats.block_builds),
         static_cast<unsigned long long>(stats.block_hits),
         static_cast<unsigned long long>(stats.block_fallbacks),
         static_cast<unsigned long long>(stats.block_invalidations),
         entries == 0 ? 0.0
                      : static_cast<double>(stats.block_ops) /
-                           static_cast<double>(entries));
+                           static_cast<double>(entries),
+        static_cast<unsigned long long>(stats.fused_groups),
+        static_cast<unsigned long long>(stats.fused_declines));
   }
   if (stats.trace_events + stats.trace_dropped > 0) {
     std::printf("perf: trace %llu events recorded, %llu dropped\n",

@@ -520,6 +520,8 @@ PerfStats Machine::perf_stats() const {
   stats.chain_follows = cpu_->chain_follows();
   stats.chain_breaks = cpu_->chain_breaks();
   stats.trace_len = cpu_->trace_len();
+  stats.fused_groups = cpu_->fused_groups();
+  stats.fused_declines = cpu_->fused_declines();
   return stats;
 }
 
@@ -752,6 +754,8 @@ PerfStats& PerfStats::operator+=(const PerfStats& o) {
   chain_follows += o.chain_follows;
   chain_breaks += o.chain_breaks;
   trace_len += o.trace_len;
+  fused_groups += o.fused_groups;
+  fused_declines += o.fused_declines;
   trace_events += o.trace_events;
   trace_dropped += o.trace_dropped;
   return *this;
@@ -774,6 +778,8 @@ PerfStats& PerfStats::operator-=(const PerfStats& o) {
   chain_follows -= o.chain_follows;
   chain_breaks -= o.chain_breaks;
   trace_len -= o.trace_len;
+  fused_groups -= o.fused_groups;
+  fused_declines -= o.fused_declines;
   trace_events -= o.trace_events;
   trace_dropped -= o.trace_dropped;
   return *this;

@@ -206,6 +206,10 @@ struct PerfStats {
   std::uint64_t chain_follows = 0;
   std::uint64_t chain_breaks = 0;
   std::uint64_t trace_len = 0;
+  // Fused groups run in one dispatch, and group heads whose ops ran
+  // one by one instead.
+  std::uint64_t fused_groups = 0;
+  std::uint64_t fused_declines = 0;
   // Forensics trace layer (all zero when no sink is attached).  Filled
   // at the Injector level from its per-worker TraceBuffer — a buffer is
   // shared by all of an injector's machines, so summing per-machine

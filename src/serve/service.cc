@@ -157,14 +157,31 @@ bool shard_ranges_valid(const Manifest& manifest) {
   return next == total;
 }
 
-// The manifest plus the bundle directory recorded inside it.
+// The manifest plus the bundle directory recorded inside it.  On
+// rejection `error` names the check that failed: a missing file, a
+// file cut short, a foreign magic or version, a config echo that does
+// not hash to the stored identity or does not parse, or a bad shard
+// table.
 std::optional<std::pair<Manifest, std::string>> load_manifest_full(
-    const std::string& dir) {
-  const std::optional<std::string> data =
-      read_file_bytes(manifest_path(dir));
-  if (!data.has_value()) return std::nullopt;
+    const std::string& dir, std::string& error) {
+  const std::string path = manifest_path(dir);
+  const auto reject = [&error, &path](const char* why) {
+    error = std::string(why) + " in " + path;
+    return std::nullopt;
+  };
+  const std::optional<std::string> data = read_file_bytes(path);
+  if (!data.has_value()) {
+    error = "no manifest in " + dir;
+    return std::nullopt;
+  }
   ByteReader reader(*data);
-  if (reader.u32() != kManifestMagic || reader.u32() != kManifestVersion) {
+  const std::uint32_t magic = reader.u32();
+  const std::uint32_t version = reader.u32();
+  if (!reader.ok()) return reject("truncated manifest header");
+  if (magic != kManifestMagic) return reject("not a manifest (bad magic)");
+  if (version != kManifestVersion) {
+    error = "manifest version " + std::to_string(version) + ", expected " +
+            std::to_string(kManifestVersion) + ", in " + path;
     return std::nullopt;
   }
   const std::string bundle_dir = reader.str();
@@ -172,14 +189,16 @@ std::optional<std::pair<Manifest, std::string>> load_manifest_full(
   manifest.config_hash = reader.u64();
   const std::uint64_t echo_size = reader.u64();
   const std::uint8_t* echo = reader.bytes(echo_size);
-  if (echo == nullptr) return std::nullopt;
+  if (echo == nullptr) return reject("truncated manifest config echo");
   // The stored hash must be the hash of the stored echo — a manifest
   // whose identity field was tampered with (or torn) is rejected here.
   if (fnv1a_bytes(echo, echo_size) != manifest.config_hash) {
-    return std::nullopt;
+    return reject("manifest config echo does not match its hash");
   }
   ByteReader echo_reader(echo, static_cast<std::size_t>(echo_size));
-  if (!read_config_echo(echo_reader, manifest)) return std::nullopt;
+  if (!read_config_echo(echo_reader, manifest)) {
+    return reject("unreadable manifest config echo");
+  }
 
   manifest.functions_targeted.resize(manifest.campaigns.size());
   manifest.target_counts.resize(manifest.campaigns.size());
@@ -189,7 +208,8 @@ std::optional<std::pair<Manifest, std::string>> load_manifest_full(
     manifest.target_counts[i] = reader.u64();
   }
   const std::uint32_t workloads = reader.u32();
-  if (!reader.ok() || workloads > 10'000) return std::nullopt;
+  if (!reader.ok()) return reject("truncated manifest target counts");
+  if (workloads > 10'000) return reject("bad manifest workload count");
   manifest.workloads.resize(workloads);
   manifest.bundle_hashes.resize(workloads);
   for (std::uint32_t i = 0; i < workloads; ++i) {
@@ -197,13 +217,15 @@ std::optional<std::pair<Manifest, std::string>> load_manifest_full(
     manifest.bundle_hashes[i] = reader.u64();
   }
   const std::uint64_t shard_count = reader.u64();
-  if (!reader.ok() || shard_count > 1'000'000) return std::nullopt;
+  if (!reader.ok()) return reject("truncated manifest workload table");
+  if (shard_count > 1'000'000) return reject("bad manifest shard count");
   manifest.shard_ranges.resize(static_cast<std::size_t>(shard_count));
   for (auto& [begin, end] : manifest.shard_ranges) {
     begin = reader.u64();
     end = reader.u64();
   }
-  if (!reader.ok() || !shard_ranges_valid(manifest)) return std::nullopt;
+  if (!reader.ok()) return reject("truncated manifest shard table");
+  if (!shard_ranges_valid(manifest)) return reject("bad manifest shard table");
   return std::make_pair(std::move(manifest), bundle_dir);
 }
 
@@ -317,8 +339,10 @@ bool shard_done(const analysis::ShardStore& store, std::uint64_t shard) {
 
 }  // namespace
 
-std::optional<Manifest> load_manifest(const std::string& dir) {
-  auto full = load_manifest_full(dir);
+std::optional<Manifest> load_manifest(const std::string& dir,
+                                      std::string* error) {
+  std::string why;
+  auto full = load_manifest_full(dir, error != nullptr ? *error : why);
   if (!full.has_value()) return std::nullopt;
   return std::move(full->first);
 }
@@ -344,7 +368,8 @@ std::optional<Manifest> prepare_campaign(const ServiceConfig& config,
   // it (and every completed shard).  A different config, or `fresh`,
   // wipes shards and claims; bundles are keyed and content-verified,
   // so they always survive.
-  if (auto existing = load_manifest_full(config.dir)) {
+  std::string ignored;  // absent or unusable: prepared afresh below
+  if (auto existing = load_manifest_full(config.dir, ignored)) {
     Manifest& old = existing->first;
     if (!config.fresh && old.config_hash == manifest.config_hash) {
       return std::move(old);
@@ -453,10 +478,11 @@ WorkerReport run_worker(const std::string& dir, unsigned worker_id,
                         unsigned workers, std::uint64_t max_shards,
                         bool verbose) {
   WorkerReport report;
-  auto full = load_manifest_full(dir);
+  std::string error;
+  auto full = load_manifest_full(dir, error);
   if (!full.has_value()) {
-    std::fprintf(stderr, "[kfi-serve] worker %u: no manifest in %s\n",
-                 worker_id, dir.c_str());
+    std::fprintf(stderr, "[kfi-serve] worker %u: %s\n", worker_id,
+                 error.c_str());
     return report;
   }
   const Manifest& manifest = full->first;
@@ -522,11 +548,8 @@ WorkerReport run_worker(const std::string& dir, unsigned worker_id,
 
 bool aggregate_campaign(const std::string& dir, bool materialize,
                         ServiceResult& result) {
-  auto full = load_manifest_full(dir);
-  if (!full.has_value()) {
-    result.error = "no manifest in " + dir;
-    return false;
-  }
+  auto full = load_manifest_full(dir, result.error);
+  if (!full.has_value()) return false;
   const Manifest& manifest = full->first;
   const analysis::ShardStore store(shards_dir(dir));
   result.shard_count = manifest.shard_ranges.size();

@@ -141,8 +141,12 @@ struct ServiceResult {
 std::optional<Manifest> prepare_campaign(const ServiceConfig& config,
                                          ServiceResult* result = nullptr);
 
-// Loads "<dir>/manifest.kfim" (nullopt when absent or corrupt).
-std::optional<Manifest> load_manifest(const std::string& dir);
+// Loads "<dir>/manifest.kfim".  Nullopt when absent or corrupt, with
+// `error` (when given) naming which: missing, truncated, foreign magic
+// or version, a config echo that fails its hash or does not parse, or
+// a bad shard table.
+std::optional<Manifest> load_manifest(const std::string& dir,
+                                      std::string* error = nullptr);
 
 // One worker's drain loop: adopts the manifest's bundles (mmap,
 // zero-copy), then claims and executes pending shards — its statically

@@ -691,6 +691,11 @@ bool Cpu::build_block(std::uint32_t entry_paddr, Block& blk) {
     }
   }
   if (blk.ops.empty()) return false;
+  for (std::size_t i = 0; i < blk.ops.size();) {
+    MicroOp& head = blk.ops[i];
+    head.fused = select_fused(&head, blk.ops.size() - i, head.fused_len);
+    i += head.fused_len != 0 ? head.fused_len : 1;
+  }
   blk.entry_paddr = entry_paddr;
   blk.vmin = vmin;
   blk.vmax = vmax;
@@ -798,6 +803,19 @@ std::size_t Cpu::run_block(std::uint64_t max_instructions, const bool* stop,
         ++block_invalidations_;
         broke = true;
         break;
+      }
+      if (op.fused_len != 0) {
+        if (op.fused_len <= limit - executed &&
+            (stop == nullptr || !*stop) && op.fused(*this, &op)) {
+          // The group's last op never stores, and its push provably
+          // missed the group's code page (see MicroOp).
+          cycles_ += op.fused_len;
+          executed += op.fused_len;
+          ++fused_groups_;
+          check_version = false;
+          continue;
+        }
+        ++fused_declines_;
       }
       cycles_ += 1;
       ++executed;
@@ -1458,6 +1476,121 @@ struct OpHandlers {
     return true;
   }
 
+  // ----- fused groups -----
+  //
+  // Trace micro-ops only (select_fused).  A group handler runs its ops
+  // exactly as their handlers would one after the other, or declines
+  // before any effect; run_block counts the cycles and block_ops.
+  //
+  // minic's binary-expression idiom (codegen.cc, gen_binary):
+  //   push r1; mov r1 <- X; mov r2 <- r1; pop r1 [; A r1, r2]
+  // with X an immediate, memory word or register, and r1, r2 never
+  // esp.  The pop reads back the word the push stored, so the net
+  // effect is: the stack slot below esp holds r1, r2 = X (read with
+  // esp already lowered), r1 and esp unchanged, then the optional ALU
+  // op.  Declines unless the push and a memory X are permitted
+  // in-page TLB hits and the push misses the group's code page; the
+  // pop's read of the pushed slot is then a hit too.
+  template <OperandKind X, Op A>
+  static bool binop(Cpu& c, const Cpu::MicroOp* ops) {
+    std::uint32_t* const regs = c.regs_;
+    const Instruction& load = ops[1].instr;
+    const std::uint32_t slot = regs[static_cast<int>(Reg::Esp)] - 4;
+    std::uint32_t slot_paddr = 0;
+    if (!c.mmu_.probe(slot, Access::Write, c.cpl_, slot_paddr) ||
+        (slot & kPageMask) > kPageSize - 4 ||
+        (slot_paddr >> 12) == (ops[0].paddr >> 12)) {
+      return false;
+    }
+    std::uint32_t x_paddr = 0;
+    if constexpr (X == OperandKind::Mem) {
+      std::uint32_t addr = static_cast<std::uint32_t>(load.src.mem.disp);
+      if (load.src.mem.has_base) {
+        addr += load.src.mem.base == Reg::Esp
+                    ? slot
+                    : regs[static_cast<int>(load.src.mem.base)];
+      }
+      if (!c.mmu_.probe(addr, Access::Read, c.cpl_, x_paddr) ||
+          (addr & kPageMask) > kPageSize - 4) {
+        return false;
+      }
+    }
+    const int r1 = static_cast<int>(ops[0].instr.src.reg);
+    const std::uint32_t v1 = regs[r1];
+    c.memory_.write32(slot_paddr, v1);
+    std::uint32_t x = 0;
+    if constexpr (X == OperandKind::Imm) {
+      x = static_cast<std::uint32_t>(load.src.imm);
+    } else if constexpr (X == OperandKind::Reg) {
+      x = load.src.reg == Reg::Esp ? slot
+                                   : regs[static_cast<int>(load.src.reg)];
+    } else {
+      x = c.memory_.read32(x_paddr);  // after the push: it may overlap
+    }
+    const int r2 = static_cast<int>(ops[2].instr.dst.reg);
+    regs[r2] = x;
+    regs[r1] = v1;  // the pop, also when r2 == r1
+    const Cpu::MicroOp* last = ops + 3;
+    if constexpr (A != Op::Nop) {
+      const std::uint32_t result = alu32<A>(c, regs[r1], regs[r2]);
+      if constexpr (A != Op::Cmp) regs[r1] = result;
+      last = ops + 4;
+    }
+    c.eip_ = last->vaddr + last->instr.length;
+    return true;
+  }
+
+  template <OperandKind X>
+  static Cpu::FusedFn binop_for(Op alu) {
+    switch (alu) {
+      case Op::Add: return binop<X, Op::Add>;
+      case Op::Sub: return binop<X, Op::Sub>;
+      case Op::And: return binop<X, Op::And>;
+      case Op::Cmp: return binop<X, Op::Cmp>;
+      default: return binop<X, Op::Nop>;
+    }
+  }
+
+  // The binop group at ops[0], or nullptr.  Every op after the push
+  // must share its code page, so the push's fetch check covers them.
+  static Cpu::FusedFn select_fused(const Cpu::MicroOp* ops, std::size_t n,
+                                   std::uint8_t& len) {
+    len = 0;
+    if (n < 4) return nullptr;
+    const Instruction& push = ops[0].instr;
+    const Instruction& load = ops[1].instr;
+    const Instruction& copy = ops[2].instr;
+    const Instruction& pop = ops[3].instr;
+    const Reg r1 = push.src.reg;
+    const OperandKind x = load.src.kind;
+    if (push.op != Op::Push || push.src.kind != OperandKind::Reg ||
+        r1 == Reg::Esp || load.op != Op::Mov ||
+        load.dst.kind != OperandKind::Reg || load.dst.reg != r1 ||
+        (x != OperandKind::Imm && x != OperandKind::Mem &&
+         x != OperandKind::Reg) ||
+        copy.op != Op::Mov || copy.dst.kind != OperandKind::Reg ||
+        copy.src.kind != OperandKind::Reg || copy.src.reg != r1 ||
+        copy.dst.reg == Reg::Esp || pop.op != Op::Pop ||
+        pop.dst.kind != OperandKind::Reg || pop.dst.reg != r1 ||
+        !ops[1].same_page || !ops[2].same_page || !ops[3].same_page) {
+      return nullptr;
+    }
+    Op alu = Op::Nop;
+    if (n >= 5 && ops[4].same_page) {
+      const Instruction& tail = ops[4].instr;
+      if ((tail.op == Op::Add || tail.op == Op::Sub || tail.op == Op::And ||
+           tail.op == Op::Cmp) &&
+          tail.dst.kind == OperandKind::Reg && tail.dst.reg == r1 &&
+          tail.src.kind == OperandKind::Reg && tail.src.reg == copy.dst.reg) {
+        alu = tail.op;
+      }
+    }
+    len = alu == Op::Nop ? 4 : 5;
+    if (x == OperandKind::Imm) return binop_for<OperandKind::Imm>(alu);
+    if (x == OperandKind::Mem) return binop_for<OperandKind::Mem>(alu);
+    return binop_for<OperandKind::Reg>(alu);
+  }
+
   static Cpu::HandlerFn select(const Instruction& in) {
     const OperandKind d = in.dst.kind;
     const OperandKind s = in.src.kind;
@@ -1509,6 +1642,11 @@ Cpu::HandlerFn Cpu::generic_handler(Op op) {
 
 Cpu::HandlerFn Cpu::select_handler(const Instruction& in) {
   return OpHandlers::select(in);
+}
+
+Cpu::FusedFn Cpu::select_fused(const MicroOp* ops, std::size_t n,
+                               std::uint8_t& len) {
+  return OpHandlers::select_fused(ops, n, len);
 }
 
 // Returns false when a trap was raised (eip already redirected).

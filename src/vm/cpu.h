@@ -120,8 +120,10 @@ class Cpu {
   // invalidate_blocks() at injection flip sites) severs stale chains
   // automatically.  Executing N micro-ops is bit-identical to N step()
   // calls.  Trace micro-ops run operand-form-specialized handlers
-  // (select_handler); step() always runs the generic per-opcode ones,
-  // so each engine checks the other.
+  // (select_handler), and the code generator's binary-expression
+  // idiom runs as a fused group, one dispatch per group
+  // (select_fused); step() always runs the generic per-opcode
+  // handlers, so each engine checks the other.
   std::size_t run_block(std::uint64_t max_instructions, const bool* stop,
                         CpuEvent& event);
 
@@ -183,6 +185,13 @@ class Cpu {
   std::uint64_t chain_follows() const { return chain_follows_; }
   std::uint64_t chain_breaks() const { return chain_breaks_; }
   std::uint64_t trace_len() const { return trace_len_; }
+  // Fused-group telemetry: groups run through their fused handler,
+  // and group heads reached whose ops ran one by one instead (budget,
+  // stop latch, a data access that was not a permitted in-page TLB
+  // hit, or a push onto the group's code page).  Both count groups,
+  // not instructions.
+  std::uint64_t fused_groups() const { return fused_groups_; }
+  std::uint64_t fused_declines() const { return fused_declines_; }
 
   // Virtual-memory accessors for the host (debugger/loader view).
   // They use the current privilege translation but never trap; failures
@@ -202,6 +211,11 @@ class Cpu {
   // specialized handler against the generic one (tests/vm/op_form_test.cc).
   friend struct CpuOpForms;
   using HandlerFn = bool (*)(Cpu&, const isa::Instruction&);
+  struct MicroOp;
+  // A fused group's handler, called with the group's first micro-op.
+  // Runs the whole group and returns true, or declines with no effect
+  // and returns false (the ops then run one by one).
+  using FusedFn = bool (*)(Cpu&, const MicroOp*);
 
   // The handler step() runs for `op`: one generic function per opcode
   // that switches on the operand kinds at run time.
@@ -356,15 +370,31 @@ class Cpu {
   // trace entry, on a page change and after a `may_store` op; the
   // stop latch (an MMIO store) and halted_ (hlt) are tested only
   // after a `may_store` op.
+  //
+  // A group head (`fused_len` > 0) names the fused handler of itself
+  // and the next fused_len - 1 ops, all on its code page.  run_block
+  // calls it only when the whole group fits the remaining budget and
+  // the stop latch is clear; the handler itself declines unless every
+  // data access is a permitted in-page TLB hit (Mmu::probe) and its
+  // store misses the group's code page.  A group that runs therefore
+  // fills no TLB entry, moves no code-page version and cannot trap,
+  // so Mmu::epoch() and the fetch identity of every op after the head
+  // stay as verified for the head.
   struct MicroOp {
     HandlerFn fn = nullptr;      // select_handler(instr)
+    FusedFn fused = nullptr;     // select_fused, on a group head only
     std::uint32_t vaddr = 0;     // instruction-start virtual address
     std::uint32_t paddr = 0;     // fetch identity: physical address...
     std::uint64_t version = 0;   // ...and code-page version at decode
     bool same_page = false;      // same vpage and frame as the previous op
     bool may_store = true;       // may write memory or MMIO, or halt
+    std::uint8_t fused_len = 0;  // ops in the group this op heads
     isa::Instruction instr;
   };
+  // The fused group starting at ops[0] of a trace with `n` ops left:
+  // its handler, with `len` set to its op count, or nullptr.
+  static FusedFn select_fused(const MicroOp* ops, std::size_t n,
+                              std::uint8_t& len);
   // A monomorphic successor link: the last observed branch target and
   // the cache slot it resolved to.  Never trusted blind — every follow
   // re-validates the slot's entry identity and code-page version, so a
@@ -415,6 +445,8 @@ class Cpu {
   std::uint64_t chain_follows_ = 0;
   std::uint64_t chain_breaks_ = 0;
   std::uint64_t trace_len_ = 0;
+  std::uint64_t fused_groups_ = 0;
+  std::uint64_t fused_declines_ = 0;
 
   TrapRecord last_trap_;
 

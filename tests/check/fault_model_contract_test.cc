@@ -84,8 +84,9 @@ TEST(FaultModelContract, SmokeAbcMatchesReferencesOnOneThread) {
   expect_references(kAbc, runs);
 
   // Where the Chained engine builds, enters, invalidates and chains its
-  // traces is deterministic on any host, so a dispatch or guard change
-  // fails here even when every record survives.  The stepper builds no
+  // traces, and how many fused groups it runs or declines, is
+  // deterministic on any host, so a dispatch or guard change fails
+  // here even when every record survives.  The stepper builds no
   // traces at all.
   inject::CampaignStats totals;
   for (const CampaignRun& run : runs) totals += run.stats;
@@ -99,6 +100,8 @@ TEST(FaultModelContract, SmokeAbcMatchesReferencesOnOneThread) {
   EXPECT_EQ(perf.block_ops, chained ? 514772046u : 0u);
   EXPECT_EQ(perf.chain_follows, chained ? 18375649u : 0u);
   EXPECT_EQ(perf.chain_breaks, chained ? 46398u : 0u);
+  EXPECT_EQ(perf.fused_groups, chained ? 57983098u : 0u);
+  EXPECT_EQ(perf.fused_declines, chained ? 46818u : 0u);
 }
 
 TEST(FaultModelContract, SmokeAbcMatchesReferencesOnFourThreads) {

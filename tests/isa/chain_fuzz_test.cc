@@ -42,6 +42,25 @@ using isa::fuzz::Shape;
 constexpr std::uint32_t kCodeVirt = 0xC0105000;  // page-aligned kernel text
 constexpr std::uint32_t kDataVirt = 0xC0200000;
 constexpr std::uint32_t kHandlerVirt = 0xC0110000;
+// The split pages' frames, swapped: the first split page maps the
+// higher frame, whose physical successor is neither.
+constexpr std::uint32_t kSplitFrame = 0x00E00000;
+
+static_assert(isa::fuzz::kFuzzMmioWord == kCrashMmio);
+
+// Answers each read with a running count, so an engine that reads the
+// MMIO word a different number of times ends with different registers.
+class CountingDevice : public Device {
+ public:
+  std::uint32_t mmio_read(std::uint32_t) override {
+    return 0xD0000000u + reads_++;
+  }
+  void mmio_write(std::uint32_t, std::uint32_t) override {}
+  void reset() { reads_ = 0; }
+
+ private:
+  std::uint32_t reads_ = 0;
+};
 
 // One reusable differential rig.  Construction (16 MiB zero fill, page
 // tables, snapshot capture) happens once per battery; reset() restores
@@ -49,6 +68,7 @@ constexpr std::uint32_t kHandlerVirt = 0xC0110000;
 struct FuzzRig {
   PhysicalMemory memory;
   Bus bus;
+  CountingDevice port;
   Cpu cpu;
   bool chained;
   ChunkedSnapshot pristine;
@@ -58,17 +78,24 @@ struct FuzzRig {
       : memory(kRamSize), cpu(memory, bus), chained(chained_engine) {
     HostMapper mapper(memory, kBootPgdPhys, kKernelPtePhys);
     mapper.map_range(kKernelBase, 0, kRamSize, kPteWrite);
+    mapper.map(isa::fuzz::kFuzzSplitVirt, kSplitFrame + kPageSize, kPteWrite);
+    mapper.map(isa::fuzz::kFuzzSplitVirt + kPageSize, kSplitFrame,
+               kPteWrite);
+    memory.fill(kSplitFrame + kPageSize, kPageSize, 0xA5);
+    memory.fill(kSplitFrame, kPageSize, 0x5A);
     cpu.mmu().set_cr3(kBootPgdPhys);
     memory.write32(kTssPhys, kBootStackTop);
     for (int v = 0; v < 32; ++v) cpu.set_vector(v, kHandlerVirt);
     cpu.set_vector(0x80, kHandlerVirt);
     cpu.set_vector(0x20, kHandlerVirt);
     memory.fill(phys_of_virt(kHandlerVirt), 64, 0xF4);  // hlt
+    bus.attach(kCrashMmio, kPageSize, &port);
     pristine = memory.snapshot_pages();
   }
 
   void reset(const std::vector<std::uint8_t>& program) {
     memory.restore_pages(pristine, memo);
+    port.reset();
     memory.write_block(phys_of_virt(kCodeVirt), program.data(),
                        static_cast<std::uint32_t>(program.size()));
     for (int r = 0; r < isa::kRegCount; ++r) {
@@ -230,9 +257,13 @@ void run_battery(Shape shape, int num_seeds) {
     EXPECT_GT(chain_rig.cpu.chain_follows(), 0u)
         << "shape never followed a chain link";
   }
+  if (shape == Shape::StackBinop) {
+    EXPECT_GT(chain_rig.cpu.fused_groups(), 0u) << "no group ran fused";
+    EXPECT_GT(chain_rig.cpu.fused_declines(), 0u) << "no group declined";
+  }
 }
 
-// 10 shapes x 200 seeds = 2000 differential programs in tier-1.
+// 11 shapes x 200 seeds = 2200 differential programs in tier-1.
 TEST(ChainFuzz, Mixed) { run_battery(Shape::Mixed, 200); }
 TEST(ChainFuzz, TightLoops) { run_battery(Shape::TightLoops, 200); }
 TEST(ChainFuzz, BranchLadder) { run_battery(Shape::BranchLadder, 200); }
@@ -243,6 +274,7 @@ TEST(ChainFuzz, DeadFlags) { run_battery(Shape::DeadFlags, 200); }
 TEST(ChainFuzz, FlagEdge) { run_battery(Shape::FlagEdge, 200); }
 TEST(ChainFuzz, MemMix) { run_battery(Shape::MemMix, 200); }
 TEST(ChainFuzz, CondEdge) { run_battery(Shape::CondEdge, 200); }
+TEST(ChainFuzz, StackBinop) { run_battery(Shape::StackBinop, 200); }
 
 // Generator sanity: every emitted byte stream decodes cleanly end to
 // end (padding included), and regenerating a seed is deterministic.

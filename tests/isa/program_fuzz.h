@@ -28,6 +28,13 @@
 namespace kfi::isa::fuzz {
 
 inline constexpr std::uint32_t kFuzzPageSize = 4096;
+// The MMIO word the stack_binop shape may load: the crash port's page.
+inline constexpr std::uint32_t kFuzzMmioWord = 0xFF002000;
+// Two adjacent virtual pages, past the kernel's straight map, that the
+// stack_binop shape crosses.  Rigs running it map them to two frames
+// that are not adjacent, so a word across their boundary takes two
+// translations to read or write right.
+inline constexpr std::uint32_t kFuzzSplitVirt = 0xC1000000;
 
 // --- Symbolic assembler -------------------------------------------------
 
@@ -197,6 +204,35 @@ inline Instruction setcc(Cond cond, Reg r) {
   i.dst = Operand::make_reg8(r);
   return i;
 }
+inline Instruction push_r(Reg r) {
+  Instruction i;
+  i.op = Op::Push;
+  i.src = Operand::make_reg(r);
+  return i;
+}
+inline Instruction pop_r(Reg r) {
+  Instruction i;
+  i.op = Op::Pop;
+  i.dst = Operand::make_reg(r);
+  return i;
+}
+inline Instruction movzx_r8(Reg dst, Reg src) {
+  Instruction i;
+  i.op = Op::Movzx8;
+  i.dst = Operand::make_reg(dst);
+  i.src = Operand::make_reg8(src);
+  return i;
+}
+// mov r <- [addr], absolute (no base register).
+inline Instruction load_abs(Reg r, std::uint32_t addr) {
+  Instruction i;
+  i.op = Op::Mov;
+  MemRef m;
+  m.disp = static_cast<std::int32_t>(addr);
+  i.dst = Operand::make_reg(r);
+  i.src = Operand::make_mem(m);
+  return i;
+}
 inline Instruction jmp() {
   Instruction i;
   i.op = Op::Jmp;
@@ -221,13 +257,14 @@ enum class Shape {
   FlagEdge,     // flag producer/consumer pairs straddling chain edges
   MemMix,       // dense loads/stores, incl. page-crossing pointers
   CondEdge,     // both-way conditional diamonds — both jcc link slots
+  StackBinop,   // minic's binop and compare idioms — the fused group
 };
 
 inline constexpr Shape kAllShapes[] = {
     Shape::Mixed,      Shape::TightLoops, Shape::BranchLadder,
     Shape::SmcChain,   Shape::CrossPage,  Shape::CallRet,
     Shape::DeadFlags,  Shape::FlagEdge,   Shape::MemMix,
-    Shape::CondEdge,
+    Shape::CondEdge,   Shape::StackBinop,
 };
 
 inline const char* shape_name(Shape s) {
@@ -242,6 +279,7 @@ inline const char* shape_name(Shape s) {
     case Shape::FlagEdge: return "flag_edge";
     case Shape::MemMix: return "mem_mix";
     case Shape::CondEdge: return "cond_edge";
+    case Shape::StackBinop: return "stack_binop";
   }
   return "?";
 }
@@ -662,10 +700,139 @@ inline void gen_cond_edge(Asm& a, Rng& rng) {
   a.branch(jcc(Cond::Ne), top);
 }
 
+inline void gen_stack_binop(Asm& a, Rng& rng, std::uint32_t data_virt) {
+  // minic's binary-expression idiom, push r1; mov r1 <- X;
+  // mov r2 <- r1; pop r1 [; alu r1, r2], in a countdown loop, so the
+  // chained engine runs it as a fused group, and at every edge where
+  // the group must decline and run op by op: a push that crosses a
+  // page (esp at page offset 0-3), a push that rewrites a later op of
+  // the same trace, a stack or X page evicted from the TLB, X read off
+  // esp (overlapping the pushed slot), X across a page boundary or on
+  // the MMIO page, r2 == r1, and ALU tails that do not fuse.  Page
+  // crossings use the split pages, so a word read or written as one
+  // physical access lands on the wrong frame.  minic's compare idiom,
+  // [cmp;] setcc x8; movzbl x8, x; test x, x; jcc, follows the groups
+  // as it does in the kernel.
+  const std::uint32_t esi = data_virt + 4 * rng.below(64);
+  int esp_item = -1;  // esp aimed at a later op of the loop's trace
+  switch (rng.below(4)) {
+    case 0:  // aligned, mid-page
+      a.add(mov_ri(Reg::Esp, static_cast<std::int32_t>(
+                                 data_virt + 0x2100 + 4 * rng.below(64))));
+      break;
+    case 1:  // second split page, offset 0-3: the push crosses at 1-3
+      a.add(mov_ri(Reg::Esp, static_cast<std::int32_t>(
+                                 kFuzzSplitVirt + kFuzzPageSize +
+                                 rng.below(4))));
+      break;
+    case 2:
+      esp_item = a.addr_imm(mov_ri(Reg::Esp, 0), 0, 0);
+      break;
+    default:  // anywhere in a page, unaligned included
+      a.add(mov_ri(Reg::Esp, static_cast<std::int32_t>(
+                                 data_virt + 0x4000 +
+                                 rng.below(kFuzzPageSize))));
+      break;
+  }
+  const bool mmio = rng.below(4) == 0;
+  a.add(mov_ri(Reg::Esi, static_cast<std::int32_t>(esi)));
+  a.add(mov_ri(Reg::Ebp, 0));
+  a.add(mov_ri(Reg::Edi, 2 + static_cast<std::int32_t>(rng.below(4))));
+  const int top = a.next_index();
+  const int groups = 3 + static_cast<int>(rng.below(6));
+  // 1 MiB apart: the same slot of the direct-mapped TLB.
+  constexpr std::int32_t kTlbAlias = -0x100000;
+  for (int g = 0; g < groups; ++g) {
+    const std::uint64_t pick =
+        g == 0 && esp_item >= 0 ? 2 : rng.below(10);
+    if (pick == 0) {  // evict the stack page's TLB entry
+      a.add(mem_op(Op::Mov, scratch(rng), Reg::Esp, kTlbAlias, true));
+      continue;
+    }
+    if (pick == 1) {  // evict X's page
+      a.add(mem_op(Op::Mov, scratch(rng), Reg::Esi, kTlbAlias, true));
+      continue;
+    }
+    if (pick < 7) {
+      const Reg r1 = scratch(rng);
+      const Reg r2 = rng.below(4) == 0 ? r1 : scratch(rng);
+      // With esp in the code, each push stores four nops there.
+      if (esp_item >= 0) {
+        a.add(mov_ri(r1, static_cast<std::int32_t>(0x90909090u)));
+      }
+      a.add(push_r(r1));
+      switch (rng.below(8)) {
+        case 0:
+        case 1:
+          a.add(mov_ri(r1, static_cast<std::int32_t>(rng.next_u32())));
+          break;
+        case 2: {
+          static constexpr Reg kSrc[] = {Reg::Eax, Reg::Ecx, Reg::Edx,
+                                         Reg::Ebx, Reg::Esp, Reg::Esi};
+          a.add(alu_rr(Op::Mov, r1, kSrc[rng.below(6)]));
+          break;
+        }
+        case 3:
+        case 4:
+          a.add(mem_op(Op::Mov, r1, Reg::Esi,
+                       static_cast<std::int32_t>(4 * rng.below(16)), true));
+          break;
+        case 5: {  // off esp: the pushed slot, partly or not at all
+          static constexpr std::int32_t kDisp[] = {0, 2, 4, 8, -4};
+          a.add(mem_op(Op::Mov, r1, Reg::Esp, kDisp[rng.below(5)], true));
+          break;
+        }
+        case 6:  // the last word of the first split page, or across
+          a.add(load_abs(r1, kFuzzSplitVirt + kFuzzPageSize - 4 +
+                                 static_cast<std::uint32_t>(rng.below(4))));
+          break;
+        default:
+          if (mmio) {
+            a.add(load_abs(r1, kFuzzMmioWord));
+          } else {
+            a.add(mov_ri(r1, static_cast<std::int32_t>(rng.below(3))));
+          }
+          break;
+      }
+      a.add(alu_rr(Op::Mov, r2, r1));
+      a.add(pop_r(r1));
+      static constexpr Op kTail[] = {Op::Add, Op::Sub, Op::And, Op::Cmp,
+                                     Op::Or,  Op::Xor, Op::Nop, Op::Nop};
+      const Op tail = kTail[rng.below(8)];
+      if (tail != Op::Nop) a.add(alu_rr(tail, r1, r2));
+      a.add(alu_rr(Op::Add, Reg::Ebp, r1));
+      if (g == 0 && esp_item >= 0) {
+        // The push's target: two 2-byte adds the stepper sees turn
+        // into nops on the first pass.
+        const int target = a.add(alu_rr(Op::Add, Reg::Ebp, Reg::Ebx));
+        a.add(alu_rr(Op::Add, Reg::Ebp, Reg::Ecx));
+        a.set_imm_target(esp_item, target, 4);
+      }
+    } else {
+      if (rng.below(2) == 0) {
+        a.add(alu_rr(Op::Cmp, scratch(rng), scratch(rng)));
+      }
+      const Reg x = scratch(rng);
+      a.add(setcc(static_cast<Cond>(rng.below(16)), x));
+      // One in six widens another register: not the idiom.
+      a.add(movzx_r8(x, rng.below(6) == 0 ? scratch(rng) : x));
+      a.add(alu_rr(Op::Test, x, x));
+      const int skip = a.branch(jcc(rng.below(2) ? Cond::E : Cond::Ne), 0);
+      a.add(unary(Op::Inc, Reg::Ebp));
+      a.set_target(skip, a.next_index());
+    }
+  }
+  a.add(unary(Op::Dec, Reg::Edi));
+  a.branch(jcc(Cond::Ne), top);
+}
+
 }  // namespace detail
 
 // Generates the seeded program for `shape`.  `code_virt` must be
-// page-aligned; `data_virt` names a mapped, writable scratch region.
+// page-aligned; `data_virt` names a mapped, writable scratch region of
+// at least 20 KiB, and 1 MiB below it must be mapped too.  StackBinop
+// also needs the split pages (kFuzzSplitVirt) mapped and may read
+// kFuzzMmioWord.
 inline FuzzProgram generate(Shape shape, std::uint64_t seed,
                             std::uint32_t code_virt,
                             std::uint32_t data_virt) {
@@ -701,6 +868,9 @@ inline FuzzProgram generate(Shape shape, std::uint64_t seed,
       break;
     case Shape::CondEdge:
       detail::gen_cond_edge(a, rng);
+      break;
+    case Shape::StackBinop:
+      detail::gen_stack_binop(a, rng, data_virt);
       break;
   }
   if (shape != Shape::BranchLadder) a.add(nullary(Op::Hlt));

@@ -445,7 +445,9 @@ TEST(Service, ManifestWithShardRangePastThePlanIsRejected) {
   table.back().second += 5;
   const std::string dir =
       manifest_with_table("kfi_service_test_table_past", table);
-  EXPECT_FALSE(load_manifest(dir).has_value());
+  std::string error;
+  EXPECT_FALSE(load_manifest(dir, &error).has_value());
+  EXPECT_EQ(error.rfind("bad manifest shard table", 0), 0u) << error;
   EXPECT_FALSE(run_worker(dir, 0, 1).ok);
 }
 
@@ -487,7 +489,9 @@ TEST(Service, ManifestWithUnknownEngineIsRejected) {
 
   const std::string dir = fresh_dir("kfi_service_test_unknown_engine");
   std::ofstream(dir + "/manifest.kfim", std::ios::binary) << bytes;
-  EXPECT_FALSE(load_manifest(dir).has_value());
+  std::string error;
+  EXPECT_FALSE(load_manifest(dir, &error).has_value());
+  EXPECT_EQ(error.rfind("unreadable manifest config echo", 0), 0u) << error;
   EXPECT_FALSE(run_worker(dir, 0, 1).ok);
 }
 
@@ -518,7 +522,9 @@ TEST(Service, VersionTwoManifestIsRejectedAndReprepared) {
   rehash_echo(bytes, at);
   std::ofstream(dir + "/manifest.kfim", std::ios::binary | std::ios::trunc)
       << bytes;
-  EXPECT_FALSE(load_manifest(dir).has_value());
+  std::string error;
+  EXPECT_FALSE(load_manifest(dir, &error).has_value());
+  EXPECT_EQ(error.rfind("manifest version 2,", 0), 0u) << error;
   EXPECT_FALSE(run_worker(dir, 0, 1).ok);
 
   const ServiceResult again = run_service(config);
@@ -532,17 +538,34 @@ TEST(Service, VersionTwoManifestIsRejectedAndReprepared) {
 TEST(Service, ManifestTruncatedAtEveryOffsetIsRejected) {
   // Every field of the manifest, up to the last shard range, is needed
   // to run a shard, so each cut short of the whole file must be
-  // refused by the loader and by a worker.
+  // refused by the loader and by a worker, and reported as a cut, not
+  // as a missing manifest.
   const std::string& bytes = prepared_manifest().first;
   ASSERT_FALSE(bytes.empty());
   const std::string dir = fresh_dir("kfi_service_test_truncated_manifest");
   const std::string path = dir + "/manifest.kfim";
+
+  std::string missing;
+  EXPECT_FALSE(load_manifest(dir, &missing).has_value());
+  EXPECT_EQ(missing.rfind("no manifest", 0), 0u) << missing;
+
   std::ofstream(path, std::ios::binary) << bytes;
   for (std::size_t cut = bytes.size(); cut-- > 0;) {
     std::filesystem::resize_file(path, cut);
-    EXPECT_FALSE(load_manifest(dir).has_value()) << "cut at " << cut;
+    std::string error;
+    EXPECT_FALSE(load_manifest(dir, &error).has_value()) << "cut at " << cut;
+    EXPECT_EQ(error.rfind("truncated", 0), 0u)
+        << "cut at " << cut << ": " << error;
     EXPECT_FALSE(run_worker(dir, 0, 1).ok) << "cut at " << cut;
   }
+
+  // The aggregator reports the same reason.
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      << bytes.substr(0, bytes.size() / 2);
+  ServiceResult result;
+  EXPECT_FALSE(aggregate_campaign(dir, false, result));
+  EXPECT_EQ(result.error.rfind("truncated", 0), 0u) << result.error;
+  EXPECT_NE(result.error, missing);
 }
 
 }  // namespace

@@ -7,7 +7,9 @@
 // snapshot-restore severing (the checkpoint-rung case), and where the
 // in-trace guards sit: a store into a later op of the same trace (on
 // the store's page and on the next page), a crash-port store and a TLB
-// flush mid-trace, each against the stepper.
+// flush mid-trace, each against the stepper, and the fused-group
+// edges: a budget that ends inside a group and a breakpoint on a
+// group's interior op.
 //
 // The differential shapes live in the isa fuzz battery; these tests pin
 // the *mechanism* — counters, cache slots, and the exact severing
@@ -18,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "../isa/program_fuzz.h"
@@ -37,7 +40,11 @@ using isa::fuzz::jcc;
 using isa::fuzz::jmp;
 using isa::fuzz::mem_op;
 using isa::fuzz::mov_ri;
+using isa::fuzz::movzx_r8;
 using isa::fuzz::nullary;
+using isa::fuzz::pop_r;
+using isa::fuzz::push_r;
+using isa::fuzz::setcc;
 using isa::fuzz::unary;
 
 constexpr std::uint32_t kCodeVirt = 0xC0105000;  // page-aligned
@@ -543,6 +550,93 @@ TEST(ChainEngine, TlbFlushStoreMidTraceForcesTheNextFetchTranslation) {
   std::uint32_t paddr = 0;
   EXPECT_TRUE(chained.cpu.mmu().probe(kCodeVirt, Access::Execute, 0, paddr))
       << "the code page was not refilled after the flush";
+  expect_same_state(chained, stepper);
+}
+
+// ---- fused groups ----
+
+// A binop group (ops 4-8) after a push/pop pair that puts the stack
+// page in the TLB for both engines, then minic's compare idiom, which
+// runs op by op.
+struct FusedProgram {
+  std::vector<std::uint8_t> bytes;
+  std::uint32_t interior_vaddr = 0;  // op 6, inside the binop group
+};
+
+FusedProgram fused_program() {
+  Asm a;
+  a.add(mov_ri(Reg::Eax, 5));
+  a.add(mov_ri(Reg::Ecx, 7));
+  a.add(push_r(Reg::Ebx));
+  a.add(pop_r(Reg::Ebx));
+  a.add(push_r(Reg::Eax));  // binop: ecx = 9, eax = 5 + 9
+  a.add(mov_ri(Reg::Eax, 9));
+  const int interior = a.add(alu_rr(Op::Mov, Reg::Ecx, Reg::Eax));
+  a.add(pop_r(Reg::Eax));
+  a.add(alu_rr(Op::Add, Reg::Eax, Reg::Ecx));
+  a.add(alu_rr(Op::Cmp, Reg::Eax, Reg::Ecx));  // edx = 14 < 9
+  a.add(setcc(Cond::L, Reg::Edx));
+  a.add(movzx_r8(Reg::Edx, Reg::Edx));
+  a.add(alu_rr(Op::Test, Reg::Edx, Reg::Edx));
+  a.add(nullary(Op::Hlt));
+  FusedProgram out;
+  out.bytes = a.assemble(kCodeVirt);
+  out.interior_vaddr =
+      kCodeVirt + static_cast<std::uint32_t>(a.offset_of(interior));
+  return out;
+}
+
+TEST(ChainEngine, BudgetEndingInsideAFusedGroupRunsItsOpsSingly) {
+  // One dispatch of k ops for every k: a group that does not fit the
+  // budget runs op by op, so the dispatch stops on the stepper's exact
+  // op, with its stack slot, registers, flags and cycles.
+  const FusedProgram program = fused_program();
+  constexpr std::uint32_t kSlot = kBootStackTop - 4;
+  for (std::uint64_t k = 1; k <= 14; ++k) {
+    SCOPED_TRACE("budget " + std::to_string(k));
+    Rig chained, stepper;
+    chained.load(program.bytes);
+    stepper.load(program.bytes);
+    CpuEvent event{};
+    EXPECT_EQ(chained.cpu.run_block(k, nullptr, event), k);
+    for (std::uint64_t i = 0; i < k; ++i) stepper.cpu.step();
+    expect_same_state(chained, stepper);
+    EXPECT_EQ(chained.memory.read32(phys_of_virt(kSlot)),
+              stepper.memory.read32(phys_of_virt(kSlot)));
+    EXPECT_EQ(chained.memory.page_version(phys_of_virt(kSlot)),
+              stepper.memory.page_version(phys_of_virt(kSlot)));
+    // The group heads op 4 and needs 5 ops.
+    EXPECT_EQ(chained.cpu.fused_groups(), std::uint64_t{k >= 9});
+    EXPECT_EQ(chained.cpu.fused_declines(), std::uint64_t{k >= 5 && k < 9});
+  }
+  Rig done;
+  done.load(program.bytes);
+  ASSERT_EQ(done.run(100).kind, CpuEventKind::Halted);
+  EXPECT_EQ(done.cpu.reg(Reg::Eax), 14u);
+  EXPECT_EQ(done.cpu.reg(Reg::Ecx), 9u);
+  EXPECT_EQ(done.cpu.reg(Reg::Edx), 0u);
+}
+
+TEST(ChainEngine, BreakpointOnAFusedGroupInteriorOpRefusesTheBlock) {
+  // The stepper triggers on the interior op's address; a fused group
+  // must not run past it, so every block holding it is refused and the
+  // Breakpoint event lands where the stepper has it.
+  const FusedProgram program = fused_program();
+  Rig chained, stepper;
+  chained.load(program.bytes);
+  stepper.load(program.bytes);
+  chained.cpu.arm_breakpoint(0, program.interior_vaddr);
+  stepper.cpu.arm_breakpoint(0, program.interior_vaddr);
+
+  CpuEvent event{};
+  EXPECT_EQ(chained.cpu.run_block(100, nullptr, event), 0u);
+  EXPECT_EQ(chained.cpu.block_fallbacks(), 1u);
+  const CpuEvent chained_stop = chained.run(100);
+  const CpuEvent stepper_stop = stepper.step_to_stop(100);
+  ASSERT_EQ(chained_stop.kind, CpuEventKind::Breakpoint);
+  ASSERT_EQ(stepper_stop.kind, CpuEventKind::Breakpoint);
+  EXPECT_EQ(chained.cpu.eip(), program.interior_vaddr);
+  EXPECT_EQ(chained.cpu.fused_groups(), 0u);
   expect_same_state(chained, stepper);
 }
 
