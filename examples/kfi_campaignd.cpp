@@ -74,7 +74,8 @@ struct CliOptions {
       "  --verify-inprocess  run: also run the in-process path and gate\n"
       "                      bit-identity of every result\n"
       "  --json FILE         write a machine-readable summary\n"
-      "  --verbose           per-shard progress on stderr\n");
+      "  --verbose           per-worker bundle adoption and per-shard\n"
+      "                      progress on stderr\n");
   std::exit(code);
 }
 

@@ -107,7 +107,7 @@ std::optional<std::uint64_t> write_bundle(
 
   const std::string& payload = writer.buffer();
   if (!atomic_write_file(path, payload)) return std::nullopt;
-  return fnv1a_bytes(payload.data(), payload.size());
+  return content_hash(payload.data(), payload.size());
 }
 
 std::optional<LoadedBundle> load_bundle(const std::string& path,
@@ -117,10 +117,10 @@ std::optional<LoadedBundle> load_bundle(const std::string& path,
                                         std::uint64_t expect_hash) {
   std::shared_ptr<const MappedFile> file = MappedFile::map(path);
   if (file == nullptr) return std::nullopt;
-  if (expect_hash != 0 &&
-      fnv1a_bytes(file->data(), file->size()) != expect_hash) {
-    return std::nullopt;
-  }
+  // One pass over every byte: the check against the manifest and the
+  // value handed back for the next manifest are the same hash.
+  const std::uint64_t hash = content_hash(file->data(), file->size());
+  if (expect_hash != 0 && hash != expect_hash) return std::nullopt;
 
   ByteReader reader(file->data(), file->size());
   if (reader.u32() != kBundleMagic || reader.u32() != kBundleVersion) {
@@ -216,7 +216,8 @@ std::optional<LoadedBundle> load_bundle(const std::string& path,
   }
   if (!reader.ok()) return std::nullopt;
 
-  loaded.content_hash = fnv1a_bytes(file->data(), file->size());
+  loaded.content_hash = hash;
+  loaded.size = file->size();
   loaded.keepalive = std::move(file);
   return loaded;
 }

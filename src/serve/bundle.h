@@ -27,8 +27,8 @@ namespace kfi::serve {
 // `path`.  `kernel_fp` and the ladder geometry from `options` are baked
 // into the header so a stale bundle (different kernel build, different
 // checkpoint count) is rejected at load instead of silently adopted.
-// Returns the bundle's content hash (FNV-1a over the file bytes), or
-// nullopt on I/O failure.
+// Returns the bundle's content hash (kfi::content_hash over the file
+// bytes, the value the manifest records), or nullopt on I/O failure.
 std::optional<std::uint64_t> write_bundle(
     const std::string& path, const std::string& workload,
     const inject::WorkloadGolden& artifact,
@@ -39,14 +39,17 @@ struct LoadedBundle {
   // Owner of the mmap the artifact's snapshots point into; hand to
   // GoldenCache::adopt_workload().
   std::shared_ptr<const void> keepalive;
+  // kfi::content_hash over every file byte, computed once at load.
   std::uint64_t content_hash = 0;
+  std::size_t size = 0;  // file bytes, all of them hashed
 };
 
 // Maps and validates the bundle at `path`.  Rejects wrong magic or
 // version, a workload/kernel/options mismatch, a truncated or corrupt
 // payload, and — when `expect_hash` is non-zero — file bytes whose
-// FNV-1a differs from it (the manifest's recorded hash, so a worker
-// never adopts a bundle the controller didn't write).
+// content hash differs from it (the manifest's recorded hash, so a
+// worker never adopts a bundle the controller didn't write).  The file
+// is hashed exactly once, whether or not a hash is expected.
 std::optional<LoadedBundle> load_bundle(
     const std::string& path, const std::string& workload,
     const inject::InjectorOptions& options, std::uint64_t kernel_fp,

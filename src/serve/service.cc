@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -30,7 +31,9 @@ constexpr std::uint32_t kManifestMagic = 0x4B46494D;  // "KFIM"
 // the config-hash comparison instead of silently mixing models.
 // v3: the config echo drops the full-restore flag byte that followed
 // the checkpoint count.
-constexpr std::uint32_t kManifestVersion = 3;
+// v4: bundle_hashes are kfi::content_hash values, not FNV-1a, so a
+// manifest from an older build would fail every bundle check.
+constexpr std::uint32_t kManifestVersion = 4;
 
 std::string manifest_path(const std::string& dir) {
   return dir + "/manifest.kfim";
@@ -260,8 +263,11 @@ CampaignPlan build_plan(inject::Injector& injector,
 // a pure function of (kernel, workload, options).
 std::uint64_t adopt_bundles(inject::GoldenCache& cache,
                             const Manifest& manifest,
-                            const std::string& bundle_dir, bool verbose) {
+                            const std::string& bundle_dir,
+                            unsigned worker_id, bool verbose) {
+  const auto began = std::chrono::steady_clock::now();
   std::uint64_t adopted = 0;
+  std::uint64_t verified_bytes = 0;
   for (std::size_t i = 0; i < manifest.workloads.size(); ++i) {
     const std::string& workload = manifest.workloads[i];
     const std::string path = bundle_path(bundle_dir, workload,
@@ -278,10 +284,22 @@ std::uint64_t adopt_bundles(inject::GoldenCache& cache,
       }
       continue;
     }
+    verified_bytes += loaded->size;
     if (cache.adopt_workload(workload, std::move(loaded->artifact),
                              std::move(loaded->keepalive))) {
       ++adopted;
     }
+  }
+  if (verbose) {
+    const std::chrono::duration<double> took =
+        std::chrono::steady_clock::now() - began;
+    std::fprintf(stderr,
+                 "[kfi-serve] worker %u: adopted %llu of %zu bundles, "
+                 "%.1f MiB verified in %.3f s\n",
+                 worker_id, static_cast<unsigned long long>(adopted),
+                 manifest.workloads.size(),
+                 static_cast<double>(verified_bytes) / (1024.0 * 1024.0),
+                 took.count());
   }
   return adopted;
 }
@@ -491,7 +509,7 @@ WorkerReport run_worker(const std::string& dir, unsigned worker_id,
 
   auto cache = std::make_shared<inject::GoldenCache>(manifest.options);
   report.bundle_adoptions =
-      adopt_bundles(*cache, manifest, bundle_dir, verbose);
+      adopt_bundles(*cache, manifest, bundle_dir, worker_id, verbose);
   inject::Injector injector(cache);
   const CampaignPlan plan = build_plan(injector, manifest.campaigns);
   // The shard table indexes this plan only if the manifest's counts

@@ -83,7 +83,8 @@ struct Manifest {
   std::vector<std::size_t> functions_targeted;   // per campaign slot
   std::vector<std::uint64_t> target_counts;      // per campaign slot
   std::vector<std::string> workloads;            // every workload used
-  std::vector<std::uint64_t> bundle_hashes;      // parallel to workloads
+  std::vector<std::uint64_t> bundle_hashes;      // parallel to workloads;
+                                                 // kfi::content_hash
   // Shard table: [begin, end) positions over the concatenated
   // locality-sorted execution order.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> shard_ranges;

@@ -7,6 +7,7 @@
 // file degrades into one boolean check at the end of the parse.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -25,6 +26,42 @@ inline std::uint64_t fnv1a_bytes(const void* data, std::size_t len,
   const auto* p = static_cast<const std::uint8_t*>(data);
   for (std::size_t i = 0; i < len; ++i) h = (h ^ p[i]) * kFnvPrime;
   return h;
+}
+
+// Word-wise content hash for large artifacts (golden bundles), an
+// order of magnitude faster than the byte-wise fnv1a_bytes.  Four
+// lanes each take every fourth 8-byte word of the 32-byte stripes as
+// h = rotl(h ^ word, 29) * odd; the lanes are folded into the length
+// the same way, and FNV-1a covers the tail of fewer than 32 bytes.
+// Every step is a bijection of its lane, and every fold step of the
+// lane it folds in, so any corruption confined to one word, or to one
+// tail byte, always changes the result.  The rotate keeps equal flips
+// in two words of one lane from cancelling, as they can in a
+// word-wise FNV.  Words are loaded by memcpy in host byte order (the
+// order ByteWriter writes), so the value does not depend on the
+// buffer's alignment.  Not a substitute for fnv1a_bytes: every
+// artifact name and result digest stays FNV-1a, and changing this
+// function invalidates every manifest that records it.
+inline std::uint64_t content_hash(const void* data, std::size_t len) {
+  constexpr std::uint64_t kOdd = 0x9E3779B97F4A7C15ULL;
+  constexpr int kRot = 29;
+  const auto mix = [](std::uint64_t h, std::uint64_t word) {
+    return std::rotl(h ^ word, kRot) * kOdd;
+  };
+  const auto* p = static_cast<const std::uint8_t*>(data);
+  std::uint64_t lanes[4] = {kFnvOffset, kFnvOffset + 1, kFnvOffset + 2,
+                            kFnvOffset + 3};
+  const std::size_t stripes = len / 32;
+  for (std::size_t s = 0; s < stripes; ++s, p += 32) {
+    for (int i = 0; i < 4; ++i) {
+      std::uint64_t word;
+      std::memcpy(&word, p + 8 * i, 8);
+      lanes[i] = mix(lanes[i], word);
+    }
+  }
+  std::uint64_t h = len;
+  for (const std::uint64_t lane : lanes) h = mix(h, lane);
+  return fnv1a_bytes(p, len % 32, h);
 }
 
 class ByteWriter {

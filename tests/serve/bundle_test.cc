@@ -21,17 +21,12 @@
 #include "inject/golden.h"
 #include "kernel/build.h"
 #include "serve/service.h"
+#include "temp_dir.h"
 
 namespace kfi::serve {
 namespace {
 
-std::string fresh_dir(const std::string& name) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / name).string();
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
+using test::fresh_dir;
 
 // One golden build for the whole suite: bundle tests only need a real
 // artifact to serialize, not a fresh boot per TEST.
@@ -229,6 +224,63 @@ TEST_F(BundleTest, TruncatedBundleIsRejected) {
     EXPECT_FALSE(load_bundle(path, "pipe", options(), kernel_fp_).has_value())
         << "cut at " << cut << " of " << size;
   }
+}
+
+TEST_F(BundleTest, BitFlipAnywhereIsRejected) {
+  // Every bit of the identity header (magic, version, workload name,
+  // kernel fingerprint, options echo), then one bit per 8-byte word at
+  // a 256-way stride through the payload, each flipped alone in an
+  // otherwise valid bundle.  The manifest hash must catch every flip;
+  // the header checks must catch header flips without it.  Without a
+  // hash, a payload flip may load (snapshot bytes are data) but must
+  // never fault.
+  const inject::WorkloadGolden& artifact = cache_->workload("pipe");
+  const std::string dir = fresh_dir("kfi_bundle_test_bitflip");
+  const std::string path = dir + "/bundle.kfib";
+  const auto hash =
+      write_bundle(path, "pipe", artifact, options(), kernel_fp_);
+  ASSERT_TRUE(hash.has_value());
+  const std::size_t size = std::filesystem::file_size(path);
+  const std::size_t header = 8 + 4 + std::string("pipe").size() + 8 + 8;
+  ASSERT_GT(size, header + 8);
+
+  std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(file.is_open());
+  const auto flip = [&](std::size_t bit) {
+    char byte = 0;
+    file.seekg(static_cast<std::streamoff>(bit / 8));
+    file.read(&byte, 1);
+    byte = static_cast<char>(byte ^ (1 << (bit % 8)));
+    file.seekp(static_cast<std::streamoff>(bit / 8));
+    file.write(&byte, 1);
+    file.flush();
+  };
+
+  for (std::size_t bit = 0; bit < 8 * header; ++bit) {
+    flip(bit);
+    EXPECT_FALSE(
+        load_bundle(path, "pipe", options(), kernel_fp_, *hash).has_value())
+        << "header bit " << bit;
+    EXPECT_FALSE(load_bundle(path, "pipe", options(), kernel_fp_).has_value())
+        << "header bit " << bit << " without a hash";
+    flip(bit);
+  }
+  const std::size_t words = (size - header) / 8;
+  const std::size_t stride = std::max<std::size_t>(1, words / 256);
+  std::size_t flips = 0;
+  for (std::size_t word = 0; word < words; word += stride, ++flips) {
+    const std::size_t bit = 8 * (header + 8 * word) + flips % 64;
+    flip(bit);
+    EXPECT_FALSE(
+        load_bundle(path, "pipe", options(), kernel_fp_, *hash).has_value())
+        << "payload bit " << bit;
+    load_bundle(path, "pipe", options(), kernel_fp_);
+    flip(bit);
+  }
+  EXPECT_GE(flips, 256u);
+  // Every flip was undone: the bundle loads against its hash again.
+  EXPECT_TRUE(
+      load_bundle(path, "pipe", options(), kernel_fp_, *hash).has_value());
 }
 
 TEST_F(BundleTest, DeterministicBytesAcrossRewrites) {

@@ -19,28 +19,21 @@
 #include <utility>
 #include <vector>
 
-#include <unistd.h>
-
 #include "analysis/store.h"
 #include "check/expectations.h"
 #include "check/replay.h"
 #include "inject/injector.h"
 #include "profile/profile.h"
+#include "serve/bundle.h"
+#include "support/fsio.h"
 #include "support/serial.h"
+#include "temp_dir.h"
 
 namespace kfi::serve {
 namespace {
 
-std::string temp_path(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
-
-std::string fresh_dir(const std::string& name) {
-  const std::string dir = temp_path(name);
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
+using test::fresh_dir;
+using test::temp_path;
 
 // Two campaign slots (a random-bit slot and a reversed-branch slot)
 // over a pared-down function list: big enough to span multiple
@@ -60,8 +53,9 @@ ServiceConfig base_config(const std::string& dir) {
   ServiceConfig config;
   config.campaigns = test_campaigns();
   config.dir = dir;
-  // All tests share one bundle directory: the first prepare pays for
-  // boot + golden + ladder, every later one adopts from disk.
+  // All tests of one process share one bundle directory: the first
+  // prepare pays for boot + golden + ladder, every later one adopts
+  // from disk.
   config.bundle_dir = temp_path("kfi_service_test_bundles");
   config.workers = 1;
   return config;
@@ -372,12 +366,11 @@ TEST(Service, ResumeUnderTheOtherEngineStopsAndKeepsShards) {
 using ShardTable = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
 
 // A valid prepared manifest's bytes and shard table, made once per
-// process.  Several tests run this in parallel processes, so each
-// prepares into a directory of its own.
+// process.
 const std::pair<std::string, ShardTable>& prepared_manifest() {
   static const std::pair<std::string, ShardTable> prepared = [] {
-    const ServiceConfig config = base_config(fresh_dir(
-        "kfi_service_test_manifest_" + std::to_string(::getpid())));
+    const ServiceConfig config =
+        base_config(fresh_dir("kfi_service_test_manifest"));
     const std::optional<Manifest> manifest = prepare_campaign(config);
     EXPECT_TRUE(manifest.has_value());
     std::ifstream in(config.dir + "/manifest.kfim", std::ios::binary);
@@ -533,6 +526,63 @@ TEST(Service, VersionTwoManifestIsRejectedAndReprepared) {
   EXPECT_EQ(again.shards_executed, again.shard_count);
   EXPECT_EQ(again.digest, reference_digest());
   EXPECT_TRUE(load_manifest(dir).has_value());
+}
+
+TEST(Service, VersionThreeManifestIsRejectedAndReprepared) {
+  // A partial campaign, then its manifest rewritten as a v3 build wrote
+  // it: version 3, and each bundle hash the FNV-1a of the bundle file.
+  // The layout is otherwise unchanged, so only the version tells the
+  // two apart; read as v4, every bundle would fail its check and every
+  // worker would rebuild every golden run locally.  The service must
+  // prepare afresh, and the new manifest's hashes must let a worker
+  // adopt every bundle.
+  const std::string dir = fresh_dir("kfi_service_test_v3_manifest");
+  ServiceConfig config = base_config(dir);
+  ServiceConfig killed = config;
+  killed.max_shards_per_worker = 1;
+  killed.max_attempts = 1;
+  EXPECT_FALSE(run_service(killed).ok);
+
+  std::string bytes;
+  {
+    std::ifstream in(dir + "/manifest.kfim", std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  const std::optional<Manifest> manifest = load_manifest(dir);
+  ASSERT_TRUE(manifest.has_value());
+  const EchoAt at = find_echo(bytes);
+  const std::uint32_t version = 3;
+  std::memcpy(&bytes[4], &version, 4);
+  // Per campaign two u64 counts, then the u32 workload count, then
+  // each workload's name and bundle hash.
+  std::size_t pos = at.echo_at + static_cast<std::size_t>(at.echo_size) +
+                    16 * manifest->campaigns.size() + 4;
+  for (const std::string& workload : manifest->workloads) {
+    pos += 4 + workload.size();
+    const std::optional<std::uint64_t> fnv = file_content_hash(
+        bundle_path(config.bundle_dir, workload, manifest->options,
+                    manifest->kernel_fp));
+    ASSERT_TRUE(fnv.has_value());
+    std::memcpy(&bytes[pos], &*fnv, 8);
+    pos += 8;
+  }
+  std::ofstream(dir + "/manifest.kfim", std::ios::binary | std::ios::trunc)
+      << bytes;
+  std::string error;
+  EXPECT_FALSE(load_manifest(dir, &error).has_value());
+  EXPECT_EQ(error.rfind("manifest version 3,", 0), 0u) << error;
+  EXPECT_FALSE(run_worker(dir, 0, 1).ok);
+
+  const ServiceResult again = run_service(config);
+  ASSERT_TRUE(again.ok) << again.error;
+  EXPECT_EQ(again.shards_resumed, 0u);
+  EXPECT_EQ(again.shards_executed, again.shard_count);
+  EXPECT_EQ(again.digest, reference_digest());
+  const std::optional<Manifest> reprepared = load_manifest(dir);
+  ASSERT_TRUE(reprepared.has_value());
+  const WorkerReport report = run_worker(dir, 0, 1);
+  EXPECT_TRUE(report.ok);
+  EXPECT_EQ(report.bundle_adoptions, reprepared->workloads.size());
 }
 
 TEST(Service, ManifestTruncatedAtEveryOffsetIsRejected) {
