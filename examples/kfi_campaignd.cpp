@@ -46,7 +46,6 @@ struct CliOptions {
   std::string json_path;
   unsigned workers = 2;
   unsigned worker_id = 0;
-  std::uint64_t shards = 0;
   std::uint64_t max_shards = 0;
   std::uint64_t seed = 2003;
   int repeats = 1;
@@ -62,8 +61,8 @@ struct CliOptions {
       "  --campaigns LIST    campaign letters A..F (default ABC; DEF runs\n"
       "                      the fault-model triple)\n"
       "  --workers N         worker processes (strict, 1..1024; also "
-      "KFI_JOBS)\n"
-      "  --shards N          shard count (default: 4 per worker)\n"
+      "KFI_JOBS);\n"
+      "                      the manifest cuts %llu shards per worker\n"
       "  --seed N            campaign RNG seed (default 2003)\n"
       "  --scale N           random-campaign repeat factor (default 1)\n"
       "  --fresh             discard existing shards and manifest\n"
@@ -75,7 +74,8 @@ struct CliOptions {
       "                      bit-identity of every result\n"
       "  --json FILE         write a machine-readable summary\n"
       "  --verbose           per-worker bundle adoption and per-shard\n"
-      "                      progress on stderr\n");
+      "                      progress on stderr\n",
+      static_cast<unsigned long long>(inject::kShardsPerWorker));
   std::exit(code);
 }
 
@@ -128,8 +128,6 @@ CliOptions parse_cli(int argc, char** argv) {
       }
       ++i;
       options.workers = workers;
-    } else if (arg == "--shards" && has_value) {
-      options.shards = require_u64("--shards", argv[++i], 1, 1'000'000);
     } else if (arg == "--seed" && has_value) {
       options.seed = require_u64("--seed", argv[++i], 0, UINT64_MAX);
     } else if (arg == "--scale" && has_value) {
@@ -182,7 +180,6 @@ serve::ServiceConfig service_config(const CliOptions& cli) {
   }
   config.dir = cli.dir;
   config.workers = cli.workers;
-  config.shards = cli.shards;
   config.fresh = cli.fresh;
   config.max_shards_per_worker = cli.max_shards;
   config.verbose = cli.verbose;

@@ -127,8 +127,8 @@ void print_campaign_stats(const inject::CampaignStats& cs) {
         static_cast<unsigned long long>(cs.shadow_reconverged));
   }
   if (cs.threads_used > 1) {
-    std::printf("perf: %u threads, %llu chunks, %llu steals\n",
-                cs.threads_used, static_cast<unsigned long long>(cs.chunks),
+    std::printf("perf: %u threads, %llu shards, %llu steals\n",
+                cs.threads_used, static_cast<unsigned long long>(cs.shards),
                 static_cast<unsigned long long>(cs.steals));
   }
   if (stats.block_builds + stats.block_hits + stats.block_fallbacks > 0) {
@@ -194,7 +194,7 @@ int cmd_shape(int argc, char** argv) {
     std::fputs(check::render_report(report).c_str(), stdout);
     inject::CampaignStats totals = a.stats;
     totals += c.stats;
-    totals.chunks = a.stats.chunks + c.stats.chunks;
+    totals.shards = a.stats.shards + c.stats.shards;
     totals.steals = a.stats.steals + c.stats.steals;
     print_campaign_stats(totals);
     return report.all_pass() ? 0 : 1;

@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <unordered_set>
 
-#include "inject/schedule.h"
 #include "kernel/koffsets.h"
+#include "trace/trace.h"
 
 namespace kfi::inject {
 
@@ -211,6 +212,35 @@ std::vector<std::size_t> campaign_order(
   return order;
 }
 
+std::vector<ShardRange> shard_ranges(std::uint64_t total, unsigned workers) {
+  const std::uint64_t n =
+      std::min(kShardsPerWorker * std::max(workers, 1u), total);
+  std::vector<ShardRange> ranges;
+  ranges.reserve(n);
+  for (std::uint64_t s = 0; s < n; ++s) {
+    ranges.emplace_back(total * s / n, total * (s + 1) / n);
+  }
+  return ranges;
+}
+
+std::uint64_t drain_shards(
+    std::uint64_t shards, unsigned worker, unsigned workers,
+    const std::function<bool(std::uint64_t)>& claim,
+    const std::function<void(std::uint64_t, bool)>& run) {
+  workers = std::max(workers, 1u);
+  std::uint64_t steals = 0;
+  // Own shards first, so a worker stays on its own run of neighbouring
+  // rungs; then whatever lagging or dead peers have not claimed yet.
+  for (const bool own : {true, false}) {
+    for (std::uint64_t s = 0; s < shards; ++s) {
+      if ((s % workers == worker) != own || !claim(s)) continue;
+      run(s, !own);
+      if (!own) ++steals;
+    }
+  }
+  return steals;
+}
+
 CampaignRun run_campaign(Injector& injector,
                          const profile::ProfileResult& prof,
                          const CampaignConfig& config) {
@@ -227,83 +257,73 @@ CampaignRun run_campaign(Injector& injector,
     threads = std::thread::hardware_concurrency();
     if (threads == 0) threads = 1;
   }
-  if (threads > targets.size()) {
-    threads = static_cast<unsigned>(targets.size() ? targets.size() : 1);
-  }
+  threads = static_cast<unsigned>(
+      std::min<std::size_t>(threads, std::max<std::size_t>(targets.size(), 1)));
 
   const std::vector<std::size_t> order = campaign_order(injector, targets);
+  const std::vector<ShardRange> shards = shard_ranges(order.size(), threads);
 
   // The caller's injector may carry counters from earlier campaigns;
   // only the delta accrued here belongs to this run's stats.
   const CampaignStats caller_before = injector_counters(injector);
   run.stats.threads_used = threads;
+  run.stats.shards = shards.size();
 
-  if (threads <= 1) {
-    std::size_t done = 0;
-    for (const std::size_t i : order) {
-      run.results[i] = injector.run_one(targets[i]);
-      ++done;
-      if (config.progress) config.progress(done, targets.size());
-    }
-    run.stats += injector_counters(injector);
-    run.stats -= caller_before;
-    return run;
-  }
-
-  // Locality chunks over the sorted order, drained work-stealing style:
-  // a worker burns down its own contiguous slice front-to-back (staying
-  // on one rung neighborhood) and steals from the far end of a loaded
-  // peer only when idle.  Which worker executes which item affects only
-  // wall-clock, never results: every run starts from a restore of the
-  // shared golden state.
-  std::vector<Chunk> chunks = make_chunks(order, targets, threads);
-  run.stats.chunks = chunks.size();
-  ChunkScheduler scheduler(std::move(chunks), threads);
-
-  std::atomic<std::size_t> done{0};
-  std::mutex stats_mutex;  // guards run.stats aggregation and progress
-  auto worker = [&](unsigned w, bool use_shared) {
+  // Which thread runs which shard moves only wall-clock time, never
+  // results: every run starts from a restore of the shared golden state
+  // and writes its own spec-order slot.
+  std::vector<std::atomic<bool>> claimed(shards.size());
+  std::size_t done = 0;
+  std::mutex mutex;  // guards run.stats, done and progress
+  auto worker = [&](unsigned w) {
     // Worker 0 reuses the caller's injector (and its warmed machines);
     // the others borrow the same GoldenCache, so no golden run, ladder
     // capture, or boot is ever repeated — a private worker costs one
     // adopt_boot (a full-image copy) per workload it actually touches.
     std::unique_ptr<Injector> own;
     Injector* inj = &injector;
-    if (!use_shared) {
+    if (w != 0) {
       own = std::make_unique<Injector>(injector.cache());
       inj = own.get();
     }
-    if (inj->trace() != nullptr) scheduler.set_trace(w, inj->trace());
-    Chunk chunk;
-    while (scheduler.next(w, chunk)) {
-      for (std::size_t n = chunk.begin; n < chunk.end; ++n) {
-        const std::size_t i = order[n];
-        run.results[i] = inj->run_one(targets[i]);
-        const std::size_t d = done.fetch_add(1) + 1;
-        if (config.progress) {
-          const std::lock_guard<std::mutex> lock(stats_mutex);
-          config.progress(d, targets.size());
-        }
-      }
-    }
-    if (!use_shared) {
-      // Fold this worker's counters in before its injector dies (the
-      // pre-existing MT counter-loss bug).
-      const CampaignStats s = injector_counters(*inj);
-      const std::lock_guard<std::mutex> lock(stats_mutex);
-      run.stats += s;
-    }
+    // Host-side events carry cycle 0: the drain has no guest clock.
+    trace::TraceBuffer* const sink = inj->trace();
+    const std::uint64_t steals = drain_shards(
+        shards.size(), w, threads,
+        [&](std::uint64_t s) { return !claimed[s].exchange(true); },
+        [&](std::uint64_t s, bool stolen) {
+          const auto [begin, end] = shards[s];
+          if (sink != nullptr && stolen) {
+            sink->record(trace::EventKind::ChunkSteal, 0, w,
+                         static_cast<std::uint32_t>(s % threads),
+                         static_cast<std::uint32_t>(begin),
+                         static_cast<std::uint32_t>(end));
+          } else if (sink != nullptr) {
+            sink->record(trace::EventKind::ChunkRun, 0, w,
+                         static_cast<std::uint32_t>(begin),
+                         static_cast<std::uint32_t>(end));
+          }
+          for (std::uint64_t pos = begin; pos < end; ++pos) {
+            const std::size_t i = order[pos];
+            run.results[i] = inj->run_one(targets[i]);
+            if (config.progress) {
+              const std::lock_guard<std::mutex> lock(mutex);
+              config.progress(++done, targets.size());
+            }
+          }
+        });
+    const std::lock_guard<std::mutex> lock(mutex);
+    run.stats.steals += steals;
+    // Fold a private worker's counters in before its injector dies.
+    if (own != nullptr) run.stats += injector_counters(*own);
   };
 
   std::vector<std::thread> pool;
-  for (unsigned t = 1; t < threads; ++t) {
-    pool.emplace_back(worker, t, false);
-  }
-  worker(0, true);
+  for (unsigned t = 1; t < threads; ++t) pool.emplace_back(worker, t);
+  worker(0);
   for (std::thread& t : pool) t.join();
   run.stats += injector_counters(injector);
   run.stats -= caller_before;
-  run.stats.steals = scheduler.steals();
   return run;
 }
 

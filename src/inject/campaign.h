@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "inject/injector.h"
@@ -60,9 +61,10 @@ struct CampaignStats {
   std::uint64_t pre_trigger_cycles = 0;
   std::uint64_t post_trigger_cycles = 0;
   machine::PerfStats perf;
-  // Scheduler telemetry (not part of += aggregation; set by
-  // run_campaign).
-  std::uint64_t chunks = 0;
+  // Drain telemetry (not part of += aggregation; set by
+  // run_campaign).  A steal is a shard run by a thread other than
+  // its owner, shard % threads_used.
+  std::uint64_t shards = 0;
   std::uint64_t steals = 0;
   unsigned threads_used = 1;
 
@@ -108,6 +110,41 @@ std::vector<InjectionSpec> campaign_targets(const profile::ProfileResult& prof,
 std::vector<std::size_t> campaign_order(
     Injector& injector, const std::vector<InjectionSpec>& targets);
 
+// Shards per worker in the one rule both executors cut by.  The last
+// shard of a campaign leaves the other workers idle, so this bounds
+// the tail to about 1/(8·workers) of the work (at 4 per worker the
+// four-thread paper-scale run was measurably slower, DESIGN.md §9);
+// few enough that each shard stays a long run of neighbouring rungs.
+inline constexpr std::uint64_t kShardsPerWorker = 8;
+
+// A half-open range [begin, end) of positions in a campaign order.
+using ShardRange = std::pair<std::uint64_t, std::uint64_t>;
+
+// Cuts positions [0, total) into n = min(kShardsPerWorker * workers,
+// total) contiguous ranges [total*s/n, total*(s+1)/n): ascending,
+// none empty, none when total is 0.  Depends only on the arguments,
+// so the service's shard table (and its artifact hashes) and the
+// thread path agree on every cut.
+std::vector<ShardRange> shard_ranges(std::uint64_t total, unsigned workers);
+
+// The one shard dispatcher, for threads (run_campaign) and forked
+// workers (serve::run_worker).  `worker` visits its own shards
+// (s % workers == worker) in ascending order, then every other shard
+// in ascending order, and calls `run(s, stolen)` for each shard whose
+// `claim(s)` it wins.  Exactly-once is the claim's job: an atomic flag
+// per shard for threads, an O_EXCL file for processes.  Returns how
+// many shards it ran that it did not own (steals).
+std::uint64_t drain_shards(
+    std::uint64_t shards, unsigned worker, unsigned workers,
+    const std::function<bool(std::uint64_t)>& claim,
+    const std::function<void(std::uint64_t, bool)>& run);
+
+// Drains the campaign's n targets over shard_ranges(n, threads):
+// worker 0 keeps `injector`, every other thread runs its own Injector
+// on the shared GoldenCache.
+// Results land in spec-order slots, so the thread count moves only
+// wall-clock time.  At one thread the shards run in ascending order,
+// so progress ticks follow campaign_order.
 CampaignRun run_campaign(Injector& injector,
                          const profile::ProfileResult& prof,
                          const CampaignConfig& config);

@@ -141,7 +141,7 @@ struct Checkpoint {
 // the rung (see vm/snapshot.h).  Starts empty (= no knowledge; the
 // first restore copies the rung's full footprint) and converges as the
 // machine keeps restoring the same rung — the locality the campaign
-// scheduler's chunking is designed to preserve.
+// drain's contiguous shards are designed to preserve.
 struct CheckpointMemo {
   std::vector<std::uint64_t> mem;
   std::vector<std::uint64_t> disk;

@@ -33,7 +33,10 @@ constexpr std::uint32_t kManifestMagic = 0x4B46494D;  // "KFIM"
 // the checkpoint count.
 // v4: bundle_hashes are kfi::content_hash values, not FNV-1a, so a
 // manifest from an older build would fail every bundle check.
-constexpr std::uint32_t kManifestVersion = 4;
+// v5: a kfi::content_hash trailer over every preceding byte, so a
+// flipped functions_targeted, workload name, bundle hash or bundle
+// directory is rejected instead of loading.
+constexpr std::uint32_t kManifestVersion = 5;
 
 std::string manifest_path(const std::string& dir) {
   return dir + "/manifest.kfim";
@@ -137,6 +140,7 @@ bool write_manifest(const std::string& dir, const std::string& bundle_dir,
     writer.u64(begin);
     writer.u64(end);
   }
+  writer.u64(content_hash(writer.buffer().data(), writer.size()));
   return atomic_write_file(manifest_path(dir), writer.buffer());
 }
 
@@ -163,8 +167,8 @@ bool shard_ranges_valid(const Manifest& manifest) {
 // The manifest plus the bundle directory recorded inside it.  On
 // rejection `error` names the check that failed: a missing file, a
 // file cut short, a foreign magic or version, a config echo that does
-// not hash to the stored identity or does not parse, or a bad shard
-// table.
+// not hash to the stored identity or does not parse, a bad shard
+// table, or bytes that do not hash to the trailer.
 std::optional<std::pair<Manifest, std::string>> load_manifest_full(
     const std::string& dir, std::string& error) {
   const std::string path = manifest_path(dir);
@@ -228,7 +232,15 @@ std::optional<std::pair<Manifest, std::string>> load_manifest_full(
     end = reader.u64();
   }
   if (!reader.ok()) return reject("truncated manifest shard table");
+  const std::size_t body = reader.pos();
+  const std::uint64_t trailer = reader.u64();
+  if (!reader.ok()) return reject("truncated manifest trailer");
   if (!shard_ranges_valid(manifest)) return reject("bad manifest shard table");
+  // Last, so a bad shard table is named as such whether or not the
+  // trailer was resealed after the edit.
+  if (content_hash(data->data(), body) != trailer) {
+    return reject("manifest does not match its checksum");
+  }
   return std::make_pair(std::move(manifest), bundle_dir);
 }
 
@@ -469,20 +481,10 @@ std::optional<Manifest> prepare_campaign(const ServiceConfig& config,
     manifest.bundle_hashes.push_back(hash);
   }
 
-  // Shard table over the concatenated locality orders.  The orders are
-  // computed here only to pin down `total`; workers re-derive them.
-  std::uint64_t total = 0;
-  for (const std::uint64_t count : manifest.target_counts) total += count;
-  std::uint64_t shard_count =
-      config.shards != 0
-          ? config.shards
-          : std::max<std::uint64_t>(4ULL * std::max(config.workers, 1u), 1);
-  shard_count = std::min(shard_count, std::max<std::uint64_t>(total, 1));
-  if (total == 0) shard_count = 0;
-  for (std::uint64_t s = 0; s < shard_count; ++s) {
-    manifest.shard_ranges.emplace_back(total * s / shard_count,
-                                       total * (s + 1) / shard_count);
-  }
+  // Shard table over the concatenated locality orders, cut by the same
+  // rule as the thread path; workers re-derive the orders themselves.
+  manifest.shard_ranges =
+      inject::shard_ranges(manifest.total_targets(), config.workers);
 
   if (!write_manifest(config.dir, bundle_dir, manifest)) {
     std::fprintf(stderr, "[kfi-serve] cannot write manifest in %s\n",
@@ -525,42 +527,42 @@ WorkerReport run_worker(const std::string& dir, unsigned worker_id,
   }
   const analysis::ShardStore store(shards_dir(dir));
 
-  // Owned shards first (index % workers), then steal whatever lagging
-  // or dead peers left unclaimed.
-  const std::uint64_t shard_count = manifest.shard_ranges.size();
-  for (const int pass : {0, 1}) {
-    for (std::uint64_t shard = 0; shard < shard_count; ++shard) {
-      if (max_shards != 0 && report.shards_completed >= max_shards) {
-        report.ok = true;
-        return report;
-      }
-      const bool owned = shard % workers == worker_id;
-      if ((pass == 0) != owned) continue;
-      if (shard_done(store, shard)) continue;
-      if (!try_claim(dir, shard, worker_id)) continue;
-      const auto [begin, end] = manifest.shard_ranges[shard];
-      std::vector<analysis::ShardRecord> records =
-          execute_range(injector, plan, begin, end);
-      report.runs += records.size();
-      const std::string path = store.write_shard(
-          shard, manifest.config_hash, std::move(records));
-      if (path.empty()) {
-        std::fprintf(stderr,
-                     "[kfi-serve] worker %u: cannot write shard %llu\n",
-                     worker_id, static_cast<unsigned long long>(shard));
-        return report;
-      }
-      ++report.shards_completed;
-      if (!owned) ++report.shards_stolen;
-      if (verbose) {
-        std::fprintf(stderr,
-                     "[kfi-serve] worker %u: shard %llu done (%s)\n",
-                     worker_id, static_cast<unsigned long long>(shard),
-                     owned ? "owned" : "stolen");
-      }
-    }
-  }
-  report.ok = true;
+  // The one drain: owned shards (index % workers) first, then whatever
+  // lagging or dead peers left unclaimed.  A claim is an O_EXCL file,
+  // so exactly one process runs each shard.
+  bool failed = false;
+  report.shards_stolen = inject::drain_shards(
+      manifest.shard_ranges.size(), worker_id, workers,
+      [&](std::uint64_t shard) {
+        if (failed ||
+            (max_shards != 0 && report.shards_completed >= max_shards)) {
+          return false;
+        }
+        return !shard_done(store, shard) && try_claim(dir, shard, worker_id);
+      },
+      [&](std::uint64_t shard, bool stolen) {
+        const auto [begin, end] = manifest.shard_ranges[shard];
+        std::vector<analysis::ShardRecord> records =
+            execute_range(injector, plan, begin, end);
+        report.runs += records.size();
+        const std::string path = store.write_shard(
+            shard, manifest.config_hash, std::move(records));
+        if (path.empty()) {
+          std::fprintf(stderr,
+                       "[kfi-serve] worker %u: cannot write shard %llu\n",
+                       worker_id, static_cast<unsigned long long>(shard));
+          failed = true;
+          return;
+        }
+        ++report.shards_completed;
+        if (verbose) {
+          std::fprintf(stderr,
+                       "[kfi-serve] worker %u: shard %llu done (%s)\n",
+                       worker_id, static_cast<unsigned long long>(shard),
+                       stolen ? "stolen" : "owned");
+        }
+      });
+  report.ok = !failed;
   return report;
 }
 

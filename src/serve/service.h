@@ -44,10 +44,9 @@ struct ServiceConfig {
   std::string dir;
   std::string bundle_dir;
 
+  // Worker processes; the shard table is inject::shard_ranges over
+  // this count, the rule the thread path cuts by.
   unsigned workers = 1;
-  // Shard count; 0 = auto (4 per worker, capped by the target count —
-  // enough slack for stealing without drowning in tiny artifacts).
-  std::uint64_t shards = 0;
 
   // Wipe shards/claims/manifest before starting (bundles survive; they
   // are content-verified anyway).
@@ -86,8 +85,8 @@ struct Manifest {
   std::vector<std::uint64_t> bundle_hashes;      // parallel to workloads;
                                                  // kfi::content_hash
   // Shard table: [begin, end) positions over the concatenated
-  // locality-sorted execution order.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> shard_ranges;
+  // locality-sorted execution order, cut by inject::shard_ranges.
+  std::vector<inject::ShardRange> shard_ranges;
 
   std::uint64_t total_targets() const {
     std::uint64_t n = 0;
@@ -113,8 +112,8 @@ struct ServiceResult {
   std::uint64_t shard_count = 0;
   std::uint64_t shards_executed = 0;  // run by this invocation
   std::uint64_t shards_resumed = 0;   // adopted from a prior (killed) run
-  std::uint64_t steals = 0;           // shards completed by a
-                                      // non-preferred worker
+  std::uint64_t steals = 0;           // shards completed by a worker
+                                      // other than shard % workers
   std::uint64_t corrupt_discarded = 0;
   // Worker-process exit accounting, summed over every wave: children
   // that exited non-zero and children killed by a signal.  Non-zero
@@ -144,15 +143,15 @@ std::optional<Manifest> prepare_campaign(const ServiceConfig& config,
 
 // Loads "<dir>/manifest.kfim".  Nullopt when absent or corrupt, with
 // `error` (when given) naming which: missing, truncated, foreign magic
-// or version, a config echo that fails its hash or does not parse, or
-// a bad shard table.
+// or version, a config echo that fails its hash or does not parse, a
+// bad shard table, or bytes that fail the checksum trailer.
 std::optional<Manifest> load_manifest(const std::string& dir,
                                       std::string* error = nullptr);
 
-// One worker's drain loop: adopts the manifest's bundles (mmap,
-// zero-copy), then claims and executes pending shards — its statically
-// owned ones (index % workers == worker_id) first, then steals — and
-// streams each into the artifact store.  Runs in-process; run_service
+// One worker's drain: adopts the manifest's bundles (mmap, zero-copy),
+// then runs inject::drain_shards over the shard table — its owned
+// shards (index % workers == worker_id) first, then steals — claiming
+// each by O_EXCL file and streaming it into the artifact store.  Runs in-process; run_service
 // calls it from forked children, `kfi_campaignd worker` from a spawned
 // process.  `max_shards` 0 = unlimited.
 WorkerReport run_worker(const std::string& dir, unsigned worker_id,

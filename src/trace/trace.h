@@ -2,9 +2,9 @@
 //
 // A TraceBuffer is a bounded ring of machine events — trap entry/exit
 // with the frame essentials, memory faults, injection trigger and
-// flip, checkpoint-rung restores, block-cache invalidations, scheduler
-// chunk grants and steals — recorded by the substrate (Machine, Cpu,
-// Injector, ChunkScheduler) whenever a sink is attached.  It is the
+// flip, checkpoint-rung restores, block-cache invalidations, shard
+// grants and steals — recorded by the substrate (Machine, Cpu,
+// Injector, run_campaign's drain) whenever a sink is attached.  It is the
 // machine-checkable replacement for reading LKCD crash dumps by hand:
 // the paper's Figure 7 latencies, Figure 8 propagation graphs, and the
 // Table 5/7 case-study timelines all fall out of one recorded run.
@@ -24,8 +24,8 @@
 // of one buffer still aggregates into campaign-wide telemetry.
 //
 // Thread safety: all members are internally locked.  One buffer may be
-// shared between a worker's machines and the campaign scheduler; the
-// lock is uncontended in the common single-owner case.
+// shared between a worker's machines and the campaign drain; the lock
+// is uncontended in the common single-owner case.
 #pragma once
 
 #include <cstdint>
@@ -51,8 +51,8 @@ enum class EventKind : std::uint8_t {
   Reconverged,        // a=rung index, b=1 onto a shadow rung, else golden
   BlockInvalidate,    // a=paddr, b=blocks dropped from the trace cache
   CrashReport,        // a=cause code, b=fault addr, c=eip (the oops)
-  ChunkRun,           // a=worker, b=order begin, c=order end
-  ChunkSteal,         // a=thief, b=victim, c=order begin, d=order end
+  ChunkRun,           // a=worker, b=shard begin, c=shard end
+  ChunkSteal,         // a=thief, b=owner, c=shard begin, d=shard end
 };
 
 std::string_view event_name(EventKind kind);

@@ -3,6 +3,7 @@
 // thread count") and the snapshot-restore property replay rests on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -84,6 +85,11 @@ TEST(check_determinism, SharedCacheThreadCountIdenticalBothEngines) {
       runs.push_back(inject::run_campaign(injector, prof, config));
       EXPECT_EQ(runs.back().stats.threads_used, threads);
       EXPECT_EQ(runs.back().stats.runs, runs.back().results.size());
+      // The one shard rule: 8 shards per thread, capped by the runs.
+      if (threads == 4) {
+        EXPECT_EQ(runs.back().stats.shards,
+                  std::min<std::uint64_t>(32, runs.back().results.size()));
+      }
       if (threads == 1) {
         golden_builds = cache->golden_builds();
         EXPECT_GT(golden_builds, 0u);

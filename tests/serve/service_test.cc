@@ -112,8 +112,8 @@ TEST(Service, EveryWorkerCountFoldsTheIdenticalDigest) {
     EXPECT_EQ(result.digest, reference_digest()) << "workers=" << workers;
     EXPECT_EQ(result.total_runs, reference_runs()[0].results.size() +
                                      reference_runs()[1].results.size());
-    // 4 shards per worker by default.
-    EXPECT_EQ(result.shard_count, 4u * workers);
+    // The one shard rule, which the thread path cuts by too.
+    EXPECT_EQ(result.shard_count, inject::kShardsPerWorker * workers);
   }
 }
 
@@ -383,17 +383,26 @@ const std::pair<std::string, ShardTable>& prepared_manifest() {
   return prepared;
 }
 
-// Writes the prepared manifest with its shard table (the last 16 bytes
-// per shard) replaced by `table` into a fresh directory.
+// Rewrites a manifest's trailer (its last 8 bytes) to the checksum of
+// everything before it, as a build that wrote these bytes would have.
+void reseal(std::string& bytes) {
+  const std::uint64_t sum = content_hash(bytes.data(), bytes.size() - 8);
+  std::memcpy(&bytes[bytes.size() - 8], &sum, 8);
+}
+
+// Writes the prepared manifest with its shard table (16 bytes per
+// shard, just before the trailer) replaced by `table` and resealed
+// into a fresh directory.
 std::string manifest_with_table(const std::string& name,
                                 const ShardTable& table) {
   const std::string dir = fresh_dir(name);
   std::string bytes = prepared_manifest().first;
-  const std::size_t at = bytes.size() - 16 * table.size();
+  const std::size_t at = bytes.size() - 8 - 16 * table.size();
   for (std::size_t i = 0; i < table.size(); ++i) {
     std::memcpy(&bytes[at + 16 * i], &table[i].first, 8);
     std::memcpy(&bytes[at + 16 * i + 8], &table[i].second, 8);
   }
+  reseal(bytes);
   std::ofstream(dir + "/manifest.kfim", std::ios::binary) << bytes;
   return dir;
 }
@@ -472,13 +481,14 @@ TEST(Service, ManifestWithUnknownEngineIsRejected) {
   // The config echo is hash-protected, but a manifest written by a
   // build with more execution engines carries a valid hash over an
   // engine value this build does not have.  Rewrite the echo's engine
-  // field (after the u32 checkpoint count) and re-hash it: the loader
-  // and a worker must refuse it.
+  // field (after the u32 checkpoint count), re-hash and reseal it: the
+  // loader and a worker must refuse it.
   std::string bytes = prepared_manifest().first;
   const EchoAt at = find_echo(bytes);
   const std::uint32_t engine = 4;
   std::memcpy(&bytes[at.echo_at + 4], &engine, 4);
   rehash_echo(bytes, at);
+  reseal(bytes);
 
   const std::string dir = fresh_dir("kfi_service_test_unknown_engine");
   std::ofstream(dir + "/manifest.kfim", std::ios::binary) << bytes;
@@ -490,9 +500,10 @@ TEST(Service, ManifestWithUnknownEngineIsRejected) {
 
 TEST(Service, VersionTwoManifestIsRejectedAndReprepared) {
   // A partial campaign, then its manifest rewritten in the v2 layout:
-  // version 2, and a zero full-restore flag byte after the echo's
-  // checkpoint count, re-hashed.  The service must not misread it as
-  // the current layout: it prepares afresh and resumes nothing.
+  // version 2, no checksum trailer, and a zero full-restore flag byte
+  // after the echo's checkpoint count, re-hashed.  The service must not
+  // misread it as the current layout: it prepares afresh and resumes
+  // nothing.
   const std::string dir = fresh_dir("kfi_service_test_v2_manifest");
   ServiceConfig config = base_config(dir);
   ServiceConfig killed = config;
@@ -506,6 +517,7 @@ TEST(Service, VersionTwoManifestIsRejectedAndReprepared) {
     bytes.assign(std::istreambuf_iterator<char>(in), {});
   }
   ASSERT_TRUE(load_manifest(dir).has_value());
+  bytes.resize(bytes.size() - 8);
   EchoAt at = find_echo(bytes);
   const std::uint32_t version = 2;
   std::memcpy(&bytes[4], &version, 4);
@@ -530,12 +542,11 @@ TEST(Service, VersionTwoManifestIsRejectedAndReprepared) {
 
 TEST(Service, VersionThreeManifestIsRejectedAndReprepared) {
   // A partial campaign, then its manifest rewritten as a v3 build wrote
-  // it: version 3, and each bundle hash the FNV-1a of the bundle file.
-  // The layout is otherwise unchanged, so only the version tells the
-  // two apart; read as v4, every bundle would fail its check and every
-  // worker would rebuild every golden run locally.  The service must
-  // prepare afresh, and the new manifest's hashes must let a worker
-  // adopt every bundle.
+  // it: version 3, no checksum trailer, and each bundle hash the FNV-1a
+  // of the bundle file.  Read as the current layout, every bundle would
+  // fail its check and every worker would rebuild every golden run
+  // locally.  The service must prepare afresh, and the new manifest's
+  // hashes must let a worker adopt every bundle.
   const std::string dir = fresh_dir("kfi_service_test_v3_manifest");
   ServiceConfig config = base_config(dir);
   ServiceConfig killed = config;
@@ -550,6 +561,7 @@ TEST(Service, VersionThreeManifestIsRejectedAndReprepared) {
   }
   const std::optional<Manifest> manifest = load_manifest(dir);
   ASSERT_TRUE(manifest.has_value());
+  bytes.resize(bytes.size() - 8);
   const EchoAt at = find_echo(bytes);
   const std::uint32_t version = 3;
   std::memcpy(&bytes[4], &version, 4);
@@ -583,6 +595,76 @@ TEST(Service, VersionThreeManifestIsRejectedAndReprepared) {
   const WorkerReport report = run_worker(dir, 0, 1);
   EXPECT_TRUE(report.ok);
   EXPECT_EQ(report.bundle_adoptions, reprepared->workloads.size());
+}
+
+// Every reason load_manifest names for a manifest it cannot use.
+bool named_rejection(const std::string& error) {
+  for (const char* reason :
+       {"truncated manifest", "not a manifest", "manifest version",
+        "manifest config echo does not match its hash",
+        "unreadable manifest config echo", "bad manifest workload count",
+        "bad manifest shard count", "bad manifest shard table",
+        "manifest does not match its checksum"}) {
+    if (error.rfind(reason, 0) == 0) return true;
+  }
+  return false;
+}
+
+TEST(Service, ManifestBitFlipAnywhereIsRejected) {
+  // A manifest is read back from disk, so any byte of it may rot.  A
+  // flipped functions_targeted would otherwise reach the materialized
+  // CampaignRun, and a flipped workload name, bundle hash or bundle
+  // directory would cost a silent local rebuild; every single-bit flip
+  // must instead be refused with a named reason.
+  const std::string& bytes = prepared_manifest().first;
+  ASSERT_FALSE(bytes.empty());
+  const std::string dir = fresh_dir("kfi_service_test_flipped_manifest");
+  const std::string path = dir + "/manifest.kfim";
+  std::ofstream(path, std::ios::binary) << bytes;
+  const std::optional<Manifest> manifest = load_manifest(dir);
+  ASSERT_TRUE(manifest.has_value());
+  const auto write_flipped = [&](std::size_t bit) {
+    std::string flipped = bytes;
+    flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << flipped;
+  };
+  for (std::size_t bit = 0; bit < 8 * bytes.size(); ++bit) {
+    write_flipped(bit);
+    std::string error;
+    EXPECT_FALSE(load_manifest(dir, &error).has_value()) << "bit " << bit;
+    EXPECT_TRUE(named_rejection(error)) << "bit " << bit << ": " << error;
+  }
+
+  // One bit in each field, through a worker too.
+  const EchoAt at = find_echo(bytes);
+  std::vector<std::pair<const char*, std::size_t>> fields = {
+      {"magic", 0},
+      {"version", 4},
+      {"bundle_dir length", 8},
+      {"bundle_dir", 12},
+      {"config hash", at.hash_at},
+      {"echo size", at.hash_at + 8},
+      {"config echo", at.echo_at},
+  };
+  std::size_t pos = at.echo_at + static_cast<std::size_t>(at.echo_size);
+  fields.emplace_back("functions_targeted", pos);
+  fields.emplace_back("target count", pos + 8);
+  pos += 16 * manifest->campaigns.size();
+  fields.emplace_back("workload count", pos);
+  pos += 4;
+  fields.emplace_back("workload name", pos + 4);
+  fields.emplace_back("bundle hash", pos + 4 + manifest->workloads[0].size());
+  for (const std::string& workload : manifest->workloads) {
+    pos += 4 + workload.size() + 8;
+  }
+  fields.emplace_back("shard count", pos);
+  fields.emplace_back("shard range", pos + 8 + 8);
+  fields.emplace_back("trailer", bytes.size() - 8);
+  ASSERT_EQ(pos + 8 + 16 * manifest->shard_ranges.size() + 8, bytes.size());
+  for (const auto& [field, byte] : fields) {
+    write_flipped(8 * byte);
+    EXPECT_FALSE(run_worker(dir, 0, 1).ok) << field;
+  }
 }
 
 TEST(Service, ManifestTruncatedAtEveryOffsetIsRejected) {
