@@ -3,7 +3,7 @@
 // One controller process splits the smoke campaign triple (A/B/C, seed
 // 2003) into a manifest of shards, serializes each workload's golden
 // bundle once, and drives N forked workers that stream per-shard
-// results into the content-addressed artifact store.  Every subcommand
+// results into the sealed artifact store.  Every subcommand
 // is also available standalone, so the pieces can be driven across
 // machines sharing a directory:
 //
@@ -38,6 +38,7 @@
 namespace {
 
 using namespace kfi;
+using analysis::require_u64;
 
 struct CliOptions {
   std::string command;
@@ -77,19 +78,6 @@ struct CliOptions {
       "                      progress on stderr\n",
       static_cast<unsigned long long>(inject::kShardsPerWorker));
   std::exit(code);
-}
-
-std::uint64_t require_u64(const char* flag, const char* text,
-                          std::uint64_t min_value, std::uint64_t max_value) {
-  std::uint64_t value = 0;
-  if (!parse_u64(text, value, min_value, max_value)) {
-    std::fprintf(stderr,
-                 "error: %s expects an integer in [%llu, %llu], got '%s'\n",
-                 flag, static_cast<unsigned long long>(min_value),
-                 static_cast<unsigned long long>(max_value), text);
-    std::exit(2);
-  }
-  return value;
 }
 
 CliOptions parse_cli(int argc, char** argv) {

@@ -27,6 +27,7 @@
 namespace {
 
 using namespace kfi;
+using analysis::require_u64;
 
 // Strict numeric flag parsing everywhere: a worker count of "4x" or
 // "0" aborts with exit 2 instead of being atoi'd into something that
@@ -40,19 +41,6 @@ unsigned require_jobs(const char* flag, const char* text) {
     std::exit(2);
   }
   return jobs;
-}
-
-std::uint64_t require_u64(const char* flag, const char* text,
-                          std::uint64_t min_value, std::uint64_t max_value) {
-  std::uint64_t value = 0;
-  if (!parse_u64(text, value, min_value, max_value)) {
-    std::fprintf(stderr,
-                 "error: %s expects an integer in [%llu, %llu], got '%s'\n",
-                 flag, static_cast<unsigned long long>(min_value),
-                 static_cast<unsigned long long>(max_value), text);
-    std::exit(2);
-  }
-  return value;
 }
 
 int usage() {

@@ -147,11 +147,6 @@ inject::CampaignRun load_or_run_campaign(inject::Injector& injector,
   return run;
 }
 
-namespace {
-
-// Strict numeric flag parse: prints the offending flag and exits(2)
-// instead of atoi's silent 0-on-garbage (which turned "--threads 4x"
-// into a hardware-concurrency sweep without a word).
 std::uint64_t require_u64(const char* flag, const char* text,
                           std::uint64_t min_value, std::uint64_t max_value) {
   std::uint64_t value = 0;
@@ -164,8 +159,6 @@ std::uint64_t require_u64(const char* flag, const char* text,
   }
   return value;
 }
-
-}  // namespace
 
 unsigned jobs_from_env() {
   const char* env = std::getenv("KFI_JOBS");

@@ -51,6 +51,13 @@ struct BenchOptions {
   unsigned threads = 0;
 };
 
+// Strict numeric flag parse (support/strings parse_u64): prints the
+// offending flag and exits(2) instead of atoi's silent 0-on-garbage
+// (which turned "--threads 4x" into a hardware-concurrency sweep
+// without a word).  Every front end's numeric flags go through it.
+std::uint64_t require_u64(const char* flag, const char* text,
+                          std::uint64_t min_value, std::uint64_t max_value);
+
 // KFI_JOBS from the environment (strict; exits(2) on garbage), or 0
 // when unset.  The default worker count of every front end that takes
 // --jobs.

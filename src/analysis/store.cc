@@ -12,47 +12,10 @@ namespace kfi::analysis {
 namespace {
 
 constexpr std::uint32_t kShardMagic = 0x4B464953;  // "KFIS"
-constexpr std::uint32_t kShardVersion = 1;
-// v2 appends the fault-model fields to every record; shards holding
-// only InstrBit results keep writing v1 so their bytes (and therefore
-// their content-hash names) are unchanged from before campaigns D/E/F.
-constexpr std::uint32_t kShardVersionExtended = 2;
-
-std::string shard_file_name(std::uint64_t index, std::uint64_t hash) {
-  return format("shard_%06llu_%016llx.kfis",
-                static_cast<unsigned long long>(index),
-                static_cast<unsigned long long>(hash));
-}
-
-std::string shard_prefix(std::uint64_t index) {
-  return format("shard_%06llu_", static_cast<unsigned long long>(index));
-}
-
-// The hash component of "shard_NNNNNN_<16 hex>.kfis", or nullopt when
-// the name does not have that shape.
-std::optional<std::uint64_t> hash_from_name(const std::string& name,
-                                            const std::string& prefix) {
-  const std::string suffix = ".kfis";
-  if (!starts_with(name, prefix)) return std::nullopt;
-  if (name.size() != prefix.size() + 16 + suffix.size()) return std::nullopt;
-  if (name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0) {
-    return std::nullopt;
-  }
-  std::uint64_t hash = 0;
-  for (std::size_t i = 0; i < 16; ++i) {
-    const char c = name[prefix.size() + i];
-    std::uint64_t digit;
-    if (c >= '0' && c <= '9') {
-      digit = static_cast<std::uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      digit = static_cast<std::uint64_t>(c - 'a' + 10);
-    } else {
-      return std::nullopt;
-    }
-    hash = (hash << 4) | digit;
-  }
-  return hash;
-}
+// v3: one record layout (always the extended one), a checksum trailer,
+// and a fixed file name in place of the content hash in the name that
+// v1 (InstrBit records) and v2 (extended records) files carried.
+constexpr std::uint32_t kShardVersion = 3;
 
 }  // namespace
 
@@ -186,6 +149,11 @@ bool read_result(ByteReader& reader, inject::InjectionResult& out,
   return reader.ok() && fits && applicable;
 }
 
+std::string ShardStore::shard_path(std::uint64_t shard_index) const {
+  return format("%s/shard_%06llu.kfis", dir_.c_str(),
+                static_cast<unsigned long long>(shard_index));
+}
+
 std::string ShardStore::write_shard(std::uint64_t shard_index,
                                     std::uint64_t config_hash,
                                     std::vector<ShardRecord> records) const {
@@ -195,87 +163,35 @@ std::string ShardStore::write_shard(std::uint64_t shard_index,
             [](const ShardRecord& a, const ShardRecord& b) {
               return a.spec_index < b.spec_index;
             });
-  bool extended = false;
-  for (const ShardRecord& record : records) {
-    if (result_is_extended(record.result)) {
-      extended = true;
-      break;
-    }
-  }
   ByteWriter writer;
   writer.u32(kShardMagic);
-  writer.u32(extended ? kShardVersionExtended : kShardVersion);
+  writer.u32(kShardVersion);
   writer.u64(shard_index);
   writer.u64(config_hash);
   writer.u64(records.size());
   for (const ShardRecord& record : records) {
     writer.u64(record.spec_index);
-    write_result(writer, record.result, extended);
+    write_result(writer, record.result, /*extended=*/true);
   }
-  const std::string payload = writer.take();
-  const std::uint64_t hash = fnv1a_bytes(payload.data(), payload.size());
-  const std::string path = dir_ + "/" + shard_file_name(shard_index, hash);
-  if (!atomic_write_file(path, payload)) return "";
+  const std::string path = shard_path(shard_index);
+  if (!write_sealed_file(path, writer.buffer()).has_value()) return "";
   return path;
 }
 
-std::optional<std::string> ShardStore::find_shard(
-    std::uint64_t shard_index) const {
-  const std::string prefix = shard_prefix(shard_index);
-  std::error_code ec;
-  std::optional<std::string> fallback;
-  // Deterministic scan order so concurrent observers agree on the
-  // winner when (transiently) both a corrupt artifact and its re-run
-  // exist.
-  std::vector<std::string> names;
-  for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {
-    names.push_back(entry.path().filename().string());
-  }
-  std::sort(names.begin(), names.end());
-  for (const std::string& name : names) {
-    if (!hash_from_name(name, prefix).has_value()) continue;
-    const std::string path = dir_ + "/" + name;
-    if (verify_shard(path)) return path;
-    fallback = path;
-  }
-  return fallback;
-}
-
-bool ShardStore::verify_shard(const std::string& path) {
-  const std::string name =
-      std::filesystem::path(path).filename().string();
-  const std::size_t sep = name.rfind('_');
-  if (sep == std::string::npos) return false;
-  const auto named = hash_from_name(name, name.substr(0, sep + 1));
-  if (!named.has_value()) return false;
-  const auto actual = file_content_hash(path);
-  return actual.has_value() && *actual == *named;
-}
-
 void ShardStore::discard_shard(std::uint64_t shard_index) const {
-  const std::string prefix = shard_prefix(shard_index);
   std::error_code ec;
-  std::vector<std::string> victims;
-  for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (hash_from_name(name, prefix).has_value()) {
-      victims.push_back(entry.path().string());
-    }
-  }
-  for (const std::string& path : victims) {
-    std::filesystem::remove(path, ec);
-  }
+  std::filesystem::remove(shard_path(shard_index), ec);
 }
 
 std::optional<ShardCursor> ShardCursor::open(const std::string& path,
                                              std::uint64_t expect_index,
                                              std::uint64_t expect_config) {
   std::shared_ptr<const MappedFile> file = MappedFile::map(path);
-  if (file == nullptr) return std::nullopt;
-  ByteReader reader(file->data(), file->size());
-  if (reader.u32() != kShardMagic) return std::nullopt;
-  const std::uint32_t version = reader.u32();
-  if (version != kShardVersion && version != kShardVersionExtended) {
+  if (file == nullptr || !check_seal(file->data(), file->size())) {
+    return std::nullopt;
+  }
+  ByteReader reader(file->data(), file->size() - kSealBytes);
+  if (reader.u32() != kShardMagic || reader.u32() != kShardVersion) {
     return std::nullopt;
   }
   const std::uint64_t index = reader.u64();
@@ -284,15 +200,13 @@ std::optional<ShardCursor> ShardCursor::open(const std::string& path,
   if (!reader.ok() || index != expect_index || config != expect_config) {
     return std::nullopt;
   }
-  ShardCursor cursor(std::move(file), std::move(reader), index, count);
-  cursor.extended_ = version == kShardVersionExtended;
-  return cursor;
+  return ShardCursor(std::move(file), std::move(reader), index, count);
 }
 
 bool ShardCursor::next(ShardRecord& out) {
   if (!ok_ || read_ >= count_) return false;
   out.spec_index = reader_.u64();
-  if (!read_result(reader_, out.result, extended_)) {
+  if (!read_result(reader_, out.result, /*extended=*/true)) {
     ok_ = false;
     return false;
   }

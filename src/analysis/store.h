@@ -1,15 +1,15 @@
-// Content-addressed shard artifact store + streaming aggregation.
+// Shard artifact store + streaming aggregation.
 //
 // The process-sharded campaign service (src/serve) splits a campaign's
 // spec space into contiguous ranges of the locality-sorted execution
 // order.  Each worker process streams its finished shard into this
-// store as `shard_<index>_<hash16>.kfis`, where the 16 hex digits are
-// the FNV-1a of the file's own bytes — so a truncated, bit-flipped, or
-// half-written artifact is detected by rehashing the file, no trust in
-// the writer required.  Files land via atomic rename (support/fsio), so
-// a shard either exists wholly or not at all; a killed campaign resumes
-// by re-running exactly the shards whose artifacts are missing or fail
-// verification.
+// store under the fixed name `shard_<index>.kfis`, sealed with the
+// checksum trailer every service file carries (support/fsio) — so a
+// truncated, bit-flipped, or half-written artifact fails the seal when
+// ShardCursor::open() maps it, no trust in the writer required.  Files
+// land via atomic rename, so a shard either exists wholly or not at
+// all; a killed campaign resumes by re-running exactly the shards whose
+// artifacts are missing or do not open.
 //
 // Aggregation is streaming and memory-bounded: every shard file holds
 // its records sorted by global spec index, ShardCursor walks one
@@ -54,8 +54,9 @@ std::uint64_t results_digest(const std::vector<inject::CampaignRun>& runs);
 // format (analysis/io.cc, format v4) — the shard files and the cache
 // files speak the same per-result byte layout.  `extended` appends the
 // fault-model fields (spec model/target/data/errno plus the resolved
-// data address and cascade counters) after the v4 layout; files whose
-// results are all InstrBit omit them so their bytes never change.
+// data address and cascade counters) after the v4 layout.  Shards
+// always write it; cache files whose results are all InstrBit omit it
+// so their pinned bytes never change.
 void write_result(ByteWriter& writer, const inject::InjectionResult& r,
                   bool extended = false);
 // False for a truncated record and for one whose spec would drive the
@@ -90,41 +91,33 @@ class ShardStore {
  public:
   explicit ShardStore(std::string dir) : dir_(std::move(dir)) {}
 
-  const std::string& dir() const { return dir_; }
+  // "<dir>/shard_NNNNNN.kfis": each shard has exactly one file name.
+  std::string shard_path(std::uint64_t shard_index) const;
 
   // Serializes `records` (sorted by spec_index internally) and writes
-  // the artifact crash-safely under its content-hash name.  Returns
-  // the final path, or "" on I/O failure.  `config_hash` ties the
-  // shard to one campaign manifest; aggregation rejects strays.
+  // the sealed artifact crash-safely to shard_path().  Returns that
+  // path, or "" on I/O failure.  `config_hash` ties the shard to one
+  // campaign manifest; ShardCursor::open() rejects strays.
   std::string write_shard(std::uint64_t shard_index,
                           std::uint64_t config_hash,
                           std::vector<ShardRecord> records) const;
 
-  // Path of shard `index`'s artifact if one exists (any hash), or
-  // nullopt.  Scans the directory; with multiple candidates (a
-  // corrupt artifact plus its re-run) the one whose name matches its
-  // content wins.
-  std::optional<std::string> find_shard(std::uint64_t shard_index) const;
-
-  // Rehashes the file and compares against the hash embedded in its
-  // name.  False for truncated/corrupted/renamed artifacts.
-  static bool verify_shard(const std::string& path);
-
-  // Removes shard `index`'s artifacts (used after verification fails,
-  // so the shard re-runs).
+  // Removes shard `index`'s artifact (after it failed to open), so the
+  // shard re-runs.
   void discard_shard(std::uint64_t shard_index) const;
 
  private:
   std::string dir_;
 };
 
-// Streaming reader over one shard artifact: validates the header, then
-// yields records one at a time straight out of a read-only mmap (no
-// whole-shard vector is ever materialized).
+// Streaming reader over one shard artifact: checks the seal and the
+// header, then yields records one at a time straight out of a
+// read-only mmap (no whole-shard vector is ever materialized).
 class ShardCursor {
  public:
-  // Opens and header-checks `path`.  Rejects wrong magic/version, a
-  // shard index != `expect_index`, or a config hash != `expect_config`.
+  // Opens and verifies `path`: opening is the shard's verification.
+  // Rejects a missing file, a broken seal, wrong magic/version, a shard
+  // index != `expect_index`, or a config hash != `expect_config`.
   static std::optional<ShardCursor> open(const std::string& path,
                                          std::uint64_t expect_index,
                                          std::uint64_t expect_config);
@@ -151,7 +144,6 @@ class ShardCursor {
   std::uint64_t count_ = 0;
   std::uint64_t read_ = 0;
   bool ok_ = true;
-  bool extended_ = false;  // v2 record layout (fault-model fields)
 };
 
 // K-way merge of shard cursors into one ascending spec-index stream.

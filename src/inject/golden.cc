@@ -164,20 +164,7 @@ void GoldenCache::build(const std::string& name, WorkloadGolden& out) {
   // Classify the golden end-of-run disk exactly as run_one() would, so
   // a reconverged run can copy the fields instead of recomputing them
   // from a bit-identical image.
-  {
-    const fsutil::FsckReport fsck = fsutil::fsck(machine.disk_image());
-    golden.bootable = disk_bootable(machine.disk_image());
-    golden.fs_damaged =
-        fsck.verdict != fsutil::FsckVerdict::Clean || !golden.bootable;
-    golden.fsck_unrepairable =
-        fsck.verdict == fsutil::FsckVerdict::Unrepairable;
-    if (fsck.verdict == fsutil::FsckVerdict::Repairable) {
-      disk::DiskImage copy = machine.disk_image();
-      fsutil::fsck_repair(copy);
-      golden.repair_verified =
-          fsutil::fsck(copy).verdict == fsutil::FsckVerdict::Clean;
-    }
-  }
+  golden.disk = judge_disk(machine.disk_image());
 
   // The BootState outlives this transient builder machine; worker
   // machines adopt it (and the ladder's deltas resolve through it).
@@ -189,6 +176,25 @@ void GoldenCache::build(const std::string& name, WorkloadGolden& out) {
               std::chrono::steady_clock::now() - began)
               .count()),
       std::memory_order_relaxed);
+}
+
+DiskVerdict GoldenCache::judge_disk(const disk::DiskImage& image) const {
+  DiskVerdict verdict;
+  const fsutil::FsckReport fsck = fsutil::fsck(image);
+  verdict.bootable = disk_bootable(image);
+  verdict.fs_damaged =
+      fsck.verdict != fsutil::FsckVerdict::Clean || !verdict.bootable;
+  verdict.fsck_unrepairable =
+      fsck.verdict == fsutil::FsckVerdict::Unrepairable;
+  if (fsck.verdict == fsutil::FsckVerdict::Repairable) {
+    // Validate the severity taxonomy: a "severe" image must actually be
+    // recoverable by the interactive-fsck pass.
+    disk::DiskImage copy = image;
+    fsutil::fsck_repair(copy);
+    verdict.repair_verified =
+        fsutil::fsck(copy).verdict == fsutil::FsckVerdict::Clean;
+  }
+  return verdict;
 }
 
 bool GoldenCache::disk_bootable(const disk::DiskImage& image) const {

@@ -35,27 +35,40 @@
 
 namespace kfi::inject {
 
+// End-of-run disk classification (GoldenCache::judge_disk): fsck's
+// verdict, the paper's "will it reboot" check, and whether the
+// interactive repair really cleans a repairable image.
+struct DiskVerdict {
+  bool bootable = true;
+  bool fs_damaged = false;  // fsck not clean, or not bootable
+  bool fsck_unrepairable = false;
+  bool repair_verified = false;  // a repairable image that repair cleans
+};
+
 struct GoldenRun {
   bool ok = false;
   std::string console;
   std::uint32_t exit_code = 0;
   std::uint64_t fs_digest = 0;
   std::uint64_t cycles = 0;  // fault-free run length
-  // End-of-run disk classification, precomputed once so a run proven to
-  // reconverge onto the golden timeline can take the golden outcome
-  // without re-running fsck on an identical image.
-  bool bootable = true;
-  bool fs_damaged = false;
-  bool fsck_unrepairable = false;
-  bool repair_verified = false;
+  // Precomputed once so a run proven to reconverge onto the golden
+  // timeline can take the golden outcome without re-running fsck on an
+  // identical image.
+  DiskVerdict disk;
 };
 
+// Watchdog budget of an injected run over a golden run of
+// `golden_cycles`: injected runs that still complete stay close to the
+// golden length, so a modest margin keeps hang detection cheap.
+inline std::uint64_t run_budget(std::uint64_t golden_cycles) {
+  constexpr double kBudgetFactor = 1.6;
+  constexpr std::uint64_t kBudgetSlack = 400'000;
+  return static_cast<std::uint64_t>(static_cast<double>(golden_cycles) *
+                                    kBudgetFactor) +
+         kBudgetSlack;
+}
+
 struct InjectorOptions {
-  // Watchdog budget multiplier over the golden run length.  Injected
-  // runs that still complete stay close to the golden length, so a
-  // modest margin keeps hang detection cheap.
-  double budget_factor = 1.6;
-  std::uint64_t budget_slack = 400'000;
   // Number of golden-run checkpoints per workload (the checkpoint
   // ladder).  Each injection resumes from the latest checkpoint that
   // precedes its target's first execution, shrinking the pre-trigger
@@ -162,11 +175,15 @@ class GoldenCache {
   const kernel::KernelImage& image() const { return image_; }
   const disk::DiskImage& root_disk() const { return root_disk_; }
 
+  // Classifies an end-of-run disk; copies the image only to try the
+  // repair of a repairable one.
+  DiskVerdict judge_disk(const disk::DiskImage& image) const;
+
+ private:
   // True when /sbin/init and /lib/libc.so on `image` are byte-identical
   // to the pristine root disk (the paper's "will it reboot" check).
   bool disk_bootable(const disk::DiskImage& image) const;
 
- private:
   struct Entry {
     std::once_flag once;
     WorkloadGolden artifact;

@@ -90,17 +90,24 @@ constexpr std::size_t kNoMask = static_cast<std::size_t>(-1);
 // boot memo (inside state_matches) skips its comparisons.
 const machine::CheckpointMemo kNoMemo;
 
-// The record of a run proven to replay the golden run's remainder.
-void take_golden_outcome(InjectionResult& result, const GoldenRun& ref) {
-  result.outcome = Outcome::NotManifested;
-  result.bootable = ref.bootable;
-  result.fs_damaged = ref.fs_damaged;
-  result.repair_verified = ref.repair_verified;
-  if (result.fs_damaged) {
-    result.severity = !ref.bootable || ref.fsck_unrepairable
+// Copies an end-of-run disk verdict into a record.  A damaged disk
+// also fixes the severity: the paper's "did not crash but could not
+// reboot" observation, and the recovery path of a crash or hang.
+void record_disk(InjectionResult& result, const DiskVerdict& disk) {
+  result.bootable = disk.bootable;
+  result.fs_damaged = disk.fs_damaged;
+  result.repair_verified = disk.repair_verified;
+  if (disk.fs_damaged) {
+    result.severity = !disk.bootable || disk.fsck_unrepairable
                           ? Severity::MostSevere
                           : Severity::Severe;
   }
+}
+
+// The record of a run proven to replay the golden run's remainder.
+void take_golden_outcome(InjectionResult& result, const GoldenRun& ref) {
+  result.outcome = Outcome::NotManifested;
+  record_disk(result, ref.disk);
 }
 
 // The fields of a DumpedCrash record that depend on the faulted spec
@@ -182,10 +189,7 @@ InjectionResult Injector::run_triggered(const InjectionSpec& spec,
     ++ckpt_misses_;
   }
 
-  const std::uint64_t budget =
-      static_cast<std::uint64_t>(static_cast<double>(ref.cycles) *
-                                 cache_->options().budget_factor) +
-      cache_->options().budget_slack;
+  const std::uint64_t budget = run_budget(ref.cycles);
   // Cycle/budget accounting stays anchored at the post-boot snapshot so
   // the watchdog deadline (and every derived latency) is bit-identical
   // to a straight-line run.
@@ -486,19 +490,8 @@ void Injector::classify(InjectionResult& result, const machine::RunResult& run,
   const std::uint64_t start = machine.snapshot_cycles();
 
   // Post-run disk state (before the next restore wipes it).
-  const fsutil::FsckReport fsck = fsutil::fsck(machine.disk_image());
-  if (fsck.verdict == fsutil::FsckVerdict::Repairable) {
-    // Validate the severity taxonomy: a "severe" image must actually be
-    // recoverable by the interactive-fsck pass.
-    disk::DiskImage copy = machine.disk_image();
-    fsutil::fsck_repair(copy);
-    result.repair_verified =
-        fsutil::fsck(copy).verdict == fsutil::FsckVerdict::Clean;
-  }
-  result.bootable = cache_->disk_bootable(machine.disk_image());
+  record_disk(result, cache_->judge_disk(machine.disk_image()));
   const std::uint64_t digest = fsutil::tree_digest(machine.disk_image());
-  result.fs_damaged =
-      fsck.verdict != fsutil::FsckVerdict::Clean || !result.bootable;
 
   switch (run.exit) {
     case machine::RunExit::Completed: {
@@ -528,23 +521,12 @@ void Injector::classify(InjectionResult& result, const machine::RunResult& run,
       break;
   }
 
-  // Severity (meaningful for crashes and hangs — the recovery path).
-  if (result.outcome == Outcome::DumpedCrash ||
-      result.outcome == Outcome::HangUnknown) {
-    if (fsck.verdict == fsutil::FsckVerdict::Unrepairable ||
-        !result.bootable) {
-      result.severity = Severity::MostSevere;
-    } else if (fsck.verdict == fsutil::FsckVerdict::Repairable) {
-      result.severity = Severity::Severe;
-    } else {
-      result.severity = Severity::Normal;
-    }
-  } else if (result.fs_damaged) {
-    // The paper's "did not crash but could not reboot" observation.
-    result.severity = !result.bootable ||
-                              fsck.verdict == fsutil::FsckVerdict::Unrepairable
-                          ? Severity::MostSevere
-                          : Severity::Severe;
+  // Severity (meaningful for crashes and hangs — the recovery path): a
+  // damaged disk's class is set above, an undamaged one reboots.
+  if ((result.outcome == Outcome::DumpedCrash ||
+       result.outcome == Outcome::HangUnknown) &&
+      !result.fs_damaged) {
+    result.severity = Severity::Normal;
   }
 }
 
@@ -588,10 +570,7 @@ InjectionResult Injector::run_syscall_errno(const InjectionSpec& spec,
     ++ckpt_misses_;
   }
 
-  const std::uint64_t budget =
-      static_cast<std::uint64_t>(static_cast<double>(ref.cycles) *
-                                 cache_->options().budget_factor) +
-      cache_->options().budget_slack;
+  const std::uint64_t budget = run_budget(ref.cycles);
   const std::uint64_t start = machine.snapshot_cycles();
   const std::uint64_t deadline = start + budget;
   const std::uint64_t entry = machine.cpu().cycles();

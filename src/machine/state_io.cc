@@ -24,7 +24,7 @@ void write_snapshot(ByteWriter& w, const vm::ChunkedSnapshot& snap) {
 }
 
 // `base` must be nullptr exactly when the serialized snapshot was full.
-bool read_snapshot(ByteReader& r, const vm::ChunkedSnapshot* base, bool view,
+bool read_snapshot(ByteReader& r, const vm::ChunkedSnapshot* base,
                    vm::ChunkedSnapshot& out) {
   const std::uint32_t chunk_size = r.u32();
   const std::uint64_t size = r.u64();
@@ -63,8 +63,7 @@ bool read_snapshot(ByteReader& r, const vm::ChunkedSnapshot* base, bool view,
   }
   out = vm::ChunkedSnapshot::from_parts(
       chunk_size, static_cast<std::size_t>(size), std::move(versions), base,
-      std::move(slots), payload, static_cast<std::size_t>(payload_size),
-      !view);
+      std::move(slots), payload, static_cast<std::size_t>(payload_size));
   return true;
 }
 
@@ -90,7 +89,7 @@ void write_boot_state(ByteWriter& writer, const BootState& boot) {
   write_snapshot(writer, boot.disk);
 }
 
-std::shared_ptr<BootState> read_boot_state(ByteReader& reader, bool view) {
+std::shared_ptr<BootState> read_boot_state(ByteReader& reader) {
   auto boot = std::make_shared<BootState>();
   read_regs(reader, boot->regs);
   boot->eip = reader.u32();
@@ -99,8 +98,8 @@ std::shared_ptr<BootState> read_boot_state(ByteReader& reader, bool view) {
   boot->cr3 = reader.u32();
   boot->cycles = reader.u64();
   boot->console = reader.str();
-  if (!read_snapshot(reader, nullptr, view, boot->mem)) return nullptr;
-  if (!read_snapshot(reader, nullptr, view, boot->disk)) return nullptr;
+  if (!read_snapshot(reader, nullptr, boot->mem)) return nullptr;
+  if (!read_snapshot(reader, nullptr, boot->disk)) return nullptr;
   if (!reader.ok()) return nullptr;
   return boot;
 }
@@ -121,7 +120,7 @@ void write_checkpoint(ByteWriter& writer, const Checkpoint& checkpoint) {
 }
 
 Checkpoint read_checkpoint(ByteReader& reader, const BootState& boot,
-                           bool view, bool& ok) {
+                           bool& ok) {
   Checkpoint ck;
   ck.cycle = reader.u64();
   read_regs(reader, ck.regs);
@@ -133,8 +132,8 @@ Checkpoint read_checkpoint(ByteReader& reader, const BootState& boot,
   ck.timer_pending = reader.u8() != 0;
   ck.halted = reader.u8() != 0;
   ck.console = reader.str();
-  ok = read_snapshot(reader, &boot.mem, view, ck.mem) &&
-       read_snapshot(reader, &boot.disk, view, ck.disk) && reader.ok();
+  ok = read_snapshot(reader, &boot.mem, ck.mem) &&
+       read_snapshot(reader, &boot.disk, ck.disk) && reader.ok();
   return ck;
 }
 

@@ -19,11 +19,13 @@ constexpr std::uint32_t kBundleMagic = 0x4B464942;  // "KFIB"
 // exits (campaign E's reconvergence input).
 // v4: the options echo drops the full-restore flag byte that followed
 // the checkpoint count.
-constexpr std::uint32_t kBundleVersion = 4;
+// v5: a checksum trailer (support/fsio) over every preceding byte; the
+// trailer is the hash the manifest records.
+constexpr std::uint32_t kBundleVersion = 5;
 
-// The option fields golden artifacts can depend on.  budget_* and
-// trace_capacity are run-time knobs applied by the Injector, never
-// baked into artifacts, so they stay out of the bundle identity.
+// The option fields golden artifacts can depend on.  trace_capacity is
+// a run-time knob applied by the Injector, never baked into artifacts,
+// so it stays out of the bundle identity.
 void write_options_echo(ByteWriter& writer,
                         const inject::InjectorOptions& options) {
   writer.u32(static_cast<std::uint32_t>(options.checkpoints));
@@ -58,10 +60,10 @@ std::optional<std::uint64_t> write_bundle(
   writer.u32(golden.exit_code);
   writer.u64(golden.fs_digest);
   writer.u64(golden.cycles);
-  writer.u8(golden.bootable ? 1 : 0);
-  writer.u8(golden.fs_damaged ? 1 : 0);
-  writer.u8(golden.fsck_unrepairable ? 1 : 0);
-  writer.u8(golden.repair_verified ? 1 : 0);
+  writer.u8(golden.disk.bootable ? 1 : 0);
+  writer.u8(golden.disk.fs_damaged ? 1 : 0);
+  writer.u8(golden.disk.fsck_unrepairable ? 1 : 0);
+  writer.u8(golden.disk.repair_verified ? 1 : 0);
 
   // Coverage and first-touch are serialized address-sorted so the
   // bundle bytes (and therefore the content hash the manifest records)
@@ -105,9 +107,7 @@ std::optional<std::uint64_t> write_bundle(
   writer.u64(artifact.dead_bits.size());
   for (const std::uint64_t word : artifact.dead_bits) writer.u64(word);
 
-  const std::string& payload = writer.buffer();
-  if (!atomic_write_file(path, payload)) return std::nullopt;
-  return content_hash(payload.data(), payload.size());
+  return write_sealed_file(path, writer.buffer());
 }
 
 std::optional<LoadedBundle> load_bundle(const std::string& path,
@@ -117,12 +117,15 @@ std::optional<LoadedBundle> load_bundle(const std::string& path,
                                         std::uint64_t expect_hash) {
   std::shared_ptr<const MappedFile> file = MappedFile::map(path);
   if (file == nullptr) return std::nullopt;
-  // One pass over every byte: the check against the manifest and the
-  // value handed back for the next manifest are the same hash.
-  const std::uint64_t hash = content_hash(file->data(), file->size());
-  if (expect_hash != 0 && hash != expect_hash) return std::nullopt;
+  // One pass over every byte: the seal check.  The manifest's hash is
+  // then only an identity compare against the trailer.
+  const std::optional<std::uint64_t> seal =
+      check_seal(file->data(), file->size());
+  if (!seal.has_value() || (expect_hash != 0 && *seal != expect_hash)) {
+    return std::nullopt;
+  }
 
-  ByteReader reader(file->data(), file->size());
+  ByteReader reader(file->data(), file->size() - kSealBytes);
   if (reader.u32() != kBundleMagic || reader.u32() != kBundleVersion) {
     return std::nullopt;
   }
@@ -139,10 +142,10 @@ std::optional<LoadedBundle> load_bundle(const std::string& path,
   golden.exit_code = reader.u32();
   golden.fs_digest = reader.u64();
   golden.cycles = reader.u64();
-  golden.bootable = reader.u8() != 0;
-  golden.fs_damaged = reader.u8() != 0;
-  golden.fsck_unrepairable = reader.u8() != 0;
-  golden.repair_verified = reader.u8() != 0;
+  golden.disk.bootable = reader.u8() != 0;
+  golden.disk.fs_damaged = reader.u8() != 0;
+  golden.disk.fsck_unrepairable = reader.u8() != 0;
+  golden.disk.repair_verified = reader.u8() != 0;
 
   const std::uint64_t coverage_count = reader.u64();
   if (!reader.ok() || coverage_count > reader.remaining() / 4) {
@@ -165,11 +168,10 @@ std::optional<LoadedBundle> load_bundle(const std::string& path,
     artifact.first_touch.emplace(addr, window);
   }
 
-  // view = true: the snapshots borrow their payloads straight from the
-  // mapping — the zero-copy adoption path.  The shared BootState must
-  // exist before its ladder, whose deltas re-base onto it.
-  std::shared_ptr<machine::BootState> boot =
-      machine::read_boot_state(reader, /*view=*/true);
+  // The snapshots borrow their payloads straight from the mapping —
+  // the zero-copy adoption path.  The shared BootState must exist
+  // before its ladder, whose deltas re-base onto it.
+  std::shared_ptr<machine::BootState> boot = machine::read_boot_state(reader);
   if (boot == nullptr) return std::nullopt;
   artifact.boot = boot;
   const std::uint32_t ladder_count = reader.u32();
@@ -178,7 +180,7 @@ std::optional<LoadedBundle> load_bundle(const std::string& path,
   for (std::uint32_t i = 0; i < ladder_count; ++i) {
     bool ok = false;
     artifact.ladder.push_back(
-        machine::read_checkpoint(reader, *boot, /*view=*/true, ok));
+        machine::read_checkpoint(reader, *boot, ok));
     if (!ok) return std::nullopt;
   }
   const std::uint64_t footprint_count = reader.u64();
@@ -216,7 +218,7 @@ std::optional<LoadedBundle> load_bundle(const std::string& path,
   }
   if (!reader.ok()) return std::nullopt;
 
-  loaded.content_hash = hash;
+  loaded.content_hash = *seal;
   loaded.size = file->size();
   loaded.keepalive = std::move(file);
   return loaded;

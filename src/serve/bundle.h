@@ -4,12 +4,14 @@
 // zero-copy by every worker process.
 //
 // The controller pays for boot + golden run + ladder capture exactly
-// once per workload, writes the bundle crash-safely (temp + fsync +
-// atomic rename), and each worker mmaps the file read-only: the
-// multi-megabyte RAM/disk snapshot payloads become ChunkedSnapshot
-// *views* into the mapping (vm/snapshot from_parts, copy=false), so N
-// workers restoring the same workload share one set of physical pages
-// through the kernel page cache instead of holding N private copies.
+// once per workload, writes the bundle sealed and crash-safely (body +
+// checksum trailer, temp + fsync + atomic rename; support/fsio), and
+// each worker mmaps the file read-only: every load checks the seal
+// before it parses a field, and the multi-megabyte RAM/disk snapshot
+// payloads become ChunkedSnapshot *views* into the mapping
+// (vm/snapshot from_parts), so N workers restoring the same workload
+// share one set of physical pages through the kernel page cache
+// instead of holding N private copies.
 // The mapping's lifetime is carried by the keepalive shared_ptr that
 // GoldenCache::adopt_workload() retains next to the artifact.
 #pragma once
@@ -27,8 +29,8 @@ namespace kfi::serve {
 // `path`.  `kernel_fp` and the ladder geometry from `options` are baked
 // into the header so a stale bundle (different kernel build, different
 // checkpoint count) is rejected at load instead of silently adopted.
-// Returns the bundle's content hash (kfi::content_hash over the file
-// bytes, the value the manifest records), or nullopt on I/O failure.
+// Returns the bundle's checksum trailer (the value the manifest
+// records), or nullopt on I/O failure.
 std::optional<std::uint64_t> write_bundle(
     const std::string& path, const std::string& workload,
     const inject::WorkloadGolden& artifact,
@@ -39,17 +41,17 @@ struct LoadedBundle {
   // Owner of the mmap the artifact's snapshots point into; hand to
   // GoldenCache::adopt_workload().
   std::shared_ptr<const void> keepalive;
-  // kfi::content_hash over every file byte, computed once at load.
+  // The checksum trailer, verified against every other file byte.
   std::uint64_t content_hash = 0;
-  std::size_t size = 0;  // file bytes, all of them hashed
+  std::size_t size = 0;  // file bytes, all of them checked
 };
 
-// Maps and validates the bundle at `path`.  Rejects wrong magic or
-// version, a workload/kernel/options mismatch, a truncated or corrupt
-// payload, and — when `expect_hash` is non-zero — file bytes whose
-// content hash differs from it (the manifest's recorded hash, so a
-// worker never adopts a bundle the controller didn't write).  The file
-// is hashed exactly once, whether or not a hash is expected.
+// Maps and validates the bundle at `path`.  Rejects a broken seal (any
+// truncated or flipped byte), wrong magic or version, a
+// workload/kernel/options mismatch, an unparseable payload, and — when
+// `expect_hash` is non-zero — a trailer that differs from it (the
+// manifest's recorded hash, so a worker never adopts a bundle the
+// controller didn't write).  The file is hashed exactly once.
 std::optional<LoadedBundle> load_bundle(
     const std::string& path, const std::string& workload,
     const inject::InjectorOptions& options, std::uint64_t kernel_fp,

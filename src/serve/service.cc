@@ -36,7 +36,10 @@ constexpr std::uint32_t kManifestMagic = 0x4B46494D;  // "KFIM"
 // v5: a kfi::content_hash trailer over every preceding byte, so a
 // flipped functions_targeted, workload name, bundle hash or bundle
 // directory is rejected instead of loading.
-constexpr std::uint32_t kManifestVersion = 5;
+// v6: bundle hashes are the bundles' own checksum trailers, and the
+// config echo drops the watchdog budget factor and slack (constants
+// now, inject::run_budget).
+constexpr std::uint32_t kManifestVersion = 6;
 
 std::string manifest_path(const std::string& dir) {
   return dir + "/manifest.kfim";
@@ -54,8 +57,6 @@ std::string claim_path(const std::string& dir, std::uint64_t shard) {
 void write_config_echo(ByteWriter& writer, const Manifest& manifest) {
   writer.u32(static_cast<std::uint32_t>(manifest.options.checkpoints));
   writer.u32(static_cast<std::uint32_t>(manifest.options.exec_engine));
-  writer.f64(manifest.options.budget_factor);
-  writer.u64(manifest.options.budget_slack);
   writer.u64(manifest.kernel_fp);
   writer.u32(static_cast<std::uint32_t>(manifest.campaigns.size()));
   for (const inject::CampaignConfig& config : manifest.campaigns) {
@@ -87,8 +88,6 @@ bool read_config_echo(ByteReader& reader, Manifest& manifest) {
     return false;
   }
   manifest.options.exec_engine = static_cast<machine::ExecEngine>(engine);
-  manifest.options.budget_factor = reader.f64();
-  manifest.options.budget_slack = reader.u64();
   manifest.kernel_fp = reader.u64();
   const std::uint32_t campaigns = reader.u32();
   if (!reader.ok() || campaigns > 256) return false;
@@ -140,8 +139,7 @@ bool write_manifest(const std::string& dir, const std::string& bundle_dir,
     writer.u64(begin);
     writer.u64(end);
   }
-  writer.u64(content_hash(writer.buffer().data(), writer.size()));
-  return atomic_write_file(manifest_path(dir), writer.buffer());
+  return write_sealed_file(manifest_path(dir), writer.buffer()).has_value();
 }
 
 // The shard table and target counts lie outside the config-echo hash,
@@ -232,13 +230,12 @@ std::optional<std::pair<Manifest, std::string>> load_manifest_full(
     end = reader.u64();
   }
   if (!reader.ok()) return reject("truncated manifest shard table");
-  const std::size_t body = reader.pos();
-  const std::uint64_t trailer = reader.u64();
+  reader.u64();  // the trailer, checked last
   if (!reader.ok()) return reject("truncated manifest trailer");
   if (!shard_ranges_valid(manifest)) return reject("bad manifest shard table");
   // Last, so a bad shard table is named as such whether or not the
   // trailer was resealed after the edit.
-  if (content_hash(data->data(), body) != trailer) {
+  if (!check_seal(data->data(), data->size())) {
     return reject("manifest does not match its checksum");
   }
   return std::make_pair(std::move(manifest), bundle_dir);
@@ -362,9 +359,13 @@ std::optional<unsigned> claim_owner(const std::string& dir,
   return worker;
 }
 
-bool shard_done(const analysis::ShardStore& store, std::uint64_t shard) {
-  const std::optional<std::string> path = store.find_shard(shard);
-  return path.has_value() && analysis::ShardStore::verify_shard(*path);
+// True when shard `shard` has an artifact of this campaign that opens:
+// opening a cursor is the verification.
+bool shard_done(const analysis::ShardStore& store, const Manifest& manifest,
+                std::uint64_t shard) {
+  return analysis::ShardCursor::open(store.shard_path(shard), shard,
+                                     manifest.config_hash)
+      .has_value();
 }
 
 }  // namespace
@@ -538,7 +539,8 @@ WorkerReport run_worker(const std::string& dir, unsigned worker_id,
             (max_shards != 0 && report.shards_completed >= max_shards)) {
           return false;
         }
-        return !shard_done(store, shard) && try_claim(dir, shard, worker_id);
+        return !shard_done(store, manifest, shard) &&
+               try_claim(dir, shard, worker_id);
       },
       [&](std::uint64_t shard, bool stolen) {
         const auto [begin, end] = manifest.shard_ranges[shard];
@@ -574,35 +576,24 @@ bool aggregate_campaign(const std::string& dir, bool materialize,
   const analysis::ShardStore store(shards_dir(dir));
   result.shard_count = manifest.shard_ranges.size();
 
-  // Verification pass: every shard must have an artifact whose bytes
-  // still hash to its name.  Corrupt ones are discarded so the next
-  // wave re-runs them instead of feeding poison into the merge.
-  std::vector<std::string> paths;
-  for (std::uint64_t shard = 0; shard < result.shard_count; ++shard) {
-    const std::optional<std::string> path = store.find_shard(shard);
-    if (!path.has_value()) {
-      result.error = format("shard %llu missing",
-                            static_cast<unsigned long long>(shard));
-      return false;
-    }
-    if (!analysis::ShardStore::verify_shard(*path)) {
-      store.discard_shard(shard);
-      ++result.corrupt_discarded;
-      result.error = format("shard %llu failed content verification",
-                            static_cast<unsigned long long>(shard));
-      return false;
-    }
-    paths.push_back(*path);
-  }
-
+  // Every shard must have an artifact that opens.  Corrupt ones are
+  // discarded so the next wave re-runs them instead of feeding poison
+  // into the merge.
   std::vector<analysis::ShardCursor> cursors;
   for (std::uint64_t shard = 0; shard < result.shard_count; ++shard) {
-    auto cursor = analysis::ShardCursor::open(paths[shard], shard,
-                                              manifest.config_hash);
+    const std::string path = store.shard_path(shard);
+    auto cursor =
+        analysis::ShardCursor::open(path, shard, manifest.config_hash);
     if (!cursor.has_value()) {
+      std::error_code ec;
+      if (!std::filesystem::exists(path, ec)) {
+        result.error = format("shard %llu missing",
+                              static_cast<unsigned long long>(shard));
+        return false;
+      }
       store.discard_shard(shard);
       ++result.corrupt_discarded;
-      result.error = format("shard %llu unreadable",
+      result.error = format("shard %llu failed verification",
                             static_cast<unsigned long long>(shard));
       return false;
     }
@@ -648,7 +639,7 @@ ServiceResult run_service(const ServiceConfig& config, bool materialize) {
   const unsigned workers = std::max(config.workers, 1u);
 
   for (std::uint64_t shard = 0; shard < shard_count; ++shard) {
-    if (shard_done(store, shard)) ++result.shards_resumed;
+    if (shard_done(store, *manifest, shard)) ++result.shards_resumed;
   }
 
   for (int attempt = 1; attempt <= std::max(config.max_attempts, 1);
@@ -656,7 +647,7 @@ ServiceResult run_service(const ServiceConfig& config, bool materialize) {
     result.attempts = attempt;
     std::vector<std::uint64_t> pending;
     for (std::uint64_t shard = 0; shard < shard_count; ++shard) {
-      if (!shard_done(store, shard)) pending.push_back(shard);
+      if (!shard_done(store, *manifest, shard)) pending.push_back(shard);
     }
     if (!pending.empty()) {
       // A claim without an artifact marks a worker that died (or was

@@ -5,8 +5,7 @@
 // order, golden bundles are serialized once (serve/bundle), and N
 // worker processes — forked by run_service() or spawned independently
 // via `kfi_campaignd worker` — drain the shard list, each streaming
-// its finished shards into the content-addressed artifact store
-// (analysis/store).  Aggregation k-way merges the shard artifacts back
+// its finished shards into the sealed artifact store (analysis/store).  Aggregation k-way merges the shard artifacts back
 // into spec order and folds the campaign digest, which is required to
 // be bit-identical to the in-process run_campaign() path at every
 // worker count.
@@ -16,8 +15,8 @@
 // iff some worker took the shard, and a claim without an artifact is
 // stale — cleared by the controller between waves so the shard is
 // re-run.  A killed campaign therefore resumes from exactly its
-// completed shards; a corrupted artifact fails content-hash
-// verification, is discarded, and is re-run the same way.
+// completed shards; a corrupted artifact fails its checksum trailer
+// when opened, is discarded, and is re-run the same way.
 #pragma once
 
 #include <cstdint>
@@ -48,8 +47,8 @@ struct ServiceConfig {
   // this count, the rule the thread path cuts by.
   unsigned workers = 1;
 
-  // Wipe shards/claims/manifest before starting (bundles survive; they
-  // are content-verified anyway).
+  // Wipe shards/claims/manifest before starting (bundles survive; every
+  // load checks their seal anyway).
   bool fresh = false;
 
   // Test hook: each worker exits after completing this many shards,
@@ -82,8 +81,8 @@ struct Manifest {
   std::vector<std::size_t> functions_targeted;   // per campaign slot
   std::vector<std::uint64_t> target_counts;      // per campaign slot
   std::vector<std::string> workloads;            // every workload used
-  std::vector<std::uint64_t> bundle_hashes;      // parallel to workloads;
-                                                 // kfi::content_hash
+  std::vector<std::uint64_t> bundle_hashes;      // parallel to workloads:
+                                                 // each bundle's trailer
   // Shard table: [begin, end) positions over the concatenated
   // locality-sorted execution order, cut by inject::shard_ranges.
   std::vector<inject::ShardRange> shard_ranges;
@@ -151,24 +150,25 @@ std::optional<Manifest> load_manifest(const std::string& dir,
 // One worker's drain: adopts the manifest's bundles (mmap, zero-copy),
 // then runs inject::drain_shards over the shard table — its owned
 // shards (index % workers == worker_id) first, then steals — claiming
-// each by O_EXCL file and streaming it into the artifact store.  Runs in-process; run_service
-// calls it from forked children, `kfi_campaignd worker` from a spawned
-// process.  `max_shards` 0 = unlimited.
+// each by O_EXCL file and streaming it into the artifact store.  Runs
+// in-process; run_service calls it from forked children,
+// `kfi_campaignd worker` from a spawned process.  `max_shards` 0 =
+// unlimited.
 WorkerReport run_worker(const std::string& dir, unsigned worker_id,
                         unsigned workers, std::uint64_t max_shards = 0,
                         bool verbose = false);
 
-// Streams every shard artifact through content-hash verification and
-// the k-way spec-order merge, folding the digest (and the materialized
-// runs when `materialize`).  Corrupt artifacts are discarded (counted
-// in result.corrupt_discarded) and reported as failure so the caller
-// re-runs those shards.  On success fills result.digest/total_runs/
+// Opens every shard artifact (the seal check is its verification) and
+// streams them through the k-way spec-order merge, folding the digest
+// (and the materialized runs when `materialize`).  Artifacts that do
+// not open are discarded (counted in result.corrupt_discarded) and
+// reported as failure so the caller re-runs those shards.  On success fills result.digest/total_runs/
 // runs and returns true.
 bool aggregate_campaign(const std::string& dir, bool materialize,
                         ServiceResult& result);
 
 // The full controller: prepare, fork worker waves until every shard
-// has a verified artifact (clearing stale claims between waves),
+// has an artifact that opens (clearing stale claims between waves),
 // aggregate, and fill the structural counters.  Bit-identity contract:
 // result.digest equals results_digest() of the in-process path for the
 // same campaign configs, at any worker count, including after resume.

@@ -7,14 +7,35 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <initializer_list>
 
 #include "support/serial.h"
 
 namespace kfi {
 
-bool atomic_write_file(const std::string& path, const void* data,
-                       std::size_t size) {
+namespace {
+
+struct Span {
+  const void* data;
+  std::size_t size;
+};
+
+bool write_all(int fd, const Span& span) {
+  const auto* p = static_cast<const std::uint8_t*>(span.data);
+  std::size_t written = 0;
+  while (written < span.size) {
+    const ssize_t n = ::write(fd, p + written, span.size - written);
+    if (n <= 0) return false;
+    written += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+// Writes the spans back to back into one temp file, then lands it.
+bool atomic_write_spans(const std::string& path,
+                        std::initializer_list<Span> spans) {
   // The temp file must live in the target's directory: rename() is
   // atomic only within one filesystem.  Its name is private to this
   // writer (pid and a per-process sequence number): writers racing to
@@ -28,16 +49,12 @@ bool atomic_write_file(const std::string& path, const void* data,
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return false;
 
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  std::size_t written = 0;
   bool ok = true;
-  while (written < size) {
-    const ssize_t n = ::write(fd, p + written, size - written);
-    if (n <= 0) {
+  for (const Span& span : spans) {
+    if (!write_all(fd, span)) {
       ok = false;
       break;
     }
-    written += static_cast<std::size_t>(n);
   }
   // fsync before rename: the rename must never become durable ahead of
   // the bytes it points at, or a crash could leave a truncated artifact
@@ -49,8 +66,35 @@ bool atomic_write_file(const std::string& path, const void* data,
   return ok;
 }
 
+}  // namespace
+
+bool atomic_write_file(const std::string& path, const void* data,
+                       std::size_t size) {
+  return atomic_write_spans(path, {{data, size}});
+}
+
 bool atomic_write_file(const std::string& path, const std::string& bytes) {
   return atomic_write_file(path, bytes.data(), bytes.size());
+}
+
+std::optional<std::uint64_t> write_sealed_file(const std::string& path,
+                                               const std::string& body) {
+  const std::uint64_t seal = content_hash(body.data(), body.size());
+  if (!atomic_write_spans(path, {{body.data(), body.size()},
+                                 {&seal, kSealBytes}})) {
+    return std::nullopt;
+  }
+  return seal;
+}
+
+std::optional<std::uint64_t> check_seal(const void* data, std::size_t size) {
+  if (size < kSealBytes) return std::nullopt;
+  const std::size_t body = size - kSealBytes;
+  std::uint64_t seal;
+  std::memcpy(&seal, static_cast<const std::uint8_t*>(data) + body,
+              kSealBytes);
+  if (content_hash(data, body) != seal) return std::nullopt;
+  return seal;
 }
 
 std::optional<std::string> read_file_bytes(const std::string& path) {
@@ -60,20 +104,6 @@ std::optional<std::string> read_file_bytes(const std::string& path) {
                    std::istreambuf_iterator<char>());
   if (!file.good() && !file.eof()) return std::nullopt;
   return data;
-}
-
-std::optional<std::uint64_t> file_content_hash(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) return std::nullopt;
-  std::uint64_t h = kFnvOffset;
-  char buffer[1 << 16];
-  while (file) {
-    file.read(buffer, sizeof buffer);
-    const std::streamsize n = file.gcount();
-    if (n > 0) h = fnv1a_bytes(buffer, static_cast<std::size_t>(n), h);
-  }
-  if (!file.eof()) return std::nullopt;
-  return h;
 }
 
 std::shared_ptr<const MappedFile> MappedFile::map(const std::string& path) {

@@ -1,4 +1,5 @@
-// Crash-safe file persistence and zero-copy file mapping.
+// Crash-safe file persistence, checksum-sealed files, and zero-copy
+// file mapping.
 //
 // Every artifact the campaign service persists — golden bundles, shard
 // results, manifests, campaign caches — goes through
@@ -6,7 +7,15 @@
 // are fsync'd, and only then atomically renamed over the target, so a
 // reader can never observe a half-written artifact and a crash leaves
 // at worst a stray "<path>.tmp.<pid>.<n>".  Concurrent writers of one
-// path each use their own temp file; the last rename wins.  MappedFile
+// path each use their own temp file; the last rename wins.
+//
+// The service's own formats (.kfim manifests, .kfib bundles, .kfis
+// shards) are sealed on top of that: write_sealed_file() appends
+// content_hash(body) as an 8-byte trailer, and a reader accepts the
+// bytes only when check_seal() finds that trailer intact, so a
+// flipped bit or a cut anywhere in the file is refused — one integrity
+// check for all three formats (bundles and shards check it before they
+// parse a field; manifests last, to name a cut as a cut).  MappedFile
 // is the read side: a read-only mmap whose pages are shared through
 // the page cache between every process that maps the same bundle,
 // which is what makes N forked campaign workers restore from one
@@ -27,13 +36,24 @@ bool atomic_write_file(const std::string& path, const void* data,
                        std::size_t size);
 bool atomic_write_file(const std::string& path, const std::string& bytes);
 
+// Size of the checksum trailer that ends every sealed file.
+inline constexpr std::size_t kSealBytes = 8;
+
+// Writes `body` followed by content_hash(body) to `path`, as
+// atomic_write_file() does; the trailer goes into the same temp file,
+// so the body is never copied or regrown.  Returns the trailer, or
+// nullopt on failure.
+std::optional<std::uint64_t> write_sealed_file(const std::string& path,
+                                               const std::string& body);
+
+// The trailer of a sealed byte span — its last kSealBytes, when they
+// equal content_hash of everything before them — or nullopt for a
+// span that is too short, cut, or corrupt anywhere.  The body is the
+// first size - kSealBytes bytes.
+std::optional<std::uint64_t> check_seal(const void* data, std::size_t size);
+
 // Whole-file read (small control files: manifests, claims).
 std::optional<std::string> read_file_bytes(const std::string& path);
-
-// FNV-1a over a file's content, streamed in fixed-size buffers so
-// verification of a multi-megabyte artifact never holds it in RAM.
-// Returns std::nullopt when the file cannot be read.
-std::optional<std::uint64_t> file_content_hash(const std::string& path);
 
 // A read-only memory mapping of a whole file.  The mapping lives until
 // the object is destroyed; hand the shared_ptr to whatever borrows

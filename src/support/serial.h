@@ -20,7 +20,7 @@ inline constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
 inline constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 
 // FNV-1a over a byte range, continuing from `h` — the hash every
-// content-addressed artifact name and every result digest is built on.
+// result digest and config identity is built on.
 inline std::uint64_t fnv1a_bytes(const void* data, std::size_t len,
                                  std::uint64_t h = kFnvOffset) {
   const auto* p = static_cast<const std::uint8_t*>(data);
@@ -28,11 +28,12 @@ inline std::uint64_t fnv1a_bytes(const void* data, std::size_t len,
   return h;
 }
 
-// Word-wise content hash for large artifacts (golden bundles), an
-// order of magnitude faster than the byte-wise fnv1a_bytes.  Four
-// lanes each take every fourth 8-byte word of the 32-byte stripes as
-// h = rotl(h ^ word, 29) * odd; the lanes are folded into the length
-// the same way, and FNV-1a covers the tail of fewer than 32 bytes.
+// Word-wise content hash: the checksum trailer of every sealed file
+// (support/fsio), an order of magnitude faster than the byte-wise
+// fnv1a_bytes.  Four lanes each take every fourth 8-byte word of the
+// 32-byte stripes as h = rotl(h ^ word, 29) * odd; the lanes are
+// folded into the length the same way, and FNV-1a covers the tail of
+// fewer than 32 bytes.
 // Every step is a bijection of its lane, and every fold step of the
 // lane it folds in, so any corruption confined to one word, or to one
 // tail byte, always changes the result.  The rotate keeps equal flips
@@ -40,8 +41,8 @@ inline std::uint64_t fnv1a_bytes(const void* data, std::size_t len,
 // word-wise FNV.  Words are loaded by memcpy in host byte order (the
 // order ByteWriter writes), so the value does not depend on the
 // buffer's alignment.  Not a substitute for fnv1a_bytes: every
-// artifact name and result digest stays FNV-1a, and changing this
-// function invalidates every manifest that records it.
+// result digest stays FNV-1a, and changing this function invalidates
+// every sealed file.
 inline std::uint64_t content_hash(const void* data, std::size_t len) {
   constexpr std::uint64_t kOdd = 0x9E3779B97F4A7C15ULL;
   constexpr int kRot = 29;

@@ -110,7 +110,7 @@ ChunkedSnapshot ChunkedSnapshot::from_parts(
     std::uint32_t chunk_size, std::size_t size,
     std::vector<std::uint64_t> versions, const ChunkedSnapshot* base,
     std::vector<std::int32_t> slots, const std::uint8_t* payload,
-    std::size_t payload_size, bool copy_payload) {
+    std::size_t payload_size) {
   assert(chunk_size != 0);
   ChunkedSnapshot snap;
   snap.chunk_size_ = chunk_size;
@@ -127,12 +127,8 @@ ChunkedSnapshot ChunkedSnapshot::from_parts(
   } else {
     assert(payload_size >= size);
   }
-  if (copy_payload) {
-    snap.data_.assign(payload, payload + payload_size);
-  } else {
-    snap.view_ = payload;
-    snap.view_size_ = payload_size;
-  }
+  snap.view_ = payload;
+  snap.view_size_ = payload_size;
   return snap;
 }
 

@@ -134,18 +134,16 @@ class ChunkedSnapshot {
 
   // Reconstructs a snapshot from serialized parts.  `base` must be
   // nullptr for a full snapshot; for a delta it is the full snapshot
-  // the slots resolve through (and must outlive the result).  With
-  // `copy_payload` false the snapshot only *views* `payload` — the
-  // zero-copy path for mmap'd golden bundles, where the caller
-  // guarantees the mapping outlives every borrower; with true the
-  // payload is copied into owned storage.
+  // the slots resolve through (and must outlive the result).  The
+  // snapshot only *views* `payload` — the zero-copy path for mmap'd
+  // golden bundles, where the caller guarantees the mapping outlives
+  // every borrower.
   static ChunkedSnapshot from_parts(std::uint32_t chunk_size, std::size_t size,
                                     std::vector<std::uint64_t> versions,
                                     const ChunkedSnapshot* base,
                                     std::vector<std::int32_t> slots,
                                     const std::uint8_t* payload,
-                                    std::size_t payload_size,
-                                    bool copy_payload);
+                                    std::size_t payload_size);
 
   bool valid() const { return chunk_size_ != 0; }
   std::uint32_t chunk_count() const { return chunk_count_; }
@@ -191,9 +189,9 @@ class ChunkedSnapshot {
   std::size_t size_ = 0;
   const ChunkedSnapshot* base_ = nullptr;  // full snapshot deltas resolve to
   std::vector<std::uint8_t> data_;    // full bytes, or packed delta chunks
-  // Borrowed payload (from_parts with copy_payload=false): data_ stays
-  // empty and every read resolves through this pointer instead — the
-  // caller (a mapped golden bundle) owns the bytes.
+  // Borrowed payload (from_parts): data_ stays empty and every read
+  // resolves through this pointer instead — the caller (a mapped
+  // golden bundle) owns the bytes.
   const std::uint8_t* view_ = nullptr;
   std::size_t view_size_ = 0;
   std::vector<std::int32_t> slot_;    // delta: chunk -> packed index, -1=base

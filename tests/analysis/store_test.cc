@@ -1,15 +1,17 @@
-// Content-addressed shard store: record round-trip in the campaign
-// cache byte layout, artifact self-verification by content hash, the
-// k-way spec-order merge, and the streaming digest fold the sharded
+// Shard store: record round-trip in the campaign cache byte layout,
+// sealed artifacts that refuse every truncation and bit flip at open,
+// the k-way spec-order merge, and the streaming digest fold the sharded
 // campaign service rests on.
 #include "analysis/store.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -116,7 +118,7 @@ TEST(Store, ResultDigestMatchesStreamingFoldOverSameOrder) {
   expect_equal(fold.slots()[1][0], runs[1].results[0]);
 }
 
-TEST(Store, WriteShardIsContentAddressedAndVerifies) {
+TEST(Store, WriteShardIsSealedAndVerifies) {
   const std::string dir = fresh_dir("kfi_store_test_write");
   ShardStore store(dir);
   // Records handed over unsorted; the file must come back in spec order.
@@ -125,11 +127,13 @@ TEST(Store, WriteShardIsContentAddressedAndVerifies) {
                                       {7, sample_result(7)}};
   const std::string path = store.write_shard(3, 0xabcd, records);
   ASSERT_FALSE(path.empty());
-  EXPECT_TRUE(ShardStore::verify_shard(path));
-  const auto found = store.find_shard(3);
-  ASSERT_TRUE(found.has_value());
-  EXPECT_EQ(*found, path);
-  EXPECT_FALSE(store.find_shard(2).has_value());
+  EXPECT_EQ(path, dir + "/shard_000003.kfis");
+  EXPECT_EQ(path, store.shard_path(3));
+  const std::optional<std::string> bytes = read_file_bytes(path);
+  ASSERT_TRUE(bytes.has_value());
+  EXPECT_TRUE(check_seal(bytes->data(), bytes->size()).has_value());
+  EXPECT_FALSE(ShardCursor::open(store.shard_path(2), 2, 0xabcd).has_value())
+      << "a shard that was never written does not open";
 
   auto cursor = ShardCursor::open(path, 3, 0xabcd);
   ASSERT_TRUE(cursor.has_value());
@@ -140,48 +144,78 @@ TEST(Store, WriteShardIsContentAddressedAndVerifies) {
   EXPECT_TRUE(cursor->ok());
   EXPECT_EQ(order, (std::vector<std::uint64_t>{4, 7, 9}));
 
-  // Wrong expectations are rejected at open.
+  // Wrong expectations are rejected at open: another shard's index, or
+  // a stray from another campaign's config.
   EXPECT_FALSE(ShardCursor::open(path, 2, 0xabcd).has_value());
   EXPECT_FALSE(ShardCursor::open(path, 3, 0xbeef).has_value());
+
+  // A re-run of the shard lands on the same name.
+  EXPECT_EQ(store.write_shard(3, 0xbeef, {{4, sample_result(4)}}), path);
+  EXPECT_FALSE(ShardCursor::open(path, 3, 0xabcd).has_value());
+  EXPECT_TRUE(ShardCursor::open(path, 3, 0xbeef).has_value());
+}
+
+// A small shard of extended records: one per fault model, so every
+// field of the record layout is off its default somewhere.
+std::string write_mutation_shard(const ShardStore& store) {
+  std::vector<ShardRecord> records;
+  for (std::uint8_t model = 0; model <= 3; ++model) {
+    inject::InjectionResult r = sample_result(model);
+    r.spec.model = static_cast<inject::FaultModel>(model);
+    r.spec.target_reg = model;
+    r.spec.data_addr = 0x4000 + model;
+    r.spec.data_index = 11u + model;
+    r.spec.errno_value = 22u + model;
+    r.data_addr = 0x5000 + model;
+    r.syscalls_after = 3u + model;
+    r.cascade_syscalls = model;
+    records.push_back({model, r});
+  }
+  return store.write_shard(0, 0x5eed, records);
 }
 
 TEST(Store, CorruptedArtifactFailsVerificationAndIsDiscardable) {
+  // Every single-bit flip of the artifact, each alone — a worker that
+  // died mid-write or a disk that corrupted the file — fails to open.
   const std::string dir = fresh_dir("kfi_store_test_corrupt");
   ShardStore store(dir);
-  const std::string path =
-      store.write_shard(0, 1, {{0, sample_result(0)}, {1, sample_result(1)}});
+  const std::string path = write_mutation_shard(store);
   ASSERT_FALSE(path.empty());
-
-  // Flip one byte in the middle of the file: the name's hash no longer
-  // matches the content, exactly as if a worker died mid-write or the
-  // disk corrupted the artifact.
+  const std::optional<std::string> bytes = read_file_bytes(path);
+  ASSERT_TRUE(bytes.has_value());
+  std::size_t records = 0;
   {
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(f.good());
-    f.seekg(0, std::ios::end);
-    const auto size = static_cast<long>(f.tellg());
-    f.seekp(size / 2);
-    char byte = 0;
-    f.seekg(size / 2);
-    f.read(&byte, 1);
-    byte = static_cast<char>(byte ^ 0x40);
-    f.seekp(size / 2);
-    f.write(&byte, 1);
+    auto cursor = ShardCursor::open(path, 0, 0x5eed);
+    ASSERT_TRUE(cursor.has_value());
+    ShardRecord record;
+    while (cursor->next(record)) ++records;
+    ASSERT_TRUE(cursor->ok());
   }
-  EXPECT_FALSE(ShardStore::verify_shard(path));
+  EXPECT_EQ(records, 4u);
+  for (std::size_t bit = 0; bit < 8 * bytes->size(); ++bit) {
+    std::string flipped = *bytes;
+    flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+    ASSERT_TRUE(atomic_write_file(path, flipped));
+    EXPECT_FALSE(ShardCursor::open(path, 0, 0x5eed).has_value())
+        << "bit " << bit;
+  }
 
   store.discard_shard(0);
-  EXPECT_FALSE(store.find_shard(0).has_value());
+  EXPECT_FALSE(std::filesystem::exists(path));
 }
 
 TEST(Store, TruncatedArtifactFailsVerification) {
+  // Every cut of the artifact fails to open.
   const std::string dir = fresh_dir("kfi_store_test_trunc");
   ShardStore store(dir);
-  const std::string path = store.write_shard(0, 1, {{0, sample_result(0)}});
+  const std::string path = write_mutation_shard(store);
   ASSERT_FALSE(path.empty());
   const auto size = std::filesystem::file_size(path);
-  std::filesystem::resize_file(path, size - 8);
-  EXPECT_FALSE(ShardStore::verify_shard(path));
+  for (std::uintmax_t cut = size; cut-- > 0;) {
+    std::filesystem::resize_file(path, cut);
+    EXPECT_FALSE(ShardCursor::open(path, 0, 0x5eed).has_value())
+        << "cut at " << cut << " of " << size;
+  }
 }
 
 TEST(Store, MergeShardsYieldsAscendingSpecOrderAcrossShards) {
@@ -226,6 +260,33 @@ TEST(Store, MergeRejectsDuplicateSpecIndices) {
   ASSERT_TRUE(c0.has_value() && c1.has_value());
   cursors.push_back(std::move(*c0));
   cursors.push_back(std::move(*c1));
+  EXPECT_FALSE(merge_shards(cursors, [](const ShardRecord&) { return true; }));
+}
+
+TEST(Store, MergeRejectsOutOfOrderRecordsInAShard) {
+  // write_shard sorts its records, so an out-of-order file is forged:
+  // the second record's spec index rewritten below the first's, and the
+  // trailer resealed so the file opens.
+  const std::string dir = fresh_dir("kfi_store_test_order");
+  ShardStore store(dir);
+  const std::string path =
+      store.write_shard(0, 7, {{1, sample_result(1)}, {2, sample_result(2)}});
+  std::string bytes = read_file_bytes(path).value();
+  ByteWriter first;
+  write_result(first, sample_result(1), /*extended=*/true);
+  const std::size_t header = 4 + 4 + 8 + 8 + 8;
+  const std::size_t second_index = header + 8 + first.size();
+  const std::uint64_t earlier = 0;
+  std::memcpy(&bytes[second_index], &earlier, 8);
+  const std::uint64_t seal =
+      content_hash(bytes.data(), bytes.size() - kSealBytes);
+  std::memcpy(&bytes[bytes.size() - kSealBytes], &seal, kSealBytes);
+  ASSERT_TRUE(atomic_write_file(path, bytes));
+
+  std::vector<ShardCursor> cursors;
+  auto cursor = ShardCursor::open(path, 0, 7);
+  ASSERT_TRUE(cursor.has_value());
+  cursors.push_back(std::move(*cursor));
   EXPECT_FALSE(merge_shards(cursors, [](const ShardRecord&) { return true; }));
 }
 

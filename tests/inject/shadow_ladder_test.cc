@@ -53,10 +53,7 @@ class TriggerProbe {
         options);
     machine_->adopt_boot(artifact_.boot);
     memos_.resize(artifact_.ladder.size());
-    budget_ = static_cast<std::uint64_t>(
-                  static_cast<double>(artifact_.golden.cycles) *
-                  cache.options().budget_factor) +
-              cache.options().budget_slack;
+    budget_ = inject::run_budget(artifact_.golden.cycles);
   }
 
   machine::Machine& machine() { return *machine_; }

@@ -21,6 +21,7 @@
 #include "inject/golden.h"
 #include "kernel/build.h"
 #include "serve/service.h"
+#include "support/fsio.h"
 #include "temp_dir.h"
 
 namespace kfi::serve {
@@ -70,10 +71,12 @@ TEST_F(BundleTest, RoundTripPreservesTheWholeArtifact) {
   EXPECT_EQ(back.golden.exit_code, original.golden.exit_code);
   EXPECT_EQ(back.golden.fs_digest, original.golden.fs_digest);
   EXPECT_EQ(back.golden.cycles, original.golden.cycles);
-  EXPECT_EQ(back.golden.bootable, original.golden.bootable);
-  EXPECT_EQ(back.golden.fs_damaged, original.golden.fs_damaged);
-  EXPECT_EQ(back.golden.fsck_unrepairable, original.golden.fsck_unrepairable);
-  EXPECT_EQ(back.golden.repair_verified, original.golden.repair_verified);
+  EXPECT_EQ(back.golden.disk.bootable, original.golden.disk.bootable);
+  EXPECT_EQ(back.golden.disk.fs_damaged, original.golden.disk.fs_damaged);
+  EXPECT_EQ(back.golden.disk.fsck_unrepairable,
+            original.golden.disk.fsck_unrepairable);
+  EXPECT_EQ(back.golden.disk.repair_verified,
+            original.golden.disk.repair_verified);
   EXPECT_EQ(back.coverage, original.coverage);
   ASSERT_EQ(back.first_touch.size(), original.first_touch.size());
   for (const auto& [addr, window] : original.first_touch) {
@@ -116,8 +119,10 @@ void set_version(std::string& bytes, std::uint32_t version) {
 }
 
 // Prepares a one-function campaign-E config, rewrites every bundle it
-// built with `rewrite` (an older layout), and requires each rewritten
-// bundle to be rejected at load and rebuilt by the next prepare.
+// built with `rewrite` (an older layout; it gets the body without the
+// checksum trailer, which older builds did not write), and requires
+// each rewritten bundle to be rejected at load and rebuilt by the next
+// prepare.
 void expect_rewritten_bundles_reprepared(
     const std::string& name, const inject::InjectorOptions& options,
     std::uint64_t kernel_fp,
@@ -147,6 +152,7 @@ void expect_rewritten_bundles_reprepared(
     {
       const auto current = load_bundle(path, workload, options, kernel_fp);
       ASSERT_TRUE(current.has_value());
+      bytes.resize(bytes.size() - kSealBytes);
       rewrite(bytes, current->artifact, workload);
     }
     {
@@ -230,10 +236,9 @@ TEST_F(BundleTest, BitFlipAnywhereIsRejected) {
   // Every bit of the identity header (magic, version, workload name,
   // kernel fingerprint, options echo), then one bit per 8-byte word at
   // a 256-way stride through the payload, each flipped alone in an
-  // otherwise valid bundle.  The manifest hash must catch every flip;
-  // the header checks must catch header flips without it.  Without a
-  // hash, a payload flip may load (snapshot bytes are data) but must
-  // never fault.
+  // otherwise valid bundle.  The checksum trailer must catch every flip,
+  // with or without the manifest's hash: a payload flip in snapshot
+  // bytes would otherwise parse.
   const inject::WorkloadGolden& artifact = cache_->workload("pipe");
   const std::string dir = fresh_dir("kfi_bundle_test_bitflip");
   const std::string path = dir + "/bundle.kfib";
@@ -274,7 +279,8 @@ TEST_F(BundleTest, BitFlipAnywhereIsRejected) {
     EXPECT_FALSE(
         load_bundle(path, "pipe", options(), kernel_fp_, *hash).has_value())
         << "payload bit " << bit;
-    load_bundle(path, "pipe", options(), kernel_fp_);
+    EXPECT_FALSE(load_bundle(path, "pipe", options(), kernel_fp_).has_value())
+        << "payload bit " << bit << " without a hash";
     flip(bit);
   }
   EXPECT_GE(flips, 256u);
@@ -325,7 +331,7 @@ TEST_F(BundleTest, RejectsMismatchedIdentityAndCorruption) {
                                std::filesystem::file_size(cut) * 3 / 4);
   EXPECT_FALSE(load_bundle(cut, "pipe", options(), kernel_fp_).has_value());
 
-  // A flipped byte in the payload against the recorded hash.
+  // A flipped byte in the payload, with and without the recorded hash.
   const std::string bad = dir + "/bad.kfib";
   std::filesystem::copy_file(path, bad);
   {
@@ -340,6 +346,7 @@ TEST_F(BundleTest, RejectsMismatchedIdentityAndCorruption) {
   }
   EXPECT_FALSE(load_bundle(bad, "pipe", options(), kernel_fp_, *hash)
                    .has_value());
+  EXPECT_FALSE(load_bundle(bad, "pipe", options(), kernel_fp_).has_value());
 }
 
 TEST_F(BundleTest, AdoptedBundleSubstitutesForALocalBuild) {

@@ -1,8 +1,8 @@
 // The process-sharded campaign service: the sharded digest is
 // bit-identical to the in-process run_campaign() path at every worker
 // count, a killed campaign resumes from exactly its completed shards,
-// and a corrupted shard artifact is rejected by content hash and
-// re-run.  The campaignd_smoke_sharded and campaignd_smoke_def ctest
+// and a corrupted shard artifact or golden bundle is rejected by its
+// checksum trailer and re-run or rebuilt.  The campaignd_smoke_sharded and campaignd_smoke_def ctest
 // entries gate the same contracts on the full smoke triples through
 // kfi_campaignd; here they run on a trimmed two-slot campaign so the
 // whole suite stays in tier-1 time.
@@ -132,12 +132,15 @@ TEST(Service, KilledCampaignResumesFromCompletedShards) {
 
   // The artifacts that did land are whole (atomic rename): exactly one
   // shard from the single worker's single completed claim.
+  const std::optional<Manifest> manifest = load_manifest(dir);
+  ASSERT_TRUE(manifest.has_value());
   const analysis::ShardStore store(dir + "/shards");
   std::uint64_t completed = 0;
   for (std::uint64_t shard = 0; shard < partial.shard_count; ++shard) {
-    const auto path = store.find_shard(shard);
-    if (!path.has_value()) continue;
-    EXPECT_TRUE(analysis::ShardStore::verify_shard(*path));
+    const std::string path = store.shard_path(shard);
+    if (!std::filesystem::exists(path)) continue;
+    EXPECT_TRUE(analysis::ShardCursor::open(path, shard, manifest->config_hash)
+                    .has_value());
     ++completed;
   }
   EXPECT_EQ(completed, 1u);
@@ -157,27 +160,26 @@ TEST(Service, CorruptShardIsRejectedByHashAndReRun) {
   const ServiceResult first = run_service(config);
   ASSERT_TRUE(first.ok) << first.error;
 
-  // Flip a payload byte in shard 0's artifact, keeping its name — the
-  // torn-write / bit-rot case.  Aggregation must refuse it.
-  const analysis::ShardStore store(dir + "/shards");
-  const auto victim = store.find_shard(0);
-  ASSERT_TRUE(victim.has_value());
+  // Flip a byte of the last record in shard 0's artifact, keeping its
+  // name — the torn-write / bit-rot case.  Aggregation must refuse it.
+  const std::string victim =
+      analysis::ShardStore(dir + "/shards").shard_path(0);
   {
-    std::fstream f(*victim, std::ios::in | std::ios::out | std::ios::binary);
+    std::fstream f(victim, std::ios::in | std::ios::out | std::ios::binary);
     ASSERT_TRUE(f.good());
-    const auto size =
-        static_cast<long>(std::filesystem::file_size(*victim));
+    const auto size = static_cast<long>(std::filesystem::file_size(victim));
+    const long at = size - static_cast<long>(kSealBytes) - 5;
     char byte = 0;
-    f.seekg(size - 5);
+    f.seekg(at);
     f.read(&byte, 1);
     byte = static_cast<char>(byte ^ 0x80);
-    f.seekp(size - 5);
+    f.seekp(at);
     f.write(&byte, 1);
   }
   ServiceResult aggregate;
   EXPECT_FALSE(aggregate_campaign(dir, false, aggregate));
   EXPECT_EQ(aggregate.corrupt_discarded, 1u);
-  EXPECT_FALSE(store.find_shard(0).has_value());  // discarded
+  EXPECT_FALSE(std::filesystem::exists(victim));  // discarded
 
   // The controller re-runs exactly the discarded shard and converges on
   // the same digest.
@@ -186,6 +188,40 @@ TEST(Service, CorruptShardIsRejectedByHashAndReRun) {
   EXPECT_EQ(repaired.digest, reference_digest());
   EXPECT_EQ(repaired.shards_executed, 1u);
   EXPECT_EQ(repaired.shards_resumed, repaired.shard_count - 1);
+}
+
+TEST(Service, CorruptBundleIsRebuiltNotAdopted) {
+  // A bit flipped in the payload of one reused bundle — snapshot bytes
+  // that parse either way.  Preparing again must refuse that bundle and
+  // rebuild it, not adopt it and hand its hash to every worker.
+  const std::string dir = fresh_dir("kfi_service_test_corrupt_bundle");
+  ServiceConfig config = base_config(dir);
+  ServiceResult first;
+  ASSERT_TRUE(prepare_campaign(config, &first).has_value()) << first.error;
+  const std::optional<Manifest> manifest = load_manifest(dir);
+  ASSERT_TRUE(manifest.has_value());
+  ASSERT_FALSE(manifest->workloads.empty());
+  const std::string victim =
+      bundle_path(config.bundle_dir, manifest->workloads[0],
+                  manifest->options, manifest->kernel_fp);
+  {
+    std::fstream f(victim, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.good());
+    const auto size = static_cast<long>(std::filesystem::file_size(victim));
+    char byte = 0;
+    f.seekg(size / 2);
+    f.read(&byte, 1);
+    byte = static_cast<char>(byte ^ 0x10);
+    f.seekp(size / 2);
+    f.write(&byte, 1);
+  }
+
+  config.fresh = true;
+  const ServiceResult result = run_service(config);
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(result.bundles_built, 1u);
+  EXPECT_EQ(result.bundles_adopted, manifest->workloads.size() - 1);
+  EXPECT_EQ(result.digest, reference_digest());
 }
 
 TEST(Service, WorkersAdoptBundlesInsteadOfRebuilding) {
@@ -571,11 +607,12 @@ TEST(Service, VersionThreeManifestIsRejectedAndReprepared) {
                     16 * manifest->campaigns.size() + 4;
   for (const std::string& workload : manifest->workloads) {
     pos += 4 + workload.size();
-    const std::optional<std::uint64_t> fnv = file_content_hash(
+    const std::optional<std::string> bundle = read_file_bytes(
         bundle_path(config.bundle_dir, workload, manifest->options,
                     manifest->kernel_fp));
-    ASSERT_TRUE(fnv.has_value());
-    std::memcpy(&bytes[pos], &*fnv, 8);
+    ASSERT_TRUE(bundle.has_value());
+    const std::uint64_t fnv = fnv1a_bytes(bundle->data(), bundle->size());
+    std::memcpy(&bytes[pos], &fnv, 8);
     pos += 8;
   }
   std::ofstream(dir + "/manifest.kfim", std::ios::binary | std::ios::trunc)

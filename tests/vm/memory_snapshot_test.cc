@@ -247,7 +247,7 @@ TEST(MemorySnapshot, SparseCaptureOnForeignMemoryTrustsOnlyItsOwnMemo) {
                               &base_memo));
 }
 
-TEST(MemorySnapshot, FromPartsViewRestoresIdenticallyToOwnedCopy) {
+TEST(MemorySnapshot, FromPartsViewRestoresIdentically) {
   PhysicalMemory mem(kSize);
   Rng rng(0xBEEFu);
   scribble(mem, rng, 150);
@@ -259,31 +259,25 @@ TEST(MemorySnapshot, FromPartsViewRestoresIdenticallyToOwnedCopy) {
       mem.raw(0), mem.size(), mem.page_versions(), base, &base_memo);
   const std::vector<std::uint8_t> delta_state = contents(mem);
 
-  // Reassemble both snapshots from their serialized parts, once with an
-  // owned payload copy and once as a zero-copy view into the original
-  // payload bytes — the bundle-mmap path.
-  ChunkedSnapshot base_copy = ChunkedSnapshot::from_parts(
-      base.chunk_size(), base.size(), base.versions(), nullptr, {},
-      base.payload(), base.payload_size(), /*copy_payload=*/true);
+  // Reassemble both snapshots from their serialized parts as zero-copy
+  // views into the original payload bytes — the bundle-mmap path.
   ChunkedSnapshot base_view = ChunkedSnapshot::from_parts(
       base.chunk_size(), base.size(), base.versions(), nullptr, {},
-      base.payload(), base.payload_size(), /*copy_payload=*/false);
-  EXPECT_FALSE(base_copy.is_view());
+      base.payload(), base.payload_size());
   EXPECT_TRUE(base_view.is_view());
   EXPECT_EQ(base_view.payload(), base.payload())
       << "a view must alias the serialized payload, not copy it";
   ChunkedSnapshot delta_view = ChunkedSnapshot::from_parts(
       delta.chunk_size(), delta.size(), delta.versions(), &base_view,
-      delta.slots(), delta.payload(), delta.payload_size(),
-      /*copy_payload=*/false);
+      delta.slots(), delta.payload(), delta.payload_size());
   EXPECT_TRUE(delta_view.is_delta());
 
   // Restores through the reassembled snapshots must land the same bytes
-  // as the originals, for both the copy and the view.
-  for (ChunkedSnapshot* snap : {&base_copy, &base_view}) {
+  // as the originals.
+  {
     PhysicalMemory target(kSize);
-    std::vector<std::uint64_t> memo = snap->fresh_memo();
-    target.restore_pages(*snap, memo);
+    std::vector<std::uint64_t> memo = base_view.fresh_memo();
+    target.restore_pages(base_view, memo);
     ASSERT_EQ(contents(target), base_state);
   }
   {
