@@ -4,6 +4,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <thread>
 #include <unordered_set>
 
@@ -260,6 +261,12 @@ CampaignRun run_campaign(Injector& injector,
   threads = static_cast<unsigned>(
       std::min<std::size_t>(threads, std::max<std::size_t>(targets.size(), 1)));
 
+  // Build every workload's golden artifacts on the campaign's threads;
+  // campaign_order below then only looks them up.
+  std::set<std::string> workloads;
+  for (const InjectionSpec& spec : targets) workloads.insert(spec.workload);
+  injector.cache()->build_workloads({workloads.begin(), workloads.end()},
+                                    threads);
   const std::vector<std::size_t> order = campaign_order(injector, targets);
   const std::vector<ShardRange> shards = shard_ranges(order.size(), threads);
 

@@ -139,7 +139,9 @@ std::uint64_t drain_shards(
     const std::function<bool(std::uint64_t)>& claim,
     const std::function<void(std::uint64_t, bool)>& run);
 
-// Drains the campaign's n targets over shard_ranges(n, threads):
+// Builds the golden artifacts of the campaign's workloads on its
+// threads (GoldenCache::build_workloads), then drains the campaign's
+// n targets over shard_ranges(n, threads):
 // worker 0 keeps `injector`, every other thread runs its own Injector
 // on the shared GoldenCache.
 // Results land in spec-order slots, so the thread count moves only

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <stdexcept>
+#include <system_error>
+#include <thread>
 #include <utility>
 
 #include "fsutil/kfs.h"
@@ -37,6 +40,43 @@ const WorkloadGolden& GoldenCache::workload(const std::string& name) {
   // may retry.
   std::call_once(entry->once, [&] { build(name, entry->artifact); });
   return entry->artifact;
+}
+
+void GoldenCache::build_workloads(
+    const std::vector<std::string>& names, unsigned threads,
+    const std::function<void(std::size_t, const WorkloadGolden&)>& then) {
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
+  std::mutex error_mutex;  // guards error
+  std::exception_ptr error;
+  const auto builder = [&] {
+    while (!failed) {
+      const std::size_t i = next++;
+      if (i >= names.size()) return;
+      try {
+        const WorkloadGolden& artifact = workload(names[i]);
+        if (then) then(i, artifact);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(error_mutex);
+        if (error == nullptr) error = std::current_exception();
+        failed = true;
+      }
+    }
+  };
+  const std::size_t spawn =
+      std::min<std::size_t>(std::max(threads, 1u), names.size());
+  std::vector<std::thread> pool;
+  pool.reserve(spawn);
+  for (std::size_t t = 1; t < spawn; ++t) {
+    try {
+      pool.emplace_back(builder);
+    } catch (const std::system_error&) {
+      break;  // no thread to spare: the caller's builder drains the rest
+    }
+  }
+  builder();
+  for (std::thread& t : pool) t.join();
+  if (error != nullptr) std::rethrow_exception(error);
 }
 
 bool GoldenCache::adopt_workload(const std::string& name,

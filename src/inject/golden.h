@@ -21,6 +21,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -143,6 +144,19 @@ class GoldenCache {
   // (thread-safe, exactly once per workload).  Throws if the workload
   // fails to boot or its golden run does not complete.
   const WorkloadGolden& workload(const std::string& name);
+
+  // Builds the artifacts of every name through workload() on up to
+  // `threads` threads, the caller among them; at one thread (or one
+  // name) the caller builds them alone, in order, and no thread starts.
+  // Threads claim names from one atomic index, so a name already built
+  // or adopted costs a lookup.  `then(i, artifact)`, when given, runs
+  // on the thread that got names[i], right after its artifact is
+  // ready.  The first exception a build or `then` throws stops further
+  // claims and is re-thrown here once every thread has joined.
+  void build_workloads(
+      const std::vector<std::string>& names, unsigned threads,
+      const std::function<void(std::size_t, const WorkloadGolden&)>& then =
+          nullptr);
 
   // Installs a prebuilt artifact under `name` — the campaign-service
   // path, where worker processes deserialize a golden bundle instead of

@@ -1,11 +1,15 @@
 #include "serve/service.h"
 
 #include <fcntl.h>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
@@ -313,6 +317,82 @@ std::uint64_t adopt_bundles(inject::GoldenCache& cache,
   return adopted;
 }
 
+// Fills manifest.bundle_hashes, parallel to manifest.workloads.  A
+// valid bundle on disk is kept as it is.  Every other workload is built
+// on up to `threads` threads, and the thread that built it writes its
+// bundle, so fsync waits overlap with the other builds.  Each hash
+// lands in its workload's slot, so the manifest does not depend on
+// which build finished first.  False when a bundle cannot be written
+// (message on stderr), once every builder has joined.
+bool prepare_bundles(Manifest& manifest, const std::string& bundle_dir,
+                     unsigned threads, bool verbose, ServiceResult* result) {
+  const auto began = std::chrono::steady_clock::now();
+  const auto path_of = [&](const std::string& workload) {
+    return bundle_path(bundle_dir, workload, manifest.options,
+                       manifest.kernel_fp);
+  };
+  manifest.bundle_hashes.assign(manifest.workloads.size(), 0);
+  std::vector<std::string> missing;
+  std::vector<std::size_t> slots;  // manifest slot of each missing name
+  for (std::size_t i = 0; i < manifest.workloads.size(); ++i) {
+    const std::string& workload = manifest.workloads[i];
+    const std::optional<LoadedBundle> loaded =
+        load_bundle(path_of(workload), workload, manifest.options,
+                    manifest.kernel_fp);
+    if (loaded.has_value()) {
+      manifest.bundle_hashes[i] = loaded->content_hash;
+    } else {
+      missing.push_back(workload);
+      slots.push_back(i);
+    }
+  }
+
+  std::atomic<bool> written{true};
+  if (!missing.empty()) {
+    {  // the builder cache dies at the end of this block
+      inject::GoldenCache cache(manifest.options);
+      cache.build_workloads(
+          missing, threads,
+          [&](std::size_t j, const inject::WorkloadGolden& artifact) {
+            const std::string path = path_of(missing[j]);
+            const std::optional<std::uint64_t> hash =
+                write_bundle(path, missing[j], artifact, manifest.options,
+                             manifest.kernel_fp);
+            if (hash.has_value()) {
+              manifest.bundle_hashes[slots[j]] = *hash;
+              return;
+            }
+            std::fprintf(stderr, "[kfi-serve] cannot write bundle %s\n",
+                         path.c_str());
+            written = false;
+          });
+    }
+#ifdef __GLIBC__
+    // Forked workers inherit the controller's resident heap, so the
+    // builder arenas freed above would count in every worker's RSS
+    // until handed back.
+    malloc_trim(0);
+#endif
+  }
+  if (!written) return false;
+  if (result != nullptr) {
+    result->bundles_built += missing.size();
+    result->bundles_adopted += manifest.workloads.size() - missing.size();
+  }
+  if (verbose) {
+    const std::chrono::duration<double> took =
+        std::chrono::steady_clock::now() - began;
+    const std::size_t used = std::max<std::size_t>(
+        1, std::min<std::size_t>(std::max(threads, 1u), missing.size()));
+    std::fprintf(stderr,
+                 "[kfi-serve] prepare: built %zu and adopted %zu of %zu "
+                 "bundles (%zu threads, %.3f s)\n",
+                 missing.size(), manifest.workloads.size() - missing.size(),
+                 manifest.workloads.size(), used, took.count());
+  }
+  return true;
+}
+
 // Executes order positions [begin, end) and returns the shard's
 // records (global spec index + result).
 std::vector<analysis::ShardRecord> execute_range(
@@ -435,9 +515,6 @@ std::optional<Manifest> prepare_campaign(const ServiceConfig& config,
     std::filesystem::remove(manifest_path(config.dir), ec);
   }
 
-  auto cache = std::make_shared<inject::GoldenCache>(manifest.options);
-  inject::Injector injector(cache);
-
   const profile::ProfileResult& prof = profile::default_profile();
   std::set<std::string> workloads;
   std::vector<std::vector<inject::InjectionSpec>> targets;
@@ -452,34 +529,10 @@ std::optional<Manifest> prepare_campaign(const ServiceConfig& config,
     }
   }
 
-  // Bundle each workload: adopt an existing valid bundle, otherwise
-  // build the artifacts once and serialize them for every worker.
-  for (const std::string& workload : workloads) {
-    const std::string path =
-        bundle_path(bundle_dir, workload, manifest.options,
-                    manifest.kernel_fp);
-    std::uint64_t hash = 0;
-    if (auto loaded = load_bundle(path, workload, manifest.options,
-                                  manifest.kernel_fp)) {
-      hash = loaded->content_hash;
-      cache->adopt_workload(workload, std::move(loaded->artifact),
-                            std::move(loaded->keepalive));
-      if (result != nullptr) ++result->bundles_adopted;
-    } else {
-      const inject::WorkloadGolden& artifact = cache->workload(workload);
-      const auto written = write_bundle(path, workload, artifact,
-                                        manifest.options,
-                                        manifest.kernel_fp);
-      if (!written.has_value()) {
-        std::fprintf(stderr, "[kfi-serve] cannot write bundle %s\n",
-                     path.c_str());
-        return std::nullopt;
-      }
-      hash = *written;
-      if (result != nullptr) ++result->bundles_built;
-    }
-    manifest.workloads.push_back(workload);
-    manifest.bundle_hashes.push_back(hash);
+  manifest.workloads.assign(workloads.begin(), workloads.end());
+  if (!prepare_bundles(manifest, bundle_dir, config.workers, config.verbose,
+                       result)) {
+    return std::nullopt;
   }
 
   // Shard table over the concatenated locality orders, cut by the same

@@ -44,7 +44,8 @@ struct ServiceConfig {
   std::string bundle_dir;
 
   // Worker processes; the shard table is inject::shard_ranges over
-  // this count, the rule the thread path cuts by.
+  // this count, the rule the thread path cuts by.  prepare_campaign
+  // builds missing golden bundles on as many threads.
   unsigned workers = 1;
 
   // Wipe shards/claims/manifest before starting (bundles survive; every
@@ -131,7 +132,8 @@ struct ServiceResult {
 };
 
 // Serializes golden bundles (building only the ones missing or
-// invalid), computes the shard table over the deterministic execution
+// invalid, on `workers` threads; the bundle and manifest bytes do not
+// depend on that count), computes the shard table over the deterministic execution
 // order, and writes "<dir>/manifest.kfim" crash-safely.  When a
 // manifest for a *different* config already exists in `dir`, stale
 // shards and claims are wiped first; a matching manifest is reused

@@ -9,6 +9,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -84,6 +85,32 @@ TEST(GoldenCache, CampaignsShareOneWarmupAcrossInjectorsAndThreads) {
   // The second campaign (fresh Injector, same cache) only pays for
   // workloads the first never touched.
   EXPECT_EQ(cache->golden_builds(), all.size());
+}
+
+TEST(GoldenCache, BuildWorkloadsOnTwoThreadsBuildsEachOnceAndReportsEach) {
+  GoldenCache cache;
+  const std::vector<std::string> names = {"pipe", "syscall", "looper"};
+  std::vector<const WorkloadGolden*> reported(names.size(), nullptr);
+  cache.build_workloads(names, 2,
+                        [&](std::size_t i, const WorkloadGolden& artifact) {
+                          reported[i] = &artifact;  // one writer per slot
+                        });
+  EXPECT_EQ(cache.golden_builds(), names.size());
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(reported[i], &cache.workload(names[i])) << names[i];
+  }
+  // Already built: a second pass is lookups only.
+  cache.build_workloads(names, 2);
+  EXPECT_EQ(cache.golden_builds(), names.size());
+}
+
+TEST(GoldenCache, BuildWorkloadsRethrowsAFailedBuildOnTheCaller) {
+  GoldenCache cache;
+  const std::vector<std::string> names = {"pipe", "no_such_workload",
+                                          "syscall"};
+  EXPECT_THROW(cache.build_workloads(names, 2), std::runtime_error);
+  // A failed build leaves its entry unbuilt; the others stay usable.
+  EXPECT_TRUE(cache.workload("pipe").golden.ok);
 }
 
 }  // namespace

@@ -15,14 +15,17 @@
 #include <fstream>
 #include <iterator>
 #include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "analysis/io.h"
 #include "analysis/store.h"
 #include "check/expectations.h"
 #include "check/replay.h"
 #include "inject/injector.h"
+#include "kernel/build.h"
 #include "profile/profile.h"
 #include "serve/bundle.h"
 #include "support/fsio.h"
@@ -242,6 +245,121 @@ TEST(Service, WorkersAdoptBundlesInsteadOfRebuilding) {
   EXPECT_TRUE(report.ok);
   EXPECT_EQ(report.bundle_adoptions, manifest->workloads.size());
   EXPECT_EQ(report.shards_completed, 0u);  // campaign already complete
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream file(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(file),
+          std::istreambuf_iterator<char>()};
+}
+
+std::set<std::string> distinct_workloads(
+    const std::vector<inject::CampaignConfig>& campaigns) {
+  std::set<std::string> workloads;
+  for (const inject::CampaignConfig& config : campaigns) {
+    for (const inject::InjectionSpec& spec : inject::campaign_targets(
+             profile::default_profile(), config, nullptr)) {
+      workloads.insert(spec.workload);
+    }
+  }
+  return workloads;
+}
+
+// Bundles are built on `workers` threads, but their bytes, the
+// manifest's workload list and its bundle hashes must not depend on
+// that count or on which build finished first.
+TEST(Service, ParallelPrepareWritesIdenticalBundles) {
+  constexpr std::uint64_t kAbcFold = 0x54fdd95d1638c920ULL;  // in-process
+  std::vector<inject::CampaignConfig> smoke;
+  for (const inject::Campaign campaign :
+       {inject::Campaign::RandomNonBranch, inject::Campaign::RandomBranch,
+        inject::Campaign::IncorrectBranch}) {
+    smoke.push_back(check::smoke_config(campaign));
+  }
+  const std::size_t distinct = distinct_workloads(smoke).size();
+  ASSERT_GT(distinct, 2u);
+
+  std::vector<ServiceConfig> configs;
+  std::vector<Manifest> manifests;
+  for (const unsigned workers : {1u, 3u}) {
+    const std::string name = "kfi_service_test_prepare_w" +
+                             std::to_string(workers);
+    ServiceConfig config;
+    config.campaigns = smoke;
+    config.dir = fresh_dir(name);
+    config.bundle_dir = fresh_dir(name + "_bundles");
+    config.workers = workers;
+    ServiceResult prepared;
+    const std::optional<Manifest> manifest =
+        prepare_campaign(config, &prepared);
+    ASSERT_TRUE(manifest.has_value()) << "workers=" << workers;
+    EXPECT_EQ(prepared.bundles_built, distinct) << "workers=" << workers;
+    EXPECT_EQ(prepared.bundles_adopted, 0u) << "workers=" << workers;
+    configs.push_back(config);
+    manifests.push_back(*manifest);
+  }
+
+  EXPECT_EQ(manifests[0].workloads, manifests[1].workloads);
+  EXPECT_EQ(manifests[0].bundle_hashes, manifests[1].bundle_hashes);
+  ASSERT_EQ(manifests[0].workloads.size(), distinct);
+  for (const std::string& workload : manifests[0].workloads) {
+    const Manifest& m = manifests[0];
+    const std::string one = read_bytes(
+        bundle_path(configs[0].bundle_dir, workload, m.options, m.kernel_fp));
+    const std::string three = read_bytes(
+        bundle_path(configs[1].bundle_dir, workload, m.options, m.kernel_fp));
+    EXPECT_FALSE(one.empty()) << workload;
+    EXPECT_TRUE(one == three) << workload << " bundle bytes differ";
+  }
+
+  // Both campaigns fold to the in-process digest.  Three workers drain
+  // each one, whatever count its shard table was cut for.
+  for (ServiceConfig& config : configs) {
+    config.workers = 3;
+    const ServiceResult result = run_service(config);
+    ASSERT_TRUE(result.ok) << config.dir << ": " << result.error;
+    EXPECT_EQ(result.digest, kAbcFold) << config.dir;
+  }
+}
+
+// A bundle that cannot land (a directory squats at its path) fails the
+// prepare with a message, after every builder has joined; the other
+// bundles are whole, and no temp file is left behind.
+TEST(Service, UnwritableBundleFailsPrepareOnTwoThreads) {
+  ServiceConfig config = base_config(fresh_dir("kfi_service_test_squat"));
+  config.bundle_dir = fresh_dir("kfi_service_test_squat_bundles");
+  config.workers = 2;
+  const std::set<std::string> workloads =
+      distinct_workloads(config.campaigns);
+  ASSERT_GE(workloads.size(), 2u);
+  const inject::InjectorOptions options = config.options;
+  const std::uint64_t kernel_fp =
+      analysis::kernel_fingerprint(kernel::built_kernel());
+  const std::string squatted = *workloads.begin();
+  std::filesystem::create_directories(
+      bundle_path(config.bundle_dir, squatted, options, kernel_fp) + "/x");
+
+  ServiceResult result;
+  testing::internal::CaptureStderr();
+  const std::optional<Manifest> manifest = prepare_campaign(config, &result);
+  const std::string stderr_text = testing::internal::GetCapturedStderr();
+  EXPECT_FALSE(manifest.has_value());
+  EXPECT_NE(stderr_text.find("cannot write bundle"), std::string::npos)
+      << stderr_text;
+  EXPECT_FALSE(load_manifest(config.dir).has_value());
+  for (const std::string& workload : workloads) {
+    if (workload == squatted) continue;
+    EXPECT_TRUE(load_bundle(bundle_path(config.bundle_dir, workload,
+                                        options, kernel_fp),
+                            workload, options, kernel_fp)
+                    .has_value())
+        << workload;
+  }
+  for (const auto& entry :
+       std::filesystem::directory_iterator(config.bundle_dir)) {
+    EXPECT_EQ(entry.path().string().find(".tmp."), std::string::npos)
+        << entry.path();
+  }
 }
 
 // A one-slot campaign-D (register-file fault model) config over one
