@@ -142,6 +142,22 @@ void print_campaign_stats(const inject::CampaignStats& cs) {
   }
 }
 
+// Where the golden memory went: the cache's one base image, its boot
+// deltas and ladders, and the machines the campaigns' injectors built.
+void print_cache_stats(const inject::GoldenCache& cache,
+                       const inject::CampaignStats& cs) {
+  const inject::GoldenCache::HeldBytes held = cache.held_bytes();
+  constexpr double kMiB = 1024.0 * 1024.0;
+  std::printf(
+      "perf: %llu golden builds, %.2f s; cache holds base %.1f MiB, boot "
+      "deltas %.2f MiB, ladders %.1f MiB; %llu injector machines\n",
+      static_cast<unsigned long long>(cache.golden_builds()),
+      cache.build_seconds(), static_cast<double>(held.base) / kMiB,
+      static_cast<double>(held.boots) / kMiB,
+      static_cast<double>(held.ladders) / kMiB,
+      static_cast<unsigned long long>(cs.machines));
+}
+
 inject::Campaign parse_campaign(const char* arg) {
   switch (arg[0]) {
     case 'B': return inject::Campaign::RandomBranch;
@@ -185,6 +201,7 @@ int cmd_shape(int argc, char** argv) {
     totals.shards = a.stats.shards + c.stats.shards;
     totals.steals = a.stats.steals + c.stats.steals;
     print_campaign_stats(totals);
+    print_cache_stats(*injector.cache(), totals);
     return report.all_pass() ? 0 : 1;
   }
   if (scale == "extended") {
@@ -221,10 +238,7 @@ int cmd_shape(int argc, char** argv) {
     totals += runs[1].stats;
     totals += runs[2].stats;
     print_campaign_stats(totals);
-    std::printf("perf: %llu golden builds, %.2f s\n",
-                static_cast<unsigned long long>(
-                    injector.cache()->golden_builds()),
-                injector.cache()->build_seconds());
+    print_cache_stats(*injector.cache(), totals);
     return report.all_pass() ? 0 : 1;
   }
   if (scale != "full") return usage();
@@ -241,6 +255,10 @@ int cmd_shape(int argc, char** argv) {
       injector, inject::Campaign::IncorrectBranch, options);
   const check::ShapeReport report = check::evaluate_full(a, b, c);
   std::fputs(check::render_report(report).c_str(), stdout);
+  inject::CampaignStats totals = a.stats;
+  totals += b.stats;
+  totals += c.stats;
+  print_cache_stats(*injector.cache(), totals);
   return report.all_pass() ? 0 : 1;
 }
 

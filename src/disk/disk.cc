@@ -1,6 +1,5 @@
 #include "disk/disk.h"
 
-#include <cassert>
 #include <cstring>
 #include <utility>
 
@@ -15,16 +14,6 @@ std::uint32_t DiskImage::read32(std::uint32_t byte_offset) const {
 void DiskImage::write32(std::uint32_t byte_offset, std::uint32_t value) {
   std::memcpy(bytes_.data() + byte_offset, &value, 4);
   ++versions_[byte_offset / kBlockSize];
-}
-
-void DiskImage::restore_blocks_full(const vm::ChunkedSnapshot& snap,
-                                    std::vector<std::uint64_t>* memo) {
-  assert(!snap.is_delta() && snap.size() == bytes_.size());
-  std::memcpy(bytes_.data(), snap.chunk(0), bytes_.size());
-  for (std::uint64_t& v : versions_) ++v;
-  if (memo != nullptr) {
-    memo->assign(versions_.begin(), versions_.begin() + snap.chunk_count());
-  }
 }
 
 std::uint32_t DiskDevice::mmio_read(std::uint32_t offset) {

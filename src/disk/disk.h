@@ -62,12 +62,11 @@ class DiskImage {
   // Snapshots are immutable and shareable; the per-(snapshot, image)
   // equality memo is caller-owned — see vm/snapshot.h.
   vm::ChunkedSnapshot snapshot_blocks() const {
-    return vm::ChunkedSnapshot::full(bytes_.data(), bytes_.size(), versions_,
-                                     kBlockSize);
+    return vm::ChunkedSnapshot::full(bytes_.data(), bytes_.size(), kBlockSize);
   }
   vm::ChunkedSnapshot snapshot_delta(
       const vm::ChunkedSnapshot& base,
-      const std::vector<std::uint64_t>* base_memo = nullptr) const {
+      std::vector<std::uint64_t>& base_memo) const {
     return vm::ChunkedSnapshot::delta(bytes_.data(), bytes_.size(), versions_,
                                       base, base_memo);
   }
@@ -78,8 +77,6 @@ class DiskImage {
                                std::vector<std::uint64_t>* base_memo = nullptr) {
     return snap.restore_into(bytes_.data(), versions_, memo, base_memo);
   }
-  void restore_blocks_full(const vm::ChunkedSnapshot& snap,
-                           std::vector<std::uint64_t>* memo = nullptr);
   // True when the image is byte-identical to `snap`; skips blocks whose
   // write version (per `memo`/`base_memo`) proves equality.
   bool blocks_match(const vm::ChunkedSnapshot& snap,

@@ -25,6 +25,7 @@ CampaignStats& CampaignStats::operator+=(const CampaignStats& o) {
   dead_byte_reconverged += o.dead_byte_reconverged;
   pre_trigger_cycles += o.pre_trigger_cycles;
   post_trigger_cycles += o.post_trigger_cycles;
+  machines += o.machines;
   perf += o.perf;
   return *this;
 }
@@ -41,6 +42,7 @@ CampaignStats& CampaignStats::operator-=(const CampaignStats& o) {
   dead_byte_reconverged -= o.dead_byte_reconverged;
   pre_trigger_cycles -= o.pre_trigger_cycles;
   post_trigger_cycles -= o.post_trigger_cycles;
+  machines -= o.machines;
   perf -= o.perf;
   return *this;
 }
@@ -62,6 +64,7 @@ CampaignStats injector_counters(const Injector& injector) {
   s.dead_byte_reconverged = injector.dead_byte_reconverged();
   s.pre_trigger_cycles = injector.pre_trigger_cycles();
   s.post_trigger_cycles = injector.post_trigger_cycles();
+  s.machines = injector.machines_built();
   s.perf = injector.perf_stats();
   return s;
 }
@@ -283,10 +286,11 @@ CampaignRun run_campaign(Injector& injector,
   std::size_t done = 0;
   std::mutex mutex;  // guards run.stats, done and progress
   auto worker = [&](unsigned w) {
-    // Worker 0 reuses the caller's injector (and its warmed machines);
+    // Worker 0 reuses the caller's injector (and its warmed machine);
     // the others borrow the same GoldenCache, so no golden run, ladder
     // capture, or boot is ever repeated — a private worker costs one
-    // adopt_boot (a full-image copy) per workload it actually touches.
+    // machine, a full-image copy on its first adopt_boot and a few
+    // pages per workload switch after that.
     std::unique_ptr<Injector> own;
     Injector* inj = &injector;
     if (w != 0) {

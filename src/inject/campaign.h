@@ -60,6 +60,8 @@ struct CampaignStats {
   std::uint64_t dead_byte_reconverged = 0;  // inside reconverged
   std::uint64_t pre_trigger_cycles = 0;
   std::uint64_t post_trigger_cycles = 0;
+  // Machines the campaign's injectors constructed (one per injector).
+  std::uint64_t machines = 0;
   machine::PerfStats perf;
   // Drain telemetry (not part of += aggregation; set by
   // run_campaign).  A steal is a shard run by a thread other than
@@ -101,7 +103,9 @@ std::vector<InjectionSpec> campaign_targets(const profile::ProfileResult& prof,
 // The deterministic execution order run_campaign drains: positions
 // into `targets`, grouped by workload and sorted by each target's
 // first-execution cycle in the golden run, so consecutive runs resume
-// from the same (or an adjacent) checkpoint-ladder rung.  Exposed so
+// from the same (or an adjacent) checkpoint-ladder rung, and an
+// injector's one machine switches workload only at group boundaries.
+// Exposed so
 // the process-sharded campaign service (src/serve) cuts its shard
 // manifest over the identical order — shard boundaries, and therefore
 // shard artifact hashes, depend only on (targets, golden touch maps).

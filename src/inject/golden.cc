@@ -13,6 +13,14 @@
 #include "vm/liveness.h"
 
 namespace kfi::inject {
+namespace {
+
+std::runtime_error no_boot(const std::string& name) {
+  return std::runtime_error("golden cache: workload '" + name +
+                            "' failed to boot");
+}
+
+}  // namespace
 
 GoldenCache::GoldenCache(InjectorOptions options,
                          const kernel::KernelImage* image)
@@ -24,6 +32,12 @@ GoldenCache::GoldenCache(InjectorOptions options,
 }
 
 GoldenCache::~GoldenCache() = default;
+
+machine::MachineOptions GoldenCache::machine_options() const {
+  machine::MachineOptions machine_options;
+  machine_options.exec_engine = options_.exec_engine;
+  return machine_options;
+}
 
 GoldenCache::Entry* GoldenCache::entry_for(const std::string& name) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -45,6 +59,7 @@ const WorkloadGolden& GoldenCache::workload(const std::string& name) {
 void GoldenCache::build_workloads(
     const std::vector<std::string>& names, unsigned threads,
     const std::function<void(std::size_t, const WorkloadGolden&)>& then) {
+  if (!names.empty()) capture_base(names[0]);
   std::atomic<std::size_t> next{0};
   std::atomic<bool> failed{false};
   std::mutex error_mutex;  // guards error
@@ -82,15 +97,61 @@ void GoldenCache::build_workloads(
 bool GoldenCache::adopt_workload(const std::string& name,
                                  WorkloadGolden artifact,
                                  std::shared_ptr<const void> keepalive) {
+  if (artifact.boot == nullptr) return false;
+  adopt_base(artifact.boot->base);
+  if (base() != artifact.boot->base) return false;
   Entry* entry = entry_for(name);
   bool adopted = false;
   std::call_once(entry->once, [&] {
     entry->artifact = std::move(artifact);
     entry->keepalive = std::move(keepalive);
+    count_held(entry->artifact);
     adoptions_.fetch_add(1, std::memory_order_relaxed);
     adopted = true;
   });
   return adopted;
+}
+
+void GoldenCache::capture_base(const std::string& name) {
+  // Booting under the lock makes every concurrent build wait for the
+  // one base instead of capturing its own.
+  const std::lock_guard<std::mutex> lock(base_mutex_);
+  if (base_ != nullptr) return;
+  machine::Machine machine(image_, workloads::built_workload(name),
+                           root_disk_, machine_options());
+  if (!machine.boot()) throw no_boot(name);
+  base_ = machine.boot_state()->base;
+}
+
+bool GoldenCache::adopt_base(std::shared_ptr<const machine::BaseImage> base) {
+  const std::lock_guard<std::mutex> lock(base_mutex_);
+  if (base_ != nullptr || base == nullptr) return false;
+  base_ = std::move(base);
+  return true;
+}
+
+std::shared_ptr<const machine::BaseImage> GoldenCache::base() const {
+  const std::lock_guard<std::mutex> lock(base_mutex_);
+  return base_;
+}
+
+GoldenCache::HeldBytes GoldenCache::held_bytes() const {
+  HeldBytes held;
+  if (const auto image = base()) held.base = image->storage_bytes();
+  held.boots = boot_bytes_.load(std::memory_order_relaxed);
+  held.ladders = ladder_bytes_.load(std::memory_order_relaxed);
+  return held;
+}
+
+void GoldenCache::count_held(const WorkloadGolden& artifact) {
+  std::uint64_t ladder = 0;
+  for (const machine::Checkpoint& rung : artifact.ladder) {
+    ladder += rung.mem.storage_bytes() + rung.disk.storage_bytes();
+  }
+  boot_bytes_.fetch_add(
+      artifact.boot->mem.storage_bytes() + artifact.boot->disk.storage_bytes(),
+      std::memory_order_relaxed);
+  ladder_bytes_.fetch_add(ladder, std::memory_order_relaxed);
 }
 
 bool WorkloadGolden::dead_at(std::uint32_t phys, std::size_t rung) const {
@@ -107,14 +168,10 @@ bool WorkloadGolden::dead_at(std::uint32_t phys, std::size_t rung) const {
 
 void GoldenCache::build(const std::string& name, WorkloadGolden& out) {
   const auto began = std::chrono::steady_clock::now();
-  machine::MachineOptions machine_options;
-  machine_options.exec_engine = options_.exec_engine;
+  capture_base(name);
   machine::Machine machine(image_, workloads::built_workload(name),
-                           root_disk_, machine_options);
-  if (!machine.boot()) {
-    throw std::runtime_error("golden cache: workload '" + name +
-                             "' failed to boot");
-  }
+                           root_disk_, machine_options());
+  if (!machine.boot(base())) throw no_boot(name);
   const auto incomplete = [&name] {
     return std::runtime_error("golden cache: golden run for '" + name +
                               "' did not complete");
@@ -207,8 +264,9 @@ void GoldenCache::build(const std::string& name, WorkloadGolden& out) {
   golden.disk = judge_disk(machine.disk_image());
 
   // The BootState outlives this transient builder machine; worker
-  // machines adopt it (and the ladder's deltas resolve through it).
+  // machines adopt it, and it holds the base alive for the ladder.
   out.boot = machine.boot_state();
+  count_held(out);
   builds_.fetch_add(1, std::memory_order_relaxed);
   build_ns_.fetch_add(
       static_cast<std::uint64_t>(

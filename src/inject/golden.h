@@ -7,9 +7,17 @@
 // options).  A GoldenCache computes each workload's artifact bundle
 // exactly once per campaign, on whichever thread asks first, and hands
 // out immutable references; worker Injectors borrow the cache by
-// shared_ptr instead of re-running golden runs per thread (previously:
-// N threads cost N full golden replays, ladder captures, and ~16 MiB
-// RAM snapshot copies per workload).
+// shared_ptr instead of re-running golden runs per thread.
+//
+// The cache holds exactly one full RAM+disk snapshot, its base image:
+// the post-boot image of the first workload it builds (or the one
+// adopt_base() installed).  Every other snapshot it holds — each
+// workload's BootState and checkpoint ladder — is a delta against that
+// base, so a workload costs the pages its boot and golden run leave
+// different from the base instead of 20 MiB apiece.  Each workload
+// still boots its own builder machine and compares every chunk with
+// the base, so exactness holds by construction, with no assumption
+// that two workloads' boots agree.
 //
 // Thread safety: workload() may be called concurrently from any number
 // of threads; a per-entry std::once_flag serializes the build of one
@@ -98,9 +106,9 @@ struct SyscallExit {
 };
 
 // One workload's complete golden artifact bundle.  Immutable once
-// built; the BootState is held by shared_ptr because the ladder's
-// delta snapshots resolve through it (and worker machines adopt it),
-// so it must outlive every borrower.
+// built; the BootState is held by shared_ptr because worker machines
+// adopt it, and it holds the base image alive, through which the
+// ladder's delta snapshots resolve.
 struct WorkloadGolden {
   GoldenRun golden;
   std::unordered_set<std::uint32_t> coverage;
@@ -148,6 +156,10 @@ class GoldenCache {
   // Builds the artifacts of every name through workload() on up to
   // `threads` threads, the caller among them; at one thread (or one
   // name) the caller builds them alone, in order, and no thread starts.
+  // While the cache has no base image the caller first boots names[0]
+  // alone and takes its post-boot image as the base, so the base — and
+  // every delta against it — depends on names[0] only, never on thread
+  // timing.
   // Threads claim names from one atomic index, so a name already built
   // or adopted costs a lookup.  `then(i, artifact)`, when given, runs
   // on the thread that got names[i], right after its artifact is
@@ -162,11 +174,35 @@ class GoldenCache {
   // path, where worker processes deserialize a golden bundle instead of
   // re-simulating boot and the golden run.  `keepalive` (may be null)
   // is retained for the entry's lifetime; it owns whatever the
-  // artifact's snapshots borrow (the bundle file's mmap).  Returns
-  // false when an artifact for `name` was already built or adopted
+  // artifact's snapshots borrow (the bundle file's mmap).  The
+  // artifact must resolve through this cache's base image (it becomes
+  // the base when the cache has none yet).  Returns false when it does
+  // not, or when an artifact for `name` was already built or adopted
   // (the existing entry wins — references to it may be live).
   bool adopt_workload(const std::string& name, WorkloadGolden artifact,
                       std::shared_ptr<const void> keepalive);
+
+  // Boots `name` (no golden run) and installs its post-boot image as
+  // the base, unless the cache already has one; build_workloads() does
+  // this with its first name.  Throws if the workload fails to boot.
+  void capture_base(const std::string& name);
+
+  // Installs `base` as the image every later build deltas against — a
+  // worker's mapped base file.  Returns false, changing nothing, when
+  // the cache already has a base.
+  bool adopt_base(std::shared_ptr<const machine::BaseImage> base);
+
+  // The base image (null before the first build or adoption).
+  std::shared_ptr<const machine::BaseImage> base() const;
+
+  // Snapshot payload bytes the cache holds: the base image, the boot
+  // deltas and the checkpoint ladders (built and adopted artifacts).
+  struct HeldBytes {
+    std::uint64_t base = 0;
+    std::uint64_t boots = 0;
+    std::uint64_t ladders = 0;
+  };
+  HeldBytes held_bytes() const;
 
   // Number of artifacts installed by adopt_workload (never rebuilt).
   std::uint64_t adoptions() const {
@@ -209,6 +245,9 @@ class GoldenCache {
   Entry* entry_for(const std::string& name);
 
   void build(const std::string& name, WorkloadGolden& out);
+  machine::MachineOptions machine_options() const;
+  // Adds an installed artifact's boot delta and ladder to held_bytes().
+  void count_held(const WorkloadGolden& artifact);
 
   InjectorOptions options_;
   const kernel::KernelImage& image_;
@@ -218,9 +257,14 @@ class GoldenCache {
 
   std::mutex mutex_;  // guards entries_ (map structure only)
   std::map<std::string, std::unique_ptr<Entry>> entries_;
+  // Guards base_ (held through capture_base's boot).
+  mutable std::mutex base_mutex_;
+  std::shared_ptr<const machine::BaseImage> base_;
   std::atomic<std::uint64_t> builds_{0};
   std::atomic<std::uint64_t> build_ns_{0};
   std::atomic<std::uint64_t> adoptions_{0};
+  std::atomic<std::uint64_t> boot_bytes_{0};
+  std::atomic<std::uint64_t> ladder_bytes_{0};
 };
 
 }  // namespace kfi::inject

@@ -30,34 +30,37 @@ Injector::Injector(std::shared_ptr<GoldenCache> cache)
 Injector::~Injector() = default;
 
 Injector::WorkloadState& Injector::state_for(const std::string& workload) {
-  const auto it = states_.find(workload);
-  if (it != states_.end()) return *it->second;
-
-  // Build (or look up) the shared artifacts first — this is the only
-  // golden warm-up in the whole campaign; the worker machine skips boot
-  // entirely by adopting the shared BootState, making it bit-identical
-  // to the builder machine by construction.
-  const WorkloadGolden& artifact = cache_->workload(workload);
-  machine::MachineOptions machine_options;
-  machine_options.exec_engine = cache_->options().exec_engine;
-  auto state = std::make_unique<WorkloadState>();
-  state->artifact = &artifact;
-  state->machine = std::make_unique<machine::Machine>(
-      cache_->image(), workloads::built_workload(workload),
-      cache_->root_disk(), machine_options);
-  state->machine->adopt_boot(artifact.boot);
-  if (trace_ != nullptr) state->machine->set_event_trace(trace_.get());
-  state->rung_memos.resize(artifact.ladder.size());
-  return *states_.emplace(workload, std::move(state)).first->second;
+  auto it = states_.find(workload);
+  if (it == states_.end()) {
+    // Build (or look up) the shared artifacts first — this is the only
+    // golden warm-up in the whole campaign.
+    const WorkloadGolden& artifact = cache_->workload(workload);
+    auto state = std::make_unique<WorkloadState>();
+    state->artifact = &artifact;
+    state->rung_memos.resize(artifact.ladder.size());
+    it = states_.emplace(workload, std::move(state)).first;
+  }
+  WorkloadState& state = *it->second;
+  if (machine_ == nullptr) {
+    machine::MachineOptions machine_options;
+    machine_options.exec_engine = cache_->options().exec_engine;
+    machine_ = std::make_unique<machine::Machine>(
+        cache_->image(), workloads::built_workload(workload),
+        cache_->root_disk(), machine_options);
+    if (trace_ != nullptr) machine_->set_event_trace(trace_.get());
+  }
+  if (current_ != &state) {
+    // The machine skips boot by adopting the shared BootState, which
+    // makes it bit-identical to the builder machine by construction.
+    machine_->adopt_boot(state.artifact->boot);
+    current_ = &state;
+  }
+  return state;
 }
 
 machine::PerfStats Injector::perf_stats() const {
   machine::PerfStats total;
-  for (const auto& [workload, state] : states_) {
-    total += state->machine->perf_stats();
-  }
-  // Added here, not per machine: the buffer is shared across this
-  // injector's machines, so per-machine sums would double-count.
+  if (machine_ != nullptr) total = machine_->perf_stats();
   if (trace_ != nullptr) {
     total.trace_events = trace_->total_recorded();
     total.trace_dropped = trace_->total_dropped();
@@ -87,7 +90,7 @@ namespace {
 constexpr std::size_t kNoMask = static_cast<std::size_t>(-1);
 
 // A shadow rung records no dirty-tracking memo: only the machine's own
-// boot memo (inside state_matches) skips its comparisons.
+// base memo (inside state_matches) skips its comparisons.
 const machine::CheckpointMemo kNoMemo;
 
 // Copies an end-of-run disk verdict into a record.  A damaged disk
@@ -166,7 +169,7 @@ InjectionResult Injector::run_triggered(const InjectionSpec& spec,
     return result;
   }
   WorkloadState& state = state_for(spec.workload);
-  machine::Machine& machine = *state.machine;
+  machine::Machine& machine = *machine_;
   const std::vector<machine::Checkpoint>& rungs = artifact.ladder;
 
   // Resume from the latest ladder checkpoint the target's first
@@ -425,7 +428,7 @@ Injector::Ending Injector::run_out(WorkloadState& state,
                                    std::size_t masked,
                                    const ShadowLadder* compare,
                                    ShadowLadder* capture) {
-  machine::Machine& machine = *state.machine;
+  machine::Machine& machine = *machine_;
   const std::vector<machine::Checkpoint>& rungs = state.artifact->ladder;
   Ending ending;
   std::size_t idx = 0;
@@ -481,7 +484,7 @@ void Injector::build_shadow(WorkloadState& state, const GoldenRun& ref,
     take_golden_outcome(shadow.end, ref);
     return;
   }
-  classify(shadow.end, ending.run, *state.machine, ref);
+  classify(shadow.end, ending.run, *machine_, ref);
   shadow.crash = ending.run.crash;
 }
 
@@ -534,7 +537,7 @@ InjectionResult Injector::run_syscall_errno(const InjectionSpec& spec,
                                             InjectionResult result) {
   const GoldenRun& ref = golden(spec.workload);
   WorkloadState& state = state_for(spec.workload);
-  machine::Machine& machine = *state.machine;
+  machine::Machine& machine = *machine_;
   const WorkloadGolden& artifact = *state.artifact;
   const std::vector<machine::Checkpoint>& rungs = artifact.ladder;
 

@@ -9,9 +9,10 @@
 // the (now corrupted) instruction.  The error persists for the rest of
 // the run; the machine is rebooted (snapshot-restored) between runs.
 //
-// An Injector owns mutable per-run state only: one Machine per
-// workload (started by adopting the shared post-boot BootState, never
-// by simulating boot) plus its private checkpoint memos and counters.
+// An Injector owns mutable per-run state only: one Machine for every
+// workload (pointed at the shared post-boot BootState of the workload
+// it runs, never booted) plus its private checkpoint memos and
+// counters.
 // All golden artifacts live in the shared GoldenCache — several
 // Injectors on different threads can borrow one cache and run
 // concurrently, each bit-identical to a serial run of its share.
@@ -108,7 +109,7 @@ class Injector {
   const kernel::KernelImage& image() const { return cache_->image(); }
 
   // Runs that resumed from a ladder checkpoint vs from the post-boot
-  // snapshot, and substrate counters summed over all workload machines.
+  // snapshot, and the substrate counters of the injector's machine.
   std::uint64_t checkpoint_hits() const { return ckpt_hits_; }
   std::uint64_t checkpoint_misses() const { return ckpt_misses_; }
   // Runs whose post-trigger state was proven identical to a golden or
@@ -138,6 +139,9 @@ class Injector {
   std::uint64_t pre_trigger_cycles() const { return pre_trigger_cycles_; }
   std::uint64_t post_trigger_cycles() const { return post_trigger_cycles_; }
   machine::PerfStats perf_stats() const;
+  // Machines this injector constructed: one at most, whatever the
+  // number of workloads it runs.
+  std::uint64_t machines_built() const { return machine_ != nullptr; }
 
   // The forensics trace buffer, or nullptr when
   // InjectorOptions::trace_capacity is 0.  run_one() clears it on
@@ -147,17 +151,20 @@ class Injector {
   trace::TraceBuffer* trace() const { return trace_.get(); }
 
  private:
-  // This injector's mutable execution state for one workload: a worker
-  // machine started from the shared BootState, plus private dirty-
-  // tracking memos for each shared ladder rung.
+  // This injector's mutable execution state for one workload: private
+  // dirty-tracking memos for each shared ladder rung (sound across
+  // workload switches: the machine's versions only grow), and the
+  // workload's shadow ladders.
   struct WorkloadState {
     const WorkloadGolden* artifact = nullptr;
-    std::unique_ptr<machine::Machine> machine;
     std::vector<machine::CheckpointMemo> rung_memos;  // parallel to ladder
     // Built lazily, keyed by next_timer() at the dropped trigger.
     std::map<std::uint64_t, ShadowLadder> shadows;
   };
 
+  // The workload's state, with the machine pointed at its BootState
+  // (built on first use; a switch from another workload is one
+  // adopt_boot, which campaign_order's grouping keeps rare).
   WorkloadState& state_for(const std::string& workload);
 
   // How a post-trigger state is compared with one golden rung.
@@ -174,7 +181,7 @@ class Injector {
     std::size_t rung = 0;
     machine::RunResult run;
   };
-  // Runs the workload machine from its current post-trigger state to
+  // Runs the machine from its current post-trigger state to
   // `deadline` in segments that stop at every ladder rung `plan` does
   // not skip.  At each stop the state is compared with the golden rung
   // as `plan` says (masking the RAM byte `masked`) and then in full
@@ -204,10 +211,11 @@ class Injector {
                 machine::Machine& machine, const GoldenRun& ref);
 
   std::shared_ptr<GoldenCache> cache_;
-  // One buffer shared by all of this injector's workload machines (a
-  // run touches exactly one machine, so the window stays coherent).
   std::unique_ptr<trace::TraceBuffer> trace_;
   std::map<std::string, std::unique_ptr<WorkloadState>> states_;
+  // The one machine, and the state whose BootState it is pointed at.
+  std::unique_ptr<machine::Machine> machine_;
+  const WorkloadState* current_ = nullptr;
   std::uint64_t runs_ = 0;
   std::uint64_t ckpt_hits_ = 0;
   std::uint64_t ckpt_misses_ = 0;

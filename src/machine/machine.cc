@@ -320,15 +320,29 @@ void Machine::install_vectors() {
   // the CPU, which the watchdog classifies as Hang/Unknown.
 }
 
-bool Machine::boot() {
+bool Machine::boot(std::shared_ptr<const BaseImage> base) {
   cpu_->arm_breakpoint(3, workload_.entry);
   const RunResult result = run(options_.boot_budget);
   cpu_->disarm_breakpoint(3);
   if (result.exit != RunExit::Breakpoint) return false;
 
+  if (base == nullptr) {
+    auto own = std::make_shared<BaseImage>();
+    own->mem = memory_->snapshot_pages();
+    own->disk = disk_image_->snapshot_blocks();
+    base = std::move(own);
+    // The arrays are the base image at their current versions.
+    base_mem_memo_ = memory_->page_versions();
+    base_disk_memo_ = disk_image_->block_versions();
+  } else {
+    // Nothing here is known equal to a foreign base: compare it all.
+    base_mem_memo_.clear();
+    base_disk_memo_.clear();
+  }
   auto boot = std::make_shared<BootState>();
-  boot->mem = memory_->snapshot_pages();
-  boot->disk = disk_image_->snapshot_blocks();
+  boot->mem = memory_->snapshot_delta(base->mem, base_mem_memo_);
+  boot->disk = disk_image_->snapshot_delta(base->disk, base_disk_memo_);
+  boot->base = std::move(base);
   boot->console = console_;
   for (int i = 0; i < 8; ++i) {
     boot->regs[i] = cpu_->reg(static_cast<isa::Reg>(i));
@@ -339,33 +353,47 @@ bool Machine::boot() {
   boot->cr3 = cpu_->mmu().cr3();
   boot->cycles = cpu_->cycles();
   boot_ = std::move(boot);
-  // At capture time every page/block trivially equals the snapshot, so
-  // the capturer's memos start from the capture versions and the first
-  // restore() is already O(dirty).
-  boot_mem_memo_ = boot_->mem.capture_memo();
-  boot_disk_memo_ = boot_->disk.capture_memo();
-  owns_boot_ = true;
+  // At capture time every page/block trivially equals the BootState, so
+  // the first restore() is already O(dirty).
+  boot_mem_memo_ = memory_->page_versions();
+  boot_disk_memo_ = disk_image_->block_versions();
   booted_ = true;
   return true;
 }
 
 void Machine::adopt_boot(std::shared_ptr<const BootState> boot) {
-  assert(boot != nullptr && boot->mem.valid());
+  assert(boot != nullptr && boot->base != nullptr);
   assert(boot->mem.size() == memory_->size());
   assert(boot->disk.size() == disk_image_->bytes().size());
+  // The base memos stay sound for as long as the base does; a memo for
+  // another BootState's delta proves nothing about this one.  A machine
+  // that never booted knows nothing, so its first restore copies it all.
+  if (boot_ == nullptr || boot_->base != boot->base) {
+    base_mem_memo_.clear();
+    base_disk_memo_.clear();
+  }
+  if (boot_ != boot) {
+    boot_mem_memo_.clear();
+    boot_disk_memo_.clear();
+  }
   boot_ = std::move(boot);
-  owns_boot_ = false;
   booted_ = true;
-  // Unconditional full copy: the machine's pre-boot contents share
-  // nothing provable with the foreign snapshot.  The memos come out
-  // proving full equality at the new versions, so every subsequent
-  // restore() is O(dirty) exactly as on the capturing machine.
-  memory_->restore_pages_full(boot_->mem, &boot_mem_memo_);
-  disk_image_->restore_blocks_full(boot_->disk, &boot_disk_memo_);
-  load_boot_cpu_state();
+  load_boot();
 }
 
-void Machine::load_boot_cpu_state() {
+void Machine::restore() {
+  assert(booted_);
+  if (events_ != nullptr) {
+    events_->record(trace::EventKind::SnapshotRestore, cpu_->cycles(),
+                    static_cast<std::uint32_t>(boot_->cycles));
+  }
+  load_boot();
+}
+
+void Machine::load_boot() {
+  memory_->restore_pages(boot_->mem, boot_mem_memo_, &base_mem_memo_);
+  disk_blocks_restored_ += disk_image_->restore_blocks(
+      boot_->disk, boot_disk_memo_, &base_disk_memo_);
   for (int i = 0; i < 8; ++i) {
     cpu_->set_reg(static_cast<isa::Reg>(i), boot_->regs[i]);
   }
@@ -382,25 +410,12 @@ void Machine::load_boot_cpu_state() {
   timer_pending_resume_ = false;
 }
 
-void Machine::restore() {
-  assert(booted_);
-  if (events_ != nullptr) {
-    events_->record(trace::EventKind::SnapshotRestore, cpu_->cycles(),
-                    static_cast<std::uint32_t>(boot_->cycles));
-  }
-  memory_->restore_pages(boot_->mem, boot_mem_memo_);
-  disk_blocks_restored_ +=
-      disk_image_->restore_blocks(boot_->disk, boot_disk_memo_);
-  load_boot_cpu_state();
-}
-
 void Machine::take_checkpoint(bool timer_pending) {
-  // The delta's version filter compares against the capture versions of
-  // boot_->mem/disk, which is sound only on the arrays that captured
-  // them — enforced by the owns_boot_ assert in capture_checkpoints().
+  // Deltas against the base image, so a rung also stores the pages
+  // where this workload's boot differs from the base's.
   Checkpoint ck = cpu_checkpoint(timer_pending);
-  ck.mem = memory_->snapshot_delta(boot_->mem, &boot_mem_memo_);
-  ck.disk = disk_image_->snapshot_delta(boot_->disk, &boot_disk_memo_);
+  ck.mem = memory_->snapshot_delta(boot_->base->mem, base_mem_memo_);
+  ck.disk = disk_image_->snapshot_delta(boot_->base->disk, base_disk_memo_);
   ckpt_out_->push_back(std::move(ck));
   ++checkpoints_taken_;
   if (liveness_ != nullptr) liveness_->rung();
@@ -427,18 +442,17 @@ Checkpoint Machine::capture_state() const {
   assert(booted_);
   Checkpoint ck = cpu_checkpoint(timer_pending_resume_);
   ck.mem = vm::ChunkedSnapshot::sparse(memory_->raw(0), memory_->size(),
-                                       memory_->page_versions(), boot_->mem,
-                                       boot_mem_memo_);
+                                       memory_->page_versions(),
+                                       boot_->base->mem, base_mem_memo_);
   ck.disk = vm::ChunkedSnapshot::sparse(
       disk_image_->bytes().data(), disk_image_->bytes().size(),
-      disk_image_->block_versions(), boot_->disk, boot_disk_memo_);
+      disk_image_->block_versions(), boot_->base->disk, base_disk_memo_);
   return ck;
 }
 
 std::vector<Checkpoint> Machine::capture_checkpoints(
     std::vector<std::uint64_t> at, std::uint64_t max_cycles) {
   assert(booted_);
-  assert(owns_boot_ && "only the BootState's capturer may take checkpoints");
   std::vector<Checkpoint> out;
   restore();
   arm_checkpoints(std::move(at), &out);
@@ -449,7 +463,7 @@ std::vector<Checkpoint> Machine::capture_checkpoints(
 
 void Machine::arm_checkpoints(std::vector<std::uint64_t> at,
                               std::vector<Checkpoint>* out) {
-  assert(owns_boot_ && "only the BootState's capturer may take checkpoints");
+  assert(booted_);
   ckpt_request_ = std::move(at);
   ckpt_next_ = 0;
   ckpt_out_ = out;
@@ -471,19 +485,18 @@ void Machine::restore_checkpoint(const Checkpoint& checkpoint,
                     checkpoint.eip, 0);
   }
   // The checkpoint's deltas must resolve through this machine's own
-  // boot state — the contract that makes shared rungs sound for every
-  // adopt_boot() sibling of the capturer.
-  assert(checkpoint.mem.base() == &boot_->mem);
-  assert(checkpoint.disk.base() == &boot_->disk);
+  // base image — the contract that makes shared rungs sound for every
+  // machine on that base.
+  assert(checkpoint.mem.base() == &boot_->base->mem);
+  assert(checkpoint.disk.base() == &boot_->base->disk);
   // Restoring the deltas alone rebuilds the full mid-run state: chunks
-  // the rung did not store resolve through the boot snapshot, and this
-  // machine's boot memo lets those be skipped when already in place —
+  // the rung did not store resolve through the base image, and this
+  // machine's base memo lets those be skipped when already in place —
   // copying only chunks that diverged since this machine last restored
   // the rung.
-  memory_->restore_pages(checkpoint.mem, memo.mem, &boot_mem_memo_);
-  disk_blocks_restored_ +=
-      disk_image_->restore_blocks(checkpoint.disk, memo.disk,
-                                  &boot_disk_memo_);
+  memory_->restore_pages(checkpoint.mem, memo.mem, &base_mem_memo_);
+  disk_blocks_restored_ += disk_image_->restore_blocks(
+      checkpoint.disk, memo.disk, &base_disk_memo_);
   for (int i = 0; i < 8; ++i) {
     cpu_->set_reg(static_cast<isa::Reg>(i), checkpoint.regs[i]);
   }
@@ -730,10 +743,10 @@ bool Machine::state_matches(const Checkpoint& checkpoint,
   if (crash_fired_) return false;
   if (console_ != checkpoint.console) return false;
   if (!disk_image_->blocks_match(checkpoint.disk, memo.disk,
-                                 &boot_disk_memo_)) {
+                                 &base_disk_memo_)) {
     return false;
   }
-  return memory_->pages_match(checkpoint.mem, memo.mem, &boot_mem_memo_,
+  return memory_->pages_match(checkpoint.mem, memo.mem, &base_mem_memo_,
                               masked_phys);
 }
 

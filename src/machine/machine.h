@@ -86,16 +86,38 @@ struct MachineOptions {
   ExecEngine exec_engine = default_exec_engine();
 };
 
+// The full RAM and disk image every BootState and Checkpoint of a
+// process resolves through: one workload's post-boot image.  The
+// post-boot states of all workloads differ only in the pages their
+// images are parked in, so each stores just those pages against one
+// shared base instead of a full copy apiece.  Immutable once captured
+// and shared by shared_ptr; a BootState holds its base alive.
+struct BaseImage {
+  vm::ChunkedSnapshot mem;   // full RAM capture
+  vm::ChunkedSnapshot disk;  // full disk capture
+  // Owner of the bytes the snapshots view (a mapped base file), or null
+  // when they own their payloads.
+  std::shared_ptr<const void> keepalive;
+
+  std::uint64_t storage_bytes() const {
+    return mem.storage_bytes() + disk.storage_bytes();
+  }
+};
+
 // The complete machine state at the first user-mode instruction of the
 // workload — the "post-boot snapshot" every injection run restores to.
+// Its RAM and disk are dense deltas against `base`, found by comparing
+// every chunk, so they hold only the pages where this workload's boot
+// differs from the base's.
 // Immutable once captured, so one BootState can be shared (by
-// shared_ptr) between the machine that booted and any number of worker
+// shared_ptr) between the machine that booted and any number of
 // machines that adopt_boot() it: an adopted machine starts from the
 // literal bytes of this state, which makes cross-machine identity hold
 // by construction rather than by boot determinism.
 struct BootState {
-  vm::ChunkedSnapshot mem;   // full RAM capture
-  vm::ChunkedSnapshot disk;  // full disk capture
+  std::shared_ptr<const BaseImage> base;
+  vm::ChunkedSnapshot mem;   // chunks that differ from base->mem
+  vm::ChunkedSnapshot disk;  // blocks that differ from base->disk
   std::string console;
   std::uint32_t regs[8] = {};
   std::uint32_t eip = 0;
@@ -104,6 +126,7 @@ struct BootState {
   std::uint32_t cr3 = 0;
   std::uint64_t cycles = 0;  // cycle counter at the snapshot point
 
+  // Bytes this state stores itself (the base excluded).
   std::uint64_t storage_bytes() const {
     return mem.storage_bytes() + disk.storage_bytes() + console.size();
   }
@@ -111,16 +134,15 @@ struct BootState {
 
 // One rung of a golden-run checkpoint ladder: the complete machine
 // state at a mid-run cycle, with RAM and disk stored as deltas against
-// the post-boot BootState.  Checkpoints are immutable and shareable:
-// any Machine whose boot_state() is the BootState the capture ran from
-// (the capturer, or an adopt_boot() sibling) can restore or compare
-// against them, holding a private CheckpointMemo per rung.  The
-// BootState must outlive the Checkpoint (the deltas resolve through
-// it).
+// the BaseImage of the BootState the run started from.  Checkpoints are
+// immutable and shareable: any Machine whose boot_state() has that base
+// can restore or compare against them, holding a private
+// CheckpointMemo per rung.  The base must outlive the Checkpoint (the
+// deltas resolve through it).
 struct Checkpoint {
   std::uint64_t cycle = 0;
-  vm::ChunkedSnapshot mem;   // dirty pages vs the post-boot snapshot
-  vm::ChunkedSnapshot disk;  // dirty blocks vs the post-boot disk
+  vm::ChunkedSnapshot mem;   // pages that differ from the base image
+  vm::ChunkedSnapshot disk;  // blocks that differ from the base disk
   std::string console;
   std::uint32_t regs[8] = {};
   std::uint32_t eip = 0;
@@ -241,8 +263,11 @@ disk::DiskImage make_root_disk();
 
 class Machine {
  public:
-  // The kernel image and the workload are loaded at construction; call
-  // boot() once, then run()/restore() per injection run.
+  // The kernel image and the workload are loaded at construction for
+  // boot() to start from.  A machine that only adopt_boot()s never
+  // reads its construction-time workload image (adoption overwrites all
+  // of RAM and disk), so one machine can serve every workload of a
+  // kernel, disk and options: the injector keeps one per thread.
   Machine(const kernel::KernelImage& kernel_image,
           const workloads::WorkloadImage& workload,
           const disk::DiskImage& root_disk,
@@ -253,20 +278,26 @@ class Machine {
   Machine& operator=(const Machine&) = delete;
 
   // Runs from reset to the first user-mode instruction of the workload
-  // and snapshots there.  Returns false if the kernel failed to boot.
-  bool boot();
+  // and captures the BootState there, as a delta against `base` (every
+  // chunk compared).  With no base, this machine's own post-boot image
+  // becomes the base and its BootState stores no chunk.  Returns false
+  // if the kernel failed to boot.
+  bool boot(std::shared_ptr<const BaseImage> base = nullptr);
 
-  // Starts this machine from `boot` — a BootState another Machine (same
-  // kernel/workload/disk/options) captured — without simulating boot at
-  // all: RAM, disk, registers, and console are copied from the shared
-  // state, so the machine is bit-identical to the capturer right after
-  // its boot().  This is how campaign workers share one golden warm-up:
-  // the GoldenCache boots once per workload and every worker adopts.
+  // Points this machine at `boot` — a BootState any Machine (same
+  // kernel/disk/options) captured — and restore()s it, without
+  // simulating boot at all: RAM, disk, registers, and console come from
+  // the shared state, so the machine is bit-identical to the capturer
+  // right after its boot() (and adoption records no trace event).  Adopting another workload's BootState on
+  // the same base costs what a restore() does: the pages the machine
+  // dirtied plus the ones the new state stores.  This is how campaign
+  // workers share one golden warm-up: the GoldenCache boots once per
+  // workload and every worker adopts.
   void adopt_boot(std::shared_ptr<const BootState> boot);
 
   // The post-boot state this machine restores to (set by boot() or
   // adopt_boot(); null before either).  Shared checkpoints can be
-  // restored only on machines whose boot_state() captured their deltas'
+  // restored only on machines whose boot_state() has their deltas'
   // base.
   const std::shared_ptr<const BootState>& boot_state() const { return boot_; }
 
@@ -288,9 +319,10 @@ class Machine {
   // run never reaches are skipped).  Checkpoints land on the identical
   // deterministic timeline every restore()-based run follows, so
   // restore_checkpoint() + run continues bit-for-bit as if the run had
-  // executed from the post-boot snapshot.  Only the machine that
-  // captured the BootState may capture (the deltas' version filter is
-  // tied to its arrays); any boot-sharing machine may restore.
+  // executed from the post-boot snapshot.  The deltas are taken
+  // against the base image through this machine's own memo for it, so
+  // any booted or adopting machine may capture, and any machine on the
+  // same base may restore.
   std::vector<Checkpoint> capture_checkpoints(std::vector<std::uint64_t> at,
                                               std::uint64_t max_cycles);
 
@@ -298,7 +330,7 @@ class Machine {
   // the run themselves (the golden capture pass, which stops at
   // breakpoints): until disarm_checkpoints(), every run() appends a
   // checkpoint to *out at the first loop top at or after each cycle in
-  // `at` (ascending).  Same capturer-only rule.
+  // `at` (ascending).
   void arm_checkpoints(std::vector<std::uint64_t> at,
                        std::vector<Checkpoint>* out);
   void disarm_checkpoints();
@@ -306,8 +338,9 @@ class Machine {
   // Restores a mid-run checkpoint.  `memo` is this machine's private
   // dirty-tracking state for this rung (start it empty; pass the same
   // object on every restore of the same rung to keep repeat restores
-  // proportional to what the intervening run dirtied).  The checkpoint
-  // must have been captured against this machine's boot_state().
+  // proportional to what the intervening run dirtied; a memo stays
+  // sound across adopt_boot() switches, since versions only grow).  The
+  // checkpoint must resolve through this machine's base image.
   void restore_checkpoint(const Checkpoint& checkpoint, CheckpointMemo& memo);
 
   // True when the machine's complete run-visible state — registers,
@@ -324,11 +357,10 @@ class Machine {
                      std::size_t masked_phys) const;
 
   // Captures the current state as a compare-only checkpoint, at the
-  // same kind of segment boundary state_matches() requires.  Any
-  // boot-sharing machine may call it: RAM and disk are stored as sparse
-  // deltas against boot_state() (vm::ChunkedSnapshot::sparse), filtered
-  // only by this machine's own boot memos, so the result carries
-  // neither dense chunk tables nor capture versions.  Compare it with
+  // same kind of segment boundary state_matches() requires.  RAM and
+  // disk are stored as sparse deltas against the base image
+  // (vm::ChunkedSnapshot::sparse), filtered by this machine's own base
+  // memos, so the result carries no dense chunk table.  Compare it with
   // an empty CheckpointMemo.
   Checkpoint capture_state() const;
 
@@ -408,18 +440,22 @@ class Machine {
   void take_checkpoint(bool timer_pending);
   // Everything of a checkpoint but its RAM and disk deltas.
   Checkpoint cpu_checkpoint(bool timer_pending) const;
-  // Registers, cycle counter, console, crash latch and timer phase of
-  // the BootState; restore() and adopt_boot() copy RAM and disk first.
-  void load_boot_cpu_state();
+  // restore() without its trace event (adopt_boot() is no run's
+  // restore): RAM and disk through the memos, then registers, cycle
+  // counter, console, crash latch and timer phase.
+  void load_boot();
 
-  // Post-boot state: captured by boot() (owns_boot_) or shared in by
-  // adopt_boot().  The memos are this machine's dirty-tracking state
-  // for the BootState's RAM/disk snapshots (see vm/snapshot.h).
+  // Post-boot state: captured by boot() or shared in by adopt_boot().
+  // The memos are this machine's dirty-tracking state (see
+  // vm/snapshot.h) for the BootState's RAM/disk deltas and for its base
+  // image; the base memos also serve every checkpoint on that base, and
+  // survive adopting another BootState on it.
   bool booted_ = false;
-  bool owns_boot_ = false;
   std::shared_ptr<const BootState> boot_;
   std::vector<std::uint64_t> boot_mem_memo_;
   std::vector<std::uint64_t> boot_disk_memo_;
+  std::vector<std::uint64_t> base_mem_memo_;
+  std::vector<std::uint64_t> base_disk_memo_;
 
   std::uint64_t next_timer_ = 0;
   // A restored checkpoint's in-flight timer tick, consumed by the next

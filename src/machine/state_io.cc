@@ -4,26 +4,14 @@
 #include <cstring>
 #include <utility>
 
+#include "fsutil/kfs_format.h"
+#include "vm/layout.h"
+
 namespace kfi::machine {
 namespace {
 
-// One ChunkedSnapshot: geometry, capture versions, the delta slot table
-// when applicable, then the raw payload (full bytes or packed chunks).
-void write_snapshot(ByteWriter& w, const vm::ChunkedSnapshot& snap) {
-  assert(!snap.is_sparse());
-  w.u32(snap.chunk_size());
-  w.u64(snap.size());
-  w.u8(snap.is_delta() ? 1 : 0);
-  w.u32(snap.chunk_count());
-  w.bytes(snap.versions().data(), snap.versions().size() * 8);
-  if (snap.is_delta()) {
-    w.bytes(snap.slots().data(), snap.slots().size() * 4);
-  }
-  w.u64(snap.payload_size());
-  w.bytes(snap.payload(), snap.payload_size());
-}
-
-// `base` must be nullptr exactly when the serialized snapshot was full.
+// `base` must be nullptr exactly when the serialized snapshot was full;
+// a delta must have its base's geometry.
 bool read_snapshot(ByteReader& r, const vm::ChunkedSnapshot* base,
                    vm::ChunkedSnapshot& out) {
   const std::uint32_t chunk_size = r.u32();
@@ -34,17 +22,15 @@ bool read_snapshot(ByteReader& r, const vm::ChunkedSnapshot* base,
     return false;
   }
   if (chunk_count != (size + chunk_size - 1) / chunk_size) return false;
-
-  std::vector<std::uint64_t> versions(chunk_count);
-  const std::uint8_t* vbytes = r.bytes(chunk_count * 8ULL);
-  if (vbytes == nullptr) return false;
-  std::memcpy(versions.data(), vbytes, chunk_count * 8ULL);
+  if (is_delta && (chunk_size != base->chunk_size() || size != base->size())) {
+    return false;
+  }
 
   std::vector<std::int32_t> slots;
   if (is_delta) {
-    slots.resize(chunk_count);
     const std::uint8_t* sbytes = r.bytes(chunk_count * 4ULL);
     if (sbytes == nullptr) return false;
+    slots.resize(chunk_count);
     std::memcpy(slots.data(), sbytes, chunk_count * 4ULL);
   }
 
@@ -62,9 +48,15 @@ bool read_snapshot(ByteReader& r, const vm::ChunkedSnapshot* base,
     }
   }
   out = vm::ChunkedSnapshot::from_parts(
-      chunk_size, static_cast<std::size_t>(size), std::move(versions), base,
-      std::move(slots), payload, static_cast<std::size_t>(payload_size));
+      chunk_size, static_cast<std::size_t>(size), base, std::move(slots),
+      payload, static_cast<std::size_t>(payload_size));
   return true;
+}
+
+// One snapshot: its header, then its payload.
+void write_snapshot(ByteWriter& w, const vm::ChunkedSnapshot& snap) {
+  write_snapshot_header(w, snap);
+  w.bytes(snap.payload(), snap.payload_size());
 }
 
 void write_regs(ByteWriter& w, const std::uint32_t (&regs)[8]) {
@@ -76,6 +68,35 @@ void read_regs(ByteReader& r, std::uint32_t (&regs)[8]) {
 }
 
 }  // namespace
+
+void write_snapshot_header(ByteWriter& w, const vm::ChunkedSnapshot& snap) {
+  assert(!snap.is_sparse());
+  w.u32(snap.chunk_size());
+  w.u64(snap.size());
+  w.u8(snap.is_delta() ? 1 : 0);
+  w.u32(snap.chunk_count());
+  if (snap.is_delta()) {
+    w.bytes(snap.slots().data(), snap.slots().size() * 4);
+  }
+  w.u64(snap.payload_size());
+}
+
+std::shared_ptr<BaseImage> read_base_image(ByteReader& reader) {
+  auto base = std::make_shared<BaseImage>();
+  if (!read_snapshot(reader, nullptr, base->mem) ||
+      !read_snapshot(reader, nullptr, base->disk) || !reader.ok()) {
+    return nullptr;
+  }
+  // Machines assert this geometry when they adopt a state on the base.
+  if (base->mem.size() != vm::kRamSize ||
+      base->mem.chunk_size() != vm::kPageSize ||
+      base->disk.size() !=
+          static_cast<std::size_t>(fsutil::kDefaultBlocks) * disk::kBlockSize ||
+      base->disk.chunk_size() != disk::kBlockSize) {
+    return nullptr;
+  }
+  return base;
+}
 
 void write_boot_state(ByteWriter& writer, const BootState& boot) {
   write_regs(writer, boot.regs);
@@ -89,7 +110,8 @@ void write_boot_state(ByteWriter& writer, const BootState& boot) {
   write_snapshot(writer, boot.disk);
 }
 
-std::shared_ptr<BootState> read_boot_state(ByteReader& reader) {
+std::shared_ptr<BootState> read_boot_state(
+    ByteReader& reader, std::shared_ptr<const BaseImage> base) {
   auto boot = std::make_shared<BootState>();
   read_regs(reader, boot->regs);
   boot->eip = reader.u32();
@@ -98,9 +120,10 @@ std::shared_ptr<BootState> read_boot_state(ByteReader& reader) {
   boot->cr3 = reader.u32();
   boot->cycles = reader.u64();
   boot->console = reader.str();
-  if (!read_snapshot(reader, nullptr, boot->mem)) return nullptr;
-  if (!read_snapshot(reader, nullptr, boot->disk)) return nullptr;
+  if (!read_snapshot(reader, &base->mem, boot->mem)) return nullptr;
+  if (!read_snapshot(reader, &base->disk, boot->disk)) return nullptr;
   if (!reader.ok()) return nullptr;
+  boot->base = std::move(base);
   return boot;
 }
 
@@ -119,7 +142,7 @@ void write_checkpoint(ByteWriter& writer, const Checkpoint& checkpoint) {
   write_snapshot(writer, checkpoint.disk);
 }
 
-Checkpoint read_checkpoint(ByteReader& reader, const BootState& boot,
+Checkpoint read_checkpoint(ByteReader& reader, const BaseImage& base,
                            bool& ok) {
   Checkpoint ck;
   ck.cycle = reader.u64();
@@ -132,8 +155,8 @@ Checkpoint read_checkpoint(ByteReader& reader, const BootState& boot,
   ck.timer_pending = reader.u8() != 0;
   ck.halted = reader.u8() != 0;
   ck.console = reader.str();
-  ok = read_snapshot(reader, &boot.mem, ck.mem) &&
-       read_snapshot(reader, &boot.disk, ck.disk) && reader.ok();
+  ok = read_snapshot(reader, &base.mem, ck.mem) &&
+       read_snapshot(reader, &base.disk, ck.disk) && reader.ok();
   return ck;
 }
 

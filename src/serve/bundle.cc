@@ -13,6 +13,7 @@ namespace kfi::serve {
 namespace {
 
 constexpr std::uint32_t kBundleMagic = 0x4B464942;  // "KFIB"
+constexpr std::uint32_t kBaseMagic = 0x4B464253;    // "KFBS"
 // v2: appends the written-data footprint and the golden syscall-exit
 // list (campaign E/F golden inputs) after the checkpoint ladder.
 // v3: appends the footprint's per-rung dead bits after the syscall
@@ -21,19 +22,35 @@ constexpr std::uint32_t kBundleMagic = 0x4B464942;  // "KFIB"
 // the checkpoint count.
 // v5: a checksum trailer (support/fsio) over every preceding byte; the
 // trailer is the hash the manifest records.
-constexpr std::uint32_t kBundleVersion = 5;
+// v6: the full post-boot image moves to the campaign's one base file
+// (same version); a bundle records the base file's trailer after its
+// options echo, its boot state and rungs are deltas against the base,
+// and snapshots no longer carry capture versions.
+constexpr std::uint32_t kBundleVersion = 6;
 
-// The option fields golden artifacts can depend on.  trace_capacity is
-// a run-time knob applied by the Injector, never baked into artifacts,
-// so it stays out of the bundle identity.
-void write_options_echo(ByteWriter& writer,
-                        const inject::InjectorOptions& options) {
+// The identity header both file kinds open with.  trace_capacity is a
+// run-time knob applied by the Injector, never baked into artifacts, so
+// it stays out of the identity.
+void write_header(ByteWriter& writer, std::uint32_t magic,
+                  const std::string& workload,
+                  const inject::InjectorOptions& options,
+                  std::uint64_t kernel_fp) {
+  writer.u32(magic);
+  writer.u32(kBundleVersion);
+  writer.str(workload);
+  writer.u64(kernel_fp);
   writer.u32(static_cast<std::uint32_t>(options.checkpoints));
   writer.u32(static_cast<std::uint32_t>(options.exec_engine));
 }
 
-bool options_echo_matches(ByteReader& reader,
-                          const inject::InjectorOptions& options) {
+bool header_matches(ByteReader& reader, std::uint32_t magic,
+                    const std::string& workload,
+                    const inject::InjectorOptions& options,
+                    std::uint64_t kernel_fp) {
+  if (reader.u32() != magic || reader.u32() != kBundleVersion ||
+      reader.str() != workload || reader.u64() != kernel_fp) {
+    return false;
+  }
   const std::uint32_t checkpoints = reader.u32();
   const std::uint32_t engine = reader.u32();
   return reader.ok() &&
@@ -41,18 +58,38 @@ bool options_echo_matches(ByteReader& reader,
          engine == static_cast<std::uint32_t>(options.exec_engine);
 }
 
-}  // namespace
+// A mapped file whose seal holds (and equals `expect_hash` when that is
+// non-zero), with its trailer; nullopt otherwise.
+std::optional<std::pair<std::shared_ptr<const MappedFile>, std::uint64_t>>
+map_sealed(const std::string& path, std::uint64_t expect_hash) {
+  std::shared_ptr<const MappedFile> file = MappedFile::map(path);
+  if (file == nullptr) return std::nullopt;
+  // One pass over every byte: the seal check.  An expected hash is then
+  // only an identity compare against the trailer.
+  const std::optional<std::uint64_t> seal =
+      check_seal(file->data(), file->size());
+  if (!seal.has_value() || (expect_hash != 0 && *seal != expect_hash)) {
+    return std::nullopt;
+  }
+  return std::make_pair(std::move(file), *seal);
+}
 
-std::optional<std::uint64_t> write_bundle(
-    const std::string& path, const std::string& workload,
-    const inject::WorkloadGolden& artifact,
-    const inject::InjectorOptions& options, std::uint64_t kernel_fp) {
-  ByteWriter writer;
-  writer.u32(kBundleMagic);
-  writer.u32(kBundleVersion);
-  writer.str(workload);
-  writer.u64(kernel_fp);
-  write_options_echo(writer, options);
+// "<dir>/<kind>_<workload>_k<fp8>_c<checkpoints>_e<engine>.kfib".
+std::string artifact_path(const char* kind, const std::string& dir,
+                          const std::string& workload,
+                          const inject::InjectorOptions& options,
+                          std::uint64_t kernel_fp) {
+  return format("%s/%s_%s_k%08x_c%d_e%d.kfib", dir.c_str(), kind,
+                workload.c_str(), static_cast<std::uint32_t>(kernel_fp),
+                options.checkpoints, static_cast<int>(options.exec_engine));
+}
+
+void write_bundle_body(ByteWriter& writer, const std::string& workload,
+                       const inject::WorkloadGolden& artifact,
+                       const inject::InjectorOptions& options,
+                       std::uint64_t kernel_fp, std::uint64_t base_hash) {
+  write_header(writer, kBundleMagic, workload, options, kernel_fp);
+  writer.u64(base_hash);
 
   const inject::GoldenRun& golden = artifact.golden;
   writer.u8(golden.ok ? 1 : 0);
@@ -95,8 +132,8 @@ std::optional<std::uint64_t> write_bundle(
     machine::write_checkpoint(writer, rung);
   }
 
-  // v2 tail: the write footprint is already address-sorted (a build
-  // invariant), so bundle bytes stay a pure function of the artifact.
+  // The write footprint is already address-sorted (a build invariant),
+  // so bundle bytes stay a pure function of the artifact.
   writer.u64(artifact.write_footprint.size());
   for (const std::uint32_t addr : artifact.write_footprint) writer.u32(addr);
   writer.u64(artifact.syscalls.size());
@@ -106,7 +143,61 @@ std::optional<std::uint64_t> write_bundle(
   }
   writer.u64(artifact.dead_bits.size());
   for (const std::uint64_t word : artifact.dead_bits) writer.u64(word);
+}
 
+}  // namespace
+
+std::optional<std::uint64_t> write_base(const std::string& path,
+                                        const std::string& workload,
+                                        const machine::BaseImage& base,
+                                        const inject::InjectorOptions& options,
+                                        std::uint64_t kernel_fp) {
+  ByteWriter head;
+  write_header(head, kBaseMagic, workload, options, kernel_fp);
+  machine::write_snapshot_header(head, base.mem);
+  ByteWriter between;
+  machine::write_snapshot_header(between, base.disk);
+  return write_sealed_file(
+      path, {{head.buffer().data(), head.size()},
+             {base.mem.payload(), base.mem.payload_size()},
+             {between.buffer().data(), between.size()},
+             {base.disk.payload(), base.disk.payload_size()}});
+}
+
+std::optional<LoadedBase> load_base(const std::string& path,
+                                    const std::string& workload,
+                                    const inject::InjectorOptions& options,
+                                    std::uint64_t kernel_fp,
+                                    std::uint64_t expect_hash) {
+  auto sealed = map_sealed(path, expect_hash);
+  if (!sealed.has_value()) return std::nullopt;
+  const auto& [file, seal] = *sealed;
+  ByteReader reader(file->data(), file->size() - kSealBytes);
+  if (!header_matches(reader, kBaseMagic, workload, options, kernel_fp)) {
+    return std::nullopt;
+  }
+  std::shared_ptr<machine::BaseImage> image = machine::read_base_image(reader);
+  if (image == nullptr || reader.remaining() != 0) return std::nullopt;
+  image->keepalive = file;
+  LoadedBase loaded;
+  loaded.image = std::move(image);
+  loaded.content_hash = seal;
+  loaded.size = file->size();
+  return loaded;
+}
+
+std::optional<std::uint64_t> write_bundle(
+    const std::string& path, const std::string& workload,
+    const inject::WorkloadGolden& artifact,
+    const inject::InjectorOptions& options, std::uint64_t kernel_fp,
+    std::uint64_t base_hash) {
+  // A sizing pass first, so the body is written into a buffer of its
+  // final size: no regrowth copies, no pages faulted twice.
+  ByteWriter sizer = ByteWriter::sizer();
+  write_bundle_body(sizer, workload, artifact, options, kernel_fp, base_hash);
+  ByteWriter writer;
+  writer.reserve(sizer.size());
+  write_bundle_body(writer, workload, artifact, options, kernel_fp, base_hash);
   return write_sealed_file(path, writer.buffer());
 }
 
@@ -114,23 +205,14 @@ std::optional<LoadedBundle> load_bundle(const std::string& path,
                                         const std::string& workload,
                                         const inject::InjectorOptions& options,
                                         std::uint64_t kernel_fp,
+                                        const LoadedBase& base,
                                         std::uint64_t expect_hash) {
-  std::shared_ptr<const MappedFile> file = MappedFile::map(path);
-  if (file == nullptr) return std::nullopt;
-  // One pass over every byte: the seal check.  The manifest's hash is
-  // then only an identity compare against the trailer.
-  const std::optional<std::uint64_t> seal =
-      check_seal(file->data(), file->size());
-  if (!seal.has_value() || (expect_hash != 0 && *seal != expect_hash)) {
-    return std::nullopt;
-  }
-
+  auto sealed = map_sealed(path, expect_hash);
+  if (!sealed.has_value()) return std::nullopt;
+  auto& [file, seal] = *sealed;
   ByteReader reader(file->data(), file->size() - kSealBytes);
-  if (reader.u32() != kBundleMagic || reader.u32() != kBundleVersion) {
-    return std::nullopt;
-  }
-  if (reader.str() != workload || reader.u64() != kernel_fp ||
-      !options_echo_matches(reader, options)) {
+  if (!header_matches(reader, kBundleMagic, workload, options, kernel_fp) ||
+      reader.u64() != base.content_hash || !reader.ok()) {
     return std::nullopt;
   }
 
@@ -168,10 +250,10 @@ std::optional<LoadedBundle> load_bundle(const std::string& path,
     artifact.first_touch.emplace(addr, window);
   }
 
-  // The snapshots borrow their payloads straight from the mapping —
-  // the zero-copy adoption path.  The shared BootState must exist
-  // before its ladder, whose deltas re-base onto it.
-  std::shared_ptr<machine::BootState> boot = machine::read_boot_state(reader);
+  // The snapshots borrow their payloads straight from the mappings —
+  // the zero-copy adoption path — and resolve through the base image.
+  std::shared_ptr<machine::BootState> boot =
+      machine::read_boot_state(reader, base.image);
   if (boot == nullptr) return std::nullopt;
   artifact.boot = boot;
   const std::uint32_t ladder_count = reader.u32();
@@ -180,7 +262,7 @@ std::optional<LoadedBundle> load_bundle(const std::string& path,
   for (std::uint32_t i = 0; i < ladder_count; ++i) {
     bool ok = false;
     artifact.ladder.push_back(
-        machine::read_checkpoint(reader, *boot, ok));
+        machine::read_checkpoint(reader, *base.image, ok));
     if (!ok) return std::nullopt;
   }
   const std::uint64_t footprint_count = reader.u64();
@@ -218,7 +300,7 @@ std::optional<LoadedBundle> load_bundle(const std::string& path,
   }
   if (!reader.ok()) return std::nullopt;
 
-  loaded.content_hash = *seal;
+  loaded.content_hash = seal;
   loaded.size = file->size();
   loaded.keepalive = std::move(file);
   return loaded;
@@ -227,9 +309,13 @@ std::optional<LoadedBundle> load_bundle(const std::string& path,
 std::string bundle_path(const std::string& dir, const std::string& workload,
                         const inject::InjectorOptions& options,
                         std::uint64_t kernel_fp) {
-  return format("%s/bundle_%s_k%08x_c%d_e%d.kfib", dir.c_str(),
-                workload.c_str(), static_cast<std::uint32_t>(kernel_fp),
-                options.checkpoints, static_cast<int>(options.exec_engine));
+  return artifact_path("bundle", dir, workload, options, kernel_fp);
+}
+
+std::string base_path(const std::string& dir, const std::string& workload,
+                      const inject::InjectorOptions& options,
+                      std::uint64_t kernel_fp) {
+  return artifact_path("base", dir, workload, options, kernel_fp);
 }
 
 }  // namespace kfi::serve

@@ -43,7 +43,9 @@ constexpr std::uint32_t kManifestMagic = 0x4B46494D;  // "KFIM"
 // v6: bundle hashes are the bundles' own checksum trailers, and the
 // config echo drops the watchdog budget factor and slack (constants
 // now, inject::run_budget).
-constexpr std::uint32_t kManifestVersion = 6;
+// v7: the base file's workload and trailer precede the workload table
+// (bundles hold deltas against that base).
+constexpr std::uint32_t kManifestVersion = 7;
 
 std::string manifest_path(const std::string& dir) {
   return dir + "/manifest.kfim";
@@ -133,6 +135,8 @@ bool write_manifest(const std::string& dir, const std::string& bundle_dir,
     writer.u64(manifest.functions_targeted[i]);
     writer.u64(manifest.target_counts[i]);
   }
+  writer.str(manifest.base_workload);
+  writer.u64(manifest.base_hash);
   writer.u32(static_cast<std::uint32_t>(manifest.workloads.size()));
   for (std::size_t i = 0; i < manifest.workloads.size(); ++i) {
     writer.str(manifest.workloads[i]);
@@ -216,6 +220,8 @@ std::optional<std::pair<Manifest, std::string>> load_manifest_full(
         static_cast<std::size_t>(reader.u64());
     manifest.target_counts[i] = reader.u64();
   }
+  manifest.base_workload = reader.str();
+  manifest.base_hash = reader.u64();
   const std::uint32_t workloads = reader.u32();
   if (!reader.ok()) return reject("truncated manifest target counts");
   if (workloads > 10'000) return reject("bad manifest workload count");
@@ -270,10 +276,22 @@ CampaignPlan build_plan(inject::Injector& injector,
   return plan;
 }
 
-// Installs every manifest workload into the cache from its bundle
-// (mmap, zero-copy).  A bundle that is missing or fails verification
-// is rebuilt locally — slower, never wrong, since golden artifacts are
-// a pure function of (kernel, workload, options).
+// The manifest's base file, checked against its recorded trailer.
+std::optional<LoadedBase> load_manifest_base(const Manifest& manifest,
+                                             const std::string& bundle_dir) {
+  return load_base(base_path(bundle_dir, manifest.base_workload,
+                             manifest.options, manifest.kernel_fp),
+                   manifest.base_workload, manifest.options,
+                   manifest.kernel_fp, manifest.base_hash);
+}
+
+// Installs the base image and every manifest workload into the cache
+// from their files (mmap, zero-copy); the base is mapped and checked
+// once.  A bundle that is missing or fails verification is rebuilt
+// locally — slower, never wrong, since golden artifacts are a pure
+// function of (kernel, workload, options) and a local build deltas
+// against whichever base the cache holds.  Without a valid base file
+// every workload is rebuilt.
 std::uint64_t adopt_bundles(inject::GoldenCache& cache,
                             const Manifest& manifest,
                             const std::string& bundle_dir,
@@ -281,14 +299,26 @@ std::uint64_t adopt_bundles(inject::GoldenCache& cache,
   const auto began = std::chrono::steady_clock::now();
   std::uint64_t adopted = 0;
   std::uint64_t verified_bytes = 0;
-  for (std::size_t i = 0; i < manifest.workloads.size(); ++i) {
+  const std::optional<LoadedBase> base =
+      load_manifest_base(manifest, bundle_dir);
+  if (base.has_value()) {
+    verified_bytes += base->size;
+    cache.adopt_base(base->image);
+  } else if (verbose && !manifest.workloads.empty()) {
+    std::fprintf(stderr,
+                 "[kfi-serve] worker %u: base file for %s invalid; "
+                 "rebuilding every workload locally\n",
+                 worker_id, manifest.base_workload.c_str());
+  }
+  for (std::size_t i = 0; base.has_value() && i < manifest.workloads.size();
+       ++i) {
     const std::string& workload = manifest.workloads[i];
     const std::string path = bundle_path(bundle_dir, workload,
                                          manifest.options,
                                          manifest.kernel_fp);
     std::optional<LoadedBundle> loaded =
         load_bundle(path, workload, manifest.options, manifest.kernel_fp,
-                    manifest.bundle_hashes[i]);
+                    *base, manifest.bundle_hashes[i]);
     if (!loaded.has_value()) {
       if (verbose) {
         std::fprintf(stderr,
@@ -317,13 +347,17 @@ std::uint64_t adopt_bundles(inject::GoldenCache& cache,
   return adopted;
 }
 
-// Fills manifest.bundle_hashes, parallel to manifest.workloads.  A
-// valid bundle on disk is kept as it is.  Every other workload is built
-// on up to `threads` threads, and the thread that built it writes its
-// bundle, so fsync waits overlap with the other builds.  Each hash
-// lands in its workload's slot, so the manifest does not depend on
-// which build finished first.  False when a bundle cannot be written
-// (message on stderr), once every builder has joined.
+// Fills manifest.base_workload, base_hash and bundle_hashes (parallel
+// to manifest.workloads).  The base is the first workload's post-boot
+// image.  A valid base file, and every bundle that loads against it,
+// is kept as it is; without a valid base file no bundle can be checked,
+// so the base is captured and written first and every bundle rebuilt.
+// The missing workloads are built on up to `threads` threads, and
+// the thread that built one writes its bundle, so fsync waits overlap
+// with the other builds.  Each hash lands in its workload's slot, so
+// the manifest does not depend on which build finished first.  False
+// when a file cannot be written (message on stderr), once every
+// builder has joined.
 bool prepare_bundles(Manifest& manifest, const std::string& bundle_dir,
                      unsigned threads, bool verbose, ServiceResult* result) {
   const auto began = std::chrono::steady_clock::now();
@@ -332,13 +366,24 @@ bool prepare_bundles(Manifest& manifest, const std::string& bundle_dir,
                        manifest.kernel_fp);
   };
   manifest.bundle_hashes.assign(manifest.workloads.size(), 0);
+  if (manifest.workloads.empty()) return true;
+  manifest.base_workload = manifest.workloads.front();
+  const std::string base_file =
+      base_path(bundle_dir, manifest.base_workload, manifest.options,
+                manifest.kernel_fp);
+  const std::optional<LoadedBase> base =
+      load_base(base_file, manifest.base_workload, manifest.options,
+                manifest.kernel_fp);
+  if (base.has_value()) manifest.base_hash = base->content_hash;
   std::vector<std::string> missing;
   std::vector<std::size_t> slots;  // manifest slot of each missing name
   for (std::size_t i = 0; i < manifest.workloads.size(); ++i) {
     const std::string& workload = manifest.workloads[i];
     const std::optional<LoadedBundle> loaded =
-        load_bundle(path_of(workload), workload, manifest.options,
-                    manifest.kernel_fp);
+        base.has_value()
+            ? load_bundle(path_of(workload), workload, manifest.options,
+                          manifest.kernel_fp, *base)
+            : std::nullopt;
     if (loaded.has_value()) {
       manifest.bundle_hashes[i] = loaded->content_hash;
     } else {
@@ -348,16 +393,31 @@ bool prepare_bundles(Manifest& manifest, const std::string& bundle_dir,
   }
 
   std::atomic<bool> written{true};
+  inject::GoldenCache::HeldBytes held;
   if (!missing.empty()) {
     {  // the builder cache dies at the end of this block
       inject::GoldenCache cache(manifest.options);
+      if (base.has_value()) {
+        cache.adopt_base(base->image);
+      } else {
+        cache.capture_base(manifest.base_workload);
+        const std::optional<std::uint64_t> hash =
+            write_base(base_file, manifest.base_workload, *cache.base(),
+                       manifest.options, manifest.kernel_fp);
+        if (!hash.has_value()) {
+          std::fprintf(stderr, "[kfi-serve] cannot write base file %s\n",
+                       base_file.c_str());
+          return false;
+        }
+        manifest.base_hash = *hash;
+      }
       cache.build_workloads(
           missing, threads,
           [&](std::size_t j, const inject::WorkloadGolden& artifact) {
             const std::string path = path_of(missing[j]);
             const std::optional<std::uint64_t> hash =
                 write_bundle(path, missing[j], artifact, manifest.options,
-                             manifest.kernel_fp);
+                             manifest.kernel_fp, manifest.base_hash);
             if (hash.has_value()) {
               manifest.bundle_hashes[slots[j]] = *hash;
               return;
@@ -366,6 +426,7 @@ bool prepare_bundles(Manifest& manifest, const std::string& bundle_dir,
                          path.c_str());
             written = false;
           });
+      held = cache.held_bytes();
     }
 #ifdef __GLIBC__
     // Forked workers inherit the controller's resident heap, so the
@@ -384,11 +445,16 @@ bool prepare_bundles(Manifest& manifest, const std::string& bundle_dir,
         std::chrono::steady_clock::now() - began;
     const std::size_t used = std::max<std::size_t>(
         1, std::min<std::size_t>(std::max(threads, 1u), missing.size()));
+    constexpr double kMiB = 1024.0 * 1024.0;
     std::fprintf(stderr,
                  "[kfi-serve] prepare: built %zu and adopted %zu of %zu "
-                 "bundles (%zu threads, %.3f s)\n",
+                 "bundles (%zu threads, %.3f s); builder cache held base "
+                 "%.1f MiB, boot deltas %.2f MiB, ladders %.1f MiB\n",
                  missing.size(), manifest.workloads.size() - missing.size(),
-                 manifest.workloads.size(), used, took.count());
+                 manifest.workloads.size(), used, took.count(),
+                 static_cast<double>(held.base) / kMiB,
+                 static_cast<double>(held.boots) / kMiB,
+                 static_cast<double>(held.ladders) / kMiB);
   }
   return true;
 }
@@ -482,7 +548,13 @@ std::optional<Manifest> prepare_campaign(const ServiceConfig& config,
   std::string ignored;  // absent or unusable: prepared afresh below
   if (auto existing = load_manifest_full(config.dir, ignored)) {
     Manifest& old = existing->first;
-    if (!config.fresh && old.config_hash == manifest.config_hash) {
+    const bool same_config = old.config_hash == manifest.config_hash;
+    // Workers resolve every bundle through the recorded base: a
+    // manifest whose base file no longer carries the recorded trailer
+    // is prepared afresh.
+    if (!config.fresh && same_config &&
+        (old.workloads.empty() ||
+         load_manifest_base(old, existing->second).has_value())) {
       return std::move(old);
     }
     // The same campaign under the other execution engine.  The engines
@@ -492,7 +564,8 @@ std::optional<Manifest> prepare_campaign(const ServiceConfig& config,
     // Stop and name the setting that resumes it.
     const machine::ExecEngine prepared_with = old.options.exec_engine;
     old.options.exec_engine = manifest.options.exec_engine;
-    if (!config.fresh && config_hash(old) == manifest.config_hash) {
+    if (!config.fresh && !same_config &&
+        config_hash(old) == manifest.config_hash) {
       std::fprintf(stderr,
                    "[kfi-serve] %s was prepared with the %s engine; resume "
                    "it with KFI_EXEC=%s, or prepare it fresh\n",
@@ -618,6 +691,12 @@ WorkerReport run_worker(const std::string& dir, unsigned worker_id,
         }
       });
   report.ok = !failed;
+  if (verbose) {
+    std::fprintf(stderr,
+                 "[kfi-serve] worker %u: %llu runs on %llu machines\n",
+                 worker_id, static_cast<unsigned long long>(report.runs),
+                 static_cast<unsigned long long>(injector.machines_built()));
+  }
   return report;
 }
 

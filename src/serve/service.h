@@ -84,6 +84,10 @@ struct Manifest {
   std::vector<std::string> workloads;            // every workload used
   std::vector<std::uint64_t> bundle_hashes;      // parallel to workloads:
                                                  // each bundle's trailer
+  // The base file every bundle resolves through: the workload whose
+  // post-boot image it is (the first of `workloads`) and its trailer.
+  std::string base_workload;
+  std::uint64_t base_hash = 0;
   // Shard table: [begin, end) positions over the concatenated
   // locality-sorted execution order, cut by inject::shard_ranges.
   std::vector<inject::ShardRange> shard_ranges;
@@ -131,14 +135,15 @@ struct ServiceResult {
   std::vector<inject::CampaignRun> runs;
 };
 
-// Serializes golden bundles (building only the ones missing or
-// invalid, on `workers` threads; the bundle and manifest bytes do not
-// depend on that count), computes the shard table over the deterministic execution
-// order, and writes "<dir>/manifest.kfim" crash-safely.  When a
-// manifest for a *different* config already exists in `dir`, stale
-// shards and claims are wiped first; a matching manifest is reused
-// as-is so completed shards resume.  Returns nullopt on failure
-// (message on stderr).
+// Serializes the base file and the golden bundles (building only the
+// ones missing or invalid, on `workers` threads; the file and manifest
+// bytes do not depend on that count), computes the shard table over
+// the deterministic execution order, and writes "<dir>/manifest.kfim"
+// crash-safely.  When a manifest for a *different* config, or one whose
+// base file no longer carries the recorded trailer, already exists in
+// `dir`, stale shards and claims are wiped first; a matching manifest
+// is reused as-is so completed shards resume.  Returns nullopt on
+// failure (message on stderr).
 std::optional<Manifest> prepare_campaign(const ServiceConfig& config,
                                          ServiceResult* result = nullptr);
 
@@ -149,7 +154,8 @@ std::optional<Manifest> prepare_campaign(const ServiceConfig& config,
 std::optional<Manifest> load_manifest(const std::string& dir,
                                       std::string* error = nullptr);
 
-// One worker's drain: adopts the manifest's bundles (mmap, zero-copy),
+// One worker's drain: maps and checks the base file once, adopts the
+// manifest's bundles against it (mmap, zero-copy),
 // then runs inject::drain_shards over the shard table — its owned
 // shards (index % workers == worker_id) first, then steals — claiming
 // each by O_EXCL file and streaming it into the artifact store.  Runs

@@ -9,7 +9,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <initializer_list>
+#include <vector>
 
 #include "support/serial.h"
 
@@ -17,12 +17,7 @@ namespace kfi {
 
 namespace {
 
-struct Span {
-  const void* data;
-  std::size_t size;
-};
-
-bool write_all(int fd, const Span& span) {
+bool write_all(int fd, const ByteSpan& span) {
   const auto* p = static_cast<const std::uint8_t*>(span.data);
   std::size_t written = 0;
   while (written < span.size) {
@@ -35,7 +30,7 @@ bool write_all(int fd, const Span& span) {
 
 // Writes the spans back to back into one temp file, then lands it.
 bool atomic_write_spans(const std::string& path,
-                        std::initializer_list<Span> spans) {
+                        const std::vector<ByteSpan>& spans) {
   // The temp file must live in the target's directory: rename() is
   // atomic only within one filesystem.  Its name is private to this
   // writer (pid and a per-process sequence number): writers racing to
@@ -50,7 +45,7 @@ bool atomic_write_spans(const std::string& path,
   if (fd < 0) return false;
 
   bool ok = true;
-  for (const Span& span : spans) {
+  for (const ByteSpan& span : spans) {
     if (!write_all(fd, span)) {
       ok = false;
       break;
@@ -79,11 +74,17 @@ bool atomic_write_file(const std::string& path, const std::string& bytes) {
 
 std::optional<std::uint64_t> write_sealed_file(const std::string& path,
                                                const std::string& body) {
-  const std::uint64_t seal = content_hash(body.data(), body.size());
-  if (!atomic_write_spans(path, {{body.data(), body.size()},
-                                 {&seal, kSealBytes}})) {
-    return std::nullopt;
-  }
+  return write_sealed_file(path, {{body.data(), body.size()}});
+}
+
+std::optional<std::uint64_t> write_sealed_file(
+    const std::string& path, const std::vector<ByteSpan>& body) {
+  ContentHasher hasher;
+  for (const ByteSpan& span : body) hasher.update(span.data, span.size);
+  const std::uint64_t seal = hasher.value();
+  std::vector<ByteSpan> spans = body;
+  spans.push_back({&seal, kSealBytes});
+  if (!atomic_write_spans(path, spans)) return std::nullopt;
   return seal;
 }
 

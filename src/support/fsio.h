@@ -26,6 +26,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 namespace kfi {
 
@@ -39,12 +40,23 @@ bool atomic_write_file(const std::string& path, const std::string& bytes);
 // Size of the checksum trailer that ends every sealed file.
 inline constexpr std::size_t kSealBytes = 8;
 
+// One piece of a file body written straight from where it lies.
+struct ByteSpan {
+  const void* data = nullptr;
+  std::size_t size = 0;
+};
+
 // Writes `body` followed by content_hash(body) to `path`, as
 // atomic_write_file() does; the trailer goes into the same temp file,
 // so the body is never copied or regrown.  Returns the trailer, or
 // nullopt on failure.
 std::optional<std::uint64_t> write_sealed_file(const std::string& path,
                                                const std::string& body);
+// The same for a body that is the spans back to back, written from
+// where they lie (a base image's payloads) and never gathered into
+// one buffer.
+std::optional<std::uint64_t> write_sealed_file(
+    const std::string& path, const std::vector<ByteSpan>& body);
 
 // The trailer of a sealed byte span — its last kSealBytes, when they
 // equal content_hash of everything before them — or nullopt for a

@@ -42,38 +42,82 @@ inline std::uint64_t fnv1a_bytes(const void* data, std::size_t len,
 // order ByteWriter writes), so the value does not depend on the
 // buffer's alignment.  Not a substitute for fnv1a_bytes: every
 // result digest stays FNV-1a, and changing this function invalidates
-// every sealed file.
-inline std::uint64_t content_hash(const void* data, std::size_t len) {
-  constexpr std::uint64_t kOdd = 0x9E3779B97F4A7C15ULL;
-  constexpr int kRot = 29;
-  const auto mix = [](std::uint64_t h, std::uint64_t word) {
+// every sealed file.  ContentHasher computes it over bytes fed in
+// pieces (a sealed file written from several spans).
+class ContentHasher {
+ public:
+  // Feeds the next `len` bytes; the value depends only on the bytes fed
+  // so far, never on how they were split into calls.
+  void update(const void* data, std::size_t len) {
+    if (len == 0) return;  // `data` may be null then
+    const auto* p = static_cast<const std::uint8_t*>(data);
+    total_ += len;
+    if (pending_ > 0) {
+      const std::size_t take = len < 32 - pending_ ? len : 32 - pending_;
+      std::memcpy(stripe_ + pending_, p, take);
+      pending_ += take;
+      p += take;
+      len -= take;
+      if (pending_ < 32) return;
+      mix_stripe(stripe_);
+      pending_ = 0;
+    }
+    for (; len >= 32; len -= 32, p += 32) mix_stripe(p);
+    std::memcpy(stripe_, p, len);
+    pending_ = len;
+  }
+
+  // The hash of every byte fed so far.
+  std::uint64_t value() const {
+    std::uint64_t h = total_;
+    for (const std::uint64_t lane : lanes_) h = mix(h, lane);
+    return fnv1a_bytes(stripe_, pending_, h);
+  }
+
+ private:
+  static std::uint64_t mix(std::uint64_t h, std::uint64_t word) {
+    constexpr std::uint64_t kOdd = 0x9E3779B97F4A7C15ULL;
+    constexpr int kRot = 29;
     return std::rotl(h ^ word, kRot) * kOdd;
-  };
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  std::uint64_t lanes[4] = {kFnvOffset, kFnvOffset + 1, kFnvOffset + 2,
-                            kFnvOffset + 3};
-  const std::size_t stripes = len / 32;
-  for (std::size_t s = 0; s < stripes; ++s, p += 32) {
+  }
+  void mix_stripe(const std::uint8_t* p) {
     for (int i = 0; i < 4; ++i) {
       std::uint64_t word;
       std::memcpy(&word, p + 8 * i, 8);
-      lanes[i] = mix(lanes[i], word);
+      lanes_[i] = mix(lanes_[i], word);
     }
   }
-  std::uint64_t h = len;
-  for (const std::uint64_t lane : lanes) h = mix(h, lane);
-  return fnv1a_bytes(p, len % 32, h);
+
+  std::uint64_t lanes_[4] = {kFnvOffset, kFnvOffset + 1, kFnvOffset + 2,
+                             kFnvOffset + 3};
+  std::uint64_t total_ = 0;
+  std::uint8_t stripe_[32] = {};
+  std::size_t pending_ = 0;
+};
+
+inline std::uint64_t content_hash(const void* data, std::size_t len) {
+  ContentHasher hasher;
+  hasher.update(data, len);
+  return hasher.value();
 }
 
 class ByteWriter {
  public:
-  void u8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void u32(std::uint32_t v) {
-    out_.append(reinterpret_cast<const char*>(&v), 4);
+  ByteWriter() = default;
+  // A writer that keeps no bytes and only counts them: running a
+  // serializer through it first gives the size to reserve() for the
+  // real pass, so a large body is written without regrowth copies.
+  static ByteWriter sizer() {
+    ByteWriter writer;
+    writer.counting_ = true;
+    return writer;
   }
-  void u64(std::uint64_t v) {
-    out_.append(reinterpret_cast<const char*>(&v), 8);
-  }
+
+  void reserve(std::size_t bytes) { out_.reserve(bytes); }
+
+  void u8(std::uint8_t v) { bytes(&v, 1); }
+  void u32(std::uint32_t v) { bytes(&v, 4); }
+  void u64(std::uint64_t v) { bytes(&v, 8); }
   void f64(double v) {
     std::uint64_t bits;
     std::memcpy(&bits, &v, 8);
@@ -81,18 +125,24 @@ class ByteWriter {
   }
   void str(std::string_view s) {
     u32(static_cast<std::uint32_t>(s.size()));
-    out_.append(s.data(), s.size());
+    bytes(s.data(), s.size());
   }
   void bytes(const void* data, std::size_t len) {
+    if (counting_) {
+      counted_ += len;
+      return;
+    }
     out_.append(static_cast<const char*>(data), len);
   }
 
   const std::string& buffer() const { return out_; }
   std::string take() { return std::move(out_); }
-  std::size_t size() const { return out_.size(); }
+  std::size_t size() const { return counting_ ? counted_ : out_.size(); }
 
  private:
   std::string out_;
+  bool counting_ = false;
+  std::size_t counted_ = 0;
 };
 
 class ByteReader {

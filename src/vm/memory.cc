@@ -35,12 +35,11 @@ void PhysicalMemory::read_block(std::uint32_t paddr, void* data,
 }
 
 ChunkedSnapshot PhysicalMemory::snapshot_pages() const {
-  return ChunkedSnapshot::full(bytes_.data(), bytes_.size(), versions_, 4096);
+  return ChunkedSnapshot::full(bytes_.data(), bytes_.size(), 4096);
 }
 
 ChunkedSnapshot PhysicalMemory::snapshot_delta(
-    const ChunkedSnapshot& base,
-    const std::vector<std::uint64_t>* base_memo) const {
+    const ChunkedSnapshot& base, std::vector<std::uint64_t>& base_memo) const {
   return ChunkedSnapshot::delta(bytes_.data(), bytes_.size(), versions_, base,
                                 base_memo);
 }

@@ -71,15 +71,15 @@ class PhysicalMemory {
   // A memo is only meaningful for the PhysicalMemory it was built
   // against; machines sharing one snapshot each keep a private memo.
 
-  // Full capture of RAM (the post-boot snapshot).
+  // Full capture of RAM (a base image); page_versions() right after it
+  // is this RAM's memo for it.
   ChunkedSnapshot snapshot_pages() const;
-  // Sparse capture of the pages that differ from `base` (mid-run
+  // Dense capture of the pages that differ from `base` (boot states and
   // checkpoints; `base` must outlive the returned snapshot).
-  // `base_memo` — this RAM's memo for `base`, if any — supplies extra
-  // version-based skips.
-  ChunkedSnapshot snapshot_delta(
-      const ChunkedSnapshot& base,
-      const std::vector<std::uint64_t>* base_memo = nullptr) const;
+  // `base_memo` — this RAM's memo for `base` — skips proven pages and
+  // learns the ones found equal (ChunkedSnapshot::delta).
+  ChunkedSnapshot snapshot_delta(const ChunkedSnapshot& base,
+                                 std::vector<std::uint64_t>& base_memo) const;
   // Copies back only the pages whose write version moved since the last
   // restore of `snap` into this RAM (per `memo`); bit-identical to a
   // full copy.

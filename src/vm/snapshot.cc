@@ -14,24 +14,22 @@ std::uint32_t count_chunks(std::size_t size, std::uint32_t chunk_size) {
 
 }  // namespace
 
-ChunkedSnapshot ChunkedSnapshot::full(
-    const std::uint8_t* data, std::size_t size,
-    const std::vector<std::uint64_t>& versions, std::uint32_t chunk_size) {
+ChunkedSnapshot ChunkedSnapshot::full(const std::uint8_t* data,
+                                      std::size_t size,
+                                      std::uint32_t chunk_size) {
   assert(chunk_size != 0);
   ChunkedSnapshot snap;
   snap.chunk_size_ = chunk_size;
   snap.size_ = size;
   snap.chunk_count_ = count_chunks(size, chunk_size);
-  assert(versions.size() >= snap.chunk_count_);
   snap.data_.assign(data, data + size);
-  snap.versions_.assign(versions.begin(), versions.begin() + snap.chunk_count_);
   return snap;
 }
 
 ChunkedSnapshot ChunkedSnapshot::delta(
     const std::uint8_t* data, std::size_t size,
     const std::vector<std::uint64_t>& versions, const ChunkedSnapshot& base,
-    const std::vector<std::uint64_t>* base_memo) {
+    std::vector<std::uint64_t>& base_memo) {
   assert(base.valid() && !base.is_delta());
   assert(size == base.size_);
   ChunkedSnapshot snap;
@@ -40,25 +38,24 @@ ChunkedSnapshot ChunkedSnapshot::delta(
   snap.chunk_count_ = base.chunk_count_;
   assert(versions.size() >= snap.chunk_count_);
   snap.base_ = &base;
-  snap.versions_.assign(versions.begin(), versions.begin() + snap.chunk_count_);
   snap.slot_.assign(snap.chunk_count_, -1);
+  if (base_memo.size() < snap.chunk_count_) {
+    base_memo.assign(snap.chunk_count_, kUnknownVersion);
+  }
   for (std::uint32_t i = 0; i < snap.chunk_count_; ++i) {
-    // Unchanged version since base capture (or since the capturer's
-    // last restore from base) means unchanged content: resolve through
-    // the base without comparing bytes.
-    if (versions[i] == base.versions_[i] ||
-        (base_memo != nullptr && i < base_memo->size() &&
-         versions[i] == (*base_memo)[i])) {
-      continue;
-    }
+    if (versions[i] == base_memo[i]) continue;
     const std::uint32_t len = snap.chunk_len(i);
     const std::uint8_t* live = data + static_cast<std::size_t>(i) * snap.chunk_size_;
-    if (std::memcmp(live, base.chunk(i), len) == 0) continue;
+    if (std::memcmp(live, base.chunk(i), len) == 0) {
+      base_memo[i] = versions[i];
+      continue;
+    }
     snap.slot_[i] = static_cast<std::int32_t>(snap.data_.size() / snap.chunk_size_);
     const std::size_t at = snap.data_.size();
     snap.data_.resize(at + snap.chunk_size_, 0);
     std::memcpy(snap.data_.data() + at, live, len);
   }
+  snap.data_.shrink_to_fit();
   return snap;
 }
 
@@ -107,8 +104,7 @@ const std::uint8_t* ChunkedSnapshot::chunk(std::uint32_t index) const {
 }
 
 ChunkedSnapshot ChunkedSnapshot::from_parts(
-    std::uint32_t chunk_size, std::size_t size,
-    std::vector<std::uint64_t> versions, const ChunkedSnapshot* base,
+    std::uint32_t chunk_size, std::size_t size, const ChunkedSnapshot* base,
     std::vector<std::int32_t> slots, const std::uint8_t* payload,
     std::size_t payload_size) {
   assert(chunk_size != 0);
@@ -116,8 +112,6 @@ ChunkedSnapshot ChunkedSnapshot::from_parts(
   snap.chunk_size_ = chunk_size;
   snap.size_ = size;
   snap.chunk_count_ = count_chunks(size, chunk_size);
-  assert(versions.size() >= snap.chunk_count_);
-  snap.versions_ = std::move(versions);
   if (base != nullptr) {
     assert(base->valid() && !base->is_delta());
     assert(size == base->size_ && chunk_size == base->chunk_size_);
@@ -166,6 +160,10 @@ std::uint32_t ChunkedSnapshot::restore_into(
   assert(valid());
   assert(versions.size() >= chunk_count_);
   if (memo.size() < chunk_count_) memo.assign(chunk_count_, kUnknownVersion);
+  if (base_ != nullptr && base_memo != nullptr &&
+      base_memo->size() < chunk_count_) {
+    base_memo->assign(chunk_count_, kUnknownVersion);
+  }
   std::uint32_t copied = 0;
   for (std::uint32_t i = 0; i < chunk_count_; ++i) {
     if (proven_equal(i, versions[i], memo, base_memo)) continue;
@@ -174,8 +172,7 @@ std::uint32_t ChunkedSnapshot::restore_into(
     ++versions[i];
     memo[i] = versions[i];
     // A base-resolved chunk now also equals the base at this version.
-    if (base_ != nullptr && slot_of(i) < 0 && base_memo != nullptr &&
-        i < base_memo->size()) {
+    if (base_ != nullptr && base_memo != nullptr && slot_of(i) < 0) {
       (*base_memo)[i] = versions[i];
     }
     ++copied;

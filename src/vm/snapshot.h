@@ -32,6 +32,11 @@
 // that chunk: pass it as `base_memo` and restores/compares of shared
 // checkpoint rungs stay O(dirty + delta) on machines that never
 // captured anything.
+//
+// Snapshots keep no capture-time versions: a version means something
+// only on the array that holds it, so all equality knowledge is a memo
+// its caller keeps for its own array (the capturer's memo is its
+// versions at capture time).
 #pragma once
 
 #include <cstdint>
@@ -47,42 +52,35 @@ class ChunkedSnapshot {
  public:
   ChunkedSnapshot() = default;
 
-  // Full capture: a private copy of data[0..size) plus the capture-time
-  // versions.  `versions` must have at least ceil(size/chunk_size)
-  // entries.
+  // Full capture: a private copy of data[0..size).  A memo proving
+  // the capturing array equal to it is that array's current versions.
   static ChunkedSnapshot full(const std::uint8_t* data, std::size_t size,
-                              const std::vector<std::uint64_t>& versions,
                               std::uint32_t chunk_size);
 
-  // Sparse capture against `base` (a full snapshot of the same array,
-  // which must outlive this snapshot): stores only chunks whose content
-  // differs from base.  The version filter makes this cheap — chunks
-  // whose version still equals base's capture version (or the caller's
-  // base memo, if given) are skipped without comparing bytes.  Only
-  // sound on the array `base` was captured from: base's capture
-  // versions mean nothing on any other array.
+  // Dense capture against `base` (a full snapshot of an array of the
+  // same geometry, which must outlive this snapshot): stores only the
+  // chunks whose content differs from base, indexed by a per-chunk slot
+  // table.  Only `base_memo` — the caller's memo for `base` on this
+  // array — may skip a comparison; every other chunk is compared byte
+  // for byte, so the capture is sound on any array, whatever its
+  // version history.  Chunks found equal are recorded in `base_memo`
+  // (resized to fresh_memo() first if it does not match base yet).
   static ChunkedSnapshot delta(const std::uint8_t* data, std::size_t size,
                                const std::vector<std::uint64_t>& versions,
                                const ChunkedSnapshot& base,
-                               const std::vector<std::uint64_t>* base_memo);
+                               std::vector<std::uint64_t>& base_memo);
 
-  // Sparse capture against `base`, sound on any array whose caller
-  // keeps a memo for `base` (a machine that adopted a shared boot
-  // image): only `base_memo` may skip a comparison, never base's
-  // capture versions.  The differing chunks are indexed by a sorted
-  // list instead of a dense per-chunk table, and no capture versions
-  // are kept, so the snapshot costs its payload plus a few bytes per
-  // stored chunk.  It can be compared and restored like a dense delta
-  // but not serialized, and its capture_memo() is empty.
+  // Sparse capture against `base`, filtered by `base_memo` as delta()
+  // is (which it leaves untouched).  The differing chunks are indexed
+  // by a sorted list instead of a dense per-chunk table, so the
+  // snapshot costs its payload plus a few bytes per stored chunk.  It
+  // can be compared and restored like a dense delta but not
+  // serialized.
   static ChunkedSnapshot sparse(const std::uint8_t* data, std::size_t size,
                                 const std::vector<std::uint64_t>& versions,
                                 const ChunkedSnapshot& base,
                                 const std::vector<std::uint64_t>& base_memo);
 
-  // The memo asserting "every chunk equals this snapshot at its capture
-  // version" — valid ONLY for the array the snapshot was captured from,
-  // at capture time.  Any other machine must start from fresh_memo().
-  std::vector<std::uint64_t> capture_memo() const { return versions_; }
   // The all-unknown memo: the first restore through it copies every
   // chunk (there is no prior equality knowledge to exploit).
   std::vector<std::uint64_t> fresh_memo() const {
@@ -94,9 +92,9 @@ class ChunkedSnapshot {
   // recording the new version in `memo` (resized/initialized to
   // fresh_memo() if it does not match this snapshot yet).  For delta
   // snapshots, `base_memo` (the caller's memo for the base snapshot, or
-  // nullptr) both supplies extra skips for base-resolved chunks and is
-  // kept up to date when such chunks are copied.  Returns the number of
-  // chunks copied.
+  // nullptr; resized the same way) both supplies extra skips for
+  // base-resolved chunks and is kept up to date when such chunks are
+  // copied.  Returns the number of chunks copied.
   std::uint32_t restore_into(std::uint8_t* data,
                              std::vector<std::uint64_t>& versions,
                              std::vector<std::uint64_t>& memo,
@@ -128,8 +126,7 @@ class ChunkedSnapshot {
   std::uint64_t payload_size() const {
     return view_ != nullptr ? view_size_ : data_.size();
   }
-  // Dense layouts only (full and dense delta snapshots).
-  const std::vector<std::uint64_t>& versions() const { return versions_; }
+  // Dense deltas only.
   const std::vector<std::int32_t>& slots() const { return slot_; }
 
   // Reconstructs a snapshot from serialized parts.  `base` must be
@@ -139,7 +136,6 @@ class ChunkedSnapshot {
   // golden bundles, where the caller guarantees the mapping outlives
   // every borrower.
   static ChunkedSnapshot from_parts(std::uint32_t chunk_size, std::size_t size,
-                                    std::vector<std::uint64_t> versions,
                                     const ChunkedSnapshot* base,
                                     std::vector<std::int32_t> slots,
                                     const std::uint8_t* payload,
@@ -154,7 +150,7 @@ class ChunkedSnapshot {
   bool is_sparse() const { return is_delta() && slot_.empty(); }
   // The full snapshot a delta resolves through (nullptr for full
   // snapshots).  Lets machines assert a shared checkpoint really was
-  // captured against their own boot image.
+  // captured against their own base image.
   const ChunkedSnapshot* base() const { return base_; }
   // Bytes of payload this snapshot itself stores (delta compression
   // measure; excludes the base).
@@ -196,7 +192,6 @@ class ChunkedSnapshot {
   std::size_t view_size_ = 0;
   std::vector<std::int32_t> slot_;    // delta: chunk -> packed index, -1=base
   std::vector<std::uint32_t> index_;  // sparse: stored chunks, ascending
-  std::vector<std::uint64_t> versions_;  // capture-time versions
 };
 
 }  // namespace kfi::vm

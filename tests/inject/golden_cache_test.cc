@@ -1,7 +1,8 @@
 // GoldenCache built-once semantics: golden artifacts are computed
 // exactly once per workload no matter how many threads, Injectors, or
 // campaigns share the cache, and every borrower sees the same immutable
-// bundle.
+// bundle.  The cache holds one full image, every other snapshot is a
+// delta against it, and one Injector machine serves every workload.
 #include "inject/golden.h"
 
 #include <gtest/gtest.h>
@@ -14,10 +15,13 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/store.h"
 #include "check/expectations.h"
+#include "fsutil/kfs_format.h"
 #include "inject/campaign.h"
 #include "inject/injector.h"
 #include "profile/profile.h"
+#include "vm/layout.h"
 
 namespace kfi::inject {
 namespace {
@@ -111,6 +115,160 @@ TEST(GoldenCache, BuildWorkloadsRethrowsAFailedBuildOnTheCaller) {
   EXPECT_THROW(cache.build_workloads(names, 2), std::runtime_error);
   // A failed build leaves its entry unbuilt; the others stay usable.
   EXPECT_TRUE(cache.workload("pipe").golden.ok);
+}
+
+// The smoke A/B/C workloads, sorted.
+std::vector<std::string> smoke_abc_workloads() {
+  std::set<std::string> all;
+  for (const Campaign campaign :
+       {Campaign::RandomNonBranch, Campaign::RandomBranch,
+        Campaign::IncorrectBranch}) {
+    const std::set<std::string> some = campaign_workloads(campaign);
+    all.insert(some.begin(), some.end());
+  }
+  return {all.begin(), all.end()};
+}
+
+TEST(GoldenCache, SmokeAbcHoldsOneFullImageAndDeltasAgainstIt) {
+  GoldenCache cache;
+  const std::vector<std::string> names = smoke_abc_workloads();
+  ASSERT_EQ(names.size(), 4u);
+  cache.build_workloads(names, 1);
+  const std::shared_ptr<const machine::BaseImage> base = cache.base();
+  ASSERT_NE(base, nullptr);
+  EXPECT_FALSE(base->mem.is_delta());
+  EXPECT_FALSE(base->disk.is_delta());
+
+  for (const std::string& name : names) {
+    const WorkloadGolden& artifact = cache.workload(name);
+    // The only full snapshot is the base: each boot state stores at
+    // most the two pages its workload image is parked in, and no disk.
+    EXPECT_EQ(artifact.boot->base, base) << name;
+    ASSERT_TRUE(artifact.boot->mem.is_delta()) << name;
+    ASSERT_TRUE(artifact.boot->disk.is_delta()) << name;
+    EXPECT_LE(artifact.boot->mem.storage_bytes(), 2u * vm::kPageSize) << name;
+    EXPECT_EQ(artifact.boot->disk.storage_bytes(), 0u) << name;
+    for (const machine::Checkpoint& rung : artifact.ladder) {
+      EXPECT_EQ(rung.mem.base(), &base->mem) << name;
+      EXPECT_EQ(rung.disk.base(), &base->disk) << name;
+    }
+  }
+  // The first workload built is the base: its boot delta is empty.
+  EXPECT_EQ(cache.workload(names.front()).boot->mem.storage_bytes(), 0u);
+
+  // The held bytes, pinned: the base is exactly RAM plus disk, and a
+  // change that brings back per-workload images or moves what a rung
+  // stores fails here on every engine.
+  const GoldenCache::HeldBytes held = cache.held_bytes();
+  EXPECT_EQ(held.base, std::uint64_t{vm::kRamSize} +
+                           std::uint64_t{fsutil::kDefaultBlocks} *
+                               fsutil::kBlockSize);
+  EXPECT_EQ(held.boots, 6u * vm::kPageSize);
+  EXPECT_EQ(held.ladders, 5881856u);
+}
+
+TEST(GoldenCache, BaseWorkloadDoesNotChangeRecords) {
+  // The same workloads built in opposite orders hold different base
+  // images and deltas, and yield identical records.
+  const std::vector<std::string> names = smoke_abc_workloads();
+  const std::vector<std::string> reversed(names.rbegin(), names.rend());
+  const CampaignConfig config = [] {
+    CampaignConfig c = check::smoke_config(Campaign::IncorrectBranch);
+    c.threads = 1;
+    return c;
+  }();
+  std::vector<std::uint64_t> folds;
+  std::vector<std::uint64_t> first_delta;
+  for (const std::vector<std::string>* order : {&names, &reversed}) {
+    auto cache = std::make_shared<GoldenCache>();
+    cache->build_workloads(*order, 1);
+    first_delta.push_back(
+        cache->workload(names.front()).boot->mem.storage_bytes());
+    Injector injector(cache);
+    const CampaignRun run =
+        run_campaign(injector, profile::default_profile(), config);
+    folds.push_back(analysis::results_digest({run}));
+  }
+  EXPECT_EQ(first_delta[0], 0u);  // its image is the base
+  EXPECT_GT(first_delta[1], 0u);  // the last name's image is
+  EXPECT_EQ(folds[0], folds[1]);
+}
+
+// The first spec of `targets` the golden run executes whose workload is
+// not `other`.
+const InjectionSpec* covered_spec(const std::vector<InjectionSpec>& targets,
+                                  GoldenCache& cache,
+                                  const std::string& other) {
+  for (const InjectionSpec& spec : targets) {
+    if (spec.workload != other &&
+        cache.workload(spec.workload).coverage.count(spec.instr_addr) != 0) {
+      return &spec;
+    }
+  }
+  return nullptr;
+}
+
+std::uint64_t record_fold(const InjectionResult& result) {
+  analysis::ResultDigest digest;
+  digest.add(result);
+  return digest.value();
+}
+
+TEST(GoldenCache, OneInjectorMachineServesEveryWorkload) {
+  auto cache = std::make_shared<GoldenCache>();
+  const std::vector<std::string> names = smoke_abc_workloads();
+  cache->build_workloads(names, 1);
+  const std::vector<InjectionSpec> targets =
+      campaign_targets(profile::default_profile(),
+                       check::smoke_config(Campaign::RandomNonBranch),
+                       nullptr);
+  const InjectionSpec* w = covered_spec(targets, *cache, "");
+  ASSERT_NE(w, nullptr);
+  const InjectionSpec* v = covered_spec(targets, *cache, w->workload);
+  ASSERT_NE(v, nullptr);
+
+  // W -> V -> W on one injector: one machine, and every record equals
+  // the one a fresh injector makes.
+  Injector injector(cache);
+  std::vector<std::uint64_t> folds;
+  for (const InjectionSpec* spec : {w, v, w}) {
+    folds.push_back(record_fold(injector.run_one(*spec)));
+    Injector fresh(cache);
+    EXPECT_EQ(folds.back(), record_fold(fresh.run_one(*spec)))
+        << spec->workload;
+  }
+  EXPECT_EQ(folds[0], folds[2]);
+  EXPECT_EQ(injector.machines_built(), 1u);
+
+  // The machine underneath: after W -> V -> W switches, restore() and a
+  // rung restore land the state a freshly adopted machine holds.
+  const WorkloadGolden& wa = cache->workload(w->workload);
+  const WorkloadGolden& va = cache->workload(v->workload);
+  const auto make = [&] {
+    return std::make_unique<machine::Machine>(
+        cache->image(), workloads::built_workload(v->workload),
+        cache->root_disk());
+  };
+  auto machine = make();
+  machine->adopt_boot(wa.boot);
+  machine->run(200'000);
+  machine->adopt_boot(va.boot);
+  machine->run(200'000);
+  machine->adopt_boot(wa.boot);
+  machine->run(50'000);
+  machine->restore();
+  auto adopted = make();
+  adopted->adopt_boot(wa.boot);
+  EXPECT_EQ(machine->state_digest(), adopted->state_digest());
+  ASSERT_FALSE(wa.ladder.empty());
+  machine::CheckpointMemo memo;
+  machine::CheckpointMemo fresh_memo;
+  machine->restore_checkpoint(wa.ladder.back(), memo);
+  adopted->restore_checkpoint(wa.ladder.back(), fresh_memo);
+  EXPECT_EQ(machine->state_digest(), adopted->state_digest());
+  machine->run(100'000);
+  adopted->run(100'000);
+  EXPECT_EQ(machine->state_digest(), adopted->state_digest());
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
-// Golden-bundle files: the serialized WorkloadGolden round-trips
-// bit-exactly through write_bundle/load_bundle, stale or corrupt
-// bundles are rejected at load, and an adopted bundle substitutes for a
-// locally built artifact without changing a single injection result.
+// Golden-bundle files: the base image and the serialized WorkloadGolden
+// round-trip bit-exactly through write_base/load_base and
+// write_bundle/load_bundle, stale or corrupt files (and bundles against
+// another base) are rejected at load, and an adopted bundle substitutes
+// for a locally built artifact without changing a single injection
+// result.
 #include "serve/bundle.h"
 
 #include <gtest/gtest.h>
@@ -30,14 +32,26 @@ namespace {
 using test::fresh_dir;
 
 // One golden build for the whole suite: bundle tests only need a real
-// artifact to serialize, not a fresh boot per TEST.
+// artifact to serialize, not a fresh boot per TEST.  Its post-boot
+// image is the cache's base, written once as the suite's base file.
 class BundleTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     cache_ = new inject::GoldenCache(options());
     kernel_fp_ = analysis::kernel_fingerprint(kernel::built_kernel());
+    cache_->workload("pipe");
+    base_path_ = base_path(fresh_dir("kfi_bundle_test_base"), "pipe",
+                           options(), kernel_fp_);
+    const auto hash = write_base(base_path_, "pipe", *cache_->base(),
+                                 options(), kernel_fp_);
+    ASSERT_TRUE(hash.has_value());
+    auto loaded = load_base(base_path_, "pipe", options(), kernel_fp_, *hash);
+    ASSERT_TRUE(loaded.has_value());
+    base_ = new LoadedBase(std::move(*loaded));
   }
   static void TearDownTestSuite() {
+    delete base_;
+    base_ = nullptr;
     delete cache_;
     cache_ = nullptr;
   }
@@ -45,11 +59,32 @@ class BundleTest : public ::testing::Test {
   static inject::InjectorOptions options() { return {}; }
 
   static inject::GoldenCache* cache_;
+  static LoadedBase* base_;
+  static std::string base_path_;
   static std::uint64_t kernel_fp_;
 };
 
 inject::GoldenCache* BundleTest::cache_ = nullptr;
+LoadedBase* BundleTest::base_ = nullptr;
+std::string BundleTest::base_path_;
 std::uint64_t BundleTest::kernel_fp_ = 0;
+
+// Bytes before a bundle's payload: magic, version, the workload name,
+// kernel fingerprint, options echo and the base file's trailer.
+std::size_t bundle_header(const std::string& workload) {
+  return 8 + 4 + workload.size() + 8 + 8 + 8;
+}
+
+// Flips one bit of the file at `path` in place.
+void flip_bit(const std::string& path, std::size_t bit) {
+  std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+  char byte = 0;
+  file.seekg(static_cast<std::streamoff>(bit / 8));
+  file.read(&byte, 1);
+  byte = static_cast<char>(byte ^ (1 << (bit % 8)));
+  file.seekp(static_cast<std::streamoff>(bit / 8));
+  file.write(&byte, 1);
+}
 
 TEST_F(BundleTest, RoundTripPreservesTheWholeArtifact) {
   const inject::WorkloadGolden& original = cache_->workload("pipe");
@@ -57,10 +92,11 @@ TEST_F(BundleTest, RoundTripPreservesTheWholeArtifact) {
   const std::string path = bundle_path(dir, "pipe", options(), kernel_fp_);
 
   const auto hash = write_bundle(path, "pipe", original, options(),
-                                 kernel_fp_);
+                                 kernel_fp_, base_->content_hash);
   ASSERT_TRUE(hash.has_value());
 
-  const auto loaded = load_bundle(path, "pipe", options(), kernel_fp_, *hash);
+  const auto loaded =
+      load_bundle(path, "pipe", options(), kernel_fp_, *base_, *hash);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->content_hash, *hash);
   ASSERT_NE(loaded->keepalive, nullptr);
@@ -86,6 +122,9 @@ TEST_F(BundleTest, RoundTripPreservesTheWholeArtifact) {
     EXPECT_EQ(it->second.last, window.last);
   }
   ASSERT_NE(back.boot, nullptr);
+  // The deltas resolve through the mapped base file, not a copy.
+  EXPECT_EQ(back.boot->base, base_->image);
+  EXPECT_EQ(back.boot->mem.storage_bytes(), original.boot->mem.storage_bytes());
   EXPECT_EQ(back.boot->eip, original.boot->eip);
   EXPECT_EQ(back.boot->cycles, original.boot->cycles);
   EXPECT_EQ(back.boot->cr3, original.boot->cr3);
@@ -95,6 +134,7 @@ TEST_F(BundleTest, RoundTripPreservesTheWholeArtifact) {
   for (std::size_t i = 0; i < back.ladder.size(); ++i) {
     EXPECT_EQ(back.ladder[i].cycle, original.ladder[i].cycle);
     EXPECT_EQ(back.ladder[i].eip, original.ladder[i].eip);
+    EXPECT_EQ(back.ladder[i].mem.base(), &base_->image->mem);
   }
   // The v2 tail (campaign E/F golden inputs) and the v3 dead bits.
   EXPECT_EQ(back.write_footprint, original.write_footprint);
@@ -141,6 +181,11 @@ void expect_rewritten_bundles_reprepared(
   const auto manifest = load_manifest(config.dir);
   ASSERT_TRUE(manifest.has_value());
 
+  const auto base = load_base(
+      base_path(config.bundle_dir, manifest->base_workload, options,
+                kernel_fp),
+      manifest->base_workload, options, kernel_fp, manifest->base_hash);
+  ASSERT_TRUE(base.has_value());
   for (const std::string& workload : manifest->workloads) {
     const std::string path =
         bundle_path(config.bundle_dir, workload, options, kernel_fp);
@@ -150,7 +195,8 @@ void expect_rewritten_bundles_reprepared(
       bytes.assign(std::istreambuf_iterator<char>(in), {});
     }
     {
-      const auto current = load_bundle(path, workload, options, kernel_fp);
+      const auto current =
+          load_bundle(path, workload, options, kernel_fp, *base);
       ASSERT_TRUE(current.has_value());
       bytes.resize(bytes.size() - kSealBytes);
       rewrite(bytes, current->artifact, workload);
@@ -159,7 +205,8 @@ void expect_rewritten_bundles_reprepared(
       std::ofstream out(path, std::ios::binary | std::ios::trunc);
       out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     }
-    EXPECT_FALSE(load_bundle(path, workload, options, kernel_fp).has_value());
+    EXPECT_FALSE(
+        load_bundle(path, workload, options, kernel_fp, *base).has_value());
   }
 
   // Preparing again rebuilds each rejected bundle instead of adopting it.
@@ -171,7 +218,7 @@ void expect_rewritten_bundles_reprepared(
   for (const std::string& workload : manifest->workloads) {
     const auto loaded = load_bundle(
         bundle_path(config.bundle_dir, workload, options, kernel_fp),
-        workload, options, kernel_fp);
+        workload, options, kernel_fp, *base);
     ASSERT_TRUE(loaded.has_value());
     EXPECT_EQ(loaded->artifact.dead_bits.size(),
               loaded->artifact.dead_words());
@@ -203,18 +250,10 @@ TEST_F(BundleTest, VersionThreeBundleIsRejectedAndReprepared) {
       });
 }
 
-TEST_F(BundleTest, TruncatedBundleIsRejected) {
-  // Every cut through the identity header (magic, version, workload
-  // name, kernel fingerprint, options echo), then cuts at a fixed
-  // stride through the payload, each on an otherwise valid bundle.
-  const inject::WorkloadGolden& artifact = cache_->workload("pipe");
-  const std::string dir = fresh_dir("kfi_bundle_test_truncated");
-  const std::string path = dir + "/bundle.kfib";
-  ASSERT_TRUE(
-      write_bundle(path, "pipe", artifact, options(), kernel_fp_).has_value());
-  const std::size_t size = std::filesystem::file_size(path);
-  const std::size_t header = 8 + 4 + std::string("pipe").size() + 8 + 8;
-  ASSERT_GT(size, header);
+// Cut points for a file of `size` bytes: every offset through its
+// first `header` bytes, then a 256-way stride through the rest, longest
+// first so one file can shrink in place.
+std::vector<std::size_t> cut_points(std::size_t size, std::size_t header) {
   std::vector<std::size_t> cuts;
   for (std::size_t cut = 0; cut <= header; ++cut) cuts.push_back(cut);
   const std::size_t stride = std::max<std::size_t>(1, (size - header) / 256);
@@ -222,19 +261,49 @@ TEST_F(BundleTest, TruncatedBundleIsRejected) {
     cuts.push_back(cut);
   }
   cuts.push_back(size - 1);
-  // Longest first, so one file shrinks in place.
   std::sort(cuts.rbegin(), cuts.rend());
   cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
-  for (const std::size_t cut : cuts) {
+  return cuts;
+}
+
+// Bits to flip in a file of `size` bytes: every bit of its first
+// `header` bytes, then one bit per 8-byte word at a 256-way stride
+// through the rest (a different bit of each word).
+std::vector<std::size_t> flip_points(std::size_t size, std::size_t header) {
+  std::vector<std::size_t> bits;
+  for (std::size_t bit = 0; bit < 8 * header; ++bit) bits.push_back(bit);
+  const std::size_t words = (size - header) / 8;
+  const std::size_t stride = std::max<std::size_t>(1, words / 256);
+  std::size_t flips = 0;
+  for (std::size_t word = 0; word < words; word += stride, ++flips) {
+    bits.push_back(8 * (header + 8 * word) + flips % 64);
+  }
+  return bits;
+}
+
+TEST_F(BundleTest, TruncatedBundleIsRejected) {
+  // Every cut through the identity header (magic, version, workload
+  // name, kernel fingerprint, options echo, base trailer), then cuts at
+  // a fixed stride through the payload, each on an otherwise valid
+  // bundle.
+  const inject::WorkloadGolden& artifact = cache_->workload("pipe");
+  const std::string dir = fresh_dir("kfi_bundle_test_truncated");
+  const std::string path = dir + "/bundle.kfib";
+  ASSERT_TRUE(write_bundle(path, "pipe", artifact, options(), kernel_fp_,
+                           base_->content_hash)
+                  .has_value());
+  const std::size_t size = std::filesystem::file_size(path);
+  ASSERT_GT(size, bundle_header("pipe"));
+  for (const std::size_t cut : cut_points(size, bundle_header("pipe"))) {
     std::filesystem::resize_file(path, cut);
-    EXPECT_FALSE(load_bundle(path, "pipe", options(), kernel_fp_).has_value())
+    EXPECT_FALSE(
+        load_bundle(path, "pipe", options(), kernel_fp_, *base_).has_value())
         << "cut at " << cut << " of " << size;
   }
 }
 
 TEST_F(BundleTest, BitFlipAnywhereIsRejected) {
-  // Every bit of the identity header (magic, version, workload name,
-  // kernel fingerprint, options echo), then one bit per 8-byte word at
+  // Every bit of the identity header, then one bit per 8-byte word at
   // a 256-way stride through the payload, each flipped alone in an
   // otherwise valid bundle.  The checksum trailer must catch every flip,
   // with or without the manifest's hash: a payload flip in snapshot
@@ -242,65 +311,110 @@ TEST_F(BundleTest, BitFlipAnywhereIsRejected) {
   const inject::WorkloadGolden& artifact = cache_->workload("pipe");
   const std::string dir = fresh_dir("kfi_bundle_test_bitflip");
   const std::string path = dir + "/bundle.kfib";
-  const auto hash =
-      write_bundle(path, "pipe", artifact, options(), kernel_fp_);
+  const auto hash = write_bundle(path, "pipe", artifact, options(),
+                                 kernel_fp_, base_->content_hash);
   ASSERT_TRUE(hash.has_value());
   const std::size_t size = std::filesystem::file_size(path);
-  const std::size_t header = 8 + 4 + std::string("pipe").size() + 8 + 8;
+  const std::size_t header = bundle_header("pipe");
   ASSERT_GT(size, header + 8);
 
-  std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
-  ASSERT_TRUE(file.is_open());
-  const auto flip = [&](std::size_t bit) {
-    char byte = 0;
-    file.seekg(static_cast<std::streamoff>(bit / 8));
-    file.read(&byte, 1);
-    byte = static_cast<char>(byte ^ (1 << (bit % 8)));
-    file.seekp(static_cast<std::streamoff>(bit / 8));
-    file.write(&byte, 1);
-    file.flush();
-  };
-
-  for (std::size_t bit = 0; bit < 8 * header; ++bit) {
-    flip(bit);
+  const std::vector<std::size_t> bits = flip_points(size, header);
+  EXPECT_GE(bits.size(), 8 * header + 256);
+  for (const std::size_t bit : bits) {
+    flip_bit(path, bit);
+    EXPECT_FALSE(load_bundle(path, "pipe", options(), kernel_fp_, *base_,
+                             *hash)
+                     .has_value())
+        << "bit " << bit;
     EXPECT_FALSE(
-        load_bundle(path, "pipe", options(), kernel_fp_, *hash).has_value())
-        << "header bit " << bit;
-    EXPECT_FALSE(load_bundle(path, "pipe", options(), kernel_fp_).has_value())
-        << "header bit " << bit << " without a hash";
-    flip(bit);
+        load_bundle(path, "pipe", options(), kernel_fp_, *base_).has_value())
+        << "bit " << bit << " without a hash";
+    flip_bit(path, bit);
   }
-  const std::size_t words = (size - header) / 8;
-  const std::size_t stride = std::max<std::size_t>(1, words / 256);
-  std::size_t flips = 0;
-  for (std::size_t word = 0; word < words; word += stride, ++flips) {
-    const std::size_t bit = 8 * (header + 8 * word) + flips % 64;
-    flip(bit);
-    EXPECT_FALSE(
-        load_bundle(path, "pipe", options(), kernel_fp_, *hash).has_value())
-        << "payload bit " << bit;
-    EXPECT_FALSE(load_bundle(path, "pipe", options(), kernel_fp_).has_value())
-        << "payload bit " << bit << " without a hash";
-    flip(bit);
-  }
-  EXPECT_GE(flips, 256u);
   // Every flip was undone: the bundle loads against its hash again.
-  EXPECT_TRUE(
-      load_bundle(path, "pipe", options(), kernel_fp_, *hash).has_value());
+  EXPECT_TRUE(load_bundle(path, "pipe", options(), kernel_fp_, *base_, *hash)
+                  .has_value());
+}
+
+TEST_F(BundleTest, BaseFileRoundTripsItsImage) {
+  const machine::BaseImage& built = *cache_->base();
+  const machine::BaseImage& mapped = *base_->image;
+  EXPECT_TRUE(mapped.mem.is_view());
+  EXPECT_NE(mapped.keepalive, nullptr);
+  ASSERT_EQ(mapped.mem.size(), built.mem.size());
+  ASSERT_EQ(mapped.disk.size(), built.disk.size());
+  EXPECT_EQ(std::memcmp(mapped.mem.payload(), built.mem.payload(),
+                        built.mem.size()),
+            0);
+  EXPECT_EQ(std::memcmp(mapped.disk.payload(), built.disk.payload(),
+                        built.disk.size()),
+            0);
+  // The one full image plus a few dozen bytes of headers and trailer.
+  EXPECT_EQ(base_->size, std::filesystem::file_size(base_path_));
+  EXPECT_LT(base_->size - built.storage_bytes(), 1024u);
+  // Another workload or option set names another base.
+  EXPECT_FALSE(load_base(base_path_, "syscall", options(), kernel_fp_)
+                   .has_value());
+  EXPECT_FALSE(
+      load_base(base_path_, "pipe", options(), kernel_fp_ ^ 1).has_value());
+  EXPECT_FALSE(load_base(base_path_, "pipe", options(), kernel_fp_,
+                         base_->content_hash ^ 1)
+                   .has_value());
+}
+
+// Bytes before the base file's RAM payload: the identity header, then
+// the RAM snapshot's header (chunk size, size, kind, chunk count,
+// payload size).
+std::size_t base_header(const std::string& workload) {
+  return 8 + 4 + workload.size() + 8 + 8 + 4 + 8 + 1 + 4 + 8;
+}
+
+TEST_F(BundleTest, TruncatedBaseFileIsRejected) {
+  const std::string path = fresh_dir("kfi_bundle_test_base_cut") + "/base.kfib";
+  std::filesystem::copy_file(base_path_, path);
+  const std::size_t size = std::filesystem::file_size(path);
+  for (const std::size_t cut : cut_points(size, base_header("pipe"))) {
+    std::filesystem::resize_file(path, cut);
+    EXPECT_FALSE(load_base(path, "pipe", options(), kernel_fp_).has_value())
+        << "cut at " << cut << " of " << size;
+  }
+}
+
+TEST_F(BundleTest, BaseFileBitFlipAnywhereIsRejected) {
+  const std::string path =
+      fresh_dir("kfi_bundle_test_base_flip") + "/base.kfib";
+  std::filesystem::copy_file(base_path_, path);
+  const std::size_t size = std::filesystem::file_size(path);
+  const std::vector<std::size_t> bits =
+      flip_points(size, base_header("pipe"));
+  EXPECT_GE(bits.size(), 8 * base_header("pipe") + 256);
+  for (const std::size_t bit : bits) {
+    flip_bit(path, bit);
+    EXPECT_FALSE(load_base(path, "pipe", options(), kernel_fp_).has_value())
+        << "bit " << bit;
+    flip_bit(path, bit);
+  }
+  EXPECT_TRUE(load_base(path, "pipe", options(), kernel_fp_,
+                        base_->content_hash)
+                  .has_value());
 }
 
 TEST_F(BundleTest, DeterministicBytesAcrossRewrites) {
   const inject::WorkloadGolden& artifact = cache_->workload("pipe");
   const std::string dir = fresh_dir("kfi_bundle_test_deterministic");
   const auto h1 = write_bundle(dir + "/one.kfib", "pipe", artifact, options(),
-                               kernel_fp_);
+                               kernel_fp_, base_->content_hash);
   const auto h2 = write_bundle(dir + "/two.kfib", "pipe", artifact, options(),
-                               kernel_fp_);
+                               kernel_fp_, base_->content_hash);
   ASSERT_TRUE(h1.has_value() && h2.has_value());
   // Coverage and first-touch are hash maps in memory; the bundle must
   // serialize them in a canonical order for the content hash to be
   // stable across writers.
   EXPECT_EQ(*h1, *h2);
+  const auto b1 = write_base(dir + "/one_base.kfib", "pipe", *cache_->base(),
+                             options(), kernel_fp_);
+  ASSERT_TRUE(b1.has_value());
+  EXPECT_EQ(*b1, base_->content_hash);
 }
 
 TEST_F(BundleTest, RejectsMismatchedIdentityAndCorruption) {
@@ -308,45 +422,46 @@ TEST_F(BundleTest, RejectsMismatchedIdentityAndCorruption) {
   const std::string dir = fresh_dir("kfi_bundle_test_reject");
   const std::string path = dir + "/bundle.kfib";
   const auto hash = write_bundle(path, "pipe", artifact, options(),
-                                 kernel_fp_);
+                                 kernel_fp_, base_->content_hash);
   ASSERT_TRUE(hash.has_value());
 
   // Wrong workload name.
-  EXPECT_FALSE(load_bundle(path, "syscall", options(), kernel_fp_).has_value());
+  EXPECT_FALSE(
+      load_bundle(path, "syscall", options(), kernel_fp_, *base_).has_value());
   // Wrong kernel build.
-  EXPECT_FALSE(load_bundle(path, "pipe", options(), kernel_fp_ ^ 1)
+  EXPECT_FALSE(load_bundle(path, "pipe", options(), kernel_fp_ ^ 1, *base_)
                    .has_value());
   // Wrong ladder geometry.
   inject::InjectorOptions other = options();
   other.checkpoints += 1;
-  EXPECT_FALSE(load_bundle(path, "pipe", other, kernel_fp_).has_value());
+  EXPECT_FALSE(
+      load_bundle(path, "pipe", other, kernel_fp_, *base_).has_value());
   // Manifest hash mismatch.
-  EXPECT_FALSE(load_bundle(path, "pipe", options(), kernel_fp_, *hash ^ 1)
-                   .has_value());
+  EXPECT_FALSE(
+      load_bundle(path, "pipe", options(), kernel_fp_, *base_, *hash ^ 1)
+          .has_value());
+  // Another base file.
+  LoadedBase foreign = *base_;
+  foreign.content_hash ^= 1;
+  EXPECT_FALSE(
+      load_bundle(path, "pipe", options(), kernel_fp_, foreign).has_value());
 
   // Truncation.
   const std::string cut = dir + "/cut.kfib";
   std::filesystem::copy_file(path, cut);
   std::filesystem::resize_file(cut,
                                std::filesystem::file_size(cut) * 3 / 4);
-  EXPECT_FALSE(load_bundle(cut, "pipe", options(), kernel_fp_).has_value());
+  EXPECT_FALSE(
+      load_bundle(cut, "pipe", options(), kernel_fp_, *base_).has_value());
 
   // A flipped byte in the payload, with and without the recorded hash.
   const std::string bad = dir + "/bad.kfib";
   std::filesystem::copy_file(path, bad);
-  {
-    std::fstream f(bad, std::ios::in | std::ios::out | std::ios::binary);
-    const auto size = static_cast<long>(std::filesystem::file_size(bad));
-    char byte = 0;
-    f.seekg(size / 2);
-    f.read(&byte, 1);
-    byte = static_cast<char>(byte ^ 0x01);
-    f.seekp(size / 2);
-    f.write(&byte, 1);
-  }
-  EXPECT_FALSE(load_bundle(bad, "pipe", options(), kernel_fp_, *hash)
+  flip_bit(bad, 8 * (std::filesystem::file_size(bad) / 2));
+  EXPECT_FALSE(load_bundle(bad, "pipe", options(), kernel_fp_, *base_, *hash)
                    .has_value());
-  EXPECT_FALSE(load_bundle(bad, "pipe", options(), kernel_fp_).has_value());
+  EXPECT_FALSE(
+      load_bundle(bad, "pipe", options(), kernel_fp_, *base_).has_value());
 }
 
 TEST_F(BundleTest, AdoptedBundleSubstitutesForALocalBuild) {
@@ -354,23 +469,26 @@ TEST_F(BundleTest, AdoptedBundleSubstitutesForALocalBuild) {
   const std::string dir = fresh_dir("kfi_bundle_test_adopt");
   const std::string path = bundle_path(dir, "pipe", options(), kernel_fp_);
   const auto hash = write_bundle(path, "pipe", original, options(),
-                                 kernel_fp_);
+                                 kernel_fp_, base_->content_hash);
   ASSERT_TRUE(hash.has_value());
-  auto loaded = load_bundle(path, "pipe", options(), kernel_fp_, *hash);
+  auto loaded = load_bundle(path, "pipe", options(), kernel_fp_, *base_, *hash);
   ASSERT_TRUE(loaded.has_value());
 
   inject::GoldenCache adopter(options());
   EXPECT_TRUE(adopter.adopt_workload("pipe", std::move(loaded->artifact),
                                      loaded->keepalive));
   EXPECT_EQ(adopter.adoptions(), 1u);
+  // The adopted artifact's base became the cache's base.
+  EXPECT_EQ(adopter.base(), base_->image);
   // The adopted entry wins: asking for the workload must not build.
   const inject::WorkloadGolden& adopted = adopter.workload("pipe");
   EXPECT_EQ(adopter.golden_builds(), 0u);
   EXPECT_EQ(adopted.golden.cycles, original.golden.cycles);
   EXPECT_EQ(adopted.coverage, original.coverage);
   // A second adoption under the same name is refused.
-  EXPECT_FALSE(adopter.adopt_workload("pipe", inject::WorkloadGolden{},
-                                      nullptr));
+  inject::WorkloadGolden again;
+  again.boot = adopted.boot;
+  EXPECT_FALSE(adopter.adopt_workload("pipe", again, nullptr));
   EXPECT_EQ(adopter.adoptions(), 1u);
 }
 

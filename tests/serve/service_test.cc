@@ -227,6 +227,79 @@ TEST(Service, CorruptBundleIsRebuiltNotAdopted) {
   EXPECT_EQ(result.digest, reference_digest());
 }
 
+// Rewrites the base file at `path` with one RAM payload bit flipped and
+// a fresh trailer: a valid base file, but another base than the one the
+// bundles and the manifest were recorded against.
+void reseal_flipped_base(const std::string& path) {
+  std::string bytes = read_file_bytes(path).value_or("");
+  ASSERT_GT(bytes.size(), 1024u * 1024u);
+  bytes[bytes.size() / 3] = static_cast<char>(bytes[bytes.size() / 3] ^ 0x04);
+  const std::uint64_t sum = content_hash(bytes.data(), bytes.size() - 8);
+  std::memcpy(&bytes[bytes.size() - 8], &sum, 8);
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+TEST(Service, BundlesAgainstAnotherBaseAreRebuiltNotAdopted) {
+  // Every bundle records the base file's trailer.  Once the base file
+  // holds another (valid) image, no kept bundle may be adopted against
+  // it: all are rebuilt as deltas against the new base, and the results
+  // still equal the in-process reference, whatever that base holds.
+  const std::string dir = fresh_dir("kfi_service_test_other_base");
+  ServiceConfig config = base_config(dir);
+  config.bundle_dir = fresh_dir("kfi_service_test_other_base_bundles");
+  ServiceResult first;
+  const std::optional<Manifest> manifest = prepare_campaign(config, &first);
+  ASSERT_TRUE(manifest.has_value()) << first.error;
+  EXPECT_EQ(first.bundles_built, manifest->workloads.size());
+  reseal_flipped_base(base_path(config.bundle_dir, manifest->base_workload,
+                                manifest->options, manifest->kernel_fp));
+
+  config.fresh = true;
+  const ServiceResult result = run_service(config);
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(result.bundles_built, manifest->workloads.size());
+  EXPECT_EQ(result.bundles_adopted, 0u);
+  EXPECT_EQ(result.digest, reference_digest());
+  const std::optional<Manifest> again = load_manifest(dir);
+  ASSERT_TRUE(again.has_value());
+  EXPECT_NE(again->base_hash, manifest->base_hash);
+  const WorkerReport report = run_worker(dir, 0, 1);
+  EXPECT_TRUE(report.ok);
+  EXPECT_EQ(report.bundle_adoptions, again->workloads.size());
+}
+
+TEST(Service, ManifestWhoseBaseTrailerDiffersIsReprepared) {
+  // A partial campaign, then its base file replaced by another valid
+  // one: the manifest still loads, but its recorded base trailer no
+  // longer names the file, so every worker would rebuild every golden
+  // run locally.  The service must prepare afresh instead of resuming.
+  const std::string dir = fresh_dir("kfi_service_test_base_trailer");
+  ServiceConfig config = base_config(dir);
+  config.bundle_dir = fresh_dir("kfi_service_test_base_trailer_bundles");
+  ServiceConfig killed = config;
+  killed.max_shards_per_worker = 1;
+  killed.max_attempts = 1;
+  EXPECT_FALSE(run_service(killed).ok);
+  const std::optional<Manifest> manifest = load_manifest(dir);
+  ASSERT_TRUE(manifest.has_value());
+  reseal_flipped_base(base_path(config.bundle_dir, manifest->base_workload,
+                                manifest->options, manifest->kernel_fp));
+  ASSERT_TRUE(load_manifest(dir).has_value());
+
+  const ServiceResult again = run_service(config);
+  ASSERT_TRUE(again.ok) << again.error;
+  EXPECT_EQ(again.shards_resumed, 0u);
+  EXPECT_EQ(again.shards_executed, again.shard_count);
+  EXPECT_EQ(again.bundles_built, manifest->workloads.size());
+  EXPECT_EQ(again.digest, reference_digest());
+  const std::optional<Manifest> reprepared = load_manifest(dir);
+  ASSERT_TRUE(reprepared.has_value());
+  EXPECT_NE(reprepared->base_hash, manifest->base_hash);
+  const WorkerReport report = run_worker(dir, 0, 1);
+  EXPECT_TRUE(report.ok);
+  EXPECT_EQ(report.bundle_adoptions, reprepared->workloads.size());
+}
+
 TEST(Service, WorkersAdoptBundlesInsteadOfRebuilding) {
   ServiceConfig config = base_config(fresh_dir("kfi_service_test_bundle"));
   const ServiceResult result = run_service(config);
@@ -301,7 +374,19 @@ TEST(Service, ParallelPrepareWritesIdenticalBundles) {
 
   EXPECT_EQ(manifests[0].workloads, manifests[1].workloads);
   EXPECT_EQ(manifests[0].bundle_hashes, manifests[1].bundle_hashes);
+  EXPECT_EQ(manifests[0].base_workload, manifests[0].workloads.front());
+  EXPECT_EQ(manifests[0].base_workload, manifests[1].base_workload);
+  EXPECT_EQ(manifests[0].base_hash, manifests[1].base_hash);
   ASSERT_EQ(manifests[0].workloads.size(), distinct);
+  {
+    const Manifest& m = manifests[0];
+    const std::string one = read_bytes(base_path(
+        configs[0].bundle_dir, m.base_workload, m.options, m.kernel_fp));
+    const std::string three = read_bytes(base_path(
+        configs[1].bundle_dir, m.base_workload, m.options, m.kernel_fp));
+    EXPECT_FALSE(one.empty());
+    EXPECT_TRUE(one == three) << "base file bytes differ";
+  }
   for (const std::string& workload : manifests[0].workloads) {
     const Manifest& m = manifests[0];
     const std::string one = read_bytes(
@@ -347,11 +432,17 @@ TEST(Service, UnwritableBundleFailsPrepareOnTwoThreads) {
   EXPECT_NE(stderr_text.find("cannot write bundle"), std::string::npos)
       << stderr_text;
   EXPECT_FALSE(load_manifest(config.dir).has_value());
+  // The squatted workload comes first, so its image is the base, which
+  // landed before any bundle.
+  const std::optional<LoadedBase> base =
+      load_base(base_path(config.bundle_dir, squatted, options, kernel_fp),
+                squatted, options, kernel_fp);
+  ASSERT_TRUE(base.has_value());
   for (const std::string& workload : workloads) {
     if (workload == squatted) continue;
     EXPECT_TRUE(load_bundle(bundle_path(config.bundle_dir, workload,
                                         options, kernel_fp),
-                            workload, options, kernel_fp)
+                            workload, options, kernel_fp, *base)
                     .has_value())
         << workload;
   }
@@ -719,10 +810,13 @@ TEST(Service, VersionThreeManifestIsRejectedAndReprepared) {
   const EchoAt at = find_echo(bytes);
   const std::uint32_t version = 3;
   std::memcpy(&bytes[4], &version, 4);
-  // Per campaign two u64 counts, then the u32 workload count, then
+  // Per campaign two u64 counts, then (v7 on) the base workload and
+  // trailer, which v3 did not write, then the u32 workload count, then
   // each workload's name and bundle hash.
   std::size_t pos = at.echo_at + static_cast<std::size_t>(at.echo_size) +
-                    16 * manifest->campaigns.size() + 4;
+                    16 * manifest->campaigns.size();
+  bytes.erase(pos, 4 + manifest->base_workload.size() + 8);
+  pos += 4;
   for (const std::string& workload : manifest->workloads) {
     pos += 4 + workload.size();
     const std::optional<std::string> bundle = read_file_bytes(
@@ -805,6 +899,10 @@ TEST(Service, ManifestBitFlipAnywhereIsRejected) {
   fields.emplace_back("functions_targeted", pos);
   fields.emplace_back("target count", pos + 8);
   pos += 16 * manifest->campaigns.size();
+  fields.emplace_back("base workload", pos + 4);
+  pos += 4 + manifest->base_workload.size();
+  fields.emplace_back("base hash", pos);
+  pos += 8;
   fields.emplace_back("workload count", pos);
   pos += 4;
   fields.emplace_back("workload name", pos + 4);

@@ -30,6 +30,25 @@ TEST(ContentHash, PinnedKnownAnswer) {
   EXPECT_EQ(content_hash(bytes.data(), 31), 0x3E686D230EF794CCULL);
 }
 
+TEST(ContentHash, PiecesHashLikeTheWhole) {
+  // A sealed file written from several spans (a base image) is hashed
+  // piece by piece: every split, into two or three pieces, empty ones
+  // included, must give the one-shot value.
+  const std::vector<std::uint8_t> bytes = sample();
+  const std::uint64_t whole = content_hash(bytes.data(), bytes.size());
+  for (std::size_t a = 0; a <= bytes.size(); ++a) {
+    for (const std::size_t b : {a, a + (bytes.size() - a) / 3, bytes.size()}) {
+      ContentHasher hasher;
+      hasher.update(bytes.data(), a);
+      hasher.update(nullptr, 0);
+      hasher.update(bytes.data() + a, b - a);
+      hasher.update(bytes.data() + b, bytes.size() - b);
+      EXPECT_EQ(hasher.value(), whole) << "split at " << a << ", " << b;
+    }
+  }
+  EXPECT_EQ(ContentHasher().value(), content_hash(nullptr, 0));
+}
+
 TEST(ContentHash, EverySingleBitFlipChangesTheHash) {
   std::vector<std::uint8_t> bytes = sample();
   const std::uint64_t clean = content_hash(bytes.data(), bytes.size());

@@ -54,7 +54,7 @@ TEST(MemorySnapshot, DirtyRestoreMatchesFullCopyUnderFuzz) {
   scribble(mem, rng, 200);
 
   ChunkedSnapshot snap = mem.snapshot_pages();
-  std::vector<std::uint64_t> memo = snap.capture_memo();
+  std::vector<std::uint64_t> memo = mem.page_versions();
   const std::vector<std::uint8_t> reference = contents(mem);
 
   // Repeated rounds against the same snapshot exercise the clean-page
@@ -73,7 +73,7 @@ TEST(MemorySnapshot, RepeatRestoreCopiesNothingWhenClean) {
   scribble(mem, rng, 100);
 
   ChunkedSnapshot snap = mem.snapshot_pages();
-  std::vector<std::uint64_t> memo = snap.capture_memo();
+  std::vector<std::uint64_t> memo = mem.page_versions();
   mem.write8(0, 0xAA);
   mem.restore_pages(snap, memo);
   const std::uint64_t pages_after_first = mem.restored_pages();
@@ -89,11 +89,11 @@ TEST(MemorySnapshot, DeltaRestoreRebuildsCaptureState) {
   Rng rng(0xC0FFEEu);
   scribble(mem, rng, 150);
   ChunkedSnapshot base = mem.snapshot_pages();
-  std::vector<std::uint64_t> base_memo = base.capture_memo();
+  std::vector<std::uint64_t> base_memo = mem.page_versions();
 
   scribble(mem, rng, 60);
-  ChunkedSnapshot delta = mem.snapshot_delta(base, &base_memo);
-  std::vector<std::uint64_t> delta_memo = delta.capture_memo();
+  ChunkedSnapshot delta = mem.snapshot_delta(base, base_memo);
+  std::vector<std::uint64_t> delta_memo = mem.page_versions();
   const std::vector<std::uint8_t> at_capture = contents(mem);
   // A delta stores only diverged pages, not the whole image.
   EXPECT_LT(delta.storage_bytes(), static_cast<std::uint64_t>(kSize));
@@ -118,12 +118,12 @@ TEST(MemorySnapshot, InterleavedSnapshotsStayIndependent) {
   Rng rng(42u);
   scribble(mem, rng, 80);
   ChunkedSnapshot base = mem.snapshot_pages();
-  std::vector<std::uint64_t> base_memo = base.capture_memo();
+  std::vector<std::uint64_t> base_memo = mem.page_versions();
   const std::vector<std::uint8_t> base_state = contents(mem);
 
   scribble(mem, rng, 40);
-  ChunkedSnapshot mid = mem.snapshot_delta(base, &base_memo);
-  std::vector<std::uint64_t> mid_memo = mid.capture_memo();
+  ChunkedSnapshot mid = mem.snapshot_delta(base, base_memo);
+  std::vector<std::uint64_t> mid_memo = mem.page_versions();
   const std::vector<std::uint8_t> mid_state = contents(mem);
 
   for (int round = 0; round < 8; ++round) {
@@ -146,11 +146,11 @@ TEST(MemorySnapshot, SharedSnapshotAcrossMemoriesWithPrivateMemos) {
   Rng rng(0xABCDu);
   scribble(capturer, rng, 120);
   const ChunkedSnapshot base = capturer.snapshot_pages();
+  std::vector<std::uint64_t> cap_base_memo = capturer.page_versions();
   const std::vector<std::uint8_t> base_state = contents(capturer);
 
   scribble(capturer, rng, 50);
-  std::vector<std::uint64_t> cap_base_memo = base.capture_memo();
-  const ChunkedSnapshot delta = capturer.snapshot_delta(base);
+  const ChunkedSnapshot delta = capturer.snapshot_delta(base, cap_base_memo);
   const std::vector<std::uint8_t> delta_state = contents(capturer);
 
   PhysicalMemory a(kSize);
@@ -200,33 +200,37 @@ TEST(MemorySnapshot, SharedSnapshotAcrossMemoriesWithPrivateMemos) {
   ASSERT_EQ(contents(capturer), base_state);
 }
 
-// A machine that adopted a shared boot image captures shadow rungs
-// with ChunkedSnapshot::sparse: its page versions mean nothing against
-// the base's capture versions, so only its own base memo may skip a
-// comparison.
+// A machine that adopted a shared image captures rungs against it with
+// ChunkedSnapshot::delta and shadow rungs with ChunkedSnapshot::sparse:
+// its page versions mean nothing against the capturer's, so only its
+// own base memo may skip a comparison — even where a version collides
+// with the one the capturer held at capture time.
 TEST(MemorySnapshot, SparseCaptureOnForeignMemoryTrustsOnlyItsOwnMemo) {
   PhysicalMemory capturer(kSize);
   for (int i = 0; i < 500; ++i) {
     capturer.write8(0, static_cast<std::uint8_t>(i));
   }
   const ChunkedSnapshot base = capturer.snapshot_pages();
+  const std::uint64_t captured_at = capturer.page_version(0);
 
   PhysicalMemory foreign(kSize);
   std::vector<std::uint64_t> base_memo;
   foreign.restore_pages_full(base, &base_memo);
-  // Page 0 ends at exactly base's capture version, holding other bytes.
-  while (foreign.page_version(0) + 1 < base.versions()[0]) {
+  // Page 0 ends at exactly the capturer's version, holding other bytes.
+  while (foreign.page_version(0) + 1 < captured_at) {
     foreign.write8(1, 0x11);
   }
   foreign.write8(2, 0x5A);
-  ASSERT_EQ(foreign.page_version(0), base.versions()[0]);
+  ASSERT_EQ(foreign.page_version(0), captured_at);
   foreign.write8(3 * 4096 + 7, 0x77);
 
-  // The dense delta's version filter is fooled on this array...
-  const ChunkedSnapshot trusting = foreign.snapshot_delta(base, &base_memo);
-  EXPECT_FALSE(trusting.matches(foreign.raw(0), foreign.page_versions(), {},
-                                &base_memo));
-  // ...the sparse capture is not, and stores just the two pages.
+  // Both captures compare the two written pages and store just them.
+  std::vector<std::uint64_t> dense_memo = base_memo;
+  const ChunkedSnapshot dense = foreign.snapshot_delta(base, dense_memo);
+  EXPECT_FALSE(dense.is_sparse());
+  EXPECT_EQ(dense.storage_bytes(), 2u * 4096);
+  EXPECT_TRUE(dense.matches(foreign.raw(0), foreign.page_versions(), {},
+                            &dense_memo));
   const ChunkedSnapshot sparse = ChunkedSnapshot::sparse(
       foreign.raw(0), foreign.size(), foreign.page_versions(), base,
       base_memo);
@@ -245,6 +249,8 @@ TEST(MemorySnapshot, SparseCaptureOnForeignMemoryTrustsOnlyItsOwnMemo) {
   foreign.write8(5 * 4096, 0x01);
   EXPECT_FALSE(sparse.matches(foreign.raw(0), foreign.page_versions(), {},
                               &base_memo));
+  EXPECT_FALSE(dense.matches(foreign.raw(0), foreign.page_versions(), {},
+                             &dense_memo));
 }
 
 TEST(MemorySnapshot, FromPartsViewRestoresIdentically) {
@@ -252,23 +258,23 @@ TEST(MemorySnapshot, FromPartsViewRestoresIdentically) {
   Rng rng(0xBEEFu);
   scribble(mem, rng, 150);
   ChunkedSnapshot base = mem.snapshot_pages();
+  std::vector<std::uint64_t> base_memo = mem.page_versions();
   const std::vector<std::uint8_t> base_state = contents(mem);
   scribble(mem, rng, 40);
-  std::vector<std::uint64_t> base_memo = base.capture_memo();
   ChunkedSnapshot delta = ChunkedSnapshot::delta(
-      mem.raw(0), mem.size(), mem.page_versions(), base, &base_memo);
+      mem.raw(0), mem.size(), mem.page_versions(), base, base_memo);
   const std::vector<std::uint8_t> delta_state = contents(mem);
 
   // Reassemble both snapshots from their serialized parts as zero-copy
   // views into the original payload bytes — the bundle-mmap path.
   ChunkedSnapshot base_view = ChunkedSnapshot::from_parts(
-      base.chunk_size(), base.size(), base.versions(), nullptr, {},
+      base.chunk_size(), base.size(), nullptr, {},
       base.payload(), base.payload_size());
   EXPECT_TRUE(base_view.is_view());
   EXPECT_EQ(base_view.payload(), base.payload())
       << "a view must alias the serialized payload, not copy it";
   ChunkedSnapshot delta_view = ChunkedSnapshot::from_parts(
-      delta.chunk_size(), delta.size(), delta.versions(), &base_view,
+      delta.chunk_size(), delta.size(), &base_view,
       delta.slots(), delta.payload(), delta.payload_size());
   EXPECT_TRUE(delta_view.is_delta());
 

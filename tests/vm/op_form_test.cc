@@ -110,7 +110,7 @@ struct Rig {
       }
     }
     baseline = memory.snapshot_pages();
-    memo = baseline.capture_memo();
+    memo = memory.page_versions();
   }
 
   void reset() {
