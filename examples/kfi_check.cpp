@@ -142,17 +142,22 @@ void print_campaign_stats(const inject::CampaignStats& cs) {
   }
 }
 
-// Where the golden memory went: the cache's one base image, its boot
-// deltas and ladders, and the machines the campaigns' injectors built.
+// Set-up time and where the golden memory went: the golden builds
+// (with their capture passes' simulation rate) and the profile, the
+// cache's one base image, its boot deltas and ladders, and the machines
+// the campaigns' injectors built.
 void print_cache_stats(const inject::GoldenCache& cache,
+                       const profile::ProfileResult& prof,
                        const inject::CampaignStats& cs) {
   const inject::GoldenCache::HeldBytes held = cache.held_bytes();
   constexpr double kMiB = 1024.0 * 1024.0;
   std::printf(
-      "perf: %llu golden builds, %.2f s; cache holds base %.1f MiB, boot "
-      "deltas %.2f MiB, ladders %.1f MiB; %llu injector machines\n",
+      "perf: %llu golden builds, %.2f s (capture pass %.0f Mcycles/s); "
+      "profile %.2f s; cache holds base %.1f MiB, boot deltas %.2f MiB, "
+      "ladders %.1f MiB; %llu injector machines\n",
       static_cast<unsigned long long>(cache.golden_builds()),
-      cache.build_seconds(), static_cast<double>(held.base) / kMiB,
+      cache.build_seconds(), cache.capture_mcycles_per_s(), prof.seconds,
+      static_cast<double>(held.base) / kMiB,
       static_cast<double>(held.boots) / kMiB,
       static_cast<double>(held.ladders) / kMiB,
       static_cast<unsigned long long>(cs.machines));
@@ -201,7 +206,7 @@ int cmd_shape(int argc, char** argv) {
     totals.shards = a.stats.shards + c.stats.shards;
     totals.steals = a.stats.steals + c.stats.steals;
     print_campaign_stats(totals);
-    print_cache_stats(*injector.cache(), totals);
+    print_cache_stats(*injector.cache(), prof, totals);
     return report.all_pass() ? 0 : 1;
   }
   if (scale == "extended") {
@@ -238,7 +243,7 @@ int cmd_shape(int argc, char** argv) {
     totals += runs[1].stats;
     totals += runs[2].stats;
     print_campaign_stats(totals);
-    print_cache_stats(*injector.cache(), totals);
+    print_cache_stats(*injector.cache(), prof, totals);
     return report.all_pass() ? 0 : 1;
   }
   if (scale != "full") return usage();
@@ -258,7 +263,7 @@ int cmd_shape(int argc, char** argv) {
   inject::CampaignStats totals = a.stats;
   totals += b.stats;
   totals += c.stats;
-  print_cache_stats(*injector.cache(), totals);
+  print_cache_stats(*injector.cache(), profile::default_profile(), totals);
   return report.all_pass() ? 0 : 1;
 }
 

@@ -20,6 +20,69 @@ std::runtime_error no_boot(const std::string& name) {
                             "' failed to boot");
 }
 
+// What the capture pass records per executed instruction: the first
+// and last cycle of each kernel-text address, kept in per-page tables
+// allocated on a page's first execution (one table update per
+// instruction, not a hash-map lookup), and every syscall exit — each
+// execution of the syscall-exit store, with the return value about to
+// be written back.
+class CaptureObserver final : public vm::ExecObserver {
+ public:
+  CaptureObserver(const vm::Cpu& cpu, std::uint32_t syscall_site,
+                  std::vector<SyscallExit>& syscalls)
+      : cpu_(cpu),
+        syscall_site_(syscall_site),
+        syscalls_(syscalls),
+        pages_((vm::kTextEnd - vm::kArchTextBase + vm::kPageMask) /
+               vm::kPageSize) {}
+
+  void executes(std::uint32_t pc, std::uint64_t cycle) override {
+    if (pc == syscall_site_ && pc != 0) {
+      syscalls_.push_back(SyscallExit{cycle, cpu_.reg(isa::Reg::Eax)});
+    }
+    if (pc < vm::kArchTextBase || pc >= vm::kTextEnd) return;
+    std::unique_ptr<machine::TouchWindow[]>& page =
+        pages_[(pc - vm::kArchTextBase) / vm::kPageSize];
+    if (page == nullptr) {
+      page = std::make_unique<machine::TouchWindow[]>(vm::kPageSize);
+    }
+    // `cycle` is never 0: the capture pass starts from the post-boot
+    // snapshot.
+    machine::TouchWindow& window =
+        page[(pc - vm::kArchTextBase) % vm::kPageSize];
+    if (window.last == 0) window.first = cycle;
+    window.last = cycle;
+  }
+
+  // Every executed kernel-text address with its window.
+  std::unordered_map<std::uint32_t, machine::TouchWindow> windows() const {
+    std::unordered_map<std::uint32_t, machine::TouchWindow> out;
+    for (std::size_t page = 0; page < pages_.size(); ++page) {
+      if (pages_[page] == nullptr) continue;
+      for (std::uint32_t i = 0; i < vm::kPageSize; ++i) {
+        if (pages_[page][i].last == 0) continue;
+        out.emplace(vm::kArchTextBase +
+                        static_cast<std::uint32_t>(page) * vm::kPageSize + i,
+                    pages_[page][i]);
+      }
+    }
+    return out;
+  }
+
+ private:
+  const vm::Cpu& cpu_;
+  std::uint32_t syscall_site_;
+  std::vector<SyscallExit>& syscalls_;
+  std::vector<std::unique_ptr<machine::TouchWindow[]>> pages_;
+};
+
+std::uint64_t nanoseconds_since(std::chrono::steady_clock::time_point t) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t)
+          .count());
+}
+
 }  // namespace
 
 GoldenCache::GoldenCache(InjectorOptions options,
@@ -121,6 +184,10 @@ void GoldenCache::capture_base(const std::string& name) {
                            root_disk_, machine_options());
   if (!machine.boot()) throw no_boot(name);
   base_ = machine.boot_state()->base;
+  // The boot is this workload's BootState too (it stores no chunk):
+  // build() adopts it instead of booting the workload again.
+  base_boot_ = machine.boot_state();
+  base_workload_ = name;
 }
 
 bool GoldenCache::adopt_base(std::shared_ptr<const machine::BaseImage> base) {
@@ -133,6 +200,19 @@ bool GoldenCache::adopt_base(std::shared_ptr<const machine::BaseImage> base) {
 std::shared_ptr<const machine::BaseImage> GoldenCache::base() const {
   const std::lock_guard<std::mutex> lock(base_mutex_);
   return base_;
+}
+
+std::shared_ptr<const machine::BootState> GoldenCache::base_boot(
+    const std::string& name) const {
+  const std::lock_guard<std::mutex> lock(base_mutex_);
+  return name == base_workload_ ? base_boot_ : nullptr;
+}
+
+double GoldenCache::capture_mcycles_per_s() const {
+  const std::uint64_t ns = capture_ns_.load(std::memory_order_relaxed);
+  if (ns == 0) return 0.0;
+  return static_cast<double>(capture_cycles_.load(std::memory_order_relaxed)) /
+         (static_cast<double>(ns) / 1e3);
 }
 
 GoldenCache::HeldBytes GoldenCache::held_bytes() const {
@@ -171,15 +251,18 @@ void GoldenCache::build(const std::string& name, WorkloadGolden& out) {
   capture_base(name);
   machine::Machine machine(image_, workloads::built_workload(name),
                            root_disk_, machine_options());
-  if (!machine.boot(base())) throw no_boot(name);
+  if (const auto boot = base_boot(name)) {
+    machine.adopt_boot(boot);
+  } else if (!machine.boot(base())) {
+    throw no_boot(name);
+  }
   const auto incomplete = [&name] {
     return std::runtime_error("golden cache: golden run for '" + name +
                               "' did not complete");
   };
 
-  // The fault-free run once, untraced on the configured engine, for its
-  // length: the capture pass below takes the checkpoint ladder at
-  // evenly spaced cycles of it.
+  // The fault-free run once, untraced, for its length: the capture pass
+  // below takes the checkpoint ladder at evenly spaced cycles of it.
   constexpr std::uint64_t kGoldenBudget = 100'000'000;
   machine.restore();
   const std::uint64_t start = machine.cpu().cycles();
@@ -193,43 +276,31 @@ void GoldenCache::build(const std::string& name, WorkloadGolden& out) {
                              (static_cast<std::uint64_t>(options_.checkpoints) + 1));
   }
 
-  // The capture pass: the same run again, stepping, traced for touch
-  // windows (whose addresses are the coverage) and byte liveness (which
+  // The capture pass: the same run again on the same engine, with every
+  // executed instruction observed — its touch window (whose addresses
+  // are the coverage) and, at the syscall-exit store, every syscall
+  // return (campaign F's timeline) — and byte liveness recorded (which
   // also yields the written-data footprint, campaign E's target
   // population), taking the checkpoint ladder as it passes the rung
   // cycles.  Each rung is a state every injected run passes through
-  // before its trigger fires.
-  // A breakpoint on the syscall-exit store additionally records every
-  // syscall return (campaign F's timeline); breakpoint stops consume
-  // zero cycles and the resumable segments preserve the in-flight
-  // timer tick, so the traced timeline — and every golden artifact —
-  // is bit-identical to a single untraced run.
+  // before its trigger fires.  Observing changes nothing the run does,
+  // so the captured timeline is the untraced one.
+  const auto capture_began = std::chrono::steady_clock::now();
   machine.restore();
-  machine::TouchTable touches;
-  machine.set_touch_trace(&touches);
+  CaptureObserver observer(machine.cpu(), syscall_return_site(image_),
+                           out.syscalls);
+  machine.cpu().set_exec_observer(&observer);
   vm::ByteLiveness liveness(machine.memory().size(), at.size());
   machine.set_liveness(&liveness);
   machine.arm_checkpoints(std::move(at), &out.ladder);
-  const std::uint32_t sc_site = syscall_return_site(image_);
-  machine::RunResult run;
-  if (sc_site != 0) {
-    machine.cpu().arm_breakpoint(0, sc_site);
-    for (;;) {
-      const std::uint64_t spent = machine.cpu().cycles() - start;
-      run = machine.run(kGoldenBudget > spent ? kGoldenBudget - spent : 1,
-                        /*resumable=*/true);
-      if (run.exit != machine::RunExit::Breakpoint) break;
-      out.syscalls.push_back(SyscallExit{
-          machine.cpu().cycles(),
-          machine.cpu().reg(isa::Reg::Eax)});
-    }
-    machine.cpu().disarm_breakpoint(0);
-  } else {
-    run = machine.run(kGoldenBudget);
-  }
+  const machine::RunResult run = machine.run(kGoldenBudget);
   machine.disarm_checkpoints();
-  machine.set_touch_trace(nullptr);
+  machine.cpu().set_exec_observer(nullptr);
   machine.set_liveness(nullptr);
+  capture_cycles_.fetch_add(machine.cpu().cycles() - start,
+                            std::memory_order_relaxed);
+  capture_ns_.fetch_add(nanoseconds_since(capture_began),
+                        std::memory_order_relaxed);
 
   GoldenRun& golden = out.golden;
   golden.ok = run.exit == machine::RunExit::Completed;
@@ -243,7 +314,7 @@ void GoldenCache::build(const std::string& name, WorkloadGolden& out) {
                              "' left the untraced timeline");
   }
 
-  out.first_touch = touches.windows();
+  out.first_touch = observer.windows();
   out.coverage.reserve(out.first_touch.size());
   for (const auto& [addr, window] : out.first_touch) out.coverage.insert(addr);
   out.write_footprint = liveness.footprint();
@@ -268,12 +339,7 @@ void GoldenCache::build(const std::string& name, WorkloadGolden& out) {
   out.boot = machine.boot_state();
   count_held(out);
   builds_.fetch_add(1, std::memory_order_relaxed);
-  build_ns_.fetch_add(
-      static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - began)
-              .count()),
-      std::memory_order_relaxed);
+  build_ns_.fetch_add(nanoseconds_since(began), std::memory_order_relaxed);
 }
 
 DiskVerdict GoldenCache::judge_disk(const disk::DiskImage& image) const {

@@ -14,10 +14,11 @@
 // adopt_base() installed).  Every other snapshot it holds — each
 // workload's BootState and checkpoint ladder — is a delta against that
 // base, so a workload costs the pages its boot and golden run leave
-// different from the base instead of 20 MiB apiece.  Each workload
-// still boots its own builder machine and compares every chunk with
+// different from the base instead of 20 MiB apiece.  Every other
+// workload boots its own builder machine and compares every chunk with
 // the base, so exactness holds by construction, with no assumption
-// that two workloads' boots agree.
+// that two workloads' boots agree; the base's own workload adopts the
+// boot that captured the base.
 //
 // Thread safety: workload() may be called concurrently from any number
 // of threads; a per-entry std::once_flag serializes the build of one
@@ -184,7 +185,9 @@ class GoldenCache {
 
   // Boots `name` (no golden run) and installs its post-boot image as
   // the base, unless the cache already has one; build_workloads() does
-  // this with its first name.  Throws if the workload fails to boot.
+  // this with its first name.  The boot is kept: building `name` later
+  // adopts it instead of booting again.  Throws if the workload fails
+  // to boot.
   void capture_base(const std::string& name);
 
   // Installs `base` as the image every later build deltas against — a
@@ -220,6 +223,9 @@ class GoldenCache {
     return static_cast<double>(build_ns_.load(std::memory_order_relaxed)) /
            1e9;
   }
+  // Simulated Mcycles per host second of the builds' capture passes
+  // (0 before the first build).
+  double capture_mcycles_per_s() const;
 
   const InjectorOptions& options() const { return options_; }
   const kernel::KernelImage& image() const { return image_; }
@@ -245,6 +251,9 @@ class GoldenCache {
   Entry* entry_for(const std::string& name);
 
   void build(const std::string& name, WorkloadGolden& out);
+  // capture_base()'s boot when it booted `name`, else null.
+  std::shared_ptr<const machine::BootState> base_boot(
+      const std::string& name) const;
   machine::MachineOptions machine_options() const;
   // Adds an installed artifact's boot delta and ladder to held_bytes().
   void count_held(const WorkloadGolden& artifact);
@@ -257,11 +266,16 @@ class GoldenCache {
 
   std::mutex mutex_;  // guards entries_ (map structure only)
   std::map<std::string, std::unique_ptr<Entry>> entries_;
-  // Guards base_ (held through capture_base's boot).
+  // Guards base_, base_boot_ and base_workload_ (held through
+  // capture_base's boot).
   mutable std::mutex base_mutex_;
   std::shared_ptr<const machine::BaseImage> base_;
+  std::shared_ptr<const machine::BootState> base_boot_;
+  std::string base_workload_;
   std::atomic<std::uint64_t> builds_{0};
   std::atomic<std::uint64_t> build_ns_{0};
+  std::atomic<std::uint64_t> capture_cycles_{0};
+  std::atomic<std::uint64_t> capture_ns_{0};
   std::atomic<std::uint64_t> adoptions_{0};
   std::atomic<std::uint64_t> boot_bytes_{0};
   std::atomic<std::uint64_t> ladder_bytes_{0};

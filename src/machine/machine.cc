@@ -203,20 +203,6 @@ disk::DiskImage make_root_disk() {
   return image;
 }
 
-std::unordered_map<std::uint32_t, TouchWindow> TouchTable::windows() const {
-  std::unordered_map<std::uint32_t, TouchWindow> out;
-  for (std::size_t page = 0; page < pages_.size(); ++page) {
-    if (pages_[page] == nullptr) continue;
-    for (std::uint32_t i = 0; i < vm::kPageSize; ++i) {
-      if (pages_[page][i].last == 0) continue;
-      out.emplace(vm::kArchTextBase +
-                      static_cast<std::uint32_t>(page) * vm::kPageSize + i,
-                  pages_[page][i]);
-    }
-  }
-  return out;
-}
-
 // ---------------------------------------------------------------------
 // Machine
 // ---------------------------------------------------------------------
@@ -320,11 +306,15 @@ void Machine::install_vectors() {
   // the CPU, which the watchdog classifies as Hang/Unknown.
 }
 
-bool Machine::boot(std::shared_ptr<const BaseImage> base) {
+bool Machine::run_to_entry() {
   cpu_->arm_breakpoint(3, workload_.entry);
   const RunResult result = run(options_.boot_budget);
   cpu_->disarm_breakpoint(3);
-  if (result.exit != RunExit::Breakpoint) return false;
+  return result.exit == RunExit::Breakpoint;
+}
+
+bool Machine::boot(std::shared_ptr<const BaseImage> base) {
+  if (!run_to_entry()) return false;
 
   if (base == nullptr) {
     auto own = std::make_shared<BaseImage>();
@@ -604,9 +594,7 @@ RunResult Machine::run_loop(std::uint64_t max_cycles, bool resumable) {
   // capture saw; a plain restore()/boot() starts with none pending.
   bool timer_pending = timer_pending_resume_;
   timer_pending_resume_ = false;
-  // Touch and liveness capture observe every step.
-  const bool block_engine = options_.exec_engine != ExecEngine::Step &&
-                            touch_ == nullptr && liveness_ == nullptr;
+  const bool block_engine = options_.exec_engine != ExecEngine::Step;
 
   while (cpu_->cycles() < deadline) {
     // Checkpoint capture sits at the exact point a restored checkpoint
@@ -628,12 +616,6 @@ RunResult Machine::run_loop(std::uint64_t max_cycles, bool resumable) {
       timer_pending = false;
     }
 
-    if (touch_ != nullptr) {
-      const std::uint32_t pc = cpu_->eip();
-      if (pc >= vm::kArchTextBase && pc < vm::kTextEnd) {
-        touch_->record(pc, cpu_->cycles());
-      }
-    }
     vm::CpuEvent event;
     bool stepped = true;
     // A pending-but-undelivered tick is compatible with block dispatch:
@@ -674,15 +656,15 @@ RunResult Machine::run_loop(std::uint64_t max_cycles, bool resumable) {
       case vm::CpuEventKind::Executed:
         break;
       case vm::CpuEventKind::Breakpoint:
-        // A resumable caller continues past the breakpoint (the golden
-        // syscall-exit capture and campaign F's segmented runs): keep
-        // the in-flight tick so the segmented timeline stays
-        // bit-identical to an unsegmented run even when the breakpoint
-        // fires with interrupts off.  Non-resumable exits keep the
-        // historical behavior (both pinned digests depend on it) and
-        // report the drop: the injector reconverges D/E runs that took
-        // it onto a shadow ladder of the tick-dropped timeline instead
-        // of the golden one (DESIGN.md §7).
+        // A resumable caller continues past the breakpoint (campaign
+        // F's segmented runs): keep the in-flight tick so the
+        // segmented timeline stays bit-identical to an unsegmented run
+        // even when the breakpoint fires with interrupts off.
+        // Non-resumable exits keep the historical behavior (both pinned
+        // digests depend on it) and report the drop: the injector
+        // reconverges D/E runs that took it onto a shadow ladder of the
+        // tick-dropped timeline instead of the golden one (DESIGN.md
+        // §7).
         if (resumable) {
           timer_pending_resume_ = timer_pending;
         } else {

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <string_view>
-#include <unordered_map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -178,33 +177,6 @@ struct TouchWindow {
   std::uint64_t last = 0;
 };
 
-// The touch windows a touch-traced run records (Machine::
-// set_touch_trace), kept in per-page tables allocated on a page's first
-// execution: each step costs one table update, not a hash-map lookup.
-class TouchTable {
- public:
-  TouchTable()
-      : pages_((vm::kTextEnd - vm::kArchTextBase + vm::kPageMask) /
-               vm::kPageSize) {}
-
-  // The kernel-text address `pc` executes at cycle `now` (never 0: a
-  // traced run starts from the post-boot snapshot).
-  void record(std::uint32_t pc, std::uint64_t now) {
-    std::unique_ptr<TouchWindow[]>& page =
-        pages_[(pc - vm::kArchTextBase) / vm::kPageSize];
-    if (page == nullptr) page = std::make_unique<TouchWindow[]>(vm::kPageSize);
-    TouchWindow& window = page[(pc - vm::kArchTextBase) % vm::kPageSize];
-    if (window.last == 0) window.first = now;
-    window.last = now;
-  }
-
-  // Every executed address with its window.
-  std::unordered_map<std::uint32_t, TouchWindow> windows() const;
-
- private:
-  std::vector<std::unique_ptr<TouchWindow[]>> pages_;
-};
-
 // Cumulative substrate performance counters (telemetry only; nothing
 // here feeds back into execution).
 struct PerfStats {
@@ -278,11 +250,18 @@ class Machine {
   Machine& operator=(const Machine&) = delete;
 
   // Runs from reset to the first user-mode instruction of the workload
-  // and captures the BootState there, as a delta against `base` (every
-  // chunk compared).  With no base, this machine's own post-boot image
-  // becomes the base and its BootState stores no chunk.  Returns false
-  // if the kernel failed to boot.
+  // (its entry breakpoint) and captures the BootState there, as a delta
+  // against `base` (every chunk compared).  With no base, this
+  // machine's own post-boot image becomes the base and its BootState
+  // stores no chunk.  Returns false if the kernel failed to boot.
   bool boot(std::shared_ptr<const BaseImage> base = nullptr);
+
+  // boot()'s run alone: from reset to the workload's entry breakpoint,
+  // capturing nothing, for a caller that never restores (the
+  // profiler).  The machine is then in exactly the state boot()
+  // captures, but has no boot_state().  Returns false if the kernel
+  // failed to boot.
+  bool run_to_entry();
 
   // Points this machine at `boot` — a BootState any Machine (same
   // kernel/disk/options) captured — and restore()s it, without
@@ -327,10 +306,10 @@ class Machine {
                                               std::uint64_t max_cycles);
 
   // The schedule under capture_checkpoints(), for callers that drive
-  // the run themselves (the golden capture pass, which stops at
-  // breakpoints): until disarm_checkpoints(), every run() appends a
-  // checkpoint to *out at the first loop top at or after each cycle in
-  // `at` (ascending).
+  // the run themselves (the golden capture pass, which attaches its
+  // recorders around it): until disarm_checkpoints(), every run()
+  // appends a checkpoint to *out at the first loop top at or after each
+  // cycle in `at` (ascending).
   void arm_checkpoints(std::vector<std::uint64_t> at,
                        std::vector<Checkpoint>* out);
   void disarm_checkpoints();
@@ -385,17 +364,12 @@ class Machine {
   // schedule-independence proofs.
   std::uint64_t state_digest() const;
 
-  // When set, records the first and last cycle at which each
-  // kernel-text address is executed (instruction coverage, checkpoint
-  // placement and reconvergence bounds).  Pass nullptr to disable.
-  void set_touch_trace(TouchTable* sink) { touch_ = sink; }
-
   // When set, every RAM access of run() — CPU data, instruction fetch,
   // page-table walks and disk DMA — is reported to *liveness, and so is
   // every checkpoint the armed schedule takes (ByteLiveness::rung).
-  // Observational only, and it turns the run into a stepping run (the
-  // golden capture pass, which touch tracing makes one anyway).
-  // Pass nullptr to disable.
+  // Observational only; both engines report identically (the golden
+  // capture pass runs on the configured engine).  Pass nullptr to
+  // disable.
   void set_liveness(vm::ByteLiveness* liveness);
 
   // Attaches the forensics event trace (nullptr = off, the default):
@@ -403,9 +377,7 @@ class Machine {
   // report are recorded here, and the sink is forwarded to the CPU for
   // trap entry/exit, memory faults, and block-cache invalidations.
   // Strictly observational — every run-visible outcome (and the
-  // campaign result digest) is bit-identical with tracing on or off;
-  // unlike set_touch_trace() it does not disable the superblock
-  // engine.
+  // campaign result digest) is bit-identical with tracing on or off.
   void set_event_trace(trace::TraceBuffer* sink);
 
   PerfStats perf_stats() const;
@@ -471,7 +443,6 @@ class Machine {
   std::uint64_t checkpoints_taken_ = 0;
   std::uint64_t checkpoint_restores_ = 0;
 
-  TouchTable* touch_ = nullptr;
   vm::ByteLiveness* liveness_ = nullptr;
   trace::TraceBuffer* events_ = nullptr;
 

@@ -1,6 +1,7 @@
 #include "profile/profile.h"
 
 #include <algorithm>
+#include <chrono>
 #include <stdexcept>
 
 #include "machine/machine.h"
@@ -61,6 +62,7 @@ std::vector<ProfileResult::SubsystemRow> ProfileResult::table1(
 }
 
 ProfileResult profile_kernel(const ProfileOptions& options) {
+  const auto began = std::chrono::steady_clock::now();
   const kernel::KernelImage& image = kernel::built_kernel();
   const disk::DiskImage root_disk = machine::make_root_disk();
 
@@ -77,7 +79,7 @@ ProfileResult profile_kernel(const ProfileOptions& options) {
   for (const std::string& name : names) {
     machine::Machine machine(image, workloads::built_workload(name),
                              root_disk);
-    if (!machine.boot()) {
+    if (!machine.run_to_entry()) {
       throw std::runtime_error("profiling: " + name + " failed to boot");
     }
     const std::uint64_t start = machine.cpu().cycles();
@@ -119,6 +121,9 @@ ProfileResult profile_kernel(const ProfileOptions& options) {
               if (a.samples != b.samples) return a.samples > b.samples;
               return a.function < b.function;
             });
+  result.seconds = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - began)
+                       .count();
   return result;
 }
 

@@ -29,6 +29,8 @@ struct ProfileResult {
   std::uint64_t total_kernel_samples = 0;
   std::uint64_t user_samples = 0;
   std::map<std::string, std::uint64_t> workload_cycles;  // golden lengths
+  // Host seconds profile_kernel() took (telemetry only).
+  double seconds = 0.0;
 
   const FunctionSamples* find(const std::string& name) const;
 
@@ -55,7 +57,10 @@ struct ProfileOptions {
   std::vector<std::string> workload_names;  // empty = all nine
 };
 
-// Runs every workload on a fresh machine, sampling the kernel PC.
+// Runs every workload on a fresh machine from reset, sampling the
+// kernel PC from the workload's first user-mode instruction on.  The
+// machines never restore, so none captures a post-boot image
+// (Machine::run_to_entry).
 ProfileResult profile_kernel(const ProfileOptions& options = {});
 
 // Cached default profile (deterministic, shared by injector and benches).

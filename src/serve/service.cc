@@ -394,6 +394,7 @@ bool prepare_bundles(Manifest& manifest, const std::string& bundle_dir,
 
   std::atomic<bool> written{true};
   inject::GoldenCache::HeldBytes held;
+  double capture_rate = 0.0;
   if (!missing.empty()) {
     {  // the builder cache dies at the end of this block
       inject::GoldenCache cache(manifest.options);
@@ -427,6 +428,7 @@ bool prepare_bundles(Manifest& manifest, const std::string& bundle_dir,
             written = false;
           });
       held = cache.held_bytes();
+      capture_rate = cache.capture_mcycles_per_s();
     }
 #ifdef __GLIBC__
     // Forked workers inherit the controller's resident heap, so the
@@ -448,10 +450,11 @@ bool prepare_bundles(Manifest& manifest, const std::string& bundle_dir,
     constexpr double kMiB = 1024.0 * 1024.0;
     std::fprintf(stderr,
                  "[kfi-serve] prepare: built %zu and adopted %zu of %zu "
-                 "bundles (%zu threads, %.3f s); builder cache held base "
-                 "%.1f MiB, boot deltas %.2f MiB, ladders %.1f MiB\n",
+                 "bundles (%zu threads, %.3f s, capture pass %.0f "
+                 "Mcycles/s); builder cache held base %.1f MiB, boot "
+                 "deltas %.2f MiB, ladders %.1f MiB\n",
                  missing.size(), manifest.workloads.size() - missing.size(),
-                 manifest.workloads.size(), used, took.count(),
+                 manifest.workloads.size(), used, took.count(), capture_rate,
                  static_cast<double>(held.base) / kMiB,
                  static_cast<double>(held.boots) / kMiB,
                  static_cast<double>(held.ladders) / kMiB);

@@ -405,6 +405,7 @@ CpuEvent Cpu::step() {
     }
   }
   resume_flag_ = false;
+  if (observer_ != nullptr) observer_->executes(eip_, cycles_);
 
   // --- Fetch ---
   std::uint8_t buf[isa::kMaxInstructionLength];
@@ -500,6 +501,13 @@ CpuEvent Cpu::step() {
                                    : static_cast<std::uint32_t>(fetched);
     note_read(head_paddr, used < head ? used : head);
     if (used > head) note_read(tail_paddr, used - head);
+    // The peeked tail page's translation decided the decode only when
+    // the instruction did not fit the head bytes: block construction,
+    // which never decodes past a page, reports no such walk either.
+    if (head < isa::kMaxInstructionLength &&
+        (status != DecodeStatus::Ok || instr.length > head)) {
+      mmu_.note_peek(eip_ + head);
+    }
   }
 
   if (status == DecodeStatus::Ok) {
@@ -731,6 +739,15 @@ bool Cpu::breakpoints_clear(const Block& blk) const {
 
 std::size_t Cpu::run_block(std::uint64_t max_instructions, const bool* stop,
                            CpuEvent& event) {
+  if (observer_ == nullptr && liveness_ == nullptr) {
+    return dispatch<false>(max_instructions, stop, event);
+  }
+  return dispatch<true>(max_instructions, stop, event);
+}
+
+template <bool kRecord>
+std::size_t Cpu::dispatch(std::uint64_t max_instructions, const bool* stop,
+                          CpuEvent& event) {
   event = CpuEvent{};
   if (dead_ || halted_ || max_instructions == 0) return 0;
 
@@ -804,7 +821,12 @@ std::size_t Cpu::run_block(std::uint64_t max_instructions, const bool* stop,
         broke = true;
         break;
       }
-      if (op.fused_len != 0) {
+      if constexpr (kRecord) {
+        // What step() reports for this instruction: its start and its
+        // fetched bytes (a trace op never straddles a page).
+        if (observer_ != nullptr) observer_->executes(op.vaddr, cycles_);
+        note_read(op.paddr, op.instr.length);
+      } else if (op.fused_len != 0) {
         if (op.fused_len <= limit - executed &&
             (stop == nullptr || !*stop) && op.fused(*this, &op)) {
           // The group's last op never stores, and its push provably

@@ -38,6 +38,17 @@ struct CpuEvent {
   isa::Trap trap = isa::Trap::None;
 };
 
+// Sees each instruction as it starts: its address and the cycle
+// counter before it retires.  Attached with Cpu::set_exec_observer for
+// the golden capture pass (touch windows, syscall exits).
+class ExecObserver {
+ public:
+  virtual void executes(std::uint32_t pc, std::uint64_t cycle) = 0;
+
+ protected:
+  ~ExecObserver() = default;
+};
+
 // Record of the most recent trap delivery; the crash handler analysis
 // reads this to timestamp manifestation (paper §5.3: the latency is
 // measured at the fault, with handler switching time subtracted).
@@ -124,6 +135,11 @@ class Cpu {
   // idiom runs as a fused group, one dispatch per group
   // (select_fused); step() always runs the generic per-opcode
   // handlers, so each engine checks the other.
+  // With an exec observer or a liveness recorder attached, the dispatch
+  // records: every op reports its start to the observer and its fetch
+  // bytes to the recorder, as step() does, and fused groups run op by
+  // op.  The choice is made once per dispatch, so the plain loop carries
+  // no per-op check.
   std::size_t run_block(std::uint64_t max_instructions, const bool* stop,
                         CpuEvent& event);
 
@@ -147,18 +163,23 @@ class Cpu {
   void set_trace_sink(kfi::trace::TraceBuffer* sink) { trace_sink_ = sink; }
 
   // Attaches a liveness recorder (nullptr = off, the default) that
-  // step() reports every RAM access to: data reads and writes (cpl-0
-  // stores as kernel_store, which builds campaign E's footprint),
-  // trap-frame pushes, the TSS read and each executed instruction's
-  // bytes, decode-cache hits included; the MMU reports its walks.
-  // Purely observational, and for stepping runs only (the golden
-  // capture pass, which touch tracing already makes one).  Attaching
-  // it makes Mmu::probe miss, so the inline TLB-hit accessors below
-  // are never taken while it is set and carry no hook.
+  // both engines report every RAM access to: data reads and writes
+  // (cpl-0 stores as kernel_store, which builds campaign E's
+  // footprint), trap-frame pushes, the TSS read and each executed
+  // instruction's bytes (per step, decode-cache hits included, and per
+  // executed trace op); the MMU reports its walks.  Block construction
+  // reports nothing.  Purely observational (the golden capture pass).
+  // Attaching it makes Mmu::probe miss, so the inline TLB-hit accessors
+  // below are never taken while it is set and carry no hook.
   void set_liveness(ByteLiveness* liveness) {
     liveness_ = liveness;
     mmu_.set_liveness(liveness);
   }
+
+  // Attaches the observer every executed instruction is reported to
+  // (nullptr = off, the default), by step() and by run_block() alike.
+  // Purely observational.
+  void set_exec_observer(ExecObserver* observer) { observer_ = observer; }
 
   // Whether the CPU is permanently stopped (double fault escalated).
   bool dead() const { return dead_; }
@@ -425,8 +446,15 @@ class Cpu {
   // Decodes a block starting at eip_ (entry already translated to
   // `entry_paddr`), continuing across direct jmp/call into a widened
   // trace.  Pure lookahead: reads memory and page versions only, never
-  // fills the TLB (Mmu::peek).
+  // fills the TLB and reports nothing to a liveness recorder
+  // (Mmu::peek).
   bool build_block(std::uint32_t entry_paddr, Block& blk);
+
+  // run_block's dispatch loop; kRecord reports each op to the exec
+  // observer and the liveness recorder and runs fused groups op by op.
+  template <bool kRecord>
+  std::size_t dispatch(std::uint64_t max_instructions, const bool* stop,
+                       CpuEvent& event);
 
   // Cache probe + rebuild for the block entered at eip_ (translated to
   // `paddr`); returns nullptr when no block can be built here.
@@ -452,8 +480,10 @@ class Cpu {
 
   kfi::trace::TraceBuffer* trace_sink_ = nullptr;
 
-  // The golden capture pass's access recorder (see set_liveness).
+  // The golden capture pass's recorders (see set_liveness and
+  // set_exec_observer).
   ByteLiveness* liveness_ = nullptr;
+  ExecObserver* observer_ = nullptr;
   void note_read(std::uint32_t paddr, std::uint32_t size) {
     if (liveness_ != nullptr) liveness_->read(paddr, size);
   }

@@ -75,6 +75,14 @@ std::vector<std::uint32_t> ByteLiveness::footprint() const {
   return out;
 }
 
+std::vector<std::uint32_t> ByteLiveness::pages() const {
+  std::vector<std::uint32_t> out;
+  for (std::size_t pfn = 0; pfn < pages_.size(); ++pfn) {
+    if (pages_[pfn] != nullptr) out.push_back(static_cast<std::uint32_t>(pfn));
+  }
+  return out;
+}
+
 bool ByteLiveness::walked(std::uint32_t paddr) const {
   const Page* p = pages_[paddr >> 12].get();
   return p != nullptr && (p->flags[paddr & kPageMask] & kWalked) != 0;

@@ -1,15 +1,15 @@
 // Next-access liveness of physical RAM bytes at the rungs of a
-// checkpoint ladder, recorded during one stepping run (the golden
-// capture pass, DESIGN.md §7 layer 3).
+// checkpoint ladder, recorded during one run (the golden capture pass,
+// DESIGN.md §7 layer 3) on either engine.
 //
 // The run reports every RAM access through four channels — CPU data
 // reads and writes (trap-frame pushes, the TSS read and iret pops
-// included), instruction fetch (decode-cache hits included: they
-// execute bytes without re-reading them), page-table walks and device
-// DMA — and calls rung() at each ladder rung as it is captured.  A byte
-// is *dead* at rung k when the run's next access to it at or after the
-// rung is a write, or there is none: whatever value it holds there is
-// never observed.  Bytes a page-table walk ever reads are never dead:
+// included), instruction fetch (per executed instruction, decode-cache
+// hits and trace ops included: they execute bytes without re-reading
+// them), page-table walks and device DMA — and calls rung() at each
+// ladder rung as it is captured.  A byte is *dead* at rung k when the
+// run's next access to it at or after the rung is a write, or there is
+// none: whatever value it holds there is never observed.  Bytes a page-table walk ever reads are never dead:
 // a run resumed from a rung has a colder TLB than the recording run and
 // may walk an entry the recording run served from its TLB.
 //
@@ -61,6 +61,8 @@ class ByteLiveness {
   bool dead(std::uint32_t paddr, std::size_t k) const;
   // Whether a page-table walk read the byte.
   bool walked(std::uint32_t paddr) const;
+  // Numbers of the pages the run accessed, ascending.
+  std::vector<std::uint32_t> pages() const;
 
  private:
   struct Page {

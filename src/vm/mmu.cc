@@ -29,6 +29,17 @@ void Mmu::flush_page(std::uint32_t vaddr) {
 
 TranslateStatus Mmu::peek(std::uint32_t vaddr, Access access, int cpl,
                           std::uint32_t& paddr) const {
+  return lookup(vaddr, access, cpl, paddr, /*note=*/false);
+}
+
+void Mmu::note_peek(std::uint32_t vaddr) const {
+  if (liveness_ == nullptr) return;
+  std::uint32_t paddr = 0;
+  lookup(vaddr, Access::Read, 0, paddr, /*note=*/true);
+}
+
+TranslateStatus Mmu::lookup(std::uint32_t vaddr, Access access, int cpl,
+                            std::uint32_t& paddr, bool note) const {
   if (vaddr >= kMmioBase) {
     return cpl == 0 ? TranslateStatus::Mmio : TranslateStatus::Protection;
   }
@@ -47,14 +58,14 @@ TranslateStatus Mmu::peek(std::uint32_t vaddr, Access access, int cpl,
   const std::uint32_t pgd_slot = cr3_ + ((vaddr >> 22) << 2);
   if (!memory_.contains(pgd_slot, 4)) return TranslateStatus::BadPhysical;
   const std::uint32_t pgd_entry = memory_.read32(pgd_slot);
-  note_walk(pgd_slot);
+  if (note) note_walk(pgd_slot);
   if ((pgd_entry & kPtePresent) == 0) return TranslateStatus::NotPresent;
 
   const std::uint32_t pte_base = pgd_entry & kPteFrameMask;
   const std::uint32_t pte_slot = pte_base + (((vaddr >> 12) & 0x3FF) << 2);
   if (!memory_.contains(pte_slot, 4)) return TranslateStatus::BadPhysical;
   const std::uint32_t pte = memory_.read32(pte_slot);
-  note_walk(pte_slot);
+  if (note) note_walk(pte_slot);
   if ((pte & kPtePresent) == 0) return TranslateStatus::NotPresent;
 
   const bool user_ok = (pgd_entry & kPteUser) && (pte & kPteUser);

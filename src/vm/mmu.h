@@ -81,17 +81,23 @@ class Mmu {
   std::uint64_t epoch() const { return epoch_; }
 
   // Translation without side effects: identical result to translate()
-  // at this instant, but never fills the TLB.  Block *construction*
-  // uses this so predecoding lookahead instructions cannot perturb the
-  // TLB state the stepping engine would have — stale-entry semantics
-  // stay bit-identical between engines.
+  // at this instant, but never fills the TLB and reports no walk to the
+  // liveness recorder.  Block *construction* uses this so predecoding
+  // lookahead instructions cannot perturb the TLB state the stepping
+  // engine would have — stale-entry semantics stay bit-identical
+  // between engines — nor report walks of pages the run never reaches.
   TranslateStatus peek(std::uint32_t vaddr, Access access, int cpl,
                        std::uint32_t& paddr) const;
 
+  // Reports to the liveness recorder the entries peek(vaddr) reads
+  // (none on a TLB hit).  The stepper's fetch calls it when a decode
+  // depended on the cross-page tail it peeked.
+  void note_peek(std::uint32_t vaddr) const;
+
   void flush_tlb();
 
-  // Attaches a liveness recorder (nullptr = off).  Every walk then
-  // reports the entries it reads, and every TLB tag carries
+  // Attaches a liveness recorder (nullptr = off).  Every translate()
+  // walk then reports the entries it reads, and every TLB tag carries
   // kObservedTag: translate() and peek() ignore the mark, so TLB
   // contents, fills and epochs are unchanged, but probe() misses and
   // the CPU takes its out-of-line data path, which reports accesses.
@@ -123,6 +129,9 @@ class Mmu {
   }
   // A walk read the 4-byte entry at `slot`.
   void note_walk(std::uint32_t slot) const;
+  // peek(), reporting the entries its walk reads when `note` is set.
+  TranslateStatus lookup(std::uint32_t vaddr, Access access, int cpl,
+                         std::uint32_t& paddr, bool note) const;
 
   PhysicalMemory& memory_;
   std::uint32_t cr3_ = kBootPgdPhys;

@@ -7,8 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -21,7 +27,9 @@
 #include "inject/campaign.h"
 #include "inject/injector.h"
 #include "profile/profile.h"
+#include "serve/bundle.h"
 #include "vm/layout.h"
+#include "workloads/workloads.h"
 
 namespace kfi::inject {
 namespace {
@@ -115,6 +123,65 @@ TEST(GoldenCache, BuildWorkloadsRethrowsAFailedBuildOnTheCaller) {
   EXPECT_THROW(cache.build_workloads(names, 2), std::runtime_error);
   // A failed build leaves its entry unbuilt; the others stay usable.
   EXPECT_TRUE(cache.workload("pipe").golden.ok);
+}
+
+std::vector<std::uint8_t> file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+TEST(GoldenCache, ChainedCaptureMatchesSteppedCapture) {
+  // The capture pass records touch windows, syscall exits, liveness and
+  // the ladder on whichever engine the cache runs.  Every byte a bundle
+  // serializes — touch windows, coverage, footprint, dead bits, ladder,
+  // syscall exits, disk verdict — and the base file must not depend on
+  // it, on either kernel.
+  std::vector<std::string> names;
+  for (const workloads::Workload& w : workloads::all_workloads()) {
+    names.push_back(w.name);
+  }
+  ASSERT_EQ(names.size(), 9u);
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("kfi_golden_capture_test_" + std::to_string(::getpid()));
+  // One header for both: the engine the files were captured on is the
+  // only difference under test.
+  const InjectorOptions header;
+  for (const kernel::KernelImage* image :
+       {&kernel::built_kernel(), &kernel::built_hardened_kernel()}) {
+    std::vector<std::vector<std::uint8_t>> files[2];
+    for (const machine::ExecEngine engine :
+         {machine::ExecEngine::Step, machine::ExecEngine::Chained}) {
+      const bool chained = engine == machine::ExecEngine::Chained;
+      InjectorOptions options;
+      options.exec_engine = engine;
+      GoldenCache cache(options, image);
+      cache.build_workloads(names, 1);
+      std::filesystem::create_directories(dir);
+      const std::string base_file = (dir / "base.kfbs").string();
+      const std::optional<std::uint64_t> base_hash =
+          serve::write_base(base_file, names[0], *cache.base(), header, 0);
+      ASSERT_TRUE(base_hash.has_value());
+      files[chained].push_back(file_bytes(base_file));
+      for (const std::string& name : names) {
+        const std::string path = (dir / (name + ".kfib")).string();
+        ASSERT_TRUE(serve::write_bundle(path, name, cache.workload(name),
+                                        header, 0, *base_hash)
+                        .has_value());
+        files[chained].push_back(file_bytes(path));
+      }
+      std::filesystem::remove_all(dir);
+      EXPECT_GT(cache.capture_mcycles_per_s(), 0.0);
+    }
+    ASSERT_EQ(files[0].size(), names.size() + 1);
+    ASSERT_EQ(files[1].size(), names.size() + 1);
+    for (std::size_t i = 0; i < files[0].size(); ++i) {
+      SCOPED_TRACE(i == 0 ? "base" : names[i - 1]);
+      EXPECT_FALSE(files[0][i].empty());
+      EXPECT_TRUE(files[0][i] == files[1][i]);
+    }
+  }
 }
 
 // The smoke A/B/C workloads, sorted.

@@ -23,15 +23,19 @@
 // red run is reproducible offline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "isa/decode.h"
+#include "isa/encode.h"
 #include "program_fuzz.h"
 #include "vm/cpu.h"
 #include "vm/hostmap.h"
+#include "vm/liveness.h"
 #include "vm/snapshot.h"
 
 namespace kfi::vm {
@@ -132,18 +136,40 @@ struct TrapSeen {
 struct Outcome {
   CpuEvent last;
   std::vector<TrapSeen> traps;
+  // Dispatches that trapped after their first op.
+  std::uint64_t mid_trace_traps = 0;
 };
 
-Outcome run_engine(FuzzRig& rig, std::uint64_t max_cycles) {
+// Runs the rig's program to a non-Executed event or `max_cycles`.  With
+// a liveness recorder attached, `rungs` (ascending cycles) are passed
+// as Machine::run passes a ladder's: at the first loop top at or after
+// each, with no dispatch running across one.
+Outcome run_engine(FuzzRig& rig, std::uint64_t max_cycles,
+                   ByteLiveness* live = nullptr,
+                   const std::vector<std::uint64_t>& rungs = {}) {
   Outcome out;
+  std::size_t next_rung = 0;
   while (rig.cpu.cycles() < max_cycles) {
+    std::uint64_t limit = max_cycles - rig.cpu.cycles();
+    if (live != nullptr) {
+      while (next_rung < rungs.size() &&
+             rig.cpu.cycles() >= rungs[next_rung]) {
+        live->rung();
+        ++next_rung;
+      }
+      if (next_rung < rungs.size() &&
+          rungs[next_rung] - rig.cpu.cycles() < limit) {
+        limit = rungs[next_rung] - rig.cpu.cycles();
+      }
+    }
     CpuEvent event;
+    std::size_t ran = 0;
     if (!rig.chained) {
       event = rig.cpu.step();
-    } else if (rig.cpu.run_block(max_cycles - rig.cpu.cycles(), nullptr,
-                                 event) == 0) {
+    } else if ((ran = rig.cpu.run_block(limit, nullptr, event)) == 0) {
       event = rig.cpu.step();
     }
+    if (ran > 1 && event.trap_taken) ++out.mid_trace_traps;
     out.last = event;
     if (event.trap_taken) {
       out.traps.push_back({rig.cpu.last_trap().trap,
@@ -271,6 +297,160 @@ void run_battery(Shape shape, int num_seeds) {
     EXPECT_GT(chain_rig.cpu.fused_groups(), 0u) << "no group ran fused";
     EXPECT_GT(chain_rig.cpu.fused_declines(), 0u) << "no group declined";
   }
+}
+
+// Every (pc, cycle) an engine reports to its exec observer.
+struct PcLog final : ExecObserver {
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> seen;
+  void executes(std::uint32_t pc, std::uint64_t cycle) override {
+    seen.emplace_back(pc, cycle);
+  }
+};
+
+// Returns "" when two recorders give the same answers: the pages they
+// hold state for, the footprint, and per byte of those pages whether a
+// walk read it and whether it is dead at each rung.
+std::string compare_liveness(const ByteLiveness& a, const ByteLiveness& b) {
+  char buf[128];
+  if (a.rungs() != b.rungs()) return "rungs passed diverged";
+  if (a.pages() != b.pages()) return "accessed pages diverged";
+  if (a.footprint() != b.footprint()) return "footprint diverged";
+  for (const std::uint32_t page : a.pages()) {
+    for (std::uint32_t paddr = page * kPageSize;
+         paddr != (page + 1) * kPageSize; ++paddr) {
+      if (a.walked(paddr) != b.walked(paddr)) {
+        std::snprintf(buf, sizeof buf, "walked 0x%x diverged", paddr);
+        return buf;
+      }
+      for (std::size_t k = 0; k < a.rungs(); ++k) {
+        if (a.dead(paddr, k) != b.dead(paddr, k)) {
+          std::snprintf(buf, sizeof buf, "dead 0x%x at rung %zu diverged",
+                        paddr, k);
+          return buf;
+        }
+      }
+    }
+  }
+  return "";
+}
+
+// Runs the loaded programs of both rigs with an exec observer and a
+// fresh liveness recorder (`*_live`, sized for `rungs`) attached to each,
+// so the chained rig dispatches in its recording mode.  Returns "" when
+// the stepper and the recording dispatch report the same (pc, cycle)
+// sequence and their recorders agree, as well as on every outcome
+// compare_rigs checks.
+std::string run_recorded(FuzzRig& step_rig, FuzzRig& chain_rig,
+                         std::uint64_t max_cycles,
+                         const std::vector<std::uint64_t>& rungs,
+                         ByteLiveness& step_live, ByteLiveness& chain_live,
+                         std::uint64_t* mid_trace_traps = nullptr) {
+  const std::vector<std::uint64_t> step_base =
+      step_rig.memory.page_versions();
+  const std::vector<std::uint64_t> chain_base =
+      chain_rig.memory.page_versions();
+  PcLog step_log;
+  PcLog chain_log;
+  step_rig.cpu.set_liveness(&step_live);
+  step_rig.cpu.set_exec_observer(&step_log);
+  chain_rig.cpu.set_liveness(&chain_live);
+  chain_rig.cpu.set_exec_observer(&chain_log);
+  const Outcome step_out = run_engine(step_rig, max_cycles, &step_live, rungs);
+  const Outcome chain_out =
+      run_engine(chain_rig, max_cycles, &chain_live, rungs);
+  step_rig.cpu.set_liveness(nullptr);
+  step_rig.cpu.set_exec_observer(nullptr);
+  chain_rig.cpu.set_liveness(nullptr);
+  chain_rig.cpu.set_exec_observer(nullptr);
+  if (mid_trace_traps != nullptr) *mid_trace_traps += chain_out.mid_trace_traps;
+  std::string err = compare_rigs(step_rig, chain_rig, step_out, chain_out,
+                                 step_base, chain_base);
+  if (!err.empty()) return err;
+  if (step_log.seen.empty()) return "no instruction observed";
+  if (step_log.seen != chain_log.seen) {
+    const std::size_t n =
+        std::min(step_log.seen.size(), chain_log.seen.size());
+    std::size_t i = 0;
+    while (i < n && step_log.seen[i] == chain_log.seen[i]) ++i;
+    return "observed (pc, cycle) diverged at instruction " + std::to_string(i);
+  }
+  return compare_liveness(step_live, chain_live);
+}
+
+// The recording dispatch against the stepper on every shape: traps in
+// the middle of a trace (mixed, mem_mix), self-modified code pages
+// (smc_chain), fused binop groups, which run op by op while recording
+// (stack_binop), and traces across pages (cross_page).
+TEST(ChainFuzz, RecordingDispatchMatchesStepper) {
+  FuzzRig step_rig(/*chained_engine=*/false);
+  FuzzRig chain_rig(/*chained_engine=*/true);
+  std::uint64_t mid_trace_traps = 0;
+  std::size_t failures = 0;
+  for (const Shape shape : isa::fuzz::kAllShapes) {
+    for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+      const FuzzProgram prog =
+          isa::fuzz::generate(shape, seed, kCodeVirt, kDataVirt);
+      step_rig.reset(prog.bytes);
+      chain_rig.reset(prog.bytes);
+      const std::vector<std::uint64_t> rungs = {
+          prog.max_cycles / 64, prog.max_cycles / 16, prog.max_cycles / 4};
+      ByteLiveness step_live(kRamSize, rungs.size());
+      ByteLiveness chain_live(kRamSize, rungs.size());
+      const std::string err =
+          run_recorded(step_rig, chain_rig, prog.max_cycles, rungs, step_live,
+                       chain_live, &mid_trace_traps);
+      if (!err.empty() && ++failures <= 10) {
+        ADD_FAILURE() << isa::fuzz::shape_name(shape) << " seed " << seed
+                      << " (step vs recording chained): " << err;
+      }
+    }
+  }
+  EXPECT_EQ(failures, 0u);
+  EXPECT_GT(chain_rig.cpu.block_ops(), 0u);
+  EXPECT_GT(chain_rig.cpu.chain_follows(), 0u);
+  EXPECT_GT(chain_rig.cpu.block_invalidations(), 0u);
+  EXPECT_GT(mid_trace_traps, 0u);
+  // Recording never runs a group fused (ChainFuzz.StackBinop shows the
+  // same programs do run fused groups when not recording).
+  EXPECT_EQ(chain_rig.cpu.fused_groups(), 0u);
+}
+
+// A trace whose lookahead decodes a page the run never reaches: its
+// first op faults, so the direct jmp the trace widened across never
+// runs.  Block construction must report no walk of the jmp target's
+// page-table entry; the stepper never reads it.
+TEST(ChainFuzz, RecordingReportsNoWalkOfALookaheadPage) {
+  constexpr std::uint32_t kFarVirt = 0xC0180000;  // mapped, never run
+  std::vector<std::uint8_t> bytes;
+  // mov eax, [0x1000]: no mapping there, so it raises #PF.
+  ASSERT_TRUE(isa::encode(isa::fuzz::load_abs(Reg::Eax, 0x1000), bytes));
+  isa::Instruction jmp = isa::fuzz::jmp();
+  jmp.rel = 0;
+  const std::size_t jmp_at = bytes.size();
+  ASSERT_TRUE(isa::encode(jmp, bytes, /*force_long_branch=*/true));
+  jmp.rel = static_cast<std::int32_t>(kFarVirt - (kCodeVirt + bytes.size()));
+  bytes.resize(jmp_at);
+  ASSERT_TRUE(isa::encode(jmp, bytes, /*force_long_branch=*/true));
+
+  FuzzRig step_rig(/*chained_engine=*/false);
+  FuzzRig chain_rig(/*chained_engine=*/true);
+  step_rig.reset(bytes);
+  chain_rig.reset(bytes);
+  const std::uint32_t pgd =
+      step_rig.memory.read32(kBootPgdPhys + ((kFarVirt >> 22) << 2));
+  const std::uint32_t far_pte =
+      (pgd & kPteFrameMask) + (((kFarVirt >> 12) & 0x3FF) << 2);
+  ByteLiveness step_live(kRamSize, 1);
+  ByteLiveness chain_live(kRamSize, 1);
+  EXPECT_EQ(run_recorded(step_rig, chain_rig, 200, {100}, step_live,
+                         chain_live),
+            "");
+  EXPECT_FALSE(step_live.walked(far_pte));
+  EXPECT_FALSE(chain_live.walked(far_pte));
+  EXPECT_EQ(step_rig.cpu.last_trap().trap, Trap::PageFault);
+  // The faulting op ran from a trace that widened across the jmp.
+  EXPECT_EQ(chain_rig.cpu.blocks_built(), 2u);  // the trace, the handler
+  EXPECT_GT(chain_rig.cpu.trace_len(), 2u);
 }
 
 // 11 shapes x 200 seeds = 2200 differential programs in tier-1.

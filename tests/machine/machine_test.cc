@@ -27,6 +27,25 @@ TEST(Machine, KernelBoots) {
   EXPECT_NE(machine->console_output().find("kfi-linux"), std::string::npos);
 }
 
+TEST(Machine, RunToEntryStopsWhereBootCaptures) {
+  // The profiler's run to the entry breakpoint captures nothing, but
+  // leaves the machine in exactly the state boot() snapshots.
+  for (const char* workload : {"syscall", "spawn"}) {
+    SCOPED_TRACE(workload);
+    auto booted = make_machine(workload);
+    auto ran = make_machine(workload);
+    ASSERT_TRUE(booted->boot());
+    ASSERT_TRUE(ran->run_to_entry());
+    EXPECT_EQ(ran->boot_state(), nullptr);
+    EXPECT_EQ(ran->cpu().eip(), workloads::built_workload(workload).entry);
+    EXPECT_EQ(ran->state_digest(), booted->state_digest());
+    // And it runs on as the booted machine does.
+    EXPECT_EQ(ran->run(kRunBudget).exit, RunExit::Completed);
+    EXPECT_EQ(booted->run(kRunBudget).exit, RunExit::Completed);
+    EXPECT_EQ(ran->state_digest(), booted->state_digest());
+  }
+}
+
 struct WorkloadCase {
   const char* name;
   const char* expect_in_output;

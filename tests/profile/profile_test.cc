@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "workloads/workloads.h"
 
 namespace kfi::profile {
@@ -78,6 +81,42 @@ TEST(Profile, WorkloadCyclesRecorded) {
     EXPECT_GT(it->second, 10'000u) << w.name;
     EXPECT_LT(it->second, 40'000'000u) << w.name;
   }
+}
+
+// FNV-1a over every function's name, samples and per-workload split,
+// then every workload's golden length.
+std::uint64_t profile_hash(const ProfileResult& p) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto mix_u64 = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h = (h ^ ((v >> (8 * i)) & 0xFF)) * 1099511628211ULL;
+    }
+  };
+  const auto mix_str = [&](const std::string& s) {
+    mix_u64(s.size());
+    for (const char c : s) mix_u64(static_cast<unsigned char>(c));
+  };
+  for (const FunctionSamples& fs : p.functions) {
+    mix_str(fs.function);
+    mix_u64(fs.samples);
+    mix_u64(fs.by_workload.size());
+    for (const auto& [workload, samples] : fs.by_workload) {
+      mix_str(workload);
+      mix_u64(samples);
+    }
+  }
+  for (const auto& [workload, cycles] : p.workload_cycles) {
+    mix_str(workload);
+    mix_u64(cycles);
+  }
+  return h;
+}
+
+TEST(Profile, DefaultProfileIsPinned) {
+  // The profile picks every campaign's target functions and workloads:
+  // a change to how it boots or samples must not move one sample.
+  EXPECT_EQ(profile_hash(profile()), 0x5ef78055fc6340b3ULL)
+      << std::hex << profile_hash(profile());
 }
 
 TEST(Profile, UnknownFunctionQueries) {
