@@ -13,64 +13,6 @@
 
 namespace kfi::inject {
 
-CampaignStats& CampaignStats::operator+=(const CampaignStats& o) {
-  runs += o.runs;
-  checkpoint_hits += o.checkpoint_hits;
-  checkpoint_misses += o.checkpoint_misses;
-  reconverged += o.reconverged;
-  ticks_dropped += o.ticks_dropped;
-  shadow_builds += o.shadow_builds;
-  shadow_build_cycles += o.shadow_build_cycles;
-  shadow_reconverged += o.shadow_reconverged;
-  dead_byte_reconverged += o.dead_byte_reconverged;
-  pre_trigger_cycles += o.pre_trigger_cycles;
-  post_trigger_cycles += o.post_trigger_cycles;
-  machines += o.machines;
-  perf += o.perf;
-  return *this;
-}
-
-CampaignStats& CampaignStats::operator-=(const CampaignStats& o) {
-  runs -= o.runs;
-  checkpoint_hits -= o.checkpoint_hits;
-  checkpoint_misses -= o.checkpoint_misses;
-  reconverged -= o.reconverged;
-  ticks_dropped -= o.ticks_dropped;
-  shadow_builds -= o.shadow_builds;
-  shadow_build_cycles -= o.shadow_build_cycles;
-  shadow_reconverged -= o.shadow_reconverged;
-  dead_byte_reconverged -= o.dead_byte_reconverged;
-  pre_trigger_cycles -= o.pre_trigger_cycles;
-  post_trigger_cycles -= o.post_trigger_cycles;
-  machines -= o.machines;
-  perf -= o.perf;
-  return *this;
-}
-
-namespace {
-
-// The injector's lifetime-cumulative counters as a CampaignStats value;
-// campaign shares are deltas between two of these.
-CampaignStats injector_counters(const Injector& injector) {
-  CampaignStats s;
-  s.runs = injector.runs_executed();
-  s.checkpoint_hits = injector.checkpoint_hits();
-  s.checkpoint_misses = injector.checkpoint_misses();
-  s.reconverged = injector.reconverged();
-  s.ticks_dropped = injector.ticks_dropped();
-  s.shadow_builds = injector.shadow_builds();
-  s.shadow_build_cycles = injector.shadow_build_cycles();
-  s.shadow_reconverged = injector.shadow_reconverged();
-  s.dead_byte_reconverged = injector.dead_byte_reconverged();
-  s.pre_trigger_cycles = injector.pre_trigger_cycles();
-  s.post_trigger_cycles = injector.post_trigger_cycles();
-  s.machines = injector.machines_built();
-  s.perf = injector.perf_stats();
-  return s;
-}
-
-}  // namespace
-
 std::vector<std::string> default_functions(Campaign campaign,
                                            const profile::ProfileResult& prof,
                                            double coverage) {
@@ -275,7 +217,7 @@ CampaignRun run_campaign(Injector& injector,
 
   // The caller's injector may carry counters from earlier campaigns;
   // only the delta accrued here belongs to this run's stats.
-  const CampaignStats caller_before = injector_counters(injector);
+  const CampaignStats caller_before = injector.stats();
   run.stats.threads_used = threads;
   run.stats.shards = shards.size();
 
@@ -326,14 +268,14 @@ CampaignRun run_campaign(Injector& injector,
     const std::lock_guard<std::mutex> lock(mutex);
     run.stats.steals += steals;
     // Fold a private worker's counters in before its injector dies.
-    if (own != nullptr) run.stats += injector_counters(*own);
+    if (own != nullptr) run.stats += own->stats();
   };
 
   std::vector<std::thread> pool;
   for (unsigned t = 1; t < threads; ++t) pool.emplace_back(worker, t);
   worker(0);
   for (std::thread& t : pool) t.join();
-  run.stats += injector_counters(injector);
+  run.stats += injector.stats();
   run.stats -= caller_before;
   return run;
 }

@@ -43,37 +43,6 @@ struct CampaignConfig {
   std::function<void(std::size_t, std::size_t)> progress;
 };
 
-// Campaign-wide execution counters, aggregated over every worker
-// Injector (per-worker counters used to die with their private
-// Injectors at threads>1, silently underreporting).  The caller's
-// Injector contributes only the delta it accrued during this campaign,
-// so stats are per-campaign even when the Injector is reused.
-struct CampaignStats {
-  std::uint64_t runs = 0;
-  std::uint64_t checkpoint_hits = 0;
-  std::uint64_t checkpoint_misses = 0;
-  std::uint64_t reconverged = 0;  // golden and shadow rungs
-  std::uint64_t ticks_dropped = 0;
-  std::uint64_t shadow_builds = 0;
-  std::uint64_t shadow_build_cycles = 0;  // inside post_trigger_cycles
-  std::uint64_t shadow_reconverged = 0;
-  std::uint64_t dead_byte_reconverged = 0;  // inside reconverged
-  std::uint64_t pre_trigger_cycles = 0;
-  std::uint64_t post_trigger_cycles = 0;
-  // Machines the campaign's injectors constructed (one per injector).
-  std::uint64_t machines = 0;
-  machine::PerfStats perf;
-  // Drain telemetry (not part of += aggregation; set by
-  // run_campaign).  A steal is a shard run by a thread other than
-  // its owner, shard % threads_used.
-  std::uint64_t shards = 0;
-  std::uint64_t steals = 0;
-  unsigned threads_used = 1;
-
-  CampaignStats& operator+=(const CampaignStats& o);
-  CampaignStats& operator-=(const CampaignStats& o);
-};
-
 struct CampaignRun {
   Campaign campaign = Campaign::RandomNonBranch;
   std::vector<InjectionResult> results;

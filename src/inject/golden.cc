@@ -228,9 +228,9 @@ void GoldenCache::count_held(const WorkloadGolden& artifact) {
   for (const machine::Checkpoint& rung : artifact.ladder) {
     ladder += rung.mem.storage_bytes() + rung.disk.storage_bytes();
   }
-  boot_bytes_.fetch_add(
-      artifact.boot->mem.storage_bytes() + artifact.boot->disk.storage_bytes(),
-      std::memory_order_relaxed);
+  const machine::Checkpoint& boot = artifact.boot->state;
+  boot_bytes_.fetch_add(boot.mem.storage_bytes() + boot.disk.storage_bytes(),
+                        std::memory_order_relaxed);
   ladder_bytes_.fetch_add(ladder, std::memory_order_relaxed);
 }
 
@@ -315,8 +315,6 @@ void GoldenCache::build(const std::string& name, WorkloadGolden& out) {
   }
 
   out.first_touch = observer.windows();
-  out.coverage.reserve(out.first_touch.size());
-  for (const auto& [addr, window] : out.first_touch) out.coverage.insert(addr);
   out.write_footprint = liveness.footprint();
   const std::size_t rungs = out.ladder.size();
   out.dead_bits.assign(out.dead_words(), 0);

@@ -1,10 +1,10 @@
 // Shared golden-artifact cache.
 //
 // Everything an injection campaign needs per workload besides the
-// machine itself — the fault-free GoldenRun, the golden coverage set,
-// the first/last-touch map, the post-boot BootState, and the checkpoint
-// ladder — is a pure function of (kernel image, workload, root disk,
-// options).  A GoldenCache computes each workload's artifact bundle
+// machine itself — the fault-free GoldenRun, the first/last-touch map
+// (whose keys are the golden coverage), the post-boot BootState, and
+// the checkpoint ladder — is a pure function of (kernel image,
+// workload, root disk, options).  A GoldenCache computes each workload's artifact bundle
 // exactly once per campaign, on whichever thread asks first, and hands
 // out immutable references; worker Injectors borrow the cache by
 // shared_ptr instead of re-running golden runs per thread.
@@ -36,7 +36,6 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "disk/disk.h"
@@ -112,7 +111,8 @@ struct SyscallExit {
 // ladder's delta snapshots resolve.
 struct WorkloadGolden {
   GoldenRun golden;
-  std::unordered_set<std::uint32_t> coverage;
+  // First/last cycle of every kernel-text address the golden run
+  // executes; its keys are the golden coverage.
   std::unordered_map<std::uint32_t, machine::TouchWindow> first_touch;
   std::shared_ptr<const machine::BootState> boot;
   std::vector<machine::Checkpoint> ladder;

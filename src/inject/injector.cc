@@ -13,6 +13,40 @@
 
 namespace kfi::inject {
 
+CampaignStats& CampaignStats::operator+=(const CampaignStats& o) {
+  runs += o.runs;
+  checkpoint_hits += o.checkpoint_hits;
+  checkpoint_misses += o.checkpoint_misses;
+  reconverged += o.reconverged;
+  ticks_dropped += o.ticks_dropped;
+  shadow_builds += o.shadow_builds;
+  shadow_build_cycles += o.shadow_build_cycles;
+  shadow_reconverged += o.shadow_reconverged;
+  dead_byte_reconverged += o.dead_byte_reconverged;
+  pre_trigger_cycles += o.pre_trigger_cycles;
+  post_trigger_cycles += o.post_trigger_cycles;
+  machines += o.machines;
+  perf += o.perf;
+  return *this;
+}
+
+CampaignStats& CampaignStats::operator-=(const CampaignStats& o) {
+  runs -= o.runs;
+  checkpoint_hits -= o.checkpoint_hits;
+  checkpoint_misses -= o.checkpoint_misses;
+  reconverged -= o.reconverged;
+  ticks_dropped -= o.ticks_dropped;
+  shadow_builds -= o.shadow_builds;
+  shadow_build_cycles -= o.shadow_build_cycles;
+  shadow_reconverged -= o.shadow_reconverged;
+  dead_byte_reconverged -= o.dead_byte_reconverged;
+  pre_trigger_cycles -= o.pre_trigger_cycles;
+  post_trigger_cycles -= o.post_trigger_cycles;
+  machines -= o.machines;
+  perf -= o.perf;
+  return *this;
+}
+
 Injector::Injector(InjectorOptions options, const kernel::KernelImage* image)
     : Injector(std::make_shared<GoldenCache>(options, image)) {}
 
@@ -58,6 +92,13 @@ Injector::WorkloadState& Injector::state_for(const std::string& workload) {
   return state;
 }
 
+CampaignStats Injector::stats() const {
+  CampaignStats stats = stats_;
+  stats.machines = machine_ != nullptr;
+  stats.perf = perf_stats();
+  return stats;
+}
+
 machine::PerfStats Injector::perf_stats() const {
   machine::PerfStats total;
   if (machine_ != nullptr) total = machine_->perf_stats();
@@ -74,7 +115,7 @@ InjectionResult Injector::run_one(const InjectionSpec& spec) {
   }
   InjectionResult result;
   result.spec = spec;
-  ++runs_;
+  ++stats_.runs;
   // A fresh per-injection window (lifetime totals survive the clear).
   if (trace_ != nullptr) trace_->clear();
 
@@ -164,10 +205,12 @@ InjectionResult Injector::run_triggered(const InjectionSpec& spec,
   // the golden run, and a site the golden run never executes can never
   // trigger.  The record is the one a full replay would produce (E's
   // data_addr is resolved above).
-  if (artifact.coverage.count(spec.instr_addr) == 0) {
+  const auto touched = artifact.first_touch.find(spec.instr_addr);
+  if (touched == artifact.first_touch.end()) {
     result.outcome = Outcome::NotActivated;
     return result;
   }
+  const machine::TouchWindow window = touched->second;
   WorkloadState& state = state_for(spec.workload);
   machine::Machine& machine = *machine_;
   const std::vector<machine::Checkpoint>& rungs = artifact.ladder;
@@ -178,18 +221,14 @@ InjectionResult Injector::run_triggered(const InjectionSpec& spec,
   // state this exact run passes through — so only the replay cost
   // changes, never the result.
   std::size_t rung_idx = rungs.size();
-  const auto& touch = artifact.first_touch;
-  const auto touched = touch.find(spec.instr_addr);
-  if (!rungs.empty() && touched != touch.end()) {
-    for (std::size_t i = 0; i < rungs.size(); ++i) {
-      if (rungs[i].cycle > touched->second.first) break;
-      rung_idx = i;
-    }
+  for (std::size_t i = 0; i < rungs.size(); ++i) {
+    if (rungs[i].cycle > window.first) break;
+    rung_idx = i;
   }
   if (rung_idx < rungs.size()) {
-    ++ckpt_hits_;
+    ++stats_.checkpoint_hits;
   } else {
-    ++ckpt_misses_;
+    ++stats_.checkpoint_misses;
   }
 
   const std::uint64_t budget = run_budget(ref.cycles);
@@ -212,7 +251,7 @@ InjectionResult Injector::run_triggered(const InjectionSpec& spec,
     return machine.run(budget > resumed ? budget - resumed : 1);
   };
   machine::RunResult run = reach_trigger();
-  pre_trigger_cycles_ += machine.cpu().cycles() - entry;
+  stats_.pre_trigger_cycles += machine.cpu().cycles() - entry;
   if (run.exit != machine::RunExit::Breakpoint) {
     machine.cpu().disarm_breakpoint(0);
     result.outcome = Outcome::NotActivated;
@@ -231,7 +270,7 @@ InjectionResult Injector::run_triggered(const InjectionSpec& spec,
   // do not depend on whether it built the ladder or found it.
   const ShadowLadder* shadow = nullptr;
   if (run.tick_dropped) {
-    ++ticks_dropped_;
+    ++stats_.ticks_dropped;
     if (spec.model != FaultModel::InstrBit) {
       const auto [it, fresh] = state.shadows.try_emplace(machine.next_timer());
       if (fresh) {
@@ -245,8 +284,8 @@ InjectionResult Injector::run_triggered(const InjectionSpec& spec,
                machine.cpu().cycles() == trigger_abs);
         cycles += machine.cpu().cycles() - entry;
         machine.set_event_trace(trace_.get());
-        shadow_build_cycles_ += cycles;
-        post_trigger_cycles_ += cycles;
+        stats_.shadow_build_cycles += cycles;
+        stats_.post_trigger_cycles += cycles;
       }
       shadow = &it->second;
     }
@@ -365,14 +404,11 @@ InjectionResult Injector::run_triggered(const InjectionSpec& spec,
   // golden capture pass recorded it per rung; at a rung where the byte
   // is live a full compare can still pass (the run wrote it back).
   // Register faults always compare the full state.
-  const bool never = touched == touch.end();
-  const std::uint64_t last_exec = never ? 0 : touched->second.last;
   const auto plan = [&](std::size_t rung) {
-    if (never) return RungCompare::Skip;
     switch (spec.model) {
       case FaultModel::InstrBit:
-        return rungs[rung].cycle > last_exec ? RungCompare::Masked
-                                             : RungCompare::Skip;
+        return rungs[rung].cycle > window.last ? RungCompare::Masked
+                                               : RungCompare::Skip;
       case FaultModel::DataBit:
         return artifact.dead_at(data_phys, rung) ? RungCompare::Masked
                                                  : RungCompare::Full;
@@ -381,12 +417,12 @@ InjectionResult Injector::run_triggered(const InjectionSpec& spec,
     }
   };
   const Ending ending = run_out(state, deadline, plan, masked, shadow, nullptr);
-  post_trigger_cycles_ += machine.cpu().cycles() - trigger_abs;
+  stats_.post_trigger_cycles += machine.cpu().cycles() - trigger_abs;
   if (ending.onto == Ending::Onto::Nothing) {
     classify(result, ending.run, machine, ref);
     return result;
   }
-  ++reconverged_;
+  ++stats_.reconverged;
   const bool onto_shadow = ending.onto == Ending::Onto::Shadow;
   if (trace_ != nullptr) {
     trace_->record(trace::EventKind::Reconverged, machine.cpu().cycles(),
@@ -399,13 +435,13 @@ InjectionResult Injector::run_triggered(const InjectionSpec& spec,
       const std::uint8_t golden_byte =
           mem.chunk(data_phys / mem.chunk_size())[data_phys % mem.chunk_size()];
       if (machine.memory().read8(data_phys) != golden_byte) {
-        ++dead_byte_reconverged_;
+        ++stats_.dead_byte_reconverged;
       }
     }
     take_golden_outcome(result, ref);
     return result;
   }
-  ++shadow_reconverged_;
+  ++stats_.shadow_reconverged;
   const InjectionResult& end = shadow->end;
   result.outcome = end.outcome;
   result.cause = end.cause;
@@ -474,7 +510,7 @@ Injector::Ending Injector::run_out(WorkloadState& state,
 
 void Injector::build_shadow(WorkloadState& state, const GoldenRun& ref,
                             std::uint64_t deadline, ShadowLadder& shadow) {
-  ++shadow_builds_;
+  ++stats_.shadow_builds;
   const Ending ending =
       run_out(state, deadline, [](std::size_t) { return RungCompare::Full; },
               kNoMask, nullptr, &shadow);
@@ -567,10 +603,10 @@ InjectionResult Injector::run_syscall_errno(const InjectionSpec& spec,
   }
   if (rung_idx < rungs.size()) {
     machine.restore_checkpoint(rungs[rung_idx], state.rung_memos[rung_idx]);
-    ++ckpt_hits_;
+    ++stats_.checkpoint_hits;
   } else {
     machine.restore();
-    ++ckpt_misses_;
+    ++stats_.checkpoint_misses;
   }
 
   const std::uint64_t budget = run_budget(ref.cycles);
@@ -593,7 +629,7 @@ InjectionResult Injector::run_syscall_errno(const InjectionSpec& spec,
       // -errno before the kernel stores it back to the user frame.
       result.activation_cycle = hit - start;
       trigger_abs = hit;
-      pre_trigger_cycles_ += hit - entry;
+      stats_.pre_trigger_cycles += hit - entry;
       const std::uint32_t before_eax = machine.cpu().reg(isa::Reg::Eax);
       const std::uint32_t after_eax = static_cast<std::uint32_t>(
           -static_cast<std::int32_t>(spec.errno_value));
@@ -617,11 +653,11 @@ InjectionResult Injector::run_syscall_errno(const InjectionSpec& spec,
   if (!injected) {
     // The run ended before the target exit was reached — with a golden
     // pre-fault timeline this cannot happen, but classify it honestly.
-    pre_trigger_cycles_ += machine.cpu().cycles() - entry;
+    stats_.pre_trigger_cycles += machine.cpu().cycles() - entry;
     result.outcome = Outcome::NotActivated;
     return result;
   }
-  post_trigger_cycles_ += machine.cpu().cycles() - trigger_abs;
+  stats_.post_trigger_cycles += machine.cpu().cycles() - trigger_abs;
   classify(result, run, machine, ref);
   return result;
 }

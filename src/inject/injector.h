@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <map>
 #include <unordered_map>
-#include <unordered_set>
 #include <memory>
 #include <string>
 #include <vector>
@@ -36,6 +35,50 @@ class TraceBuffer;
 }
 
 namespace kfi::inject {
+
+// Execution counters of one Injector (Injector::stats()) or, summed
+// over every worker Injector, of one campaign (CampaignRun::stats).  A
+// reused Injector contributes only the delta it accrued during the
+// campaign, so a campaign's stats are its own.
+struct CampaignStats {
+  std::uint64_t runs = 0;
+  // Runs that resumed from a ladder checkpoint vs from the post-boot
+  // snapshot.
+  std::uint64_t checkpoint_hits = 0;
+  std::uint64_t checkpoint_misses = 0;
+  // Runs whose post-trigger state was proven identical to a golden or
+  // shadow rung and took that timeline's outcome without simulating
+  // the remainder (shadow hits included).
+  std::uint64_t reconverged = 0;
+  // Triggers whose breakpoint exit dropped a timer tick (every fault
+  // model); shadow ladders built, the cycles they took (inside
+  // post_trigger_cycles), and runs that reconverged onto one.
+  std::uint64_t ticks_dropped = 0;
+  std::uint64_t shadow_builds = 0;
+  std::uint64_t shadow_build_cycles = 0;
+  std::uint64_t shadow_reconverged = 0;
+  // Golden reconvergences (inside reconverged) at which the flipped
+  // data byte still differed from the rung, dead there in the golden
+  // run (DESIGN.md §7, layer 3).
+  std::uint64_t dead_byte_reconverged = 0;
+  // Cycles simulated before the trigger fired (the replay the ladder
+  // shrinks from O(golden) to O(rung spacing)) and after it (inherent
+  // fault simulation no restore scheme can skip), summed over all runs.
+  std::uint64_t pre_trigger_cycles = 0;
+  std::uint64_t post_trigger_cycles = 0;
+  // Machines the injectors constructed (one per injector).
+  std::uint64_t machines = 0;
+  machine::PerfStats perf;
+  // Drain telemetry (not part of += aggregation; set by
+  // run_campaign).  A steal is a shard run by a thread other than
+  // its owner, shard % threads_used.
+  std::uint64_t shards = 0;
+  std::uint64_t steals = 0;
+  unsigned threads_used = 1;
+
+  CampaignStats& operator+=(const CampaignStats& o);
+  CampaignStats& operator-=(const CampaignStats& o);
+};
 
 // The fault-free continuation of a tick-dropped trigger (DESIGN.md
 // §7): a non-resumable breakpoint exit discards an in-flight timer tick
@@ -82,24 +125,16 @@ class Injector {
     return cache_->workload(workload).golden;
   }
 
-  // Kernel instruction addresses executed by the golden run.  Since
-  // execution before the flip is identical to the golden run, a target
-  // outside this set can never activate — the injector classifies it
-  // as NotActivated without running.
-  const std::unordered_set<std::uint32_t>& coverage(
-      const std::string& workload) {
-    return cache_->workload(workload).coverage;
-  }
-
   // Executes one injection and classifies it.
   InjectionResult run_one(const InjectionSpec& spec);
-
-  std::uint64_t runs_executed() const { return runs_; }
 
   // First/last cycle at which the golden run executes each kernel
   // address.  `first` is the checkpoint-selection key (campaigns also
   // sort by it so runs resuming from the same rung are adjacent);
-  // `last` bounds reconvergence fast-forward.
+  // `last` bounds reconvergence fast-forward.  Since execution before
+  // the flip is identical to the golden run, a target that is not a
+  // key here can never activate — the injector classifies it as
+  // NotActivated without running.
   const std::unordered_map<std::uint32_t, machine::TouchWindow>& first_touch(
       const std::string& workload) {
     return cache_->workload(workload).first_touch;
@@ -108,40 +143,24 @@ class Injector {
   const InjectorOptions& options() const { return cache_->options(); }
   const kernel::KernelImage& image() const { return cache_->image(); }
 
-  // Runs that resumed from a ladder checkpoint vs from the post-boot
-  // snapshot, and the substrate counters of the injector's machine.
-  std::uint64_t checkpoint_hits() const { return ckpt_hits_; }
-  std::uint64_t checkpoint_misses() const { return ckpt_misses_; }
-  // Runs whose post-trigger state was proven identical to a golden or
-  // shadow rung and took that timeline's outcome without simulating
-  // the remainder (shadow hits included).
-  std::uint64_t reconverged() const { return reconverged_; }
-  // Triggers whose breakpoint exit dropped a timer tick (every fault
-  // model); shadow ladders built, the cycles they took (also counted
-  // in post_trigger_cycles()), and runs that reconverged onto one.
-  std::uint64_t ticks_dropped() const { return ticks_dropped_; }
-  std::uint64_t shadow_builds() const { return shadow_builds_; }
-  std::uint64_t shadow_build_cycles() const { return shadow_build_cycles_; }
-  std::uint64_t shadow_reconverged() const { return shadow_reconverged_; }
-  // Golden reconvergences (inside reconverged()) at which the flipped
-  // data byte still differed from the rung, dead there in the golden
-  // run (DESIGN.md §7, layer 3).
-  std::uint64_t dead_byte_reconverged() const {
-    return dead_byte_reconverged_;
-  }
+  // This injector's lifetime-cumulative counters: its run counters,
+  // the machines it built (one at most, whatever the number of
+  // workloads it runs) and their substrate counters.  A campaign's
+  // share is the difference of two readings.
+  CampaignStats stats() const;
   // The shadow ladder this injector built for `workload`'s dropped
   // triggers at `next_timer`, or nullptr.
   const ShadowLadder* shadow(const std::string& workload,
                              std::uint64_t next_timer) const;
-  // Cycles simulated before the trigger fired (the replay the ladder
-  // shrinks from O(golden) to O(rung spacing)) and after it (inherent
-  // fault simulation no restore scheme can skip), summed over all runs.
-  std::uint64_t pre_trigger_cycles() const { return pre_trigger_cycles_; }
-  std::uint64_t post_trigger_cycles() const { return post_trigger_cycles_; }
+  // stats()'s cycle counters, read at every progress tick.
+  std::uint64_t pre_trigger_cycles() const {
+    return stats_.pre_trigger_cycles;
+  }
+  std::uint64_t post_trigger_cycles() const {
+    return stats_.post_trigger_cycles;
+  }
+  // The substrate counters of the injector's machine (inside stats()).
   machine::PerfStats perf_stats() const;
-  // Machines this injector constructed: one at most, whatever the
-  // number of workloads it runs.
-  std::uint64_t machines_built() const { return machine_ != nullptr; }
 
   // The forensics trace buffer, or nullptr when
   // InjectorOptions::trace_capacity is 0.  run_one() clears it on
@@ -216,17 +235,8 @@ class Injector {
   // The one machine, and the state whose BootState it is pointed at.
   std::unique_ptr<machine::Machine> machine_;
   const WorkloadState* current_ = nullptr;
-  std::uint64_t runs_ = 0;
-  std::uint64_t ckpt_hits_ = 0;
-  std::uint64_t ckpt_misses_ = 0;
-  std::uint64_t reconverged_ = 0;
-  std::uint64_t ticks_dropped_ = 0;
-  std::uint64_t shadow_builds_ = 0;
-  std::uint64_t shadow_build_cycles_ = 0;
-  std::uint64_t shadow_reconverged_ = 0;
-  std::uint64_t dead_byte_reconverged_ = 0;
-  std::uint64_t pre_trigger_cycles_ = 0;
-  std::uint64_t post_trigger_cycles_ = 0;
+  // The run counters; machines and perf are filled in by stats().
+  CampaignStats stats_;
 };
 
 }  // namespace kfi::inject

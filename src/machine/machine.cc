@@ -330,31 +330,27 @@ bool Machine::boot(std::shared_ptr<const BaseImage> base) {
     base_disk_memo_.clear();
   }
   auto boot = std::make_shared<BootState>();
-  boot->mem = memory_->snapshot_delta(base->mem, base_mem_memo_);
-  boot->disk = disk_image_->snapshot_delta(base->disk, base_disk_memo_);
+  // Every run starts from the reset timer phase: the next tick one
+  // period out, none pending, not halted.
+  boot->state = cpu_checkpoint(false);
+  boot->state.next_timer = boot->state.cycle + options_.timer_period;
+  boot->state.halted = false;
+  boot->state.mem = memory_->snapshot_delta(base->mem, base_mem_memo_);
+  boot->state.disk = disk_image_->snapshot_delta(base->disk, base_disk_memo_);
   boot->base = std::move(base);
-  boot->console = console_;
-  for (int i = 0; i < 8; ++i) {
-    boot->regs[i] = cpu_->reg(static_cast<isa::Reg>(i));
-  }
-  boot->eip = cpu_->eip();
-  boot->flags = cpu_->flags().to_word();
-  boot->cpl = cpu_->cpl();
-  boot->cr3 = cpu_->mmu().cr3();
-  boot->cycles = cpu_->cycles();
   boot_ = std::move(boot);
   // At capture time every page/block trivially equals the BootState, so
   // the first restore() is already O(dirty).
-  boot_mem_memo_ = memory_->page_versions();
-  boot_disk_memo_ = disk_image_->block_versions();
+  boot_memo_.mem = memory_->page_versions();
+  boot_memo_.disk = disk_image_->block_versions();
   booted_ = true;
   return true;
 }
 
 void Machine::adopt_boot(std::shared_ptr<const BootState> boot) {
   assert(boot != nullptr && boot->base != nullptr);
-  assert(boot->mem.size() == memory_->size());
-  assert(boot->disk.size() == disk_image_->bytes().size());
+  assert(boot->state.mem.size() == memory_->size());
+  assert(boot->state.disk.size() == disk_image_->bytes().size());
   // The base memos stay sound for as long as the base does; a memo for
   // another BootState's delta proves nothing about this one.  A machine
   // that never booted knows nothing, so its first restore copies it all.
@@ -363,41 +359,21 @@ void Machine::adopt_boot(std::shared_ptr<const BootState> boot) {
     base_disk_memo_.clear();
   }
   if (boot_ != boot) {
-    boot_mem_memo_.clear();
-    boot_disk_memo_.clear();
+    boot_memo_.mem.clear();
+    boot_memo_.disk.clear();
   }
   boot_ = std::move(boot);
   booted_ = true;
-  load_boot();
+  load_state(boot_->state, boot_memo_);
 }
 
 void Machine::restore() {
   assert(booted_);
   if (events_ != nullptr) {
     events_->record(trace::EventKind::SnapshotRestore, cpu_->cycles(),
-                    static_cast<std::uint32_t>(boot_->cycles));
+                    static_cast<std::uint32_t>(boot_->state.cycle));
   }
-  load_boot();
-}
-
-void Machine::load_boot() {
-  memory_->restore_pages(boot_->mem, boot_mem_memo_, &base_mem_memo_);
-  disk_blocks_restored_ += disk_image_->restore_blocks(
-      boot_->disk, boot_disk_memo_, &base_disk_memo_);
-  for (int i = 0; i < 8; ++i) {
-    cpu_->set_reg(static_cast<isa::Reg>(i), boot_->regs[i]);
-  }
-  cpu_->set_eip(boot_->eip);
-  cpu_->flags() = isa::Flags::from_word(boot_->flags);
-  cpu_->set_cpl(boot_->cpl);
-  cpu_->mmu().set_cr3(boot_->cr3);  // also flushes the TLB
-  cpu_->set_cycles(boot_->cycles);
-  cpu_->reset_fault_state();
-  crash_fired_ = false;
-  crash_ = CrashInfo{};
-  console_ = boot_->console;
-  next_timer_ = boot_->cycles + options_.timer_period;
-  timer_pending_resume_ = false;
+  load_state(boot_->state, boot_memo_);
 }
 
 void Machine::take_checkpoint(bool timer_pending) {
@@ -474,35 +450,39 @@ void Machine::restore_checkpoint(const Checkpoint& checkpoint,
                     static_cast<std::uint32_t>(checkpoint.cycle >> 32),
                     checkpoint.eip, 0);
   }
-  // The checkpoint's deltas must resolve through this machine's own
-  // base image — the contract that makes shared rungs sound for every
+  load_state(checkpoint, memo);
+  ++checkpoint_restores_;
+}
+
+void Machine::load_state(const Checkpoint& state, CheckpointMemo& memo) {
+  // The state's deltas must resolve through this machine's own base
+  // image — the contract that makes shared checkpoints sound for every
   // machine on that base.
-  assert(checkpoint.mem.base() == &boot_->base->mem);
-  assert(checkpoint.disk.base() == &boot_->base->disk);
-  // Restoring the deltas alone rebuilds the full mid-run state: chunks
-  // the rung did not store resolve through the base image, and this
+  assert(state.mem.base() == &boot_->base->mem);
+  assert(state.disk.base() == &boot_->base->disk);
+  // Restoring the deltas alone rebuilds the full state: chunks the
+  // state did not store resolve through the base image, and this
   // machine's base memo lets those be skipped when already in place —
   // copying only chunks that diverged since this machine last restored
-  // the rung.
-  memory_->restore_pages(checkpoint.mem, memo.mem, &base_mem_memo_);
-  disk_blocks_restored_ += disk_image_->restore_blocks(
-      checkpoint.disk, memo.disk, &base_disk_memo_);
+  // the state.
+  memory_->restore_pages(state.mem, memo.mem, &base_mem_memo_);
+  disk_blocks_restored_ +=
+      disk_image_->restore_blocks(state.disk, memo.disk, &base_disk_memo_);
   for (int i = 0; i < 8; ++i) {
-    cpu_->set_reg(static_cast<isa::Reg>(i), checkpoint.regs[i]);
+    cpu_->set_reg(static_cast<isa::Reg>(i), state.regs[i]);
   }
-  cpu_->set_eip(checkpoint.eip);
-  cpu_->flags() = isa::Flags::from_word(checkpoint.flags);
-  cpu_->set_cpl(checkpoint.cpl);
-  cpu_->mmu().set_cr3(checkpoint.cr3);  // also flushes the TLB
-  cpu_->set_cycles(checkpoint.cycle);
+  cpu_->set_eip(state.eip);
+  cpu_->flags() = isa::Flags::from_word(state.flags);
+  cpu_->set_cpl(state.cpl);
+  cpu_->mmu().set_cr3(state.cr3);  // also flushes the TLB
+  cpu_->set_cycles(state.cycle);
   cpu_->reset_fault_state();
-  cpu_->set_halted(checkpoint.halted);
+  cpu_->set_halted(state.halted);
   crash_fired_ = false;
   crash_ = CrashInfo{};
-  console_ = checkpoint.console;
-  next_timer_ = checkpoint.next_timer;
-  timer_pending_resume_ = checkpoint.timer_pending;
-  ++checkpoint_restores_;
+  console_ = state.console;
+  next_timer_ = state.next_timer;
+  timer_pending_resume_ = state.timer_pending;
 }
 
 PerfStats Machine::perf_stats() const {

@@ -85,12 +85,12 @@ struct MachineOptions {
   ExecEngine exec_engine = default_exec_engine();
 };
 
-// The full RAM and disk image every BootState and Checkpoint of a
-// process resolves through: one workload's post-boot image.  The
-// post-boot states of all workloads differ only in the pages their
-// images are parked in, so each stores just those pages against one
-// shared base instead of a full copy apiece.  Immutable once captured
-// and shared by shared_ptr; a BootState holds its base alive.
+// The full RAM and disk image every Checkpoint of a process resolves
+// through: one workload's post-boot image.  The post-boot states of all
+// workloads differ only in the pages their images are parked in, so
+// each stores just those pages against one shared base instead of a
+// full copy apiece.  Immutable once captured and shared by shared_ptr;
+// a BootState holds its base alive.
 struct BaseImage {
   vm::ChunkedSnapshot mem;   // full RAM capture
   vm::ChunkedSnapshot disk;  // full disk capture
@@ -103,41 +103,13 @@ struct BaseImage {
   }
 };
 
-// The complete machine state at the first user-mode instruction of the
-// workload — the "post-boot snapshot" every injection run restores to.
-// Its RAM and disk are dense deltas against `base`, found by comparing
-// every chunk, so they hold only the pages where this workload's boot
-// differs from the base's.
-// Immutable once captured, so one BootState can be shared (by
-// shared_ptr) between the machine that booted and any number of
-// machines that adopt_boot() it: an adopted machine starts from the
-// literal bytes of this state, which makes cross-machine identity hold
-// by construction rather than by boot determinism.
-struct BootState {
-  std::shared_ptr<const BaseImage> base;
-  vm::ChunkedSnapshot mem;   // chunks that differ from base->mem
-  vm::ChunkedSnapshot disk;  // blocks that differ from base->disk
-  std::string console;
-  std::uint32_t regs[8] = {};
-  std::uint32_t eip = 0;
-  std::uint32_t flags = 0;
-  int cpl = 0;
-  std::uint32_t cr3 = 0;
-  std::uint64_t cycles = 0;  // cycle counter at the snapshot point
-
-  // Bytes this state stores itself (the base excluded).
-  std::uint64_t storage_bytes() const {
-    return mem.storage_bytes() + disk.storage_bytes() + console.size();
-  }
-};
-
-// One rung of a golden-run checkpoint ladder: the complete machine
-// state at a mid-run cycle, with RAM and disk stored as deltas against
-// the BaseImage of the BootState the run started from.  Checkpoints are
-// immutable and shareable: any Machine whose boot_state() has that base
-// can restore or compare against them, holding a private
-// CheckpointMemo per rung.  The base must outlive the Checkpoint (the
-// deltas resolve through it).
+// The complete machine state at a cycle of a run, with RAM and disk
+// stored as deltas against a BaseImage: the post-boot state of a
+// BootState, or one rung of a golden-run checkpoint ladder.
+// Checkpoints are immutable and shareable: any Machine whose
+// boot_state() has that base can restore or compare against them,
+// holding a private CheckpointMemo per checkpoint.  The base must
+// outlive the Checkpoint (the deltas resolve through it).
 struct Checkpoint {
   std::uint64_t cycle = 0;
   vm::ChunkedSnapshot mem;   // pages that differ from the base image
@@ -155,6 +127,22 @@ struct Checkpoint {
   std::uint64_t storage_bytes() const {
     return mem.storage_bytes() + disk.storage_bytes() + console.size();
   }
+};
+
+// The machine state at the first user-mode instruction of the workload
+// — the "post-boot snapshot" every injection run restores to — and the
+// base image its deltas resolve through.  `state` holds only the pages
+// where this workload's boot differs from the base (every chunk
+// compared), and its timer phase is the one a run starts from: the
+// next tick one timer period out, none pending, not halted.
+// Immutable once captured, so one BootState can be shared (by
+// shared_ptr) between the machine that booted and any number of
+// machines that adopt_boot() it: an adopted machine starts from the
+// literal bytes of this state, which makes cross-machine identity hold
+// by construction rather than by boot determinism.
+struct BootState {
+  std::shared_ptr<const BaseImage> base;
+  Checkpoint state;
 };
 
 // A machine's private dirty-tracking state for one shared Checkpoint:
@@ -251,9 +239,10 @@ class Machine {
 
   // Runs from reset to the first user-mode instruction of the workload
   // (its entry breakpoint) and captures the BootState there, as a delta
-  // against `base` (every chunk compared).  With no base, this
-  // machine's own post-boot image becomes the base and its BootState
-  // stores no chunk.  Returns false if the kernel failed to boot.
+  // against `base` (every chunk compared), at the timer phase every
+  // restore() starts from.  With no base, this machine's own post-boot
+  // image becomes the base and its BootState stores no chunk.  Returns
+  // false if the kernel failed to boot.
   bool boot(std::shared_ptr<const BaseImage> base = nullptr);
 
   // boot()'s run alone: from reset to the workload's entry breakpoint,
@@ -264,14 +253,15 @@ class Machine {
   bool run_to_entry();
 
   // Points this machine at `boot` — a BootState any Machine (same
-  // kernel/disk/options) captured — and restore()s it, without
-  // simulating boot at all: RAM, disk, registers, and console come from
-  // the shared state, so the machine is bit-identical to the capturer
-  // right after its boot() (and adoption records no trace event).  Adopting another workload's BootState on
-  // the same base costs what a restore() does: the pages the machine
-  // dirtied plus the ones the new state stores.  This is how campaign
-  // workers share one golden warm-up: the GoldenCache boots once per
-  // workload and every worker adopts.
+  // kernel/disk/options) captured — and loads its state as restore()
+  // does, without simulating boot at all: RAM, disk, registers, and
+  // console come from the shared state, so the machine is bit-identical
+  // to the capturer right after its restore() (and adoption records no
+  // trace event).  Adopting another workload's BootState on the same
+  // base costs what a restore() does: the pages the machine dirtied
+  // plus the ones the new state stores.  This is how campaign workers
+  // share one golden warm-up: the GoldenCache boots once per workload
+  // and every worker adopts.
   void adopt_boot(std::shared_ptr<const BootState> boot);
 
   // The post-boot state this machine restores to (set by boot() or
@@ -289,7 +279,10 @@ class Machine {
   // and the committed replay artifacts depend on.
   RunResult run(std::uint64_t max_cycles, bool resumable = false);
 
-  // Restores the post-boot snapshot and the pristine disk ("reboot").
+  // Restores the post-boot snapshot and the pristine disk ("reboot"):
+  // the same load as restore_checkpoint() of boot_state()->state, but
+  // traced as a snapshot restore and not counted as a checkpoint
+  // restore.
   void restore();
 
   // Replays the run from the post-boot snapshot (exactly restore() +
@@ -353,7 +346,9 @@ class Machine {
   const std::string& console_output() const { return console_; }
 
   // Cycle at which run() started relative to the boot snapshot.
-  std::uint64_t snapshot_cycles() const { return boot_ ? boot_->cycles : 0; }
+  std::uint64_t snapshot_cycles() const {
+    return boot_ ? boot_->state.cycle : 0;
+  }
 
   // FNV-1a digest over the complete machine state: architectural
   // registers, flags, eip, cpl, cr3, cycle counter, every byte of RAM,
@@ -412,20 +407,19 @@ class Machine {
   void take_checkpoint(bool timer_pending);
   // Everything of a checkpoint but its RAM and disk deltas.
   Checkpoint cpu_checkpoint(bool timer_pending) const;
-  // restore() without its trace event (adopt_boot() is no run's
-  // restore): RAM and disk through the memos, then registers, cycle
-  // counter, console, crash latch and timer phase.
-  void load_boot();
+  // The body of restore(), adopt_boot() and restore_checkpoint(): RAM
+  // and disk through `memo` and the base memos, then registers, cycle
+  // counter, halt state, console, crash latch and timer phase.
+  void load_state(const Checkpoint& state, CheckpointMemo& memo);
 
   // Post-boot state: captured by boot() or shared in by adopt_boot().
   // The memos are this machine's dirty-tracking state (see
-  // vm/snapshot.h) for the BootState's RAM/disk deltas and for its base
-  // image; the base memos also serve every checkpoint on that base, and
+  // vm/snapshot.h) for the BootState's deltas and for its base image;
+  // the base memos also serve every checkpoint on that base, and
   // survive adopting another BootState on it.
   bool booted_ = false;
   std::shared_ptr<const BootState> boot_;
-  std::vector<std::uint64_t> boot_mem_memo_;
-  std::vector<std::uint64_t> boot_disk_memo_;
+  CheckpointMemo boot_memo_;
   std::vector<std::uint64_t> base_mem_memo_;
   std::vector<std::uint64_t> base_disk_memo_;
 

@@ -98,35 +98,6 @@ std::shared_ptr<BaseImage> read_base_image(ByteReader& reader) {
   return base;
 }
 
-void write_boot_state(ByteWriter& writer, const BootState& boot) {
-  write_regs(writer, boot.regs);
-  writer.u32(boot.eip);
-  writer.u32(boot.flags);
-  writer.u32(static_cast<std::uint32_t>(boot.cpl));
-  writer.u32(boot.cr3);
-  writer.u64(boot.cycles);
-  writer.str(boot.console);
-  write_snapshot(writer, boot.mem);
-  write_snapshot(writer, boot.disk);
-}
-
-std::shared_ptr<BootState> read_boot_state(
-    ByteReader& reader, std::shared_ptr<const BaseImage> base) {
-  auto boot = std::make_shared<BootState>();
-  read_regs(reader, boot->regs);
-  boot->eip = reader.u32();
-  boot->flags = reader.u32();
-  boot->cpl = static_cast<int>(reader.u32());
-  boot->cr3 = reader.u32();
-  boot->cycles = reader.u64();
-  boot->console = reader.str();
-  if (!read_snapshot(reader, &base->mem, boot->mem)) return nullptr;
-  if (!read_snapshot(reader, &base->disk, boot->disk)) return nullptr;
-  if (!reader.ok()) return nullptr;
-  boot->base = std::move(base);
-  return boot;
-}
-
 void write_checkpoint(ByteWriter& writer, const Checkpoint& checkpoint) {
   writer.u64(checkpoint.cycle);
   write_regs(writer, checkpoint.regs);

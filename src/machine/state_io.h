@@ -1,9 +1,11 @@
-// Machine-state (de)serialization: BaseImage, BootState and Checkpoint
-// to/from the shared binary layout (support/serial.h).
+// Machine-state (de)serialization: BaseImage and Checkpoint to/from the
+// shared binary layout (support/serial.h).  A BootState is its base
+// plus one Checkpoint, so the post-boot state and every ladder rung
+// share one layout.
 //
 // This is the substrate of the golden-bundle file formats
 // (serve/bundle): a campaign's base image and each workload's
-// post-boot deltas and checkpoint ladder are serialized once by the
+// post-boot state and checkpoint ladder are serialized once by the
 // campaign controller, and every worker process reconstructs them *by
 // reference* — the readers build ChunkedSnapshots whose payloads point
 // straight into the caller's buffer (an mmap'd file), so N workers
@@ -12,9 +14,10 @@
 // The caller owns the buffer's lifetime.
 //
 // Round-trip fidelity is bit-exact: a machine that adopt_boot()s a
-// deserialized BootState is indistinguishable (state_digest and all)
-// from one that adopted the original, and a deserialized rung passes
-// restore_checkpoint()'s base assertions against the deserialized base.
+// BootState holding a deserialized post-boot checkpoint is
+// indistinguishable (state_digest and all) from one that adopted the
+// original, and a deserialized checkpoint passes the machine's base
+// assertions against the deserialized base.
 #pragma once
 
 #include <memory>
@@ -37,22 +40,12 @@ void write_snapshot_header(ByteWriter& writer, const vm::ChunkedSnapshot& snap);
 // machine's.
 std::shared_ptr<BaseImage> read_base_image(ByteReader& reader);
 
-// Serializes `boot` (registers, console, cycle counter, and the RAM and
-// disk deltas against its base).
-void write_boot_state(ByteWriter& writer, const BootState& boot);
-
-// Reads a BootState written by write_boot_state, resolving its deltas
-// through `base`, the deserialized twin of the base it was captured
-// against.  Payloads alias `reader`'s buffer as in read_base_image.
-// Returns nullptr on a short or corrupt buffer.
-std::shared_ptr<BootState> read_boot_state(
-    ByteReader& reader, std::shared_ptr<const BaseImage> base);
-
-// Serializes one checkpoint-ladder rung (its RAM/disk deltas store only
-// the chunks that differ from the base image).
+// Serializes one checkpoint — a ladder rung or a post-boot state (its
+// RAM/disk deltas store only the chunks that differ from the base
+// image).
 void write_checkpoint(ByteWriter& writer, const Checkpoint& checkpoint);
 
-// Reads a rung written by write_checkpoint, re-basing its deltas on
+// Reads a checkpoint written by write_checkpoint, re-basing its deltas on
 // `base`, which must outlive the result.  Payloads alias `reader`'s
 // buffer as in read_base_image.  `ok` is set false on a short or
 // corrupt buffer.

@@ -26,7 +26,10 @@ constexpr std::uint32_t kBaseMagic = 0x4B464253;    // "KFBS"
 // (same version); a bundle records the base file's trailer after its
 // options echo, its boot state and rungs are deltas against the base,
 // and snapshots no longer carry capture versions.
-constexpr std::uint32_t kBundleVersion = 6;
+// v7: the coverage list goes (the first-touch keys are the coverage),
+// and the boot state is written as a checkpoint, with its timer phase,
+// pending flag and halt state (the base file shares the version).
+constexpr std::uint32_t kBundleVersion = 7;
 
 // The identity header both file kinds open with.  trace_capacity is a
 // run-time knob applied by the Injector, never baked into artifacts, so
@@ -102,31 +105,21 @@ void write_bundle_body(ByteWriter& writer, const std::string& workload,
   writer.u8(golden.disk.fsck_unrepairable ? 1 : 0);
   writer.u8(golden.disk.repair_verified ? 1 : 0);
 
-  // Coverage and first-touch are serialized address-sorted so the
-  // bundle bytes (and therefore the content hash the manifest records)
-  // are a pure function of the artifact, not of hash-table iteration
-  // order.
-  {
-    std::vector<std::uint32_t> coverage(artifact.coverage.begin(),
-                                        artifact.coverage.end());
-    std::sort(coverage.begin(), coverage.end());
-    writer.u64(coverage.size());
-    for (const std::uint32_t addr : coverage) writer.u32(addr);
-  }
-  {
-    std::vector<std::pair<std::uint32_t, machine::TouchWindow>> touch(
-        artifact.first_touch.begin(), artifact.first_touch.end());
-    std::sort(touch.begin(), touch.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    writer.u64(touch.size());
-    for (const auto& [addr, window] : touch) {
-      writer.u32(addr);
-      writer.u64(window.first);
-      writer.u64(window.last);
-    }
+  // First-touch is serialized address-sorted so the bundle bytes (and
+  // therefore the content hash the manifest records) are a pure
+  // function of the artifact, not of hash-table iteration order.
+  std::vector<std::pair<std::uint32_t, machine::TouchWindow>> touch(
+      artifact.first_touch.begin(), artifact.first_touch.end());
+  std::sort(touch.begin(), touch.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  writer.u64(touch.size());
+  for (const auto& [addr, window] : touch) {
+    writer.u32(addr);
+    writer.u64(window.first);
+    writer.u64(window.last);
   }
 
-  machine::write_boot_state(writer, *artifact.boot);
+  machine::write_checkpoint(writer, artifact.boot->state);
   writer.u32(static_cast<std::uint32_t>(artifact.ladder.size()));
   for (const machine::Checkpoint& rung : artifact.ladder) {
     machine::write_checkpoint(writer, rung);
@@ -229,14 +222,6 @@ std::optional<LoadedBundle> load_bundle(const std::string& path,
   golden.disk.fsck_unrepairable = reader.u8() != 0;
   golden.disk.repair_verified = reader.u8() != 0;
 
-  const std::uint64_t coverage_count = reader.u64();
-  if (!reader.ok() || coverage_count > reader.remaining() / 4) {
-    return std::nullopt;
-  }
-  artifact.coverage.reserve(static_cast<std::size_t>(coverage_count));
-  for (std::uint64_t i = 0; i < coverage_count; ++i) {
-    artifact.coverage.insert(reader.u32());
-  }
   const std::uint64_t touch_count = reader.u64();
   if (!reader.ok() || touch_count > reader.remaining() / 20) {
     return std::nullopt;
@@ -247,23 +232,30 @@ std::optional<LoadedBundle> load_bundle(const std::string& path,
     machine::TouchWindow window;
     window.first = reader.u64();
     window.last = reader.u64();
+    if (window.first > window.last) return std::nullopt;
     artifact.first_touch.emplace(addr, window);
   }
 
   // The snapshots borrow their payloads straight from the mappings —
   // the zero-copy adoption path — and resolve through the base image.
-  std::shared_ptr<machine::BootState> boot =
-      machine::read_boot_state(reader, base.image);
-  if (boot == nullptr) return std::nullopt;
+  // Rung placement and skipping assume the rungs ascend past the boot.
+  auto boot = std::make_shared<machine::BootState>();
+  bool ok = false;
+  boot->state = machine::read_checkpoint(reader, *base.image, ok);
+  if (!ok) return std::nullopt;
+  boot->base = base.image;
   artifact.boot = boot;
   const std::uint32_t ladder_count = reader.u32();
   if (!reader.ok() || ladder_count > 4096) return std::nullopt;
   artifact.ladder.reserve(ladder_count);
+  std::uint64_t prev_cycle = boot->state.cycle;
   for (std::uint32_t i = 0; i < ladder_count; ++i) {
-    bool ok = false;
     artifact.ladder.push_back(
         machine::read_checkpoint(reader, *base.image, ok));
-    if (!ok) return std::nullopt;
+    if (!ok || artifact.ladder.back().cycle <= prev_cycle) {
+      return std::nullopt;
+    }
+    prev_cycle = artifact.ladder.back().cycle;
   }
   const std::uint64_t footprint_count = reader.u64();
   if (!reader.ok() || footprint_count > reader.remaining() / 4) {
@@ -273,8 +265,12 @@ std::optional<LoadedBundle> load_bundle(const std::string& path,
       static_cast<std::size_t>(footprint_count));
   for (std::uint64_t i = 0; i < footprint_count; ++i) {
     const std::uint32_t addr = reader.u32();
-    // Campaign E flips these bytes: each must lie in RAM.
-    if (addr >= boot->mem.size()) return std::nullopt;
+    // Campaign E flips these bytes: each must lie in RAM.  dead_at()
+    // binary-searches them: they must strictly ascend.
+    if (addr >= base.image->mem.size() ||
+        (i > 0 && addr <= artifact.write_footprint.back())) {
+      return std::nullopt;
+    }
     artifact.write_footprint.push_back(addr);
   }
   const std::uint64_t syscall_count = reader.u64();
@@ -286,6 +282,10 @@ std::optional<LoadedBundle> load_bundle(const std::string& path,
     inject::SyscallExit exit;
     exit.cycle = reader.u64();
     exit.eax = reader.u32();
+    // Campaign F resumes and skips exits assuming golden order.
+    if (i > 0 && exit.cycle < artifact.syscalls.back().cycle) {
+      return std::nullopt;
+    }
     artifact.syscalls.push_back(exit);
   }
   // Exactly one bit per (footprint byte, rung): dead_at() indexes it.

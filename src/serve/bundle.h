@@ -1,7 +1,7 @@
 // Golden-bundle files: a campaign's base image, and for each workload
-// its complete golden artifact set — GoldenRun, coverage, first-touch
-// map, post-boot BootState, checkpoint ladder — serialized once by the
-// campaign controller and adopted zero-copy by every worker process.
+// its complete golden artifact set — GoldenRun, first-touch map,
+// post-boot state, checkpoint ladder — serialized once by the campaign
+// controller and adopted zero-copy by every worker process.
 //
 // The base image is its own sealed file (the one full RAM+disk image,
 // ~20 MiB); each workload bundle holds only deltas against it, plus the
@@ -84,10 +84,13 @@ struct LoadedBundle {
 // Maps and validates the bundle at `path` against `base`.  Rejects a
 // broken seal (any truncated or flipped byte), wrong magic or version,
 // a workload/kernel/options mismatch, a bundle recorded against another
-// base file, an unparseable payload, and — when `expect_hash` is
-// non-zero — a trailer that differs from it (the manifest's recorded
-// hash, so a worker never adopts a bundle the controller didn't
-// write).  The file is hashed exactly once.
+// base file, an unparseable payload, one that breaks the build's
+// ordering invariants (a touch window ending before it starts, ladder
+// rungs not strictly ascending past the boot cycle, a write footprint
+// not strictly ascending, syscall exits out of golden order), and —
+// when `expect_hash` is non-zero — a trailer that differs from it (the
+// manifest's recorded hash, so a worker never adopts a bundle the
+// controller didn't write).  The file is hashed exactly once.
 std::optional<LoadedBundle> load_bundle(
     const std::string& path, const std::string& workload,
     const inject::InjectorOptions& options, std::uint64_t kernel_fp,

@@ -698,7 +698,7 @@ WorkerReport run_worker(const std::string& dir, unsigned worker_id,
     std::fprintf(stderr,
                  "[kfi-serve] worker %u: %llu runs on %llu machines\n",
                  worker_id, static_cast<unsigned long long>(report.runs),
-                 static_cast<unsigned long long>(injector.machines_built()));
+                 static_cast<unsigned long long>(injector.stats().machines));
   }
   return report;
 }

@@ -133,7 +133,8 @@ TEST(FaultModelContract, SmokeTripleMatchesReferencesOnOneThread) {
   std::size_t pruned = 0;
   for (std::size_t i = 0; i < 2; ++i) {
     for (const inject::InjectionResult& r : runs[i].results) {
-      if (injector.coverage(r.spec.workload).count(r.spec.instr_addr) == 0) {
+      if (injector.first_touch(r.spec.workload).count(r.spec.instr_addr) ==
+          0) {
         EXPECT_EQ(r.outcome, inject::Outcome::NotActivated);
         ++pruned;
       }

@@ -210,18 +210,22 @@ TEST(GoldenCache, SmokeAbcHoldsOneFullImageAndDeltasAgainstIt) {
     const WorkloadGolden& artifact = cache.workload(name);
     // The only full snapshot is the base: each boot state stores at
     // most the two pages its workload image is parked in, and no disk.
+    const machine::Checkpoint& boot = artifact.boot->state;
     EXPECT_EQ(artifact.boot->base, base) << name;
-    ASSERT_TRUE(artifact.boot->mem.is_delta()) << name;
-    ASSERT_TRUE(artifact.boot->disk.is_delta()) << name;
-    EXPECT_LE(artifact.boot->mem.storage_bytes(), 2u * vm::kPageSize) << name;
-    EXPECT_EQ(artifact.boot->disk.storage_bytes(), 0u) << name;
+    ASSERT_TRUE(boot.mem.is_delta()) << name;
+    ASSERT_TRUE(boot.disk.is_delta()) << name;
+    EXPECT_EQ(boot.mem.base(), &base->mem) << name;
+    EXPECT_EQ(boot.disk.base(), &base->disk) << name;
+    EXPECT_LE(boot.mem.storage_bytes(), 2u * vm::kPageSize) << name;
+    EXPECT_EQ(boot.disk.storage_bytes(), 0u) << name;
     for (const machine::Checkpoint& rung : artifact.ladder) {
       EXPECT_EQ(rung.mem.base(), &base->mem) << name;
       EXPECT_EQ(rung.disk.base(), &base->disk) << name;
     }
   }
   // The first workload built is the base: its boot delta is empty.
-  EXPECT_EQ(cache.workload(names.front()).boot->mem.storage_bytes(), 0u);
+  EXPECT_EQ(cache.workload(names.front()).boot->state.mem.storage_bytes(),
+            0u);
 
   // The held bytes, pinned: the base is exactly RAM plus disk, and a
   // change that brings back per-workload images or moves what a rung
@@ -250,7 +254,7 @@ TEST(GoldenCache, BaseWorkloadDoesNotChangeRecords) {
     auto cache = std::make_shared<GoldenCache>();
     cache->build_workloads(*order, 1);
     first_delta.push_back(
-        cache->workload(names.front()).boot->mem.storage_bytes());
+        cache->workload(names.front()).boot->state.mem.storage_bytes());
     Injector injector(cache);
     const CampaignRun run =
         run_campaign(injector, profile::default_profile(), config);
@@ -268,7 +272,8 @@ const InjectionSpec* covered_spec(const std::vector<InjectionSpec>& targets,
                                   const std::string& other) {
   for (const InjectionSpec& spec : targets) {
     if (spec.workload != other &&
-        cache.workload(spec.workload).coverage.count(spec.instr_addr) != 0) {
+        cache.workload(spec.workload).first_touch.count(spec.instr_addr) !=
+            0) {
       return &spec;
     }
   }
@@ -305,7 +310,7 @@ TEST(GoldenCache, OneInjectorMachineServesEveryWorkload) {
         << spec->workload;
   }
   EXPECT_EQ(folds[0], folds[2]);
-  EXPECT_EQ(injector.machines_built(), 1u);
+  EXPECT_EQ(injector.stats().machines, 1u);
 
   // The machine underneath: after W -> V -> W switches, restore() and a
   // rung restore land the state a freshly adopted machine holds.

@@ -117,8 +117,8 @@ TEST(ShadowLadder, EveryDroppedTriggerContinuesOntoItsKeysShadow) {
           << targets[*it].instr_addr;
     }
   }
-  ASSERT_EQ(injector.shadow_builds(), forward.shadow_builds());
-  EXPECT_GT(injector.shadow_reconverged(), 0u);
+  ASSERT_EQ(injector.stats().shadow_builds, forward.stats().shadow_builds);
+  EXPECT_GT(injector.stats().shadow_reconverged, 0u);
 
   std::map<std::string, std::unique_ptr<TriggerProbe>> probes;
   std::set<std::pair<std::string, std::uint32_t>> seen;
@@ -126,7 +126,9 @@ TEST(ShadowLadder, EveryDroppedTriggerContinuesOntoItsKeysShadow) {
   std::size_t earlier_than_builder = 0;
   std::size_t compared = 0;
   for (const InjectionSpec& spec : smoke_de_specs()) {
-    if (injector.coverage(spec.workload).count(spec.instr_addr) == 0) continue;
+    if (injector.first_touch(spec.workload).count(spec.instr_addr) == 0) {
+      continue;
+    }
     if (!seen.emplace(spec.workload, spec.instr_addr).second) continue;
     auto& probe = probes[spec.workload];
     if (probe == nullptr) {
@@ -171,7 +173,7 @@ TEST(ShadowLadder, EveryDroppedTriggerContinuesOntoItsKeysShadow) {
     EXPECT_EQ(matched, expected) << spec.function;
     compared += matched;
   }
-  EXPECT_GT(dropped, injector.shadow_builds());
+  EXPECT_GT(dropped, injector.stats().shadow_builds);
   EXPECT_GT(earlier_than_builder, 0u);
   EXPECT_GT(compared, 0u);
 }
@@ -211,7 +213,8 @@ TEST(ShadowLadder, BuildingRunMatchesRunThatFindsTheLadder) {
   std::map<std::string, std::unique_ptr<TriggerProbe>> probes;
   for (const InjectionSpec& spec : smoke_de_specs()) {
     if (spec.model != FaultModel::RegisterBit) continue;
-    if (cache->workload(spec.workload).coverage.count(spec.instr_addr) == 0) {
+    if (cache->workload(spec.workload).first_touch.count(spec.instr_addr) ==
+        0) {
       continue;
     }
     auto& probe = probes[spec.workload];
@@ -235,14 +238,14 @@ TEST(ShadowLadder, BuildingRunMatchesRunThatFindsTheLadder) {
       Injector builds(cache);
       builds.run_one(plain->second);
       const auto built = traced_run(builds, spec);
-      ASSERT_EQ(builds.shadow_builds(), 1u);
+      ASSERT_EQ(builds.stats().shadow_builds, 1u);
 
       Injector finds(cache);
       finds.run_one(builder);
-      ASSERT_EQ(finds.shadow_builds(), 1u);
+      ASSERT_EQ(finds.stats().shadow_builds, 1u);
       finds.run_one(plain->second);
       const auto found = traced_run(finds, spec);
-      ASSERT_EQ(finds.shadow_builds(), 1u);
+      ASSERT_EQ(finds.stats().shadow_builds, 1u);
 
       EXPECT_TRUE(check::diff_results(built.first, found.first).empty())
           << spec.function << " @" << std::hex << spec.instr_addr;

@@ -117,14 +117,14 @@ TEST(Checkpoint, LadderDoesNotChangeCampaignResults) {
   inject::Injector ladder_injector(with_ladder);
   const inject::CampaignRun ladder =
       inject::run_campaign(ladder_injector, prof, config);
-  EXPECT_GT(ladder_injector.checkpoint_hits(), 0u);
+  EXPECT_GT(ladder_injector.stats().checkpoint_hits, 0u);
 
   inject::InjectorOptions no_ladder;
   no_ladder.checkpoints = 0;
   inject::Injector baseline_injector(no_ladder);
   const inject::CampaignRun baseline =
       inject::run_campaign(baseline_injector, prof, config);
-  EXPECT_EQ(baseline_injector.checkpoint_hits(), 0u);
+  EXPECT_EQ(baseline_injector.stats().checkpoint_hits, 0u);
 
   const check::RunComparison comparison =
       check::compare_runs(ladder, baseline);

@@ -127,6 +127,28 @@ TEST(Machine, RestoreResetsDisk) {
   EXPECT_EQ(fsutil::tree_digest(machine->disk_image()), pristine);
 }
 
+TEST(Machine, RestoreLandsOnTheBootCheckpoint) {
+  // The post-boot state is a Checkpoint: right after restore() the
+  // machine matches all of it, timer phase included, whether it booted
+  // or adopted the state; one run later it no longer does.
+  constexpr std::size_t kNoMask = static_cast<std::size_t>(-1);
+  auto booted = make_machine("syscall");
+  ASSERT_TRUE(booted->boot());
+  auto adopter = make_machine("pipe");
+  adopter->adopt_boot(booted->boot_state());
+  for (Machine* machine : {booted.get(), adopter.get()}) {
+    const Checkpoint& boot = machine->boot_state()->state;
+    CheckpointMemo memo;
+    machine->restore();
+    EXPECT_TRUE(machine->state_matches(boot, memo, kNoMask));
+    machine->run(1);
+    EXPECT_FALSE(machine->state_matches(boot, memo, kNoMask));
+    EXPECT_EQ(machine->run(kRunBudget).exit, RunExit::Completed);
+    machine->restore();
+    EXPECT_TRUE(machine->state_matches(boot, memo, kNoMask));
+  }
+}
+
 TEST(Machine, WatchdogCatchesBudgetExhaustion) {
   auto machine = make_machine("dhry");
   ASSERT_TRUE(machine->boot());

@@ -1,9 +1,9 @@
 // Golden-bundle files: the base image and the serialized WorkloadGolden
 // round-trip bit-exactly through write_base/load_base and
-// write_bundle/load_bundle, stale or corrupt files (and bundles against
-// another base) are rejected at load, and an adopted bundle substitutes
-// for a locally built artifact without changing a single injection
-// result.
+// write_bundle/load_bundle, stale, corrupt or out-of-order files (and
+// bundles against another base) are rejected at load, and an adopted
+// bundle substitutes for a locally built artifact without changing a
+// single injection result.
 #include "serve/bundle.h"
 
 #include <gtest/gtest.h>
@@ -24,7 +24,9 @@
 #include "kernel/build.h"
 #include "serve/service.h"
 #include "support/fsio.h"
+#include "support/serial.h"
 #include "temp_dir.h"
+#include "workloads/workloads.h"
 
 namespace kfi::serve {
 namespace {
@@ -113,7 +115,7 @@ TEST_F(BundleTest, RoundTripPreservesTheWholeArtifact) {
             original.golden.disk.fsck_unrepairable);
   EXPECT_EQ(back.golden.disk.repair_verified,
             original.golden.disk.repair_verified);
-  EXPECT_EQ(back.coverage, original.coverage);
+  // Equal sizes and every original key present: the same coverage.
   ASSERT_EQ(back.first_touch.size(), original.first_touch.size());
   for (const auto& [addr, window] : original.first_touch) {
     const auto it = back.first_touch.find(addr);
@@ -124,12 +126,27 @@ TEST_F(BundleTest, RoundTripPreservesTheWholeArtifact) {
   ASSERT_NE(back.boot, nullptr);
   // The deltas resolve through the mapped base file, not a copy.
   EXPECT_EQ(back.boot->base, base_->image);
-  EXPECT_EQ(back.boot->mem.storage_bytes(), original.boot->mem.storage_bytes());
-  EXPECT_EQ(back.boot->eip, original.boot->eip);
-  EXPECT_EQ(back.boot->cycles, original.boot->cycles);
-  EXPECT_EQ(back.boot->cr3, original.boot->cr3);
-  for (int i = 0; i < 8; ++i)
-    EXPECT_EQ(back.boot->regs[i], original.boot->regs[i]);
+  // The whole boot checkpoint, timer phase included.
+  const machine::Checkpoint& boot = back.boot->state;
+  const machine::Checkpoint& built = original.boot->state;
+  EXPECT_EQ(boot.mem.base(), &base_->image->mem);
+  EXPECT_EQ(boot.disk.base(), &base_->image->disk);
+  EXPECT_EQ(boot.mem.storage_bytes(), built.mem.storage_bytes());
+  EXPECT_EQ(boot.disk.storage_bytes(), built.disk.storage_bytes());
+  EXPECT_EQ(boot.cycle, built.cycle);
+  EXPECT_EQ(boot.eip, built.eip);
+  EXPECT_EQ(boot.flags, built.flags);
+  EXPECT_EQ(boot.cpl, built.cpl);
+  EXPECT_EQ(boot.cr3, built.cr3);
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(boot.regs[i], built.regs[i]);
+  EXPECT_EQ(boot.console, built.console);
+  EXPECT_EQ(boot.next_timer, built.next_timer);
+  EXPECT_EQ(boot.timer_pending, built.timer_pending);
+  EXPECT_EQ(boot.halted, built.halted);
+  // The phase every run starts from: the next tick one period out.
+  EXPECT_EQ(boot.next_timer, boot.cycle + kernel::kTimerPeriodCycles);
+  EXPECT_FALSE(boot.timer_pending);
+  EXPECT_FALSE(boot.halted);
   ASSERT_EQ(back.ladder.size(), original.ladder.size());
   for (std::size_t i = 0; i < back.ladder.size(); ++i) {
     EXPECT_EQ(back.ladder[i].cycle, original.ladder[i].cycle);
@@ -145,6 +162,97 @@ TEST_F(BundleTest, RoundTripPreservesTheWholeArtifact) {
   }
   ASSERT_FALSE(original.dead_bits.empty());
   EXPECT_EQ(back.dead_bits, original.dead_bits);
+}
+
+TEST_F(BundleTest, EveryWorkloadsBuildKeepsTheOrderingInvariants) {
+  // The loader rejects bundles whose rungs, footprint or syscall exits
+  // are out of order, or whose touch windows end before they start:
+  // every workload's built artifact must round-trip through it.
+  const std::string dir = fresh_dir("kfi_bundle_test_every_workload");
+  for (const workloads::Workload& workload : workloads::all_workloads()) {
+    const std::string& name = workload.name;
+    const inject::WorkloadGolden& artifact = cache_->workload(name);
+    const std::string path = bundle_path(dir, name, options(), kernel_fp_);
+    ASSERT_TRUE(write_bundle(path, name, artifact, options(), kernel_fp_,
+                             base_->content_hash)
+                    .has_value())
+        << name;
+    const auto loaded = load_bundle(path, name, options(), kernel_fp_, *base_);
+    ASSERT_TRUE(loaded.has_value()) << name;
+    EXPECT_EQ(loaded->artifact.ladder.size(), artifact.ladder.size()) << name;
+  }
+}
+
+// Writes a copy of the suite's artifact with `corrupt` applied as a
+// sealed bundle — one whose checksum holds — and requires load_bundle
+// to refuse it, while the unchanged copy loads.
+void expect_resealed_rejected(
+    const std::string& name, const inject::WorkloadGolden& original,
+    std::uint64_t kernel_fp, const LoadedBase& base,
+    const std::function<void(inject::WorkloadGolden&)>& corrupt) {
+  const std::string dir = fresh_dir(name);
+  inject::WorkloadGolden artifact = original;
+  ASSERT_TRUE(write_bundle(dir + "/intact.kfib", "pipe", artifact, {},
+                           kernel_fp, base.content_hash)
+                  .has_value());
+  EXPECT_TRUE(load_bundle(dir + "/intact.kfib", "pipe", {}, kernel_fp, base)
+                  .has_value());
+  corrupt(artifact);
+  ASSERT_TRUE(write_bundle(dir + "/bad.kfib", "pipe", artifact, {}, kernel_fp,
+                           base.content_hash)
+                  .has_value());
+  EXPECT_FALSE(
+      load_bundle(dir + "/bad.kfib", "pipe", {}, kernel_fp, base).has_value());
+}
+
+TEST_F(BundleTest, SwappedFootprintEntriesAreRejected) {
+  // dead_at() binary-searches the footprint: out of order, it answers
+  // wrongly for bytes it holds.
+  const inject::WorkloadGolden& original = cache_->workload("pipe");
+  ASSERT_GE(original.write_footprint.size(), 2u);
+  expect_resealed_rejected(
+      "kfi_bundle_test_swapped_footprint", original, kernel_fp_, *base_,
+      [](inject::WorkloadGolden& artifact) {
+        std::swap(artifact.write_footprint[0], artifact.write_footprint[1]);
+      });
+}
+
+TEST_F(BundleTest, SwappedRungsAreRejected) {
+  // Rung placement takes the last rung before a trigger's first
+  // execution: out of order, a run would resume past its trigger.
+  const inject::WorkloadGolden& original = cache_->workload("pipe");
+  ASSERT_GE(original.ladder.size(), 2u);
+  expect_resealed_rejected(
+      "kfi_bundle_test_swapped_rungs", original, kernel_fp_, *base_,
+      [](inject::WorkloadGolden& artifact) {
+        std::swap(artifact.ladder[0], artifact.ladder[1]);
+      });
+}
+
+TEST_F(BundleTest, OtherOrderingBreachesAreRejected) {
+  const inject::WorkloadGolden& original = cache_->workload("pipe");
+  ASSERT_GE(original.syscalls.size(), 2u);
+  ASSERT_FALSE(original.ladder.empty());
+  ASSERT_FALSE(original.first_touch.empty());
+  // Syscall exits out of golden order (campaign F).
+  expect_resealed_rejected(
+      "kfi_bundle_test_swapped_syscalls", original, kernel_fp_, *base_,
+      [](inject::WorkloadGolden& artifact) {
+        std::swap(artifact.syscalls[0], artifact.syscalls.back());
+      });
+  // A rung no later than the boot.
+  expect_resealed_rejected(
+      "kfi_bundle_test_rung_at_boot", original, kernel_fp_, *base_,
+      [](inject::WorkloadGolden& artifact) {
+        artifact.ladder[0].cycle = artifact.boot->state.cycle;
+      });
+  // A touch window that ends before it starts.
+  expect_resealed_rejected(
+      "kfi_bundle_test_inverted_window", original, kernel_fp_, *base_,
+      [](inject::WorkloadGolden& artifact) {
+        machine::TouchWindow& window = artifact.first_touch.begin()->second;
+        window.first = window.last + 1;
+      });
 }
 
 // Inserts the zero full-restore flag byte that bundles before v4 kept
@@ -247,6 +355,19 @@ TEST_F(BundleTest, VersionThreeBundleIsRejectedAndReprepared) {
          const std::string& workload) {
         insert_restore_flag_byte(bytes, workload);
         set_version(bytes, 3);
+      });
+}
+
+TEST_F(BundleTest, VersionSixBundleIsRejectedAndReprepared) {
+  // A sealed bundle stamped v6 (before the coverage list went and the
+  // boot state became a checkpoint) is rejected by its version alone.
+  expect_rewritten_bundles_reprepared(
+      "kfi_bundle_test_v6", options(), kernel_fp_,
+      [](std::string& bytes, const inject::WorkloadGolden&,
+         const std::string&) {
+        set_version(bytes, 6);
+        const std::uint64_t seal = content_hash(bytes.data(), bytes.size());
+        bytes.append(reinterpret_cast<const char*>(&seal), sizeof seal);
       });
 }
 
@@ -399,6 +520,20 @@ TEST_F(BundleTest, BaseFileBitFlipAnywhereIsRejected) {
                   .has_value());
 }
 
+TEST_F(BundleTest, VersionSixBaseFileIsRejected) {
+  const std::string path = fresh_dir("kfi_bundle_test_base_v6") + "/base.kfib";
+  std::string bytes = read_file_bytes(base_path_).value_or("");
+  ASSERT_GT(bytes.size(), base_header("pipe") + kSealBytes);
+  bytes.resize(bytes.size() - kSealBytes);
+  set_version(bytes, 6);
+  ASSERT_TRUE(write_sealed_file(path, bytes).has_value());
+  EXPECT_FALSE(load_base(path, "pipe", options(), kernel_fp_).has_value());
+  // The same bytes at the current version load.
+  set_version(bytes, 7);
+  ASSERT_TRUE(write_sealed_file(path, bytes).has_value());
+  EXPECT_TRUE(load_base(path, "pipe", options(), kernel_fp_).has_value());
+}
+
 TEST_F(BundleTest, DeterministicBytesAcrossRewrites) {
   const inject::WorkloadGolden& artifact = cache_->workload("pipe");
   const std::string dir = fresh_dir("kfi_bundle_test_deterministic");
@@ -484,7 +619,10 @@ TEST_F(BundleTest, AdoptedBundleSubstitutesForALocalBuild) {
   const inject::WorkloadGolden& adopted = adopter.workload("pipe");
   EXPECT_EQ(adopter.golden_builds(), 0u);
   EXPECT_EQ(adopted.golden.cycles, original.golden.cycles);
-  EXPECT_EQ(adopted.coverage, original.coverage);
+  ASSERT_EQ(adopted.first_touch.size(), original.first_touch.size());
+  for (const auto& [addr, window] : original.first_touch) {
+    EXPECT_EQ(adopted.first_touch.count(addr), 1u) << addr;
+  }
   // A second adoption under the same name is refused.
   inject::WorkloadGolden again;
   again.boot = adopted.boot;

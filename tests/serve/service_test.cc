@@ -268,6 +268,40 @@ TEST(Service, BundlesAgainstAnotherBaseAreRebuiltNotAdopted) {
   EXPECT_EQ(report.bundle_adoptions, again->workloads.size());
 }
 
+TEST(Service, VersionSixBaseFileIsRebuiltNotAdopted) {
+  // A sealed base file from before the boot state became a checkpoint
+  // (v6) is refused, so no bundle can be checked against it: the base
+  // and every bundle are rebuilt, and the results do not change.
+  const std::string dir = fresh_dir("kfi_service_test_base_v6");
+  ServiceConfig config = base_config(dir);
+  config.bundle_dir = fresh_dir("kfi_service_test_base_v6_bundles");
+  ServiceResult first;
+  const std::optional<Manifest> manifest = prepare_campaign(config, &first);
+  ASSERT_TRUE(manifest.has_value()) << first.error;
+  const std::string path =
+      base_path(config.bundle_dir, manifest->base_workload, manifest->options,
+                manifest->kernel_fp);
+  std::string bytes = read_file_bytes(path).value_or("");
+  ASSERT_GT(bytes.size(), kSealBytes + 8);
+  bytes.resize(bytes.size() - kSealBytes);
+  const std::uint32_t v6 = 6;
+  std::memcpy(bytes.data() + 4, &v6, 4);
+  ASSERT_TRUE(write_sealed_file(path, bytes).has_value());
+  ASSERT_FALSE(load_base(path, manifest->base_workload, manifest->options,
+                         manifest->kernel_fp)
+                   .has_value());
+
+  config.fresh = true;
+  const ServiceResult result = run_service(config);
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(result.bundles_built, manifest->workloads.size());
+  EXPECT_EQ(result.bundles_adopted, 0u);
+  EXPECT_EQ(result.digest, reference_digest());
+  EXPECT_TRUE(load_base(path, manifest->base_workload, manifest->options,
+                        manifest->kernel_fp, manifest->base_hash)
+                  .has_value());
+}
+
 TEST(Service, ManifestWhoseBaseTrailerDiffersIsReprepared) {
   // A partial campaign, then its base file replaced by another valid
   // one: the manifest still loads, but its recorded base trailer no
