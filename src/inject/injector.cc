@@ -1,5 +1,6 @@
 #include "inject/injector.h"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 #include <string>
@@ -220,16 +221,7 @@ InjectionResult Injector::run_triggered(const InjectionSpec& spec,
   // Execution up to the trigger is identical either way — the rung is a
   // state this exact run passes through — so only the replay cost
   // changes, never the result.
-  std::size_t rung_idx = rungs.size();
-  for (std::size_t i = 0; i < rungs.size(); ++i) {
-    if (rungs[i].cycle > window.first) break;
-    rung_idx = i;
-  }
-  if (rung_idx < rungs.size()) {
-    ++stats_.checkpoint_hits;
-  } else {
-    ++stats_.checkpoint_misses;
-  }
+  const std::size_t rung_idx = resume_rung(rungs, window.first);
 
   const std::uint64_t budget = run_budget(ref.cycles);
   // Cycle/budget accounting stays anchored at the post-boot snapshot so
@@ -569,6 +561,23 @@ void Injector::classify(InjectionResult& result, const machine::RunResult& run,
   }
 }
 
+std::size_t Injector::resume_rung(
+    const std::vector<machine::Checkpoint>& ladder, std::uint64_t at) {
+  // The ladder ascends (a bundle invariant): the rung before the first
+  // one past `at`.
+  const auto past = std::upper_bound(
+      ladder.begin(), ladder.end(), at,
+      [](std::uint64_t cycle, const machine::Checkpoint& rung) {
+        return cycle < rung.cycle;
+      });
+  if (past == ladder.begin()) {
+    ++stats_.checkpoint_misses;
+    return ladder.size();
+  }
+  ++stats_.checkpoint_hits;
+  return static_cast<std::size_t>(past - ladder.begin()) - 1;
+}
+
 InjectionResult Injector::run_syscall_errno(const InjectionSpec& spec,
                                             InjectionResult result) {
   const GoldenRun& ref = golden(spec.workload);
@@ -596,17 +605,11 @@ InjectionResult Injector::run_syscall_errno(const InjectionSpec& spec,
   // Resume from the latest rung strictly before the target exit;
   // pre-fault execution is identical to the golden timeline, so the
   // syscall-exit breakpoint fires at exactly the recorded cycles.
-  std::size_t rung_idx = rungs.size();
-  for (std::size_t i = 0; i < rungs.size(); ++i) {
-    if (rungs[i].cycle >= target_cycle) break;
-    rung_idx = i;
-  }
+  const std::size_t rung_idx = resume_rung(rungs, target_cycle - 1);
   if (rung_idx < rungs.size()) {
     machine.restore_checkpoint(rungs[rung_idx], state.rung_memos[rung_idx]);
-    ++stats_.checkpoint_hits;
   } else {
     machine.restore();
-    ++stats_.checkpoint_misses;
   }
 
   const std::uint64_t budget = run_budget(ref.cycles);

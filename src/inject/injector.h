@@ -89,7 +89,7 @@ struct CampaignStats {
 // it.
 struct ShadowLadder {
   // The continuation's state at each ladder rung it stopped at (by
-  // ladder index; sparse captures, Machine::capture_state), up to its
+  // ladder index; compare-only captures, Machine::capture_state), up to its
   // end or to the rung where it reconverged onto the golden ladder.
   std::map<std::size_t, machine::Checkpoint> rungs;
   // Its end-of-run record, classified as if activated at cycle 0, and
@@ -214,6 +214,13 @@ class Injector {
   // machine is stopped at, running it out to `deadline`.
   void build_shadow(WorkloadState& state, const GoldenRun& ref,
                     std::uint64_t deadline, ShadowLadder& shadow);
+
+  // The latest ladder rung at or before cycle `at` — where a run whose
+  // execution up to `at` is golden resumes — or ladder.size() when
+  // none is (the run restores the post-boot state); counted as a
+  // checkpoint hit or miss.
+  std::size_t resume_rung(const std::vector<machine::Checkpoint>& ladder,
+                          std::uint64_t at);
 
   // Trigger-at-instruction models (InstrBit / RegisterBit / DataBit):
   // arm a breakpoint on the target instruction, apply the model's fault

@@ -322,21 +322,18 @@ bool Machine::boot(std::shared_ptr<const BaseImage> base) {
     own->disk = disk_image_->snapshot_blocks();
     base = std::move(own);
     // The arrays are the base image at their current versions.
-    base_mem_memo_ = memory_->page_versions();
-    base_disk_memo_ = disk_image_->block_versions();
+    base_memo_.mem = memory_->page_versions();
+    base_memo_.disk = disk_image_->block_versions();
   } else {
     // Nothing here is known equal to a foreign base: compare it all.
-    base_mem_memo_.clear();
-    base_disk_memo_.clear();
+    base_memo_ = {};
   }
   auto boot = std::make_shared<BootState>();
   // Every run starts from the reset timer phase: the next tick one
   // period out, none pending, not halted.
-  boot->state = cpu_checkpoint(false);
+  boot->state = capture(*base, false);
   boot->state.next_timer = boot->state.cycle + options_.timer_period;
   boot->state.halted = false;
-  boot->state.mem = memory_->snapshot_delta(base->mem, base_mem_memo_);
-  boot->state.disk = disk_image_->snapshot_delta(base->disk, base_disk_memo_);
   boot->base = std::move(base);
   boot_ = std::move(boot);
   // At capture time every page/block trivially equals the BootState, so
@@ -354,14 +351,8 @@ void Machine::adopt_boot(std::shared_ptr<const BootState> boot) {
   // The base memos stay sound for as long as the base does; a memo for
   // another BootState's delta proves nothing about this one.  A machine
   // that never booted knows nothing, so its first restore copies it all.
-  if (boot_ == nullptr || boot_->base != boot->base) {
-    base_mem_memo_.clear();
-    base_disk_memo_.clear();
-  }
-  if (boot_ != boot) {
-    boot_memo_.mem.clear();
-    boot_memo_.disk.clear();
-  }
+  if (boot_ == nullptr || boot_->base != boot->base) base_memo_ = {};
+  if (boot_ != boot) boot_memo_ = {};
   boot_ = std::move(boot);
   booted_ = true;
   load_state(boot_->state, boot_memo_);
@@ -379,15 +370,12 @@ void Machine::restore() {
 void Machine::take_checkpoint(bool timer_pending) {
   // Deltas against the base image, so a rung also stores the pages
   // where this workload's boot differs from the base's.
-  Checkpoint ck = cpu_checkpoint(timer_pending);
-  ck.mem = memory_->snapshot_delta(boot_->base->mem, base_mem_memo_);
-  ck.disk = disk_image_->snapshot_delta(boot_->base->disk, base_disk_memo_);
-  ckpt_out_->push_back(std::move(ck));
+  ckpt_out_->push_back(capture(*boot_->base, timer_pending));
   ++checkpoints_taken_;
   if (liveness_ != nullptr) liveness_->rung();
 }
 
-Checkpoint Machine::cpu_checkpoint(bool timer_pending) const {
+Checkpoint Machine::capture(const BaseImage& base, bool timer_pending) {
   Checkpoint ck;
   ck.cycle = cpu_->cycles();
   ck.console = console_;
@@ -401,19 +389,14 @@ Checkpoint Machine::cpu_checkpoint(bool timer_pending) const {
   ck.next_timer = next_timer_;
   ck.timer_pending = timer_pending;
   ck.halted = cpu_->halted();
+  ck.mem = memory_->snapshot_delta(base.mem, base_memo_.mem);
+  ck.disk = disk_image_->snapshot_delta(base.disk, base_memo_.disk);
   return ck;
 }
 
-Checkpoint Machine::capture_state() const {
+Checkpoint Machine::capture_state() {
   assert(booted_);
-  Checkpoint ck = cpu_checkpoint(timer_pending_resume_);
-  ck.mem = vm::ChunkedSnapshot::sparse(memory_->raw(0), memory_->size(),
-                                       memory_->page_versions(),
-                                       boot_->base->mem, base_mem_memo_);
-  ck.disk = vm::ChunkedSnapshot::sparse(
-      disk_image_->bytes().data(), disk_image_->bytes().size(),
-      disk_image_->block_versions(), boot_->base->disk, base_disk_memo_);
-  return ck;
+  return capture(*boot_->base, timer_pending_resume_);
 }
 
 std::vector<Checkpoint> Machine::capture_checkpoints(
@@ -465,9 +448,9 @@ void Machine::load_state(const Checkpoint& state, CheckpointMemo& memo) {
   // machine's base memo lets those be skipped when already in place —
   // copying only chunks that diverged since this machine last restored
   // the state.
-  memory_->restore_pages(state.mem, memo.mem, &base_mem_memo_);
+  memory_->restore_pages(state.mem, memo.mem, &base_memo_.mem);
   disk_blocks_restored_ +=
-      disk_image_->restore_blocks(state.disk, memo.disk, &base_disk_memo_);
+      disk_image_->restore_blocks(state.disk, memo.disk, &base_memo_.disk);
   for (int i = 0; i < 8; ++i) {
     cpu_->set_reg(static_cast<isa::Reg>(i), state.regs[i]);
   }
@@ -705,10 +688,10 @@ bool Machine::state_matches(const Checkpoint& checkpoint,
   if (crash_fired_) return false;
   if (console_ != checkpoint.console) return false;
   if (!disk_image_->blocks_match(checkpoint.disk, memo.disk,
-                                 &base_disk_memo_)) {
+                                 &base_memo_.disk)) {
     return false;
   }
-  return memory_->pages_match(checkpoint.mem, memo.mem, &base_mem_memo_,
+  return memory_->pages_match(checkpoint.mem, memo.mem, &base_memo_.mem,
                               masked_phys);
 }
 

@@ -329,12 +329,11 @@ class Machine {
                      std::size_t masked_phys) const;
 
   // Captures the current state as a compare-only checkpoint, at the
-  // same kind of segment boundary state_matches() requires.  RAM and
-  // disk are stored as sparse deltas against the base image
-  // (vm::ChunkedSnapshot::sparse), filtered by this machine's own base
-  // memos, so the result carries no dense chunk table.  Compare it with
-  // an empty CheckpointMemo.
-  Checkpoint capture_state() const;
+  // same kind of segment boundary state_matches() requires, as every
+  // rung is captured: RAM and disk as deltas against the base image,
+  // filtered by this machine's own base memo.  Compare it with an empty
+  // CheckpointMemo.
+  Checkpoint capture_state();
 
   // Cycle at which the next timer tick fires.  Constant between two
   // points of one run exactly when no tick fired in between.
@@ -405,23 +404,25 @@ class Machine {
   CrashInfo crash_;
 
   void take_checkpoint(bool timer_pending);
-  // Everything of a checkpoint but its RAM and disk deltas.
-  Checkpoint cpu_checkpoint(bool timer_pending) const;
+  // The one capture every checkpoint goes through — boot state, ladder
+  // rung, shadow rung: the CPU, timer and console state, and RAM and
+  // disk as deltas against `base` through base_memo_, which learns
+  // every chunk found equal to the base.
+  Checkpoint capture(const BaseImage& base, bool timer_pending);
   // The body of restore(), adopt_boot() and restore_checkpoint(): RAM
-  // and disk through `memo` and the base memos, then registers, cycle
+  // and disk through `memo` and the base memo, then registers, cycle
   // counter, halt state, console, crash latch and timer phase.
   void load_state(const Checkpoint& state, CheckpointMemo& memo);
 
   // Post-boot state: captured by boot() or shared in by adopt_boot().
   // The memos are this machine's dirty-tracking state (see
   // vm/snapshot.h) for the BootState's deltas and for its base image;
-  // the base memos also serve every checkpoint on that base, and
-  // survive adopting another BootState on it.
+  // the base memo also serves every checkpoint on that base, and
+  // survives adopting another BootState on it.
   bool booted_ = false;
   std::shared_ptr<const BootState> boot_;
   CheckpointMemo boot_memo_;
-  std::vector<std::uint64_t> base_mem_memo_;
-  std::vector<std::uint64_t> base_disk_memo_;
+  CheckpointMemo base_memo_;
 
   std::uint64_t next_timer_ = 0;
   // A restored checkpoint's in-flight timer tick, consumed by the next

@@ -26,29 +26,38 @@ bool read_snapshot(ByteReader& r, const vm::ChunkedSnapshot* base,
     return false;
   }
 
-  std::vector<std::int32_t> slots;
+  // A delta's stored chunks: a count, then that many indices, strictly
+  // ascending below chunk_count.  The count is bounded by both before
+  // anything is allocated.
+  std::vector<std::uint32_t> index;
   if (is_delta) {
-    const std::uint8_t* sbytes = r.bytes(chunk_count * 4ULL);
-    if (sbytes == nullptr) return false;
-    slots.resize(chunk_count);
-    std::memcpy(slots.data(), sbytes, chunk_count * 4ULL);
-  }
-
-  const std::uint64_t payload_size = r.u64();
-  const std::uint8_t* payload = r.bytes(payload_size);
-  if (payload == nullptr) return false;
-  if (!is_delta && payload_size < size) return false;
-  if (is_delta) {
-    // Every stored slot must lie inside the payload.
-    for (const std::int32_t slot : slots) {
-      if (slot < 0) continue;
-      const std::uint64_t end =
-          (static_cast<std::uint64_t>(slot) + 1) * chunk_size;
-      if (end > payload_size) return false;
+    const std::uint32_t count = r.u32();
+    if (!r.ok() || count > chunk_count || count > r.remaining() / 4) {
+      return false;
+    }
+    if (count > 0) {
+      // The bound above guarantees the bytes are there.
+      index.resize(count);
+      std::memcpy(index.data(), r.bytes(count * 4ULL), count * 4ULL);
+    }
+    for (std::size_t i = 0; i < index.size(); ++i) {
+      if (index[i] >= chunk_count || (i > 0 && index[i] <= index[i - 1])) {
+        return false;
+      }
     }
   }
+
+  // The payload: the whole array, or exactly one chunk slot per stored
+  // chunk.
+  const std::uint64_t payload_size = r.u64();
+  if (payload_size != (is_delta ? index.size() * std::uint64_t{chunk_size}
+                                : size)) {
+    return false;
+  }
+  const std::uint8_t* payload = r.bytes(payload_size);
+  if (payload == nullptr) return false;
   out = vm::ChunkedSnapshot::from_parts(
-      chunk_size, static_cast<std::size_t>(size), base, std::move(slots),
+      chunk_size, static_cast<std::size_t>(size), base, std::move(index),
       payload, static_cast<std::size_t>(payload_size));
   return true;
 }
@@ -70,13 +79,14 @@ void read_regs(ByteReader& r, std::uint32_t (&regs)[8]) {
 }  // namespace
 
 void write_snapshot_header(ByteWriter& w, const vm::ChunkedSnapshot& snap) {
-  assert(!snap.is_sparse());
   w.u32(snap.chunk_size());
   w.u64(snap.size());
   w.u8(snap.is_delta() ? 1 : 0);
   w.u32(snap.chunk_count());
   if (snap.is_delta()) {
-    w.bytes(snap.slots().data(), snap.slots().size() * 4);
+    const std::vector<std::uint32_t>& index = snap.indices();
+    w.u32(static_cast<std::uint32_t>(index.size()));
+    w.bytes(index.data(), index.size() * 4);
   }
   w.u64(snap.payload_size());
 }

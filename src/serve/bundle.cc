@@ -29,7 +29,11 @@ constexpr std::uint32_t kBaseMagic = 0x4B464253;    // "KFBS"
 // v7: the coverage list goes (the first-touch keys are the coverage),
 // and the boot state is written as a checkpoint, with its timer phase,
 // pending flag and halt state (the base file shares the version).
-constexpr std::uint32_t kBundleVersion = 7;
+// v8: a delta snapshot stores its chunks as a u32 count and that many
+// strictly ascending u32 chunk indices, then exactly count chunk slots
+// of payload, instead of a 4-byte slot for every chunk of the array
+// (the base file shares the version).
+constexpr std::uint32_t kBundleVersion = 8;
 
 // The identity header both file kinds open with.  trace_capacity is a
 // run-time knob applied by the Injector, never baked into artifacts, so

@@ -448,16 +448,28 @@ bool prepare_bundles(Manifest& manifest, const std::string& bundle_dir,
     const std::size_t used = std::max<std::size_t>(
         1, std::min<std::size_t>(std::max(threads, 1u), missing.size()));
     constexpr double kMiB = 1024.0 * 1024.0;
+    // The files as they now stand on disk, written or kept.
+    const auto file_mib = [](const std::string& path) {
+      std::error_code ec;
+      const std::uintmax_t bytes = std::filesystem::file_size(path, ec);
+      return ec ? 0.0 : static_cast<double>(bytes) / kMiB;
+    };
+    double bundle_mib = 0.0;
+    for (const std::string& workload : manifest.workloads) {
+      bundle_mib += file_mib(path_of(workload));
+    }
     std::fprintf(stderr,
                  "[kfi-serve] prepare: built %zu and adopted %zu of %zu "
                  "bundles (%zu threads, %.3f s, capture pass %.0f "
                  "Mcycles/s); builder cache held base %.1f MiB, boot "
-                 "deltas %.2f MiB, ladders %.1f MiB\n",
+                 "deltas %.2f MiB, ladders %.1f MiB; files: base %.1f MiB, "
+                 "bundles %.2f MiB\n",
                  missing.size(), manifest.workloads.size() - missing.size(),
                  manifest.workloads.size(), used, took.count(), capture_rate,
                  static_cast<double>(held.base) / kMiB,
                  static_cast<double>(held.boots) / kMiB,
-                 static_cast<double>(held.ladders) / kMiB);
+                 static_cast<double>(held.ladders) / kMiB, file_mib(base_file),
+                 bundle_mib);
   }
   return true;
 }

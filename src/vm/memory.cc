@@ -67,10 +67,4 @@ void PhysicalMemory::restore_pages_full(const ChunkedSnapshot& snap,
   restored_bytes_ += bytes_.size();
 }
 
-void PhysicalMemory::restore(const std::vector<std::uint8_t>& snap) {
-  assert(snap.size() == bytes_.size());
-  std::memcpy(bytes_.data(), snap.data(), bytes_.size());
-  for (std::uint64_t& v : versions_) ++v;
-}
-
 }  // namespace kfi::vm

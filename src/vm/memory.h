@@ -74,8 +74,8 @@ class PhysicalMemory {
   // Full capture of RAM (a base image); page_versions() right after it
   // is this RAM's memo for it.
   ChunkedSnapshot snapshot_pages() const;
-  // Dense capture of the pages that differ from `base` (boot states and
-  // checkpoints; `base` must outlive the returned snapshot).
+  // Delta capture of the pages that differ from `base` (every
+  // checkpoint; `base` must outlive the returned snapshot).
   // `base_memo` — this RAM's memo for `base` — skips proven pages and
   // learns the ones found equal (ChunkedSnapshot::delta).
   ChunkedSnapshot snapshot_delta(const ChunkedSnapshot& base,
@@ -103,9 +103,8 @@ class PhysicalMemory {
   }
   const std::vector<std::uint64_t>& page_versions() const { return versions_; }
 
-  // ---- legacy whole-RAM snapshots ----
+  // A plain copy of all of RAM (test fixtures compare against it).
   std::vector<std::uint8_t> snapshot() const { return bytes_; }
-  void restore(const std::vector<std::uint8_t>& snap);
 
   // Cumulative restore-cost counters (perf telemetry).
   std::uint64_t restore_calls() const { return restore_calls_; }

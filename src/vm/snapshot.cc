@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <functional>
 
 namespace kfi::vm {
 
@@ -38,7 +39,6 @@ ChunkedSnapshot ChunkedSnapshot::delta(
   snap.chunk_count_ = base.chunk_count_;
   assert(versions.size() >= snap.chunk_count_);
   snap.base_ = &base;
-  snap.slot_.assign(snap.chunk_count_, -1);
   if (base_memo.size() < snap.chunk_count_) {
     base_memo.assign(snap.chunk_count_, kUnknownVersion);
   }
@@ -50,32 +50,6 @@ ChunkedSnapshot ChunkedSnapshot::delta(
       base_memo[i] = versions[i];
       continue;
     }
-    snap.slot_[i] = static_cast<std::int32_t>(snap.data_.size() / snap.chunk_size_);
-    const std::size_t at = snap.data_.size();
-    snap.data_.resize(at + snap.chunk_size_, 0);
-    std::memcpy(snap.data_.data() + at, live, len);
-  }
-  snap.data_.shrink_to_fit();
-  return snap;
-}
-
-ChunkedSnapshot ChunkedSnapshot::sparse(
-    const std::uint8_t* data, std::size_t size,
-    const std::vector<std::uint64_t>& versions, const ChunkedSnapshot& base,
-    const std::vector<std::uint64_t>& base_memo) {
-  assert(base.valid() && !base.is_delta());
-  assert(size == base.size_);
-  ChunkedSnapshot snap;
-  snap.chunk_size_ = base.chunk_size_;
-  snap.size_ = size;
-  snap.chunk_count_ = base.chunk_count_;
-  assert(versions.size() >= snap.chunk_count_);
-  snap.base_ = &base;
-  for (std::uint32_t i = 0; i < snap.chunk_count_; ++i) {
-    if (i < base_memo.size() && versions[i] == base_memo[i]) continue;
-    const std::uint32_t len = snap.chunk_len(i);
-    const std::uint8_t* live = data + static_cast<std::size_t>(i) * snap.chunk_size_;
-    if (std::memcmp(live, base.chunk(i), len) == 0) continue;
     snap.index_.push_back(i);
     const std::size_t at = snap.data_.size();
     snap.data_.resize(at + snap.chunk_size_, 0);
@@ -86,26 +60,16 @@ ChunkedSnapshot ChunkedSnapshot::sparse(
   return snap;
 }
 
-std::int32_t ChunkedSnapshot::slot_of(std::uint32_t index) const {
-  if (!slot_.empty()) return slot_[index];
-  const auto it = std::lower_bound(index_.begin(), index_.end(), index);
-  return it != index_.end() && *it == index
-             ? static_cast<std::int32_t>(it - index_.begin())
-             : -1;
-}
-
 const std::uint8_t* ChunkedSnapshot::chunk(std::uint32_t index) const {
-  if (base_ == nullptr) {
-    return payload() + static_cast<std::size_t>(index) * chunk_size_;
-  }
-  const std::int32_t slot = slot_of(index);
-  if (slot < 0) return base_->chunk(index);
-  return payload() + static_cast<std::size_t>(slot) * chunk_size_;
+  const auto it = std::lower_bound(index_.begin(), index_.end(), index);
+  const bool stored = it != index_.end() && *it == index;
+  return chunk_bytes(index, stored,
+                     static_cast<std::size_t>(it - index_.begin()));
 }
 
 ChunkedSnapshot ChunkedSnapshot::from_parts(
     std::uint32_t chunk_size, std::size_t size, const ChunkedSnapshot* base,
-    std::vector<std::int32_t> slots, const std::uint8_t* payload,
+    std::vector<std::uint32_t> index, const std::uint8_t* payload,
     std::size_t payload_size) {
   assert(chunk_size != 0);
   ChunkedSnapshot snap;
@@ -115,11 +79,14 @@ ChunkedSnapshot ChunkedSnapshot::from_parts(
   if (base != nullptr) {
     assert(base->valid() && !base->is_delta());
     assert(size == base->size_ && chunk_size == base->chunk_size_);
-    assert(slots.size() >= snap.chunk_count_);
+    assert(std::adjacent_find(index.begin(), index.end(),
+                              std::greater_equal<>()) == index.end());
+    assert(index.empty() || index.back() < snap.chunk_count_);
+    assert(payload_size == index.size() * chunk_size);
     snap.base_ = base;
-    snap.slot_ = std::move(slots);
+    snap.index_ = std::move(index);
   } else {
-    assert(payload_size >= size);
+    assert(index.empty() && payload_size == size);
   }
   snap.view_ = payload;
   snap.view_size_ = payload_size;
@@ -133,11 +100,15 @@ bool ChunkedSnapshot::matches(const std::uint8_t* data,
                               std::size_t masked) const {
   assert(valid());
   assert(versions.size() >= chunk_count_);
+  // `next` walks the stored-chunk list alongside the chunk loop.
+  std::size_t next = 0;
   for (std::uint32_t i = 0; i < chunk_count_; ++i) {
-    if (proven_equal(i, versions[i], memo, base_memo)) continue;
+    const bool stored = next < index_.size() && index_[next] == i;
+    const std::size_t slot = stored ? next++ : 0;
+    if (proven_equal(i, versions[i], stored, memo, base_memo)) continue;
     const std::size_t begin = static_cast<std::size_t>(i) * chunk_size_;
     const std::uint8_t* live = data + begin;
-    const std::uint8_t* want = chunk(i);
+    const std::uint8_t* want = chunk_bytes(i, stored, slot);
     const std::uint32_t len = chunk_len(i);
     if (masked >= begin && masked < begin + len) {
       const std::size_t off = masked - begin;
@@ -165,14 +136,17 @@ std::uint32_t ChunkedSnapshot::restore_into(
     base_memo->assign(chunk_count_, kUnknownVersion);
   }
   std::uint32_t copied = 0;
+  std::size_t next = 0;
   for (std::uint32_t i = 0; i < chunk_count_; ++i) {
-    if (proven_equal(i, versions[i], memo, base_memo)) continue;
-    std::memcpy(data + static_cast<std::size_t>(i) * chunk_size_, chunk(i),
-                chunk_len(i));
+    const bool stored = next < index_.size() && index_[next] == i;
+    const std::size_t slot = stored ? next++ : 0;
+    if (proven_equal(i, versions[i], stored, memo, base_memo)) continue;
+    std::memcpy(data + static_cast<std::size_t>(i) * chunk_size_,
+                chunk_bytes(i, stored, slot), chunk_len(i));
     ++versions[i];
     memo[i] = versions[i];
     // A base-resolved chunk now also equals the base at this version.
-    if (base_ != nullptr && base_memo != nullptr && slot_of(i) < 0) {
+    if (base_ != nullptr && base_memo != nullptr && !stored) {
       (*base_memo)[i] = versions[i];
     }
     ++copied;

@@ -5,10 +5,13 @@
 // version.  restore_into() copies back only the chunks whose version
 // moved since the last restore *from this snapshot into this array* —
 // so the per-run "reboot" costs O(pages the run dirtied) instead of
-// O(machine size).  A delta snapshot additionally stores only the
-// chunks that differ from a base full snapshot, so a ladder of mid-run
-// checkpoints costs memory proportional to what the run has written so
-// far, not K full RAM images.
+// O(machine size).  A delta snapshot stores only the chunks that differ
+// from a base full snapshot: an ascending list of their chunk indices
+// and a payload packing their bytes in that order, one chunk_size slot
+// each.  That one form serves every checkpoint — a post-boot state, a
+// ladder rung, a shadow rung — so a ladder of mid-run checkpoints costs
+// memory proportional to what the run has written so far, not K full
+// RAM images, and no per-chunk table.
 //
 // Snapshots are immutable after capture.  The "which chunks still equal
 // this snapshot" bookkeeping lives in a caller-owned memo (one
@@ -57,29 +60,19 @@ class ChunkedSnapshot {
   static ChunkedSnapshot full(const std::uint8_t* data, std::size_t size,
                               std::uint32_t chunk_size);
 
-  // Dense capture against `base` (a full snapshot of an array of the
+  // Delta capture against `base` (a full snapshot of an array of the
   // same geometry, which must outlive this snapshot): stores only the
-  // chunks whose content differs from base, indexed by a per-chunk slot
-  // table.  Only `base_memo` — the caller's memo for `base` on this
-  // array — may skip a comparison; every other chunk is compared byte
-  // for byte, so the capture is sound on any array, whatever its
-  // version history.  Chunks found equal are recorded in `base_memo`
-  // (resized to fresh_memo() first if it does not match base yet).
+  // chunks whose content differs from base, as an ascending index list
+  // and a packed payload.  Only `base_memo` — the caller's memo for
+  // `base` on this array — may skip a comparison; every other chunk is
+  // compared byte for byte, so the capture is sound on any array,
+  // whatever its version history.  Chunks found equal are recorded in
+  // `base_memo` (resized to fresh_memo() first if it does not match
+  // base yet).
   static ChunkedSnapshot delta(const std::uint8_t* data, std::size_t size,
                                const std::vector<std::uint64_t>& versions,
                                const ChunkedSnapshot& base,
                                std::vector<std::uint64_t>& base_memo);
-
-  // Sparse capture against `base`, filtered by `base_memo` as delta()
-  // is (which it leaves untouched).  The differing chunks are indexed
-  // by a sorted list instead of a dense per-chunk table, so the
-  // snapshot costs its payload plus a few bytes per stored chunk.  It
-  // can be compared and restored like a dense delta but not
-  // serialized.
-  static ChunkedSnapshot sparse(const std::uint8_t* data, std::size_t size,
-                                const std::vector<std::uint64_t>& versions,
-                                const ChunkedSnapshot& base,
-                                const std::vector<std::uint64_t>& base_memo);
 
   // The all-unknown memo: the first restore through it copies every
   // chunk (there is no prior equality knowledge to exploit).
@@ -126,18 +119,21 @@ class ChunkedSnapshot {
   std::uint64_t payload_size() const {
     return view_ != nullptr ? view_size_ : data_.size();
   }
-  // Dense deltas only.
-  const std::vector<std::int32_t>& slots() const { return slot_; }
+  // Deltas only: the stored chunks, ascending; payload slot k holds
+  // chunk indices()[k].
+  const std::vector<std::uint32_t>& indices() const { return index_; }
 
   // Reconstructs a snapshot from serialized parts.  `base` must be
-  // nullptr for a full snapshot; for a delta it is the full snapshot
-  // the slots resolve through (and must outlive the result).  The
-  // snapshot only *views* `payload` — the zero-copy path for mmap'd
-  // golden bundles, where the caller guarantees the mapping outlives
-  // every borrower.
+  // nullptr for a full snapshot (and `index` empty); for a delta it is
+  // the full snapshot the unstored chunks resolve through (and must
+  // outlive the result), `index` is strictly ascending below
+  // chunk_count() and the payload holds exactly index.size() chunk
+  // slots — the caller validates all three.  The snapshot only *views*
+  // `payload` — the zero-copy path for mmap'd golden bundles, where the
+  // caller guarantees the mapping outlives every borrower.
   static ChunkedSnapshot from_parts(std::uint32_t chunk_size, std::size_t size,
                                     const ChunkedSnapshot* base,
-                                    std::vector<std::int32_t> slots,
+                                    std::vector<std::uint32_t> index,
                                     const std::uint8_t* payload,
                                     std::size_t payload_size);
 
@@ -146,8 +142,6 @@ class ChunkedSnapshot {
   std::uint32_t chunk_size() const { return chunk_size_; }
   std::size_t size() const { return size_; }
   bool is_delta() const { return base_ != nullptr; }
-  // A sparse() capture (a dense delta always has a slot per chunk).
-  bool is_sparse() const { return is_delta() && slot_.empty(); }
   // The full snapshot a delta resolves through (nullptr for full
   // snapshots).  Lets machines assert a shared checkpoint really was
   // captured against their own base image.
@@ -166,19 +160,25 @@ class ChunkedSnapshot {
     return left < chunk_size_ ? static_cast<std::uint32_t>(left) : chunk_size_;
   }
   // True when the chunk is proven byte-identical to this snapshot by
-  // the caller's equality knowledge alone.
-  bool proven_equal(std::uint32_t index, std::uint64_t version,
+  // the caller's equality knowledge alone.  `stored`: this delta stores
+  // the chunk (false for every chunk of a full snapshot).
+  bool proven_equal(std::uint32_t index, std::uint64_t version, bool stored,
                     const std::vector<std::uint64_t>& memo,
                     const std::vector<std::uint64_t>* base_memo) const {
     if (index < memo.size() && version == memo[index]) return true;
     // A chunk the delta does not store equals the base; equality with
     // the base is equality with this snapshot.
-    return base_ != nullptr && slot_of(index) < 0 && base_memo != nullptr &&
+    return base_ != nullptr && !stored && base_memo != nullptr &&
            index < base_memo->size() && version == (*base_memo)[index];
   }
-  // Delta snapshots: the packed payload index of a stored chunk, or -1
-  // when the chunk resolves through the base.
-  std::int32_t slot_of(std::uint32_t index) const;
+  // The bytes of chunk `index`: payload slot `slot` when this delta
+  // stores it, else the base's (or, for a full snapshot, its own) chunk.
+  const std::uint8_t* chunk_bytes(std::uint32_t index, bool stored,
+                                  std::size_t slot) const {
+    if (stored) return payload() + slot * chunk_size_;
+    const ChunkedSnapshot& full = base_ != nullptr ? *base_ : *this;
+    return full.payload() + static_cast<std::size_t>(index) * chunk_size_;
+  }
 
   std::uint32_t chunk_size_ = 0;
   std::uint32_t chunk_count_ = 0;
@@ -190,8 +190,7 @@ class ChunkedSnapshot {
   // golden bundle) owns the bytes.
   const std::uint8_t* view_ = nullptr;
   std::size_t view_size_ = 0;
-  std::vector<std::int32_t> slot_;    // delta: chunk -> packed index, -1=base
-  std::vector<std::uint32_t> index_;  // sparse: stored chunks, ascending
+  std::vector<std::uint32_t> index_;  // delta: stored chunks, ascending
 };
 
 }  // namespace kfi::vm

@@ -22,6 +22,7 @@
 #include "check/expectations.h"
 #include "inject/golden.h"
 #include "kernel/build.h"
+#include "machine/state_io.h"
 #include "serve/service.h"
 #include "support/fsio.h"
 #include "support/serial.h"
@@ -358,16 +359,141 @@ TEST_F(BundleTest, VersionThreeBundleIsRejectedAndReprepared) {
       });
 }
 
+// A rewrite that stamps today's payload with an older `version` and
+// reseals it, so the version alone can reject it.
+std::function<void(std::string&, const inject::WorkloadGolden&,
+                   const std::string&)>
+restamped(std::uint32_t version) {
+  return [version](std::string& bytes, const inject::WorkloadGolden&,
+                   const std::string&) {
+    set_version(bytes, version);
+    const std::uint64_t seal = content_hash(bytes.data(), bytes.size());
+    bytes.append(reinterpret_cast<const char*>(&seal), sizeof seal);
+  };
+}
+
 TEST_F(BundleTest, VersionSixBundleIsRejectedAndReprepared) {
   // A sealed bundle stamped v6 (before the coverage list went and the
   // boot state became a checkpoint) is rejected by its version alone.
-  expect_rewritten_bundles_reprepared(
-      "kfi_bundle_test_v6", options(), kernel_fp_,
-      [](std::string& bytes, const inject::WorkloadGolden&,
-         const std::string&) {
-        set_version(bytes, 6);
-        const std::uint64_t seal = content_hash(bytes.data(), bytes.size());
-        bytes.append(reinterpret_cast<const char*>(&seal), sizeof seal);
+  expect_rewritten_bundles_reprepared("kfi_bundle_test_v6", options(),
+                                      kernel_fp_, restamped(6));
+}
+
+TEST_F(BundleTest, VersionSevenBundleIsRejectedAndReprepared) {
+  // A sealed bundle stamped v7 (before every delta became an index
+  // list) is rejected by its version alone.
+  expect_rewritten_bundles_reprepared("kfi_bundle_test_v7", options(),
+                                      kernel_fp_, restamped(7));
+}
+
+// Writes the suite's artifact as a bundle, applies `edit` to the bytes
+// of its last ladder rung's RAM delta, reseals it — so the checksum
+// holds and the parser must catch the edit — and requires load_bundle
+// to refuse it.  `at` is the delta's offset in the unsealed bytes: its
+// chunk size, array size, delta flag and chunk count, then the stored
+// chunk count at at + 17, the indices from at + 21, and the payload
+// size after them.
+void expect_delta_edit_rejected(
+    const std::string& name, const inject::WorkloadGolden& artifact,
+    std::uint64_t kernel_fp, const LoadedBase& base,
+    const std::function<void(std::string& bytes, std::size_t at,
+                             const vm::ChunkedSnapshot& mem)>& edit) {
+  const std::string path = fresh_dir(name) + "/bundle.kfib";
+  ASSERT_TRUE(write_bundle(path, "pipe", artifact, {}, kernel_fp,
+                           base.content_hash)
+                  .has_value());
+  ASSERT_TRUE(load_bundle(path, "pipe", {}, kernel_fp, base).has_value());
+  std::string bytes = read_file_bytes(path).value_or("");
+  ASSERT_GT(bytes.size(), kSealBytes);
+  bytes.resize(bytes.size() - kSealBytes);
+
+  // The rung serialized on its own is found in the file; its RAM delta
+  // is what precedes its disk delta at the end.
+  const machine::Checkpoint& rung = artifact.ladder.back();
+  ASSERT_GE(rung.mem.indices().size(), 2u);
+  ByteWriter whole;
+  machine::write_checkpoint(whole, rung);
+  const std::size_t rung_at = bytes.find(whole.buffer());
+  ASSERT_NE(rung_at, std::string::npos);
+  ByteWriter mem_head;
+  machine::write_snapshot_header(mem_head, rung.mem);
+  ByteWriter disk_head;
+  machine::write_snapshot_header(disk_head, rung.disk);
+  const std::size_t at = rung_at + whole.size() - disk_head.size() -
+                         rung.disk.payload_size() - mem_head.size() -
+                         rung.mem.payload_size();
+  ASSERT_EQ(bytes.compare(at, mem_head.size(), mem_head.buffer()), 0);
+
+  edit(bytes, at, rung.mem);
+  ASSERT_TRUE(write_sealed_file(path, bytes).has_value());
+  EXPECT_FALSE(load_bundle(path, "pipe", {}, kernel_fp, base).has_value());
+}
+
+std::uint32_t get_u32(const std::string& bytes, std::size_t at) {
+  std::uint32_t value = 0;
+  std::memcpy(&value, bytes.data() + at, 4);
+  return value;
+}
+
+void put_u32(std::string& bytes, std::size_t at, std::uint32_t value) {
+  std::memcpy(bytes.data() + at, &value, 4);
+}
+
+TEST_F(BundleTest, DescendingDeltaIndicesAreRejected) {
+  // Restores and compares walk the list in step with the chunks.
+  expect_delta_edit_rejected(
+      "kfi_bundle_test_descending_index", cache_->workload("pipe"),
+      kernel_fp_, *base_,
+      [](std::string& bytes, std::size_t at, const vm::ChunkedSnapshot&) {
+        const std::uint32_t first = get_u32(bytes, at + 21);
+        put_u32(bytes, at + 21, get_u32(bytes, at + 25));
+        put_u32(bytes, at + 25, first);
+      });
+}
+
+TEST_F(BundleTest, RepeatedDeltaIndexIsRejected) {
+  expect_delta_edit_rejected(
+      "kfi_bundle_test_repeated_index", cache_->workload("pipe"), kernel_fp_,
+      *base_,
+      [](std::string& bytes, std::size_t at, const vm::ChunkedSnapshot&) {
+        put_u32(bytes, at + 25, get_u32(bytes, at + 21));
+      });
+}
+
+TEST_F(BundleTest, DeltaIndexPastTheArrayIsRejected) {
+  // The last index names the chunk just past RAM: still ascending.
+  expect_delta_edit_rejected(
+      "kfi_bundle_test_index_past_array", cache_->workload("pipe"),
+      kernel_fp_, *base_,
+      [](std::string& bytes, std::size_t at, const vm::ChunkedSnapshot& mem) {
+        const std::size_t last = at + 21 + 4 * (mem.indices().size() - 1);
+        put_u32(bytes, last, mem.chunk_count());
+      });
+}
+
+TEST_F(BundleTest, DeltaCountPastTheBytesLeftIsRejected) {
+  // The file ends one index into the list: the count is within the
+  // chunk count but promises more indices than there are bytes.
+  expect_delta_edit_rejected(
+      "kfi_bundle_test_count_past_end", cache_->workload("pipe"), kernel_fp_,
+      *base_,
+      [](std::string& bytes, std::size_t at, const vm::ChunkedSnapshot& mem) {
+        ASSERT_LE(get_u32(bytes, at + 17), mem.chunk_count());
+        bytes.resize(at + 21 + 4);
+      });
+}
+
+TEST_F(BundleTest, DeltaPayloadOfTheWrongSizeIsRejected) {
+  // One index fewer, the payload kept: it holds a chunk slot too many,
+  // and everything after it still parses.
+  expect_delta_edit_rejected(
+      "kfi_bundle_test_payload_size", cache_->workload("pipe"), kernel_fp_,
+      *base_,
+      [](std::string& bytes, std::size_t at, const vm::ChunkedSnapshot& mem) {
+        const std::uint32_t count = get_u32(bytes, at + 17);
+        put_u32(bytes, at + 17, count - 1);
+        bytes.erase(at + 21 + 4 * (count - 1), 4);
+        ASSERT_EQ(count, mem.indices().size());
       });
 }
 
@@ -520,18 +646,34 @@ TEST_F(BundleTest, BaseFileBitFlipAnywhereIsRejected) {
                   .has_value());
 }
 
-TEST_F(BundleTest, VersionSixBaseFileIsRejected) {
-  const std::string path = fresh_dir("kfi_bundle_test_base_v6") + "/base.kfib";
-  std::string bytes = read_file_bytes(base_path_).value_or("");
+// Restamps the suite's base file with an older `version`, resealed:
+// the version alone rejects it, and the same bytes at the current
+// version load.
+void expect_base_version_rejected(const std::string& name,
+                                  const std::string& base_file,
+                                  std::uint64_t kernel_fp,
+                                  std::uint32_t version) {
+  const std::string path = fresh_dir(name) + "/base.kfib";
+  std::string bytes = read_file_bytes(base_file).value_or("");
   ASSERT_GT(bytes.size(), base_header("pipe") + kSealBytes);
   bytes.resize(bytes.size() - kSealBytes);
-  set_version(bytes, 6);
+  set_version(bytes, version);
   ASSERT_TRUE(write_sealed_file(path, bytes).has_value());
-  EXPECT_FALSE(load_base(path, "pipe", options(), kernel_fp_).has_value());
+  EXPECT_FALSE(load_base(path, "pipe", {}, kernel_fp).has_value());
   // The same bytes at the current version load.
-  set_version(bytes, 7);
+  set_version(bytes, 8);
   ASSERT_TRUE(write_sealed_file(path, bytes).has_value());
-  EXPECT_TRUE(load_base(path, "pipe", options(), kernel_fp_).has_value());
+  EXPECT_TRUE(load_base(path, "pipe", {}, kernel_fp).has_value());
+}
+
+TEST_F(BundleTest, VersionSixBaseFileIsRejected) {
+  expect_base_version_rejected("kfi_bundle_test_base_v6", base_path_,
+                               kernel_fp_, 6);
+}
+
+TEST_F(BundleTest, VersionSevenBaseFileIsRejected) {
+  expect_base_version_rejected("kfi_bundle_test_base_v7", base_path_,
+                               kernel_fp_, 7);
 }
 
 TEST_F(BundleTest, DeterministicBytesAcrossRewrites) {

@@ -1,9 +1,10 @@
 // Dirty-page snapshot/restore: the version-tracked restore must be
 // bit-identical to a full-image copy under arbitrary write patterns,
-// including repeated restores from the same snapshot, sparse delta
-// snapshots layered over a full base, and one immutable snapshot shared
-// between several memories each holding a private equality memo (which
-// may also capture sparse deltas against it).
+// including repeated restores from the same snapshot, delta snapshots
+// (an ascending index list of the pages that differ) layered over a
+// full base, and one immutable snapshot shared between several
+// memories each holding a private equality memo (which may also
+// capture deltas against it).
 #include "vm/memory.h"
 #include "vm/snapshot.h"
 
@@ -200,11 +201,12 @@ TEST(MemorySnapshot, SharedSnapshotAcrossMemoriesWithPrivateMemos) {
   ASSERT_EQ(contents(capturer), base_state);
 }
 
-// A machine that adopted a shared image captures rungs against it with
-// ChunkedSnapshot::delta and shadow rungs with ChunkedSnapshot::sparse:
-// its page versions mean nothing against the capturer's, so only its
-// own base memo may skip a comparison — even where a version collides
-// with the one the capturer held at capture time.
+// A machine that adopted a shared image captures every checkpoint
+// against it with ChunkedSnapshot::delta: its page versions mean
+// nothing against the capturer's, so only its own base memo may skip a
+// comparison — even where a version collides with the one the capturer
+// held at capture time.  A second capture through the memo the first
+// one taught stores the same pages.
 TEST(MemorySnapshot, SparseCaptureOnForeignMemoryTrustsOnlyItsOwnMemo) {
   PhysicalMemory capturer(kSize);
   for (int i = 0; i < 500; ++i) {
@@ -225,32 +227,34 @@ TEST(MemorySnapshot, SparseCaptureOnForeignMemoryTrustsOnlyItsOwnMemo) {
   foreign.write8(3 * 4096 + 7, 0x77);
 
   // Both captures compare the two written pages and store just them.
-  std::vector<std::uint64_t> dense_memo = base_memo;
-  const ChunkedSnapshot dense = foreign.snapshot_delta(base, dense_memo);
-  EXPECT_FALSE(dense.is_sparse());
-  EXPECT_EQ(dense.storage_bytes(), 2u * 4096);
-  EXPECT_TRUE(dense.matches(foreign.raw(0), foreign.page_versions(), {},
-                            &dense_memo));
-  const ChunkedSnapshot sparse = ChunkedSnapshot::sparse(
+  const std::vector<std::uint32_t> written = {0, 3};
+  std::vector<std::uint64_t> first_memo = base_memo;
+  const ChunkedSnapshot first = foreign.snapshot_delta(base, first_memo);
+  EXPECT_EQ(first.indices(), written);
+  EXPECT_EQ(first.storage_bytes(), 2u * 4096);
+  EXPECT_TRUE(first.matches(foreign.raw(0), foreign.page_versions(), {},
+                            &first_memo));
+  std::vector<std::uint64_t> taught_memo = first_memo;
+  const ChunkedSnapshot again = ChunkedSnapshot::delta(
       foreign.raw(0), foreign.size(), foreign.page_versions(), base,
-      base_memo);
-  EXPECT_TRUE(sparse.is_sparse());
-  EXPECT_TRUE(sparse.slots().empty());
-  EXPECT_EQ(sparse.storage_bytes(), 2u * 4096);
-  EXPECT_TRUE(sparse.matches(foreign.raw(0), foreign.page_versions(), {},
-                             &base_memo));
+      taught_memo);
+  EXPECT_EQ(again.indices(), written);
+  EXPECT_EQ(again.indices(), first.indices());
+  EXPECT_EQ(again.storage_bytes(), 2u * 4096);
+  EXPECT_TRUE(again.matches(foreign.raw(0), foreign.page_versions(), {},
+                            &base_memo));
 
   PhysicalMemory copy(kSize);
   std::vector<std::uint64_t> copy_memo;
   std::vector<std::uint64_t> copy_base_memo;
-  copy.restore_pages(sparse, copy_memo, &copy_base_memo);
+  copy.restore_pages(again, copy_memo, &copy_base_memo);
   EXPECT_EQ(contents(copy), contents(foreign));
 
   foreign.write8(5 * 4096, 0x01);
-  EXPECT_FALSE(sparse.matches(foreign.raw(0), foreign.page_versions(), {},
-                              &base_memo));
-  EXPECT_FALSE(dense.matches(foreign.raw(0), foreign.page_versions(), {},
-                             &dense_memo));
+  EXPECT_FALSE(again.matches(foreign.raw(0), foreign.page_versions(), {},
+                             &base_memo));
+  EXPECT_FALSE(first.matches(foreign.raw(0), foreign.page_versions(), {},
+                             &first_memo));
 }
 
 TEST(MemorySnapshot, FromPartsViewRestoresIdentically) {
@@ -275,8 +279,9 @@ TEST(MemorySnapshot, FromPartsViewRestoresIdentically) {
       << "a view must alias the serialized payload, not copy it";
   ChunkedSnapshot delta_view = ChunkedSnapshot::from_parts(
       delta.chunk_size(), delta.size(), &base_view,
-      delta.slots(), delta.payload(), delta.payload_size());
+      delta.indices(), delta.payload(), delta.payload_size());
   EXPECT_TRUE(delta_view.is_delta());
+  EXPECT_EQ(delta_view.indices(), delta.indices());
 
   // Restores through the reassembled snapshots must land the same bytes
   // as the originals.
