@@ -84,7 +84,7 @@ void print_campaign_stats(const inject::CampaignStats& cs) {
   const std::uint64_t resumes = cs.checkpoint_hits + cs.checkpoint_misses;
   std::printf(
       "perf: %llu restores (%.1f KiB RAM + %llu disk blocks per restore), "
-      "%llu checkpoints, hit rate %.1f%%, decode cache %.2f%%, "
+      "checkpoint hit rate %.1f%%, decode cache %.2f%%, "
       "pre/post-trigger %.1fM/%.1fM cycles, %llu reconverged "
       "(%llu at a dead data byte)\n",
       static_cast<unsigned long long>(stats.restores),
@@ -94,7 +94,6 @@ void print_campaign_stats(const inject::CampaignStats& cs) {
                 static_cast<double>(stats.restores),
       static_cast<unsigned long long>(
           stats.restores == 0 ? 0 : stats.disk_blocks_restored / stats.restores),
-      static_cast<unsigned long long>(stats.checkpoints_taken),
       resumes == 0 ? 0.0
                    : 100.0 * static_cast<double>(cs.checkpoint_hits) /
                          static_cast<double>(resumes),

@@ -86,13 +86,6 @@ class DiskImage {
   }
   const std::vector<std::uint64_t>& block_versions() const { return versions_; }
 
-  // ---- legacy whole-image snapshots ----
-  std::vector<std::uint8_t> snapshot() const { return bytes_; }
-  void restore(const std::vector<std::uint8_t>& snap) {
-    bytes_ = snap;
-    for (std::uint64_t& v : versions_) ++v;
-  }
-
  private:
   std::vector<std::uint8_t> bytes_;
   std::vector<std::uint64_t> versions_;

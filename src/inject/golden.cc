@@ -281,20 +281,20 @@ void GoldenCache::build(const std::string& name, WorkloadGolden& out) {
   // are the coverage) and, at the syscall-exit store, every syscall
   // return (campaign F's timeline) — and byte liveness recorded (which
   // also yields the written-data footprint, campaign E's target
-  // population), taking the checkpoint ladder as it passes the rung
-  // cycles.  Each rung is a state every injected run passes through
-  // before its trigger fires.  Observing changes nothing the run does,
-  // so the captured timeline is the untraced one.
+  // population).  It stops at each rung cycle with a resumable deadline
+  // exit and captures the rung there, the stop and capture an injected
+  // run makes at a shadow rung and the stop it compares golden rungs
+  // at.  Each rung is a state every injected run passes through before
+  // its trigger fires.  Observing and stopping change nothing the run
+  // does, so the captured timeline is the untraced one.
   const auto capture_began = std::chrono::steady_clock::now();
-  machine.restore();
   CaptureObserver observer(machine.cpu(), syscall_return_site(image_),
                            out.syscalls);
   machine.cpu().set_exec_observer(&observer);
   vm::ByteLiveness liveness(machine.memory().size(), at.size());
   machine.set_liveness(&liveness);
-  machine.arm_checkpoints(std::move(at), &out.ladder);
-  const machine::RunResult run = machine.run(kGoldenBudget);
-  machine.disarm_checkpoints();
+  const machine::RunResult run =
+      machine.capture_ladder(at, kGoldenBudget, out.ladder);
   machine.cpu().set_exec_observer(nullptr);
   machine.set_liveness(nullptr);
   capture_cycles_.fetch_add(machine.cpu().cycles() - start,

@@ -16,6 +16,9 @@ namespace kfi::machine {
 
 using kernel::KernelImage;
 
+// Watchdog for the run from reset to the workload's entry breakpoint.
+constexpr std::uint64_t kBootBudget = 4'000'000;
+
 // ---------------------------------------------------------------------
 // Devices
 // ---------------------------------------------------------------------
@@ -308,7 +311,7 @@ void Machine::install_vectors() {
 
 bool Machine::run_to_entry() {
   cpu_->arm_breakpoint(3, workload_.entry);
-  const RunResult result = run(options_.boot_budget);
+  const RunResult result = run(kBootBudget);
   cpu_->disarm_breakpoint(3);
   return result.exit == RunExit::Breakpoint;
 }
@@ -367,14 +370,6 @@ void Machine::restore() {
   load_state(boot_->state, boot_memo_);
 }
 
-void Machine::take_checkpoint(bool timer_pending) {
-  // Deltas against the base image, so a rung also stores the pages
-  // where this workload's boot differs from the base's.
-  ckpt_out_->push_back(capture(*boot_->base, timer_pending));
-  ++checkpoints_taken_;
-  if (liveness_ != nullptr) liveness_->rung();
-}
-
 Checkpoint Machine::capture(const BaseImage& base, bool timer_pending) {
   Checkpoint ck;
   ck.cycle = cpu_->cycles();
@@ -396,32 +391,33 @@ Checkpoint Machine::capture(const BaseImage& base, bool timer_pending) {
 
 Checkpoint Machine::capture_state() {
   assert(booted_);
+  // Deltas against the base image, so a rung also stores the pages
+  // where this workload's boot differs from the base's.
   return capture(*boot_->base, timer_pending_resume_);
 }
 
-std::vector<Checkpoint> Machine::capture_checkpoints(
-    std::vector<std::uint64_t> at, std::uint64_t max_cycles) {
+RunResult Machine::capture_ladder(const std::vector<std::uint64_t>& at,
+                                  std::uint64_t max_cycles,
+                                  std::vector<Checkpoint>& ladder) {
   assert(booted_);
-  std::vector<Checkpoint> out;
+  ladder.clear();
   restore();
-  arm_checkpoints(std::move(at), &out);
-  run(max_cycles);
-  disarm_checkpoints();
-  return out;
-}
-
-void Machine::arm_checkpoints(std::vector<std::uint64_t> at,
-                              std::vector<Checkpoint>* out) {
-  assert(booted_);
-  ckpt_request_ = std::move(at);
-  ckpt_next_ = 0;
-  ckpt_out_ = out;
-}
-
-void Machine::disarm_checkpoints() {
-  ckpt_out_ = nullptr;
-  ckpt_request_.clear();
-  ckpt_next_ = 0;
+  const std::uint64_t deadline = cpu_->cycles() + max_cycles;
+  for (const std::uint64_t cycle : at) {
+    // The stop of the last rung already reached this cycle.
+    if (!ladder.empty() && ladder.back().cycle >= cycle) continue;
+    if (cpu_->cycles() < cycle) {
+      const RunResult segment =
+          run(cycle - cpu_->cycles(), /*resumable=*/true);
+      if (segment.exit != RunExit::Hung || cpu_->cycles() < cycle) {
+        return segment;
+      }
+    }
+    if (cpu_->cycles() >= deadline) break;
+    ladder.push_back(capture_state());
+    if (liveness_ != nullptr) liveness_->rung();
+  }
+  return run(cpu_->cycles() < deadline ? deadline - cpu_->cycles() : 0);
 }
 
 void Machine::restore_checkpoint(const Checkpoint& checkpoint,
@@ -476,7 +472,6 @@ PerfStats Machine::perf_stats() const {
   stats.pages_restored = memory_->restored_pages();
   stats.bytes_restored = memory_->restored_bytes();
   stats.disk_blocks_restored = disk_blocks_restored_;
-  stats.checkpoints_taken = checkpoints_taken_;
   stats.checkpoint_restores = checkpoint_restores_;
   stats.block_builds = cpu_->blocks_built();
   stats.block_hits = cpu_->block_hits();
@@ -560,17 +555,6 @@ RunResult Machine::run_loop(std::uint64_t max_cycles, bool resumable) {
   const bool block_engine = options_.exec_engine != ExecEngine::Step;
 
   while (cpu_->cycles() < deadline) {
-    // Checkpoint capture sits at the exact point a restored checkpoint
-    // resumes from: top of the loop, before the timer check.
-    if (ckpt_out_ != nullptr && ckpt_next_ < ckpt_request_.size() &&
-        cpu_->cycles() >= ckpt_request_[ckpt_next_]) {
-      take_checkpoint(timer_pending);
-      while (ckpt_next_ < ckpt_request_.size() &&
-             ckpt_request_[ckpt_next_] <= cpu_->cycles()) {
-        ++ckpt_next_;
-      }
-    }
-
     if (cpu_->cycles() >= next_timer_) {
       timer_pending = true;
       next_timer_ += options_.timer_period;
@@ -588,18 +572,11 @@ RunResult Machine::run_loop(std::uint64_t max_cycles, bool resumable) {
     // where the stepper has it.
     if (block_engine && next_timer_ > cpu_->cycles()) {
       // Bound the block so the first loop top at or past any host
-      // boundary (run deadline, timer arm, checkpoint rung) is reached
-      // exactly as the stepper reaches it: no event can fire mid-block.
+      // boundary (run deadline, timer arm) is reached exactly as the
+      // stepper reaches it: no event can fire mid-block.
       std::uint64_t limit = deadline - cpu_->cycles();
       const std::uint64_t to_timer = next_timer_ - cpu_->cycles();
       if (to_timer < limit) limit = to_timer;
-      if (ckpt_out_ != nullptr && ckpt_next_ < ckpt_request_.size()) {
-        // Invariant: any pending request is > cycles here (requests at
-        // or below were consumed by the capture block above).
-        const std::uint64_t to_ckpt =
-            ckpt_request_[ckpt_next_] - cpu_->cycles();
-        if (to_ckpt < limit) limit = to_ckpt;
-      }
       stepped = cpu_->run_block(limit, &crash_fired_, event) == 0;
     }
     if (stepped) event = cpu_->step();
@@ -702,7 +679,6 @@ PerfStats& PerfStats::operator+=(const PerfStats& o) {
   pages_restored += o.pages_restored;
   bytes_restored += o.bytes_restored;
   disk_blocks_restored += o.disk_blocks_restored;
-  checkpoints_taken += o.checkpoints_taken;
   checkpoint_restores += o.checkpoint_restores;
   block_builds += o.block_builds;
   block_hits += o.block_hits;
@@ -726,7 +702,6 @@ PerfStats& PerfStats::operator-=(const PerfStats& o) {
   pages_restored -= o.pages_restored;
   bytes_restored -= o.bytes_restored;
   disk_blocks_restored -= o.disk_blocks_restored;
-  checkpoints_taken -= o.checkpoints_taken;
   checkpoint_restores -= o.checkpoint_restores;
   block_builds -= o.block_builds;
   block_hits -= o.block_hits;

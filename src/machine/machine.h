@@ -59,12 +59,12 @@ struct RunResult {
 // Which execution engine run() drives.  Step is the reference
 // single-dispatch path and the semantic oracle.  Chained routes
 // straight-line runs through the CPU's trace cache when no host event
-// (timer tick, checkpoint rung, deadline, trace sink) can fire inside
-// the dispatch: traces widen across direct jmp/call, patched
-// block-to-block successor links are followed inside one dispatch, and
-// proven-hit fetch translations are shortcut.  Both engines share the
-// CPU's inline TLB-hit data path and are bit-identical for every
-// run-visible outcome.
+// (timer tick, deadline, trace sink) can fire inside the dispatch:
+// traces widen across direct jmp/call, patched block-to-block successor
+// links are followed inside one dispatch, and proven-hit fetch
+// translations are shortcut.  Both engines share the CPU's inline
+// TLB-hit data path and are bit-identical for every run-visible
+// outcome.
 enum class ExecEngine : std::uint8_t { Step, Chained };
 
 // Parses a KFI_EXEC value: "step" or "chained"; nullptr or empty means
@@ -81,7 +81,6 @@ ExecEngine default_exec_engine();
 
 struct MachineOptions {
   std::uint32_t timer_period = kernel::kTimerPeriodCycles;
-  std::uint64_t boot_budget = 4'000'000;
   ExecEngine exec_engine = default_exec_engine();
 };
 
@@ -174,7 +173,6 @@ struct PerfStats {
   std::uint64_t pages_restored = 0;   // RAM pages copied by restores
   std::uint64_t bytes_restored = 0;   // RAM bytes copied by restores
   std::uint64_t disk_blocks_restored = 0;
-  std::uint64_t checkpoints_taken = 0;
   std::uint64_t checkpoint_restores = 0;
   // Trace cache (all zero under ExecEngine::Step).
   std::uint64_t block_builds = 0;
@@ -276,7 +274,11 @@ class Machine {
   // timer tick pending for the next run() call, so running to cycle C
   // in several segments is bit-identical to one continuous run — the
   // default drops the tick, which short-budget pollers (the profiler)
-  // and the committed replay artifacts depend on.
+  // and the committed replay artifacts depend on.  That deadline stop
+  // is the one boundary every checkpoint rung is captured at
+  // (capture_ladder, capture_state) and compared at (state_matches).
+  // A deadline inside a halted idle stretch stops, still halted, at
+  // exactly the deadline.
   RunResult run(std::uint64_t max_cycles, bool resumable = false);
 
   // Restores the post-boot snapshot and the pristine disk ("reboot"):
@@ -285,27 +287,23 @@ class Machine {
   // restore.
   void restore();
 
-  // Replays the run from the post-boot snapshot (exactly restore() +
-  // run(max_cycles)) and captures a checkpoint at the first loop
-  // iteration at or after each cycle in `at` (ascending; points the
-  // run never reaches are skipped).  Checkpoints land on the identical
-  // deterministic timeline every restore()-based run follows, so
+  // Replays the run from the post-boot snapshot — restore(), then
+  // run(max_cycles) with no breakpoint armed — and replaces `ladder`
+  // with a checkpoint at each cycle in `at` (ascending), taken the way
+  // an injected run stops at a rung: a resumable run() to the cycle,
+  // then capture_state(), then ByteLiveness::rung() on an attached
+  // recorder.  A stop that already reached a later cycle in `at` takes
+  // no second rung for it; cycles the run never reaches before it ends
+  // or hits its deadline are skipped.  The last segment runs, not
+  // resumable, to the deadline max_cycles past the post-boot cycle, so
+  // the result is the one a single run(max_cycles) returns.  Resumable
+  // segments follow the one deterministic timeline, so
   // restore_checkpoint() + run continues bit-for-bit as if the run had
-  // executed from the post-boot snapshot.  The deltas are taken
-  // against the base image through this machine's own memo for it, so
-  // any booted or adopting machine may capture, and any machine on the
-  // same base may restore.
-  std::vector<Checkpoint> capture_checkpoints(std::vector<std::uint64_t> at,
-                                              std::uint64_t max_cycles);
-
-  // The schedule under capture_checkpoints(), for callers that drive
-  // the run themselves (the golden capture pass, which attaches its
-  // recorders around it): until disarm_checkpoints(), every run()
-  // appends a checkpoint to *out at the first loop top at or after each
-  // cycle in `at` (ascending).
-  void arm_checkpoints(std::vector<std::uint64_t> at,
-                       std::vector<Checkpoint>* out);
-  void disarm_checkpoints();
+  // executed from the post-boot snapshot.  Any booted or adopting
+  // machine may capture, and any machine on the same base may restore.
+  RunResult capture_ladder(const std::vector<std::uint64_t>& at,
+                           std::uint64_t max_cycles,
+                           std::vector<Checkpoint>& ladder);
 
   // Restores a mid-run checkpoint.  `memo` is this machine's private
   // dirty-tracking state for this rung (start it empty; pass the same
@@ -323,15 +321,16 @@ class Machine {
   // restore_checkpoint() maintains; its equality knowledge lets the
   // comparison skip untouched pages.  Only meaningful at a segment
   // boundary: right after a resumable run() exited at its deadline,
-  // where the in-flight tick sits in the resume slot exactly as the
-  // capture recorded it.
+  // where the in-flight tick sits in the resume slot exactly as
+  // capture_state() recorded it at the same kind of stop.
   bool state_matches(const Checkpoint& checkpoint, const CheckpointMemo& memo,
                      std::size_t masked_phys) const;
 
-  // Captures the current state as a compare-only checkpoint, at the
-  // same kind of segment boundary state_matches() requires, as every
-  // rung is captured: RAM and disk as deltas against the base image,
-  // filtered by this machine's own base memo.  Compare it with an empty
+  // Captures the current state as a checkpoint, at the same kind of
+  // segment boundary state_matches() requires: RAM and disk as deltas
+  // against the base image, filtered by this machine's own base memo.
+  // Golden rungs (capture_ladder) and shadow rungs are both taken this
+  // way.  Restore it, or compare against it with an empty
   // CheckpointMemo.
   Checkpoint capture_state();
 
@@ -360,7 +359,7 @@ class Machine {
 
   // When set, every RAM access of run() — CPU data, instruction fetch,
   // page-table walks and disk DMA — is reported to *liveness, and so is
-  // every checkpoint the armed schedule takes (ByteLiveness::rung).
+  // every rung capture_ladder() takes (ByteLiveness::rung).
   // Observational only; both engines report identically (the golden
   // capture pass runs on the configured engine).  Pass nullptr to
   // disable.
@@ -403,7 +402,6 @@ class Machine {
   bool crash_fired_ = false;
   CrashInfo crash_;
 
-  void take_checkpoint(bool timer_pending);
   // The one capture every checkpoint goes through — boot state, ladder
   // rung, shadow rung: the CPU, timer and console state, and RAM and
   // disk as deltas against `base` through base_memo_, which learns
@@ -429,13 +427,7 @@ class Machine {
   // run() so it resumes with the captured loop state.
   bool timer_pending_resume_ = false;
 
-  // Checkpoint capture schedule, active only while armed.
-  std::vector<std::uint64_t> ckpt_request_;
-  std::size_t ckpt_next_ = 0;
-  std::vector<Checkpoint>* ckpt_out_ = nullptr;
-
   std::uint64_t disk_blocks_restored_ = 0;
-  std::uint64_t checkpoints_taken_ = 0;
   std::uint64_t checkpoint_restores_ = 0;
 
   vm::ByteLiveness* liveness_ = nullptr;

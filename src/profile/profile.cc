@@ -61,22 +61,21 @@ std::vector<ProfileResult::SubsystemRow> ProfileResult::table1(
   return out;
 }
 
-ProfileResult profile_kernel(const ProfileOptions& options) {
+namespace {
+
+constexpr std::uint32_t kSamplePeriod = 97;       // cycles between PC samples
+constexpr std::uint64_t kRunBudget = 40'000'000;  // per-workload watchdog
+
+ProfileResult profile_kernel() {
   const auto began = std::chrono::steady_clock::now();
   const kernel::KernelImage& image = kernel::built_kernel();
   const disk::DiskImage root_disk = machine::make_root_disk();
 
-  std::vector<std::string> names = options.workload_names;
-  if (names.empty()) {
-    for (const workloads::Workload& w : workloads::all_workloads()) {
-      names.push_back(w.name);
-    }
-  }
-
   ProfileResult result;
   std::map<std::string, FunctionSamples> bins;
 
-  for (const std::string& name : names) {
+  for (const workloads::Workload& workload : workloads::all_workloads()) {
+    const std::string& name = workload.name;
     machine::Machine machine(image, workloads::built_workload(name),
                              root_disk);
     if (!machine.run_to_entry()) {
@@ -84,9 +83,8 @@ ProfileResult profile_kernel(const ProfileOptions& options) {
     }
     const std::uint64_t start = machine.cpu().cycles();
     bool done = false;
-    while (!done &&
-           machine.cpu().cycles() - start < options.run_budget) {
-      const machine::RunResult run = machine.run(options.sample_period);
+    while (!done && machine.cpu().cycles() - start < kRunBudget) {
+      const machine::RunResult run = machine.run(kSamplePeriod);
       switch (run.exit) {
         case machine::RunExit::Completed:
           done = true;
@@ -126,6 +124,8 @@ ProfileResult profile_kernel(const ProfileOptions& options) {
                        .count();
   return result;
 }
+
+}  // namespace
 
 const ProfileResult& default_profile() {
   static const ProfileResult result = profile_kernel();

@@ -29,7 +29,7 @@ struct ProfileResult {
   std::uint64_t total_kernel_samples = 0;
   std::uint64_t user_samples = 0;
   std::map<std::string, std::uint64_t> workload_cycles;  // golden lengths
-  // Host seconds profile_kernel() took (telemetry only).
+  // Host seconds the profile took (telemetry only).
   double seconds = 0.0;
 
   const FunctionSamples* find(const std::string& name) const;
@@ -51,19 +51,12 @@ struct ProfileResult {
   std::vector<SubsystemRow> table1(double coverage) const;
 };
 
-struct ProfileOptions {
-  std::uint32_t sample_period = 97;       // cycles between PC samples
-  std::uint64_t run_budget = 40'000'000;  // per-workload watchdog
-  std::vector<std::string> workload_names;  // empty = all nine
-};
-
-// Runs every workload on a fresh machine from reset, sampling the
-// kernel PC from the workload's first user-mode instruction on.  The
-// machines never restore, so none captures a post-boot image
-// (Machine::run_to_entry).
-ProfileResult profile_kernel(const ProfileOptions& options = {});
-
-// Cached default profile (deterministic, shared by injector and benches).
+// The kernel profile, taken once per process (deterministic, shared by
+// injector and benches): every workload runs on a fresh machine from
+// reset, and the kernel PC is sampled every 97 cycles from the
+// workload's first user-mode instruction on, for at most 40M cycles
+// per workload.  The machines never restore, so none captures a
+// post-boot image (Machine::run_to_entry).
 const ProfileResult& default_profile();
 
 }  // namespace kfi::profile

@@ -106,8 +106,8 @@ class Cpu {
   // micro-ops starting at the current eip with a single dispatch, and
   // returns the number retired (0 = the caller must single-step via
   // step()).  Guards hoisted out of the inner loop:
-  //   - the caller bounds `max_instructions` so no timer tick,
-  //     checkpoint rung, or run deadline can fall inside the dispatch;
+  //   - the caller bounds `max_instructions` so no timer tick or run
+  //     deadline can fall inside the dispatch;
   //   - a block containing an instruction whose address matches an
   //     armed debug register is refused (single-step delivers the
   //     Breakpoint event at the exact instruction);

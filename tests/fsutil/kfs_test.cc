@@ -279,14 +279,5 @@ TEST(DiskDevice, BadPhysicalAddressErrors) {
   EXPECT_EQ(device.mmio_read(disk::kRegStatus), 1u);
 }
 
-TEST(DiskDevice, SnapshotRestore) {
-  disk::DiskImage image(64);
-  image.write32(100, 0x1234);
-  const auto snap = image.snapshot();
-  image.write32(100, 0x9999);
-  image.restore(snap);
-  EXPECT_EQ(image.read32(100), 0x1234u);
-}
-
 }  // namespace
 }  // namespace kfi::fsutil

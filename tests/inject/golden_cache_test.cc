@@ -145,9 +145,25 @@ TEST(GoldenCache, ChainedCaptureMatchesSteppedCapture) {
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() /
       ("kfi_golden_capture_test_" + std::to_string(::getpid()));
-  // One header for both: the engine the files were captured on is the
-  // only difference under test.
-  const InjectorOptions header;
+  // One header for both, its engine fixed so the bytes do not follow
+  // KFI_EXEC: the engine the files were captured on is the only
+  // difference under test.
+  InjectorOptions header;
+  header.exec_engine = machine::ExecEngine::Chained;
+  // The seal trailers of the base file and the nine bundles, in `names`
+  // order, per kernel.  Both engines must reproduce these exact bytes,
+  // so a capture change that moves them alike fails here too.
+  const std::vector<std::uint64_t> pinned[2] = {
+      {0xe98366628b0b0af8ULL, 0x84ef0571274fb897ULL, 0x74a5f5194ec6486aULL,
+       0xdce45007b4ee5e38ULL, 0xd6f5b0cb98ce34e2ULL, 0x805c7beb42cc478bULL,
+       0x77c9a518cfce1fd5ULL, 0x6fd86de307532c54ULL, 0xc16946cfdc546468ULL,
+       0xeb89aace2076e9b5ULL},
+      {0x6ff9b4a410507a03ULL, 0x3392bf3bdf8d23caULL, 0xdbb693d3e04f1271ULL,
+       0xed5c5d2f1f8b9b0aULL, 0x771dcb3b8dbfb1a0ULL, 0x73f4899370f3b6c0ULL,
+       0x796c679928c98c8fULL, 0x3876a881ff9598b8ULL, 0x86d77a1a9b4ed9ffULL,
+       0x7fb6a3b00a39fee0ULL},
+  };
+  int kernel_index = 0;
   for (const kernel::KernelImage* image :
        {&kernel::built_kernel(), &kernel::built_hardened_kernel()}) {
     std::vector<std::vector<std::uint8_t>> files[2];
@@ -164,16 +180,21 @@ TEST(GoldenCache, ChainedCaptureMatchesSteppedCapture) {
           serve::write_base(base_file, names[0], *cache.base(), header, 0);
       ASSERT_TRUE(base_hash.has_value());
       files[chained].push_back(file_bytes(base_file));
+      std::vector<std::uint64_t> trailers = {*base_hash};
       for (const std::string& name : names) {
         const std::string path = (dir / (name + ".kfib")).string();
-        ASSERT_TRUE(serve::write_bundle(path, name, cache.workload(name),
-                                        header, 0, *base_hash)
-                        .has_value());
+        const std::optional<std::uint64_t> trailer = serve::write_bundle(
+            path, name, cache.workload(name), header, 0, *base_hash);
+        ASSERT_TRUE(trailer.has_value());
+        trailers.push_back(*trailer);
         files[chained].push_back(file_bytes(path));
       }
       std::filesystem::remove_all(dir);
       EXPECT_GT(cache.capture_mcycles_per_s(), 0.0);
+      EXPECT_EQ(trailers, pinned[kernel_index])
+          << (chained ? "chained" : "step") << " capture";
     }
+    ++kernel_index;
     ASSERT_EQ(files[0].size(), names.size() + 1);
     ASSERT_EQ(files[1].size(), names.size() + 1);
     for (std::size_t i = 0; i < files[0].size(); ++i) {

@@ -40,7 +40,9 @@ TEST(Checkpoint, EveryRungResumesBitIdentically) {
 
   std::vector<std::uint64_t> at;
   for (int k = 1; k <= 8; ++k) at.push_back(start + length * k / 9);
-  std::vector<Checkpoint> ladder = machine->capture_checkpoints(at, kBudget);
+  std::vector<Checkpoint> ladder;
+  EXPECT_EQ(machine->capture_ladder(at, kBudget, ladder).exit,
+            RunExit::Completed);
   ASSERT_EQ(ladder.size(), at.size());
 
   for (Checkpoint& rung : ladder) {
@@ -70,12 +72,14 @@ TEST(Checkpoint, RungToNextRungMatchesStraightLine) {
 
   std::vector<std::uint64_t> at;
   for (int k = 1; k <= 6; ++k) at.push_back(start + length * k / 7);
-  std::vector<Checkpoint> ladder = machine->capture_checkpoints(at, kBudget);
+  std::vector<Checkpoint> ladder;
+  machine->capture_ladder(at, kBudget, ladder);
   ASSERT_EQ(ladder.size(), at.size());
 
   // A second capture pass lands on the identical rungs: each rung's
   // digest-after-restore must match between the two ladders.
-  std::vector<Checkpoint> again = machine->capture_checkpoints(at, kBudget);
+  std::vector<Checkpoint> again;
+  machine->capture_ladder(at, kBudget, again);
   ASSERT_EQ(again.size(), ladder.size());
   std::vector<CheckpointMemo> ladder_memos(ladder.size());
   std::vector<CheckpointMemo> again_memos(again.size());

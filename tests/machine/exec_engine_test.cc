@@ -71,13 +71,15 @@ TEST(ExecEngine, CheckpointLadderIdenticalAcrossEngines) {
   ASSERT_GT(total, 100u);
   const std::vector<std::uint64_t> rungs = {
       base + total / 8, base + total / 3, base + (2 * total) / 3};
-  auto cks_a = step_m->capture_checkpoints(rungs, kRunBudget);
+  std::vector<Checkpoint> cks_a;
+  step_m->capture_ladder(rungs, kRunBudget, cks_a);
 
   auto chain_m = make_machine("syscall", ExecEngine::Chained);
   ASSERT_TRUE(chain_m->boot());
   // Every rung cycle falls mid-chain somewhere in the hot loop: the
   // dispatch must still stop on the exact cycle.
-  auto cks_b = chain_m->capture_checkpoints(rungs, kRunBudget);
+  std::vector<Checkpoint> cks_b;
+  chain_m->capture_ladder(rungs, kRunBudget, cks_b);
   ASSERT_EQ(cks_a.size(), cks_b.size());
   for (std::size_t i = 0; i < cks_a.size(); ++i) {
     // Rungs land on the identical loop-top cycle, with identical
